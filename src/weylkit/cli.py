@@ -60,7 +60,7 @@ class Report:
 
 
 def _cap(args) -> int:
-    if getattr(args, "cap", None):
+    if getattr(args, "cap", None) is not None:
         return int(args.cap)
     env = os.environ.get("WEYLKIT_CAP")
     return int(env) if env else DEFAULT_CAP
@@ -184,7 +184,8 @@ def cmd_verify_convexity(args) -> int:
     aq = ms.enumerate_AQ(rs, x)
     report.counts["hull_points"] = len(aq)
     w0 = rs.longest_element()
-    _, endpoints = pm.positive_fold_closure(rs, pm.straight_path_to(w0.apply(x)), cap=cap)
+    x_plus = rs.dominant_rep(x)[0]
+    _, endpoints = pm.positive_fold_closure(rs, pm.straight_path_to(w0.apply(x_plus)), cap=cap)
     report.counts["path_endpoints"] = len(endpoints)
     if endpoints != aq:
         report.fail(

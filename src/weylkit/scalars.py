@@ -497,6 +497,18 @@ def lex(hi, lo=Fraction(0)) -> LexPair:
 # quadratic integers a + b*sqrt(p)
 
 
+def _quad_sign(a: int, b: int, p: int) -> int:
+    """Exact sign of a + b*sqrt(p) for integers a, b and a non-square p > 0."""
+    if a >= 0 and b >= 0:
+        return 1 if a or b else 0
+    if a <= 0 and b <= 0:
+        return -1
+    # mixed signs: compare a^2 against p*b^2 (never equal, sqrt p is irrational)
+    if a > 0:  # b < 0
+        return 1 if a * a > p * b * b else -1
+    return 1 if a * a < p * b * b else -1  # a < 0, b > 0
+
+
 @dataclass(frozen=True)
 class QuadInt:
     """a + b*sqrt(p) with integer a, b and p in {2, 3}; ordered exactly."""
@@ -509,18 +521,19 @@ class QuadInt:
         if self.p not in (2, 3):
             raise ValueError("p must be 2 or 3")
 
-    def _coerce(self, other) -> "QuadInt":
+    def _parts(self, other) -> tuple[int, int]:
+        """(a, b) of an operand of the same ring; builds no intermediate QuadInt."""
         if isinstance(other, QuadInt):
             if other.p != self.p:
                 raise ScalarDomainError("quadratic integers over different radicands")
-            return other
+            return other.a, other.b
         if isinstance(other, int):
-            return QuadInt(other, 0, self.p)
+            return other, 0
         raise ScalarDomainError(f"cannot coerce {type(other).__name__} into Z[sqrt{self.p}]")
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return QuadInt(self.a + o.a, self.b + o.b, self.p)
+        oa, ob = self._parts(other)
+        return QuadInt(self.a + oa, self.b + ob, self.p)
 
     __radd__ = __add__
 
@@ -528,16 +541,16 @@ class QuadInt:
         return QuadInt(-self.a, -self.b, self.p)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        oa, ob = self._parts(other)
+        return QuadInt(self.a - oa, self.b - ob, self.p)
 
     def __rsub__(self, other):
-        return (-self) + other
+        oa, ob = self._parts(other)
+        return QuadInt(oa - self.a, ob - self.b, self.p)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return QuadInt(self.a * other, self.b * other, self.p)
-        o = self._coerce(other)
-        return QuadInt(self.a * o.a + self.p * self.b * o.b, self.a * o.b + self.b * o.a, self.p)
+        oa, ob = self._parts(other)
+        return QuadInt(self.a * oa + self.p * self.b * ob, self.a * ob + self.b * oa, self.p)
 
     __rmul__ = __mul__
 
@@ -545,22 +558,17 @@ class QuadInt:
         return QuadInt(self.p * self.b, self.a, self.p)
 
     def sign(self) -> int:
-        a, b, p = self.a, self.b, self.p
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # mixed signs: compare a^2 against p*b^2
-        if a > 0:  # b < 0
-            return 1 if a * a > p * b * b else -1
-        return 1 if a * a < p * b * b else -1  # a < 0, b > 0
+        return _quad_sign(self.a, self.b, self.p)
 
     def _cmp(self, other) -> int:
-        if isinstance(other, Infinity):
+        # same-ring operands first: sorting exponents makes this the hot case
+        if isinstance(other, QuadInt) and other.p == self.p:
+            oa, ob = other.a, other.b
+        elif isinstance(other, Infinity):
             return -1
-        return (self - other).sign()
+        else:
+            oa, ob = self._parts(other)  # an int; anything else raises ScalarDomainError
+        return _quad_sign(self.a - oa, self.b - ob, self.p)
 
     def __lt__(self, other):
         return self._cmp(other) < 0

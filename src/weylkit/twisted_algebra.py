@@ -46,11 +46,6 @@ class LaurentElement:
             return INF
         return self.terms[0][0]
 
-    def leading_coeff(self) -> int:
-        if not self.terms:
-            return 0
-        return self.terms[0][1]
-
     def __add__(self, other: "LaurentElement") -> "LaurentElement":
         self._check(other)
         acc = dict(self.terms)
@@ -136,10 +131,6 @@ def nu(x: LaurentElement) -> NuValue:
 
 def theta(x: LaurentElement) -> LaurentElement:
     return x.theta()
-
-
-def frobenius(x: LaurentElement) -> LaurentElement:
-    return x ** x.p
 
 
 # --------------------------------------------------------------------------

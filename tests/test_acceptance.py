@@ -29,7 +29,7 @@ def _passed(num: int, desc: str, t0: float | None = None, budget: float | None =
         note = f"  [{elapsed:.2f}s"
         if budget is not None:
             assert elapsed < budget, f"criterion {num} exceeded its {budget}s budget"
-            note += f" < {budget:.0f}s"
+            note += f" < {budget:.0f}s ({(budget - elapsed) / budget:.0%} headroom)"
         note += "]"
     print(f"\n[PASS] criterion {num:2d}: {desc}{note}")
 

@@ -143,11 +143,32 @@ class TestVerifyConvexity:
             "path_endpoints": 13,
         }
 
+    @pytest.mark.parametrize(
+        "label, point, dominant, hull",
+        [("A2", "1,3", "2,3", 25), ("G2", "-1,0", "2,1", 13)],
+    )
+    def test_non_dominant_point_folds_from_its_dominant_image(
+        self, capsys, label, point, dominant, hull
+    ):
+        code, obj = run_json(capsys, "verify-convexity", "--type", label, f"--point={point}")
+        assert code == EXIT_OK and obj["status"] == "pass"
+        assert obj["counts"]["hull_points"] == obj["counts"]["path_endpoints"] == hull
+        assert obj["counts"]["gallery_endpoints"] == hull
+        _, ref = run_json(capsys, "verify-convexity", "--type", label, f"--point={dominant}")
+        assert obj["endpoints"] == ref["endpoints"]
+
     def test_cap_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("WEYLKIT_CAP", "3")
         code = main(["verify-convexity", "--type", "A2", "--point", "3,3"])
         capsys.readouterr()
         assert code == EXIT_CAP
+
+    def test_cap_zero_is_honoured(self, capsys, monkeypatch):
+        argv = ["verify-convexity", "--type", "A2", "--point", "3,3"]
+        assert main(argv + ["--cap", "0"]) == EXIT_CAP
+        monkeypatch.setenv("WEYLKIT_CAP", "0")
+        assert main(argv) == EXIT_CAP
+        capsys.readouterr()
 
 
 class TestTree:

@@ -23,6 +23,7 @@ from weylkit.scalars import (
     sign,
     sqrt2_in_quartic,
 )
+from weylkit.twisted_algebra import LaurentElement, laurent
 
 
 def sqrt_bounds(p: int, digits: int = 30) -> tuple[Q, Q]:
@@ -166,6 +167,137 @@ def test_lex_order_translation_invariant(a, b, c, d):
     x, y = lex(a, b), lex(c, d)
     z = lex(Q(1, 3), Q(-7, 2))
     assert compare(x + z, y + z) == compare(x, y)
+
+
+def floor_scaled(x: QuadInt, k: int) -> int:
+    """floor((a + b*sqrt p) * 2^k) from an integer square root; independent of the ordering."""
+    root = isqrt(x.p * x.b * x.b * 4**k)  # floor(|b| sqrt(p) 2^k), never exact for b != 0
+    if x.b > 0:
+        return x.a * 2**k + root
+    if x.b < 0:
+        return x.a * 2**k - root - 1
+    return x.a * 2**k
+
+
+def order_oracle(x: QuadInt, y: QuadInt) -> int:
+    """Refine both values' binary expansions until they differ; distinct values always do."""
+    if (x.a, x.b) == (y.a, y.b):
+        return 0
+    k = 0
+    while True:
+        fx, fy = floor_scaled(x, k), floor_scaled(y, k)
+        if fx != fy:
+            return 1 if fx > fy else -1
+        k += 1
+
+
+BIG = 10**30
+
+
+class TestQuadIntOrder:
+    @given(
+        st.sampled_from((2, 3)),
+        st.integers(-BIG, BIG),
+        st.integers(-BIG, BIG),
+        st.integers(-BIG, BIG),
+        st.integers(-BIG, BIG),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_pairs_match_oracle(self, p, a, b, c, d):
+        x, y = QuadInt(a, b, p), QuadInt(c, d, p)
+        want = order_oracle(x, y)
+        assert compare(x, y) == want
+        assert (x < y, x <= y, x > y, x >= y) == (want < 0, want <= 0, want > 0, want >= 0)
+
+    @given(
+        st.sampled_from((2, 3)),
+        st.integers(-BIG, BIG),
+        st.integers(-BIG, BIG),
+        st.integers(1, 10**15),
+        st.integers(-1, 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_near_ties_at_scale_match_oracle(self, p, a, b, m, e):
+        # y - x = isqrt(p m^2) + e - m sqrt(p) lies in (e - 1, e) while both
+        # values sit near 1e30, far below the resolution of a float comparison
+        x, y = QuadInt(a, b, p), QuadInt(a + isqrt(p * m * m) + e, b - m, p)
+        assert compare(x, y) == order_oracle(x, y)
+        assert compare(y, x) == order_oracle(y, x)
+        assert (y - x).sign() == order_oracle(y - x, QuadInt(0, 0, p))
+
+    @pytest.mark.parametrize(
+        "a, b, p, want",
+        [(577, -408, 2, 1), (-577, 408, 2, -1), (26, -15, 3, 1), (1351, -780, 3, 1)],
+    )
+    def test_pell_near_ties(self, a, b, p, want):
+        x = QuadInt(a, b, p)
+        assert x.sign() == want == order_oracle(x, QuadInt(0, 0, p))
+        assert compare(QuadInt(a, 0, p), QuadInt(0, -b, p)) == want
+        assert (QuadInt(a, 0, p) > QuadInt(0, -b, p)) == (want > 0)
+        assert (x > 0, -x < 0) == (want > 0, want > 0)
+
+    def test_pell_power_far_below_float_resolution(self):
+        # (3 - 2 sqrt 2)^40 is about 1e-31: its two parts are near 1.6e30
+        x = QuadInt(1, 0, 2)
+        for _ in range(40):
+            x = x * QuadInt(3, -2, 2)
+        assert x.a > 10**30 and x.sign() == 1 == order_oracle(x, QuadInt(0, 0, 2))
+        assert (-x).sign() == -1
+        assert QuadInt(x.a, 0, 2) > QuadInt(0, -x.b, 2)
+        assert QuadInt(x.a - 1, 0, 2) < QuadInt(0, -x.b, 2)
+
+    def test_equal_values(self):
+        x = QuadInt(-7, 5, 3)
+        y = QuadInt(-7, 5, 3)
+        assert compare(x, y) == 0 and x <= y and x >= y and not x < y and not x > y
+        assert QuadInt(0, 0, 2).sign() == 0
+
+    def test_int_operands(self):
+        x = QuadInt(0, 1, 2)  # sqrt 2
+        assert 1 < x < 2 and x > 1 and x <= 2 and not x >= 2
+        assert QuadInt(3, 0, 3) <= 3 and QuadInt(3, 0, 3) >= 3 and not QuadInt(3, 0, 3) < 3
+        assert x - 1 == QuadInt(-1, 1, 2) and 1 - x == QuadInt(1, -1, 2)
+        assert (1 - x).sign() == -1 and (x - 1).sign() == 1
+
+    def test_infinity_sorts_above(self):
+        for x in (QuadInt(BIG, BIG, 2), QuadInt(-BIG, 0, 3), QuadInt(0, 0, 2)):
+            assert x < INF and x <= INF and not x > INF and not x >= INF
+            assert INF > x and compare(INF, x) == 1 and compare(x, INF) == -1
+        assert sorted([INF, QuadInt(1, 0, 2), QuadInt(0, 1, 2)]) == [QuadInt(1, 0, 2), QuadInt(0, 1, 2), INF]
+
+    def test_domain_errors(self):
+        x = QuadInt(1, 0, 2)
+        with pytest.raises(ScalarDomainError):
+            x < QuadInt(1, 0, 3)
+        with pytest.raises(ScalarDomainError):
+            compare(x, QuadInt(1, 0, 3))
+        with pytest.raises(ScalarDomainError):
+            x - QuadInt(0, 1, 3)
+        with pytest.raises(ScalarDomainError):
+            x < Q(1, 2)
+        with pytest.raises(ScalarDomainError):
+            Q(1, 2) - x
+
+
+def _assert_strictly_increasing(x: LaurentElement):
+    exps = [e for e, _ in x.terms]
+    assert all(order_oracle(e, f) < 0 for e, f in zip(exps, exps[1:])), x
+
+
+def _laurents(p):
+    exps = st.tuples(st.integers(-BIG, BIG), st.integers(-BIG, BIG)).map(
+        lambda ab: QuadInt(ab[0], ab[1], p)
+    )
+    return st.dictionaries(exps, st.integers(1, p - 1), max_size=4).map(lambda d: laurent(p, d))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_laurent_terms_strictly_increasing(p, data):
+    x, y = data.draw(_laurents(p)), data.draw(_laurents(p))
+    for z in (x, y, x + y, x * y, x.theta(), (x * y).theta()):
+        _assert_strictly_increasing(z)
 
 
 class TestSerialization:

@@ -240,8 +240,9 @@ def cmd_tree(args) -> int:
         ],
     }
     if pv_report.ok:
-        datum = lt.datum_from_valuation(pv, base)
-        rt = lt.roundtrip_check(pv, base)
+        # pv_report is this job's one exhaustive axiom check; build on it directly
+        datum = lt.build_datum(pv, base)
+        rt = lt.roundtrip_report(pv, datum)
         obj["rt_ok"] = not lt.datum_axiom_violations(datum)
         obj["roundtrip_ok"] = rt.ok
         if not rt.ok:

@@ -45,10 +45,11 @@ def complete_pv1(entries: Dict[tuple, object]) -> tuple[Dict[tuple, object], lis
             if q in table and compare(table[q], val) != 0:
                 conflicts.append(("PV1", q, f"{table[q]!r} vs {val!r}"))
             table[q] = val
+        neg = -val
         for q in minus:
-            if q in table and compare(table[q], -val) != 0:
-                conflicts.append(("PV1", q, f"{table[q]!r} vs {-val!r}"))
-            table[q] = -val
+            if q in table and compare(table[q], neg) != 0:
+                conflicts.append(("PV1", q, f"{table[q]!r} vs {neg!r}"))
+            table[q] = neg
     return table, conflicts
 
 
@@ -172,14 +173,30 @@ def _argmax_even_perm(pv: ProjectiveValuation, base, a) -> tuple:
     return best
 
 
-def datum_from_valuation(pv: ProjectiveValuation, base_triple: Sequence[str]) -> RootedTreeDatum:
-    """Build the wedge table of the rooted tree determined by pv and a base triple."""
+def _base_of(pv: ProjectiveValuation, base_triple: Sequence[str]) -> tuple:
     base = tuple(base_triple)
     if len(base) != 3 or len(set(base)) != 3 or any(e not in pv.ends for e in base):
         raise TreeError("base triple must be three distinct ends")
+    return base
+
+
+def datum_from_valuation(pv: ProjectiveValuation, base_triple: Sequence[str]) -> RootedTreeDatum:
+    """Build the wedge table of the rooted tree determined by pv and a base triple.
+
+    Validates its input: the base triple first, then pv with one exhaustive
+    O(n^5) :func:`check_pv`; a non-valuation raises :class:`TreeError`.
+    """
+    base = _base_of(pv, base_triple)
     report = check_pv(pv)
     if not report.ok:
         raise TreeError(f"not a projective valuation: {report.violations[0]}")
+    return build_datum(pv, base)
+
+
+def build_datum(pv: ProjectiveValuation, base_triple: Sequence[str]) -> RootedTreeDatum:
+    """The wedge table of :func:`datum_from_valuation` for a pv already known to pass
+    :func:`check_pv`; only the base triple is validated here."""
+    base = _base_of(pv, base_triple)
     zero = None
     for q in pv.quadruples():
         zero = zero_like(pv.value(*q))
@@ -219,18 +236,10 @@ def datum_axiom_violations(datum: RootedTreeDatum) -> tuple:
             out.append(("RT1", (a, b)))
     for a, b, c in itertools.permutations(datum.ends, 3):
         lhs = datum.wedge(a, c)
-        rhs = min(datum.wedge(a, b), datum.wedge(b, c), key=_cmp_key)
+        rhs = min(datum.wedge(a, b), datum.wedge(b, c))
         if compare(lhs, rhs) < 0:
             out.append(("RT2", (a, b, c)))
     return tuple(out)
-
-
-class _cmp_key:
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return compare(self.v, other.v) < 0
 
 
 # --------------------------------------------------------------------------
@@ -301,8 +310,16 @@ class RoundtripReport:
 
 
 def roundtrip_check(pv: ProjectiveValuation, base_triple: Sequence[str]) -> RoundtripReport:
-    """Rebuild the tree from pv and compare its canonical valuation with pv, exactly."""
-    datum = datum_from_valuation(pv, base_triple)
+    """Rebuild the tree from pv and compare its canonical valuation with pv, exactly.
+
+    Validates pv with one exhaustive O(n^5) :func:`check_pv` (through
+    :func:`datum_from_valuation`); a non-valuation raises :class:`TreeError`.
+    """
+    return roundtrip_report(pv, datum_from_valuation(pv, base_triple))
+
+
+def roundtrip_report(pv: ProjectiveValuation, datum: RootedTreeDatum) -> RoundtripReport:
+    """Compare the canonical valuation of an already built datum with pv, exactly."""
     bad = []
     for q in pv.quadruples():
         got = canonical_valuation(datum, *q)
@@ -331,30 +348,15 @@ def base_change(datum: RootedTreeDatum, e: Callable) -> RootedTreeDatum:
     def image(v):
         return INF if isinstance(v, Infinity) else e(v)
 
-    finite = sorted({_HashWrap(v) for v in datum.finite_wedges()}, key=_cmp_key_wrap)
+    finite = sorted(set(datum.finite_wedges()))
     for u, v in zip(finite, finite[1:]):
-        if compare(image(u.v), image(v.v)) > 0:
+        if compare(image(u), image(v)) > 0:
             raise TreeError("map is not order preserving on the wedge values")
-    zero = zero_like(finite[0].v) if finite else Fraction(0)
-    if finite and compare(image(zero), zero_like(image(finite[0].v))) != 0:
+    zero = zero_like(finite[0]) if finite else Fraction(0)
+    if finite and compare(image(zero), zero_like(image(finite[0]))) != 0:
         raise TreeError("map does not send zero to zero")
     table = {k: image(v) for k, v in datum._wedge.items()}
     return RootedTreeDatum(datum.ends, datum.base_triple, table)
-
-
-class _HashWrap:
-    def __init__(self, v):
-        self.v = v
-
-    def __eq__(self, other):
-        return compare(self.v, other.v) == 0
-
-    def __hash__(self):
-        return hash(repr(self.v))
-
-
-def _cmp_key_wrap(w):
-    return _cmp_key(w.v)
 
 
 def map_point(datum_src: RootedTreeDatum, datum_dst: RootedTreeDatum, e: Callable, p: TreePoint) -> TreePoint:
@@ -396,9 +398,6 @@ class ExplicitTree:
         self.edge_len[node] = tail_len
         self.children[mid].append(node)
         return mid
-
-    def edges(self) -> list:
-        return [n for n in self.parent]
 
     def _path_to_root(self, node: int) -> list:
         out = [node]
@@ -552,9 +551,7 @@ def render_datum_text(datum: RootedTreeDatum) -> str:
         if len(ends) == 1:
             lines.append(f"{pad}end {ends[0]}")
             return
-        split = min(
-            (datum.wedge(a, b) for a, b in itertools.combinations(ends, 2)), key=_cmp_key
-        )
+        split = min(datum.wedge(a, b) for a, b in itertools.combinations(ends, 2))
         lines.append(f"{pad}branch at height {split!r}")
         for g in clusters(ends, split):
             emit(g, split, indent + 1)

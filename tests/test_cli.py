@@ -225,6 +225,63 @@ class TestTree:
         code, _ = run_cli(capsys, "tree", "--input", str(path))
         assert code == EXIT_USAGE  # inconsistent table is unusable input
 
+    def _write_table(self, tmp_path, pv, bump=None):
+        """Write pv's table; ``bump`` moves one quadruple's whole symmetry orbit up by 1."""
+        from weylkit import lambda_tree as lt
+        from weylkit.scalars import format_scalar
+
+        table = dict(pv.table)
+        if bump is not None:
+            plus, minus = lt._pv1_orbit(bump)
+            new = table[bump] + 1
+            table.update({q: new for q in plus})
+            table.update({q: -new for q in minus})
+        values = {",".join(q): format_scalar(v) for q, v in table.items()}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"ends": list(pv.ends), "values": values}))
+        return path
+
+    def test_one_axiom_check_per_job(self, capsys, tmp_path, monkeypatch):
+        from weylkit import lambda_tree as lt
+
+        calls = []
+        real = lt.check_pv
+        monkeypatch.setattr(lt, "check_pv", lambda pv: calls.append(pv) or real(pv))
+        path = self._write_table(tmp_path, lt.tree_generator(5, 6, "Z")[1])
+        for argv in ([], ["--base", "f,c,a"], ["--text"]):
+            calls.clear()
+            code, _ = run_cli(capsys, "tree", "--input", str(path), *argv)
+            assert code == EXIT_OK and len(calls) == 1
+
+    @pytest.mark.parametrize("base", ["a,a,b", "a,b,zz", "a,b"])
+    def test_bad_base_on_valid_table(self, capsys, tmp_path, base):
+        from weylkit import lambda_tree as lt
+
+        path = self._write_table(tmp_path, lt.h_tree(Q(3), Q(1)).valuation())
+        code, _ = run_cli(capsys, "tree", "--input", str(path), "--base", base)
+        assert code == EXIT_USAGE
+
+    def test_non_default_base(self, capsys, tmp_path):
+        from weylkit import lambda_tree as lt
+
+        path = self._write_table(tmp_path, lt.tree_generator(11, 7, "Z2lex")[1])
+        code, obj = run_json(capsys, "tree", "--input", str(path), "--base", "g,d,b")
+        assert code == EXIT_OK
+        assert obj["pv_ok"] and obj["rt_ok"] and obj["roundtrip_ok"]
+        assert obj["violations"] == []
+        assert obj["rendering"][0] == "root (base triple g, d, b)"
+
+    @pytest.mark.parametrize("base", [None, "a,a,b", "a,b,zz"])
+    def test_non_valuation_reported_whatever_the_base(self, capsys, tmp_path, base):
+        from weylkit import lambda_tree as lt
+
+        path = self._write_table(tmp_path, lt.h_tree(Q(3), Q(1)).valuation(), bump=("a", "c", "b", "d"))
+        argv = ["--base", base] if base else []
+        code, obj = run_json(capsys, "tree", "--input", str(path), *argv)
+        assert code == 1
+        assert obj["pv_ok"] is False and obj["violations"]
+        assert "rt_ok" not in obj and "rendering" not in obj
+
 
 class TestSr:
     def test_norm_case_b(self, capsys):

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylkit import lambda_tree as lt
 from weylkit.scalars import Infinity, compare, lex, sign
@@ -88,10 +90,7 @@ class TestDatum:
             _, pv = lt.tree_generator(seed, 6, "Z")
             datum = lt.datum_from_valuation(pv, pv.ends[:3])
             for a, b, c in itertools.combinations(datum.ends, 3):
-                vals = sorted(
-                    [datum.wedge(a, b), datum.wedge(a, c), datum.wedge(b, c)],
-                    key=lt._cmp_key,
-                )
+                vals = sorted([datum.wedge(a, b), datum.wedge(a, c), datum.wedge(b, c)])
                 assert compare(vals[0], vals[1]) == 0
 
     def test_invalid_valuation_rejected(self, h_pv):
@@ -235,6 +234,24 @@ class TestRoundtrip:
                 _, pv = lt.tree_generator(seed, 4 + (seed + 1) % 5, lam)
                 assert lt.check_pv(pv).ok
                 assert lt.roundtrip_check(pv, pv.ends[:3]).ok
+
+    @given(
+        st.integers(0, 2**31),
+        st.integers(4, 7),
+        st.sampled_from(("Z", "Z2lex")),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_trees_any_base(self, seed, n_ends, lam, data):
+        _, pv = lt.tree_generator(seed, n_ends, lam)
+        base = data.draw(st.permutations(pv.ends).map(lambda p: tuple(p[:3])))
+        assert lt.check_pv(pv).ok
+        assert lt.roundtrip_check(pv, base).ok
+
+    def test_prebuilt_datum_matches_checked_path(self, h_pv):
+        datum = lt.build_datum(h_pv, ("c", "a", "d"))
+        assert datum == lt.datum_from_valuation(h_pv, ("c", "a", "d"))
+        assert lt.roundtrip_report(h_pv, datum) == lt.roundtrip_check(h_pv, ("c", "a", "d"))
 
 
 class TestBaseChange:

@@ -169,6 +169,50 @@ def test_lex_order_translation_invariant(a, b, c, d):
     assert compare(x + z, y + z) == compare(x, y)
 
 
+HUGE = 10**40
+
+
+def cross_sign(n1: int, d1: int, n2: int, d2: int) -> int:
+    """Order of n1/d1 against n2/d2 from the raw integers; denominators of either sign."""
+    diff = (n1 * d2 - n2 * d1) * (1 if d1 * d2 > 0 else -1)
+    return (diff > 0) - (diff < 0)
+
+
+_nonzero = st.integers(-HUGE, HUGE).filter(bool)
+
+
+class TestRationalCompare:
+    @given(st.integers(-HUGE, HUGE), _nonzero, st.integers(-HUGE, HUGE), _nonzero)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_cross_multiplication(self, n1, d1, n2, d2):
+        x, y = Q(n1, d1), Q(n2, d2)
+        assert compare(x, y) == cross_sign(n1, d1, n2, d2) == -compare(y, x)
+
+    @given(st.integers(-HUGE, HUGE), st.integers(1, HUGE), st.integers(1, 10**6), st.integers(-1, 1))
+    @settings(max_examples=200, deadline=None)
+    def test_near_and_equal_values_written_differently(self, n, d, k, e):
+        # n/d against (n*k + e)/(d*k): equal when e == 0, one part in d*k apart otherwise
+        x, y = Q(n, d), Q(n * k + e, d * k)
+        assert compare(x, y) == -e
+        assert compare(Q(-n * k, -d * k), x) == 0
+
+    @given(st.integers(-HUGE, HUGE), st.integers(-HUGE, HUGE), _nonzero)
+    @settings(max_examples=200, deadline=None)
+    def test_int_and_fraction_mixes(self, m, n, d):
+        want = cross_sign(m, 1, n, d)
+        assert compare(m, Q(n, d)) == want == -compare(Q(n, d), m)
+        assert compare(m, Q(m)) == 0 == compare(Q(m), m)
+
+    @given(st.integers(-HUGE, HUGE), _nonzero)
+    def test_infinity_above_every_rational(self, n, d):
+        assert compare(Q(n, d), INF) == -1 and compare(INF, Q(n, d)) == 1
+
+    def test_worked_values(self):
+        assert compare(Q(2, 4), Q(1, 2)) == 0
+        assert compare(Q(-1, 3), Q(-1, 2)) == 1
+        assert compare(Q(HUGE - 1, HUGE), Q(HUGE, HUGE + 1)) == -1
+
+
 def floor_scaled(x: QuadInt, k: int) -> int:
     """floor((a + b*sqrt p) * 2^k) from an integer square root; independent of the ordering."""
     root = isqrt(x.p * x.b * x.b * 4**k)  # floor(|b| sqrt(p) 2^k), never exact for b != 0
@@ -258,6 +302,23 @@ class TestQuadIntOrder:
         assert QuadInt(3, 0, 3) <= 3 and QuadInt(3, 0, 3) >= 3 and not QuadInt(3, 0, 3) < 3
         assert x - 1 == QuadInt(-1, 1, 2) and 1 - x == QuadInt(1, -1, 2)
         assert (1 - x).sign() == -1 and (x - 1).sign() == 1
+
+    @given(st.sampled_from((2, 3)), st.integers(-BIG, BIG), st.integers(-BIG, BIG), st.integers(-BIG, BIG))
+    @settings(max_examples=200, deadline=None)
+    def test_compare_with_int_in_either_order(self, p, a, b, n):
+        x = QuadInt(a, b, p)
+        want = order_oracle(x, QuadInt(n, 0, p))
+        assert compare(x, n) == want == -compare(n, x)
+        assert (x < n, n < x) == (want < 0, want > 0)
+
+    def test_compare_agrees_with_operators_on_ints(self):
+        x = QuadInt(1, 1, 2)  # 1 + sqrt 2, about 2.41
+        assert x < 3 and compare(x, 3) == -1 and compare(3, x) == 1
+        assert compare(QuadInt(3, 0, 3), 3) == 0 == compare(3, QuadInt(3, 0, 3))
+        with pytest.raises(ScalarDomainError):
+            compare(x, Q(3))
+        with pytest.raises(ScalarDomainError):
+            compare(Q(3), x)
 
     def test_infinity_sorts_above(self):
         for x in (QuadInt(BIG, BIG, 2), QuadInt(-BIG, 0, 3), QuadInt(0, 0, 2)):

@@ -150,8 +150,7 @@ def cmd_fold(args) -> int:
     word = None
     if args.w0_word:
         word = tuple(int(k) for k in args.w0_word.split(","))
-    path = pm.parkinson_ram_fold(rs, x, y, word)
-    ys, mults = pm.parkinson_ram_chain(rs, x, y, word)
+    ys, mults, path = pm.parkinson_ram_unfold(rs, x, y, word)
     obj = {
         "type": rs.label,
         "point": _point_json(x),
@@ -184,7 +183,7 @@ def cmd_verify_convexity(args) -> int:
     aq = ms.enumerate_AQ(rs, x)
     report.counts["hull_points"] = len(aq)
     w0 = rs.longest_element()
-    x_plus = rs.dominant_rep(x)[0]
+    x_plus = rs.dominant_walk(x)[0]
     _, endpoints = pm.positive_fold_closure(rs, pm.straight_path_to(w0.apply(x_plus)), cap=cap)
     report.counts["path_endpoints"] = len(endpoints)
     if endpoints != aq:

@@ -9,7 +9,7 @@ co-root-pairing indexing ``<x, alpha^> = k``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
 from typing import Iterable, Sequence
@@ -28,10 +28,6 @@ def _zero(x):
 
 def point_sub(x, y):
     return tuple(a - b for a, b in zip(x, y))
-
-
-def point_add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
 
 
 def distance(rs: RootSystem, x, y):
@@ -84,15 +80,31 @@ def distance_origin_via_coords(rs: RootSystem, x):
     """
     coords = hyperplane_coords(rs, x)
     acc = _zero(coords)
-    for alpha in rs.positive_roots:
-        nn = rs.norm_sq(alpha)
+    for weights in _coroot_height_weights(rs):
         term = None
-        for b, xb in enumerate(coords):
-            w = alpha[b] * rs.gram[b][b] * 2 / nn
+        for w, xb in zip(weights, coords):
             t = scalar_mul(w, xb)
             term = t if term is None else term + t
         acc = acc + abs_val(term)
     return acc
+
+
+_HEIGHT_WEIGHTS_CACHE: dict = {}
+
+
+def _coroot_height_weights(rs: RootSystem) -> tuple:
+    """Per positive root alpha, the w_b with <x, alpha^> = sum_b w_b x^beta_b.
+
+    w_b = alpha_b (beta_b, beta_b) * 2 / (alpha, alpha): the coefficient of the
+    simple co-root beta_b^ in alpha^, doubled because x^beta = 1/2 <x, beta^>.
+    """
+    if rs.label not in _HEIGHT_WEIGHTS_CACHE:
+        rows = []
+        for alpha in rs.positive_roots:
+            nn = rs.norm_sq(alpha)
+            rows.append(tuple(alpha[b] * rs.gram[b][b] * 2 / nn for b in range(rs.rank)))
+        _HEIGHT_WEIGHTS_CACHE[rs.label] = tuple(rows)
+    return _HEIGHT_WEIGHTS_CACHE[rs.label]
 
 
 # --------------------------------------------------------------------------
@@ -189,9 +201,13 @@ class HullQuery:
 
     x: tuple
     lattice: str = "coroot"
+    # x+ per root-system label, filled on first use; every candidate reuses it
+    _x_plus: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def x_plus(self, rs: RootSystem):
-        xp, _ = rs.dominant_rep(self.x)
+        xp = self._x_plus.get(rs.label)
+        if xp is None:
+            xp = self._x_plus[rs.label] = rs.dominant_walk(self.x)[0]
         return xp
 
 
@@ -200,7 +216,7 @@ def in_AQ(rs: RootSystem, y, query) -> bool:
     if not isinstance(query, HullQuery):
         query = HullQuery(tuple(query))
     xp = query.x_plus(rs)
-    yp, _ = rs.dominant_rep(tuple(y))
+    yp, _ = rs.dominant_walk(tuple(y))
     diff = point_sub(xp, yp)
     if not all(sign(c) >= 0 for c in diff):
         return False

@@ -175,8 +175,6 @@ def root_operator_e(rs: RootSystem, path: PLPath, i: int) -> Optional[PLPath]:
     suffix = steps[idx1:]
 
     out: list[tuple] = []
-    level_drop_left = Fraction(n + 1) - n  # always 1; kept for clarity of the loop guard
-    assert level_drop_left == 1
     while middle:
         v = middle.popleft()
         inc = Fraction(rs.root_level(v, alpha))
@@ -264,8 +262,8 @@ def parkinson_ram_chain(rs: RootSystem, x, y, w0_word=None) -> tuple[list, list]
     return ys, ms
 
 
-def parkinson_ram_fold(rs: RootSystem, x, y, w0_word=None) -> PLPath:
-    """A positively folded path from 0 to y, folded out of the extreme straight path."""
+def parkinson_ram_unfold(rs: RootSystem, x, y, w0_word=None) -> tuple[list, list, PLPath]:
+    """The descent chain (ys, multiplicities) and the path unfolded from it."""
     x = tuple(Fraction(c) for c in x)
     if not rs.is_dominant(x):
         raise PathModelError("the orbit generator must be dominant")
@@ -282,7 +280,12 @@ def parkinson_ram_fold(rs: RootSystem, x, y, w0_word=None) -> PLPath:
             pi = nxt
     if pi.endpoint() != tuple(Fraction(c) for c in y):
         raise PathModelError("folded path missed its target")  # pragma: no cover
-    return pi
+    return ys, ms, pi
+
+
+def parkinson_ram_fold(rs: RootSystem, x, y, w0_word=None) -> PLPath:
+    """A positively folded path from 0 to y, folded out of the extreme straight path."""
+    return parkinson_ram_unfold(rs, x, y, w0_word)[2]
 
 
 # --------------------------------------------------------------------------
@@ -504,13 +507,8 @@ def folded_galleries(
         j = word[idx]
         beta, _ = walls[j]
         # cross
-        yield from rec(
-            idx + 1,
-            u.compose(gens[j]),
-            gens[j].compose(u_inv),
-            mask + (False,),
-            track + (u.compose(gens[j]),),
-        )
+        crossed = u.compose(gens[j])
+        yield from rec(idx + 1, crossed, gens[j].compose(u_inv), mask + (False,), track + (crossed,))
         # fold, kept only when positive
         lin = Fraction(rs.root_level(apply_matrix(u_inv.linear, d_int), beta))
         if own_side[j] == (1 if lin > 0 else -1):

@@ -240,6 +240,11 @@ class RootSystem:
             c.denominator == 1 for row in self.cartan for c in row
         ):
             raise RootSystemError(f"non-integral Cartan data for {label}")  # pragma: no cover
+        # column k without its zero entries: (j, <alpha_k, alpha_j^>)
+        self._cartan_columns = tuple(
+            tuple((j, row[k]) for j, row in enumerate(self.cartan) if not _f_is_zero(row[k]))
+            for k in range(self.rank)
+        )
         self._reflection_matrices = tuple(self._simple_reflection_matrix(i) for i in range(self.rank))
         self.positive_roots = self._positive_closure()
         if len(self.positive_roots) != self._expected_positives:
@@ -383,9 +388,6 @@ class RootSystem:
     def all_roots(self):
         return self.positive_roots + tuple(tuple(-c for c in b) for b in self.positive_roots)
 
-    def is_root(self, v) -> bool:
-        return tuple(v) in set(self.all_roots())
-
     def highest_root(self):
         if not self.crystallographic:
             raise RootSystemError("highest root needs a crystallographic system")
@@ -415,26 +417,39 @@ class RootSystem:
                         seen.add(img)
                         nxt.append(img)
             frontier = nxt
-        return tuple(sorted(seen, key=_point_sort_key))
+        return tuple(sorted(seen))
+
+    def dominant_walk(self, x) -> tuple:
+        """(x_plus, word) with s_word[0] ... s_word[-1] . x = x_plus dominant.
+
+        The walk keeps the pairings p_i = <x, alpha_i^> beside x.  Reflecting in
+        a simple root alpha_k changes only coordinate k of x (alpha_k is a unit
+        vector in simple-root coordinates) and moves each pairing by a Cartan
+        entry: p_j <- p_j - <alpha_k, alpha_j^> p_k.  So the pairings are
+        computed once, not once per step, and no Weyl matrix is built.
+        """
+        cur = list(x)
+        pairs = [self.pairing(cur, a) for a in self.simple_roots]
+        word: list[int] = []
+        for _ in range(len(self.positive_roots) + 1):
+            k = next((i for i, p in enumerate(pairs) if sign(p) < 0), None)
+            if k is None:
+                word.reverse()
+                return tuple(cur), tuple(word)
+            pk = pairs[k]
+            cur[k] = cur[k] - pk
+            for j, c in self._cartan_columns[k]:
+                pairs[j] = pairs[j] - scalar_mul(c, pk)
+            word.append(k)
+        raise RootSystemError("dominance walk did not terminate")  # pragma: no cover
 
     def dominant_rep(self, x) -> tuple:
         """(x_plus, w) with w.x = x_plus dominant."""
-        cur = tuple(x)
+        xp, word = self.dominant_walk(x)
         w = self.identity_element()
-        for _ in range(len(self.positive_roots) + 1):
-            neg = next(
-                (
-                    i
-                    for i in range(self.rank)
-                    if sign(self.pairing(cur, self.simple_roots[i])) < 0
-                ),
-                None,
-            )
-            if neg is None:
-                return cur, w
-            cur = self.reflect(self.simple_roots[neg], cur)
-            w = self.multiply(self.simple_reflection(neg), w)
-        raise RootSystemError("dominance walk did not terminate")  # pragma: no cover
+        for k in reversed(word):
+            w = self.multiply(self.simple_reflection(k), w)
+        return xp, w
 
     def is_dominant(self, x) -> bool:
         return all(sign(self.pairing(x, a)) >= 0 for a in self.simple_roots)
@@ -549,11 +564,6 @@ class RootSystem:
 
     def __repr__(self):
         return f"RootSystem({self.label})"
-
-
-def _point_sort_key(p):
-    # tuples compare elementwise; every shipped scalar type is totally ordered
-    return p
 
 
 _CACHE: Dict[str, RootSystem] = {}

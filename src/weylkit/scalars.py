@@ -603,6 +603,11 @@ Scalar = Union[Fraction, NFElem, LexPair, QuadInt]
 
 
 def sign(x) -> int:
+    if type(x) is Fraction:
+        # Fraction keeps its denominator positive; read the numerator slot
+        # directly, as compare does
+        n = x._numerator
+        return (n > 0) - (n < 0)
     if isinstance(x, (int, Fraction)):
         return (x > 0) - (x < 0)
     if isinstance(x, (NFElem, QuadInt)):
@@ -653,6 +658,8 @@ def scalar_mul(c, x):
     Rationals act on every shipped domain (on Z[sqrt p] only when the result
     stays integral); a number-field scalar acts on its own field.
     """
+    if type(c) is Fraction and type(x) is Fraction:
+        return c * x
     if isinstance(x, (int, Fraction)):
         if isinstance(c, (int, Fraction)):
             return Fraction(c) * Fraction(x)

@@ -124,6 +124,19 @@ class TestFold:
         code, _ = run_cli(capsys, "fold", "--type", "A2", "--point", "3,3", "--target", "4,2")
         assert code == EXIT_USAGE
 
+    def test_one_descent_chain_per_job(self, capsys, monkeypatch):
+        from weylkit import path_model as pm
+
+        calls = []
+        real = pm.parkinson_ram_chain
+        monkeypatch.setattr(
+            pm, "parkinson_ram_chain", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        for argv in (["A2", "3,3", "2,2"], ["G2", "2,1", "0,0"], ["B2", "2,2", "1,0"]):
+            calls.clear()
+            code, _ = run_cli(capsys, "fold", "--type", argv[0], "--point", argv[1], "--target", argv[2])
+            assert code == EXIT_OK and len(calls) == 1
+
 
 class TestVerifyConvexity:
     def test_a1_passes(self, capsys):

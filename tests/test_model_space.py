@@ -175,6 +175,20 @@ class TestHull:
         # x + half a co-root is dominated but lies in the wrong coset
         assert not ms.in_AQ(rs, (Q(1, 2),), ms.HullQuery((Q(2),)))
 
+    def test_x_plus_computed_once_per_query(self, monkeypatch):
+        rs = build("A2")
+        x = (Q(0), Q(3))  # s_1 of (3, 3)
+        walks = []
+        real = type(rs).dominant_walk
+        monkeypatch.setattr(type(rs), "dominant_walk", lambda self, p: walks.append(p) or real(self, p))
+        points = ms.enumerate_AQ(rs, x)
+        assert len(walks) == len(ms.hull_candidates(rs, x)) + 1
+        assert points == ms.enumerate_AQ(rs, (Q(3), Q(3)))
+        # the memo takes no part in equality or hashing
+        q = ms.HullQuery(x)
+        assert q.x_plus(rs) == (Q(3), Q(3))
+        assert q == ms.HullQuery(x) and hash(q) == hash(ms.HullQuery(x))
+
     def test_enumerate_zero(self):
         rs = build("A2")
         assert ms.enumerate_AQ(rs, rs.zero_point()) == (rs.zero_point(),)

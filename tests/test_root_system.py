@@ -4,9 +4,11 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylkit.root_system import RootSystemError, build
-from weylkit.scalars import NFElem, sign
+from weylkit.scalars import NFElem, lex, sign
 
 
 class TestBuild:
@@ -164,6 +166,55 @@ class TestOrbitsAndDominance:
                 xp, w = rs.dominant_rep(x)
                 assert w.apply(x) == xp
                 assert rs.is_dominant(xp)
+
+
+def reference_walk(rs, x):
+    """The greedy dominance walk that reflects, then recomputes every pairing."""
+    cur = tuple(x)
+    word = ()
+    for _ in range(len(rs.positive_roots) + 1):
+        neg = next(
+            (i for i in range(rs.rank) if sign(rs.pairing(cur, rs.simple_roots[i])) < 0), None
+        )
+        if neg is None:
+            return cur, word
+        cur = rs.reflect(rs.simple_roots[neg], cur)
+        word = (neg,) + word
+    raise AssertionError("reference walk did not terminate")
+
+
+_small_q = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_WALK_LABELS = ("A1", "A2", "A3", "B2", "C2", "G2", "F4", "I2(5)", "I2(8)")
+
+
+class TestDominantWalk:
+    """The pairing-coordinate walk against the reflect-and-recompute walk."""
+
+    @staticmethod
+    def _check(rs, x):
+        want_xp, want_word = reference_walk(rs, x)
+        xp, word = rs.dominant_walk(x)
+        assert xp == want_xp and word == want_word
+        assert rs.is_dominant(xp)
+        xp_rep, w = rs.dominant_rep(x)
+        assert xp_rep == xp and w.word == word
+        assert w.apply(x) == xp
+
+    @pytest.mark.parametrize("label", _WALK_LABELS)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rational_points(self, label, data):
+        rs = build(label)
+        self._check(rs, tuple(data.draw(_small_q) for _ in range(rs.rank)))
+
+    @pytest.mark.parametrize("label", _WALK_LABELS)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_lex_points(self, label, data):
+        # few distinct hi parts, so the lo parts often decide the sign
+        rs = build(label)
+        hi = st.integers(-2, 2)
+        self._check(rs, tuple(lex(data.draw(hi), data.draw(_small_q)) for _ in range(rs.rank)))
 
 
 class TestCoweights:

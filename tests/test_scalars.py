@@ -207,6 +207,15 @@ class TestRationalCompare:
     def test_infinity_above_every_rational(self, n, d):
         assert compare(Q(n, d), INF) == -1 and compare(INF, Q(n, d)) == 1
 
+    @given(st.integers(-HUGE, HUGE), _nonzero, st.integers(-HUGE, HUGE), _nonzero)
+    @settings(max_examples=200, deadline=None)
+    def test_sign_and_scalar_action(self, n1, d1, n2, d2):
+        # denominators of either sign, as given at construction
+        x, y = Q(n1, d1), Q(n2, d2)
+        assert sign(x) == (x > 0) - (x < 0) == cross_sign(n1, d1, 0, 1)
+        assert sign(-x) == -sign(x)
+        assert scalar_mul(x, y) == Q(n1 * n2, d1 * d2) == scalar_mul(y, x)
+
     def test_worked_values(self):
         assert compare(Q(2, 4), Q(1, 2)) == 0
         assert compare(Q(-1, 3), Q(-1, 2)) == 1

@@ -120,7 +120,11 @@ def cmd_rootsys(args) -> int:
 def cmd_hull(args) -> int:
     rs = build(args.type)
     x = _parse_point(rs, args.point)
+    cap = _cap(args)
     t0 = time.perf_counter()
+    candidates = len(ms.hull_candidates(rs, x))
+    if candidates > cap:
+        raise pm.CapExceeded(f"hull enumeration exceeded {cap} candidates ({candidates} in the box)")
     points = ms.enumerate_AQ(rs, x)
     elapsed = time.perf_counter() - t0
     obj = {

@@ -14,16 +14,12 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Iterable, Sequence
 
-from .root_system import RootSystem, solve_linear
-from .scalars import abs_val, compare, scalar_mul, sign, zero_like
+from .root_system import LinearForms, RootSystem, solve_linear
+from .scalars import compare, sign
 
 
 class ModelSpaceError(ValueError):
     pass
-
-
-def _zero(x):
-    return zero_like(x[0]) if x else Fraction(0)
 
 
 def point_sub(x, y):
@@ -32,41 +28,29 @@ def point_sub(x, y):
 
 def distance(rs: RootSystem, x, y):
     """d(x, y) = sum over positive roots of |<y - x, alpha^>|."""
-    diff = point_sub(y, x)
-    acc = _zero(diff)
-    for alpha in rs.positive_roots:
-        acc = acc + abs_val(rs.pairing(diff, alpha))
-    return acc
+    return rs.coroot_forms.abs_sum(point_sub(y, x))
 
 
 def hyperplane_coords(rs: RootSystem, x) -> tuple:
     """The heights x^alpha = 1/2 <x, alpha^> over the walls through the origin."""
-    return tuple(scalar_mul(Fraction(1, 2), rs.pairing(x, a)) for a in rs.simple_roots)
+    return rs.height_forms.apply(x)
 
 
 def point_from_hyperplane_coords(rs: RootSystem, coords) -> tuple:
-    cinv = _cartan_inverse(rs)
-    pairings = tuple(scalar_mul(Fraction(2), c) for c in coords)
-    out = []
-    for j in range(rs.rank):
-        acc = None
-        for i in range(rs.rank):
-            term = scalar_mul(cinv[j][i], pairings[i])
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return tuple(out)
+    return _cartan_inverse(rs).apply(coords)
 
 
 _CARTAN_INV_CACHE: dict = {}
 
 
-def _cartan_inverse(rs: RootSystem):
+def _cartan_inverse(rs: RootSystem) -> LinearForms:
+    """Rows 2 C^-1: the point with heights x^alpha_i, since <x, alpha_i^> = 2 x^alpha_i."""
     if rs.label not in _CARTAN_INV_CACHE:
         rhs = [[rs._f(1 if i == j else 0) for i in range(rs.rank)] for j in range(rs.rank)]
         cols = solve_linear(rs.cartan, rhs)
         # solve_linear returns solution columns of C X = I; X[j][i] indexed [row][col]
-        _CARTAN_INV_CACHE[rs.label] = tuple(
-            tuple(cols[j][i] for j in range(rs.rank)) for i in range(rs.rank)
+        _CARTAN_INV_CACHE[rs.label] = LinearForms(
+            tuple(cols[i][j] * 2 for i in range(rs.rank)) for j in range(rs.rank)
         )
     return _CARTAN_INV_CACHE[rs.label]
 
@@ -78,21 +62,13 @@ def distance_origin_via_coords(rs: RootSystem, x):
     F-combination of the heights x^beta; summing absolute values per positive
     root recovers the metric.
     """
-    coords = hyperplane_coords(rs, x)
-    acc = _zero(coords)
-    for weights in _coroot_height_weights(rs):
-        term = None
-        for w, xb in zip(weights, coords):
-            t = scalar_mul(w, xb)
-            term = t if term is None else term + t
-        acc = acc + abs_val(term)
-    return acc
+    return _coroot_height_weights(rs).abs_sum(hyperplane_coords(rs, x))
 
 
 _HEIGHT_WEIGHTS_CACHE: dict = {}
 
 
-def _coroot_height_weights(rs: RootSystem) -> tuple:
+def _coroot_height_weights(rs: RootSystem) -> LinearForms:
     """Per positive root alpha, the w_b with <x, alpha^> = sum_b w_b x^beta_b.
 
     w_b = alpha_b (beta_b, beta_b) * 2 / (alpha, alpha): the coefficient of the
@@ -103,7 +79,7 @@ def _coroot_height_weights(rs: RootSystem) -> tuple:
         for alpha in rs.positive_roots:
             nn = rs.norm_sq(alpha)
             rows.append(tuple(alpha[b] * rs.gram[b][b] * 2 / nn for b in range(rs.rank)))
-        _HEIGHT_WEIGHTS_CACHE[rs.label] = tuple(rows)
+        _HEIGHT_WEIGHTS_CACHE[rs.label] = LinearForms(rows)
     return _HEIGHT_WEIGHTS_CACHE[rs.label]
 
 

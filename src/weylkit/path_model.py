@@ -23,7 +23,7 @@ from math import ceil
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .model_space import HullQuery, gallery_distance, in_AQ, point_sub
-from .root_system import RootSystem, apply_matrix, mat_mul
+from .root_system import LinearForms, RootSystem, apply_matrix, mat_mul
 
 class CapExceeded(RuntimeError):
     """An enumeration went past its configured state cap."""
@@ -490,7 +490,11 @@ def folded_galleries(
     for j, (beta, k) in enumerate(walls):
         own_side[j] = 1 if Fraction(rs.root_level(bary, beta)) - k > 0 else -1
 
-    def rec(idx: int, u: AffineMap, u_inv: AffineMap, mask: tuple, track: tuple):
+    # rec carries v = (linear part of u^-1) . d_int, the one thing it reads of
+    # the inverse map; crossing wall j replaces u^-1 by gens[j] . u^-1
+    gen_forms = tuple(LinearForms(g.linear) for g in gens)
+
+    def rec(idx: int, u: AffineMap, v: tuple, mask: tuple, track: tuple):
         budget[0] -= 1
         if budget[0] < 0:
             raise CapExceeded(f"gallery enumeration exceeded {cap} states")
@@ -508,16 +512,15 @@ def folded_galleries(
         beta, _ = walls[j]
         # cross
         crossed = u.compose(gens[j])
-        yield from rec(idx + 1, crossed, gens[j].compose(u_inv), mask + (False,), track + (crossed,))
+        yield from rec(idx + 1, crossed, gen_forms[j].apply(v), mask + (False,), track + (crossed,))
         # fold, kept only when positive
-        lin = Fraction(rs.root_level(apply_matrix(u_inv.linear, d_int), beta))
+        lin = Fraction(rs.root_level(v, beta))
         if own_side[j] == (1 if lin > 0 else -1):
-            yield from rec(idx + 1, u, u_inv, mask + (True,), track + (u,))
+            yield from rec(idx + 1, u, v, mask + (True,), track + (u,))
 
     for w in rs.weyl_group():
         start = _linear_map(rs, w.matrix)
-        start_inv = _linear_map(rs, rs.inverse(w).matrix)
-        yield from rec(0, start, start_inv, (), (start,))
+        yield from rec(0, start, rs.inverse(w).apply(d_int), (), (start,))
 
 
 def folded_gallery_endpoints(rs: RootSystem, minimal: FoldedGallery, cap: int = 1_000_000) -> tuple:

@@ -12,10 +12,13 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Dict, Sequence, Tuple
 
 from .scalars import (
     Fraction as _Q,
+    LexPair,
     NFElem,
     NumberField,
     Poly,
@@ -27,6 +30,8 @@ from .scalars import (
     poly_trim,
     scalar_mul,
     sign,
+    abs_val,
+    zero_like,
 )
 
 
@@ -79,14 +84,175 @@ def _sum_f(vals):
 
 def apply_matrix(M, v):
     """Image of a coordinate vector under an F-matrix; works over F and over Lambda."""
-    out = []
-    for row in M:
-        acc = None
-        for c, x in zip(row, v):
-            term = scalar_mul(c, x)
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return tuple(out)
+    return LinearForms(M).apply(v)
+
+
+def _rational_parts(vals):
+    """(nums, den) with vals[t] == nums[t] / den, or None if a value is not rational."""
+    dens = []
+    for v in vals:
+        t = type(v)
+        if t is Fraction:
+            dens.append(v._denominator)
+        elif t is int:
+            dens.append(1)
+        else:
+            return None
+    den = lcm(*dens)
+    return [v._numerator * (den // v._denominator) if type(v) is Fraction else v * den for v in vals], den
+
+
+def _integer_rows(rows):
+    """(integer rows, E) with rows[i][j] == int_rows[i][j] / E for rational rows."""
+    den = lcm(*(c.denominator for row in rows for c in row))
+    return tuple(tuple(c.numerator * (den // c.denominator) for c in row) for row in rows), den
+
+
+class LinearForms:
+    """F-rows applied to Lambda-vectors by integer dot products.
+
+    This is the fraction-free scheme of exact linear algebra (Bareiss 1968):
+    the rows are stored once as integers over one common denominator E.
+    Applying them to a vector x splits x into rational components -- a
+    Fraction is one; an NFElem of the rows' field gives its coefficients,
+    acted on through the multiplication matrices of the row entries; a
+    LexPair gives hi and lo separately -- clears one common denominator D
+    of those, takes integer dot products and builds each result once as
+    m / (D E), of the same value and type as the per-term sum.  Rows over a
+    number field must have all their entries in that field.
+
+    Any other vector (QuadInt, a foreign field, mixed domains) takes the
+    per-term ``scalar_mul`` loop, which defines the result.  ``scale``
+    multiplies every result; that loop applies it after the sum.
+    """
+
+    def __init__(self, rows, scale=1):
+        self.rows = tuple(tuple(r) for r in rows)
+        self.scale = scale
+        entries = [c for row in self.rows for c in row]
+        scaled = [tuple(c * scale for c in row) for row in self.rows] if scale != 1 else self.rows
+        self.field = None
+        self._int = None  # rational rows: integer rows; field rows: per row, one per coefficient
+        if all(type(c) in (Fraction, int) for c in entries):
+            self._int, self._den = _integer_rows(scaled)
+        elif entries and all(type(c) is NFElem for c in entries):
+            field = entries[0].field
+            if all(c.field is field for c in entries):
+                self.field = field
+                self._scaled = scaled
+                flat, self._den = _integer_rows([c.coeffs for row in scaled for c in row])
+                # row i, coefficient r: the r-th coefficients of the row entries
+                n, d = len(scaled[0]), field.degree
+                self._int = tuple(
+                    tuple(tuple(flat[i * n + j][r] for j in range(n)) for r in range(d))
+                    for i in range(len(scaled))
+                )
+        self._full = None
+
+    def _field_rows(self):
+        """Rows acting on the flattened coefficients of field points (built on first use)."""
+        if self._full is None:
+            field = self.field
+            powers = [field.elem([0] * k + [1]) for k in range(field.degree)]
+            # entry c acts on the coefficient vector of x by its multiplication
+            # matrix: coefficient r of c * zeta^k, for k = 0 .. degree - 1
+            blocks = [[[(c * z).coeffs for z in powers] for c in row] for row in self._scaled]
+            flat, den = _integer_rows(
+                [[col[r] for block in row for col in block] for row in blocks for r in range(field.degree)]
+            )
+            d = field.degree
+            self._full = (tuple(flat[i * d : (i + 1) * d] for i in range(len(blocks))), den)
+        return self._full
+
+    def _images(self, vals):
+        """(integer images, den): row i applied to vals is images[i] / den.
+
+        An image is an int for rational rows and a tuple of coefficients for
+        field rows.  None when vals are not in the rows' domain.
+        """
+        if self._int is None:
+            return None
+        parts = _rational_parts(vals)
+        field = self.field
+        if parts is not None:
+            nums, den = parts
+            if field is None:
+                return [sum(map(mul, row, nums)) for row in self._int], den * self._den
+            return [tuple(sum(map(mul, r, nums)) for r in rows) for rows in self._int], den * self._den
+        if field is None:
+            return None
+        pad = (0,) * (field.degree - 1)
+        flat = []
+        for v in vals:
+            t = type(v)
+            if t is NFElem and v.field is field:
+                flat.extend(v.coeffs)
+            elif t is Fraction or t is int:
+                flat.append(v)
+                flat.extend(pad)
+            else:
+                return None
+        parts = _rational_parts(flat)
+        if parts is None:
+            return None
+        nums, den = parts
+        rows, row_den = self._field_rows()
+        return [tuple(sum(map(mul, r, nums)) for r in block) for block in rows], den * row_den
+
+    def _build(self, m, den):
+        if self.field is None:
+            return Fraction(m, den)
+        return NFElem(self.field, tuple(Fraction(c, den) for c in m))
+
+    def _sign(self, m) -> int:
+        if self.field is None:
+            return (m > 0) - (m < 0)
+        return self.field.int_sign(m)
+
+    def _components(self, x):
+        """[(images, den)] for x, or for the hi and the lo parts of lex pairs; None off the kernel."""
+        if x and all(type(v) is LexPair for v in x):
+            parts = [self._images([v.hi for v in x]), self._images([v.lo for v in x])]
+        else:
+            parts = [self._images(x)]
+        return None if None in parts else parts
+
+    def _per_term(self, x) -> tuple:
+        out = []
+        for row in self.rows:
+            acc = None
+            for c, xi in zip(row, x):
+                term = scalar_mul(c, xi)
+                acc = term if acc is None else acc + term
+            out.append(acc if self.scale == 1 else scalar_mul(self.scale, acc))
+        return tuple(out)
+
+    def apply(self, x) -> tuple:
+        """The values row_i . x, one per row."""
+        parts = self._components(x)
+        if parts is None:
+            return self._per_term(x)
+        values = [[self._build(m, den) for m in images] for images, den in parts]
+        return tuple(map(LexPair, *values)) if len(parts) == 2 else tuple(values[0])
+
+    def abs_sum(self, x):
+        """sum_i |row_i . x|, every absolute value decided on the integer images."""
+        parts = self._components(x)
+        if parts is None:
+            acc = zero_like(x[0]) if x else Fraction(0)
+            for v in self._per_term(x):
+                acc = acc + abs_val(v)
+            return acc
+        signs = [self._sign(m) for m in parts[0][0]]
+        if len(parts) == 2:  # a lex pair takes the sign of its first nonzero part
+            signs = [s or self._sign(m) for s, m in zip(signs, parts[1][0])]
+        values = [self._build(self._signed_sum(images, signs), den) for images, den in parts]
+        return LexPair(*values) if len(parts) == 2 else values[0]
+
+    def _signed_sum(self, images, signs):
+        if self.field is None:
+            return sum(map(mul, signs, images))
+        return tuple(sum(map(mul, signs, coeff)) for coeff in zip(*images))
 
 
 # --------------------------------------------------------------------------
@@ -227,8 +393,10 @@ class RootSystem:
         else:
             raise RootSystemError(f"unsupported label: {label}")
 
-        self._coroot_vecs: Dict[tuple, tuple] = {}
-        self._level_vecs: Dict[tuple, tuple] = {}
+        self._gram_forms = LinearForms(self.gram)
+        # one-row forms per F-vector: <x, alpha^> and (x, y)
+        self._coroot_forms: Dict[tuple, LinearForms] = {}
+        self._bilinear_forms: Dict[tuple, LinearForms] = {}
         self.simple_roots = tuple(
             tuple(self._f(1 if i == j else 0) for j in range(self.rank)) for i in range(self.rank)
         )
@@ -246,12 +414,20 @@ class RootSystem:
             for k in range(self.rank)
         )
         self._reflection_matrices = tuple(self._simple_reflection_matrix(i) for i in range(self.rank))
+        self._reflection_forms = tuple(LinearForms(m) for m in self._reflection_matrices)
         self.positive_roots = self._positive_closure()
         if len(self.positive_roots) != self._expected_positives:
             raise RootSystemError(
                 f"{label}: got {len(self.positive_roots)} positive roots, "
                 f"expected {self._expected_positives}"
             )  # pragma: no cover
+        simple_coroots = [self.coroot_vec(a) for a in self.simple_roots]
+        #: <x, alpha^> for the simple roots, in order
+        self.simple_coroot_forms = LinearForms(simple_coroots)
+        #: the heights x^alpha = 1/2 <x, alpha^> over the simple roots
+        self.height_forms = LinearForms(simple_coroots, scale=Fraction(1, 2))
+        #: <x, alpha^> for the positive roots, in order: the rows of the metric
+        self.coroot_forms = LinearForms(self.coroot_vec(a) for a in self.positive_roots)
         self._coweights: tuple | None = None
         self._w0: WeylElement | None = None
         self._group: list[WeylElement] | None = None
@@ -279,12 +455,11 @@ class RootSystem:
 
     def bilinear(self, x, y_f):
         """(x, y) for a Lambda-vector x against an F-vector y."""
-        coeff = apply_matrix(self.gram, y_f)
-        acc = None
-        for c, xi in zip(coeff, x):
-            term = scalar_mul(c, xi)
-            acc = term if acc is None else acc + term
-        return acc
+        key = tuple(y_f)
+        forms = self._bilinear_forms.get(key)
+        if forms is None:
+            forms = self._bilinear_forms[key] = LinearForms([self._gram_forms.apply(key)])
+        return forms.apply(x)[0]
 
     def norm_sq(self, alpha):
         return self.bilinear_f(alpha, alpha)
@@ -294,39 +469,26 @@ class RootSystem:
         alpha = self.simple_roots[i]
         return self.bilinear_f(x_f, alpha) * 2 / self.norm_sq(alpha)
 
+    def _coroot_form(self, alpha) -> LinearForms:
+        key = tuple(alpha)
+        forms = self._coroot_forms.get(key)
+        if forms is None:
+            nn = self.norm_sq(key)
+            row = tuple(c * 2 / nn for c in self._gram_forms.apply(key))
+            forms = self._coroot_forms[key] = LinearForms([row])
+        return forms
+
     def coroot_vec(self, alpha) -> tuple:
         """Coefficients c with <x, alpha^> = sum_j c_j x_j."""
-        key = tuple(alpha)
-        cached = self._coroot_vecs.get(key)
-        if cached is None:
-            nn = self.norm_sq(alpha)
-            coeff = apply_matrix(self.gram, alpha)
-            cached = self._coroot_vecs[key] = tuple(c * 2 / nn for c in coeff)
-        return cached
-
-    def root_level_vec(self, alpha) -> tuple:
-        """Coefficients c with (alpha, x) = sum_j c_j x_j."""
-        key = tuple(alpha)
-        cached = self._level_vecs.get(key)
-        if cached is None:
-            cached = self._level_vecs[key] = tuple(apply_matrix(self.gram, alpha))
-        return cached
+        return self._coroot_form(alpha).rows[0]
 
     def pairing(self, x, alpha):
         """<x, alpha^> for a Lambda-point x (linear extension of co-root evaluation)."""
-        acc = None
-        for c, xi in zip(self.coroot_vec(alpha), x):
-            term = scalar_mul(c, xi)
-            acc = term if acc is None else acc + term
-        return acc
+        return self._coroot_form(alpha).apply(x)[0]
 
     def root_level(self, x, alpha):
         """(alpha, x) for a Lambda-point x; indexes the affine wall family."""
-        acc = None
-        for c, xi in zip(self.root_level_vec(alpha), x):
-            term = scalar_mul(c, xi)
-            acc = term if acc is None else acc + term
-        return acc
+        return self.bilinear(x, alpha)
 
     # -- reflections ---------------------------------------------------------
 
@@ -377,7 +539,7 @@ class RootSystem:
             nxt = []
             for beta in frontier:
                 for i in range(self.rank):
-                    img = tuple(apply_matrix(self._reflection_matrices[i], beta))
+                    img = self._reflection_forms[i].apply(beta)
                     if img not in seen:
                         seen.add(img)
                         nxt.append(img)
@@ -429,7 +591,7 @@ class RootSystem:
         computed once, not once per step, and no Weyl matrix is built.
         """
         cur = list(x)
-        pairs = [self.pairing(cur, a) for a in self.simple_roots]
+        pairs = list(self.simple_coroot_forms.apply(cur))
         word: list[int] = []
         for _ in range(len(self.positive_roots) + 1):
             k = next((i for i, p in enumerate(pairs) if sign(p) < 0), None)
@@ -472,22 +634,54 @@ class RootSystem:
     def weyl_group(self) -> list[WeylElement]:
         """All Weyl elements, BFS by word length (canonical reduced words)."""
         if self._group is None:
-            ident = self.identity_element()
-            seen: Dict[tuple, WeylElement] = {ident.matrix: ident}
-            frontier = [ident]
-            while frontier:
-                nxt = []
-                for w in frontier:
-                    for i in range(self.rank):
-                        cand = self.multiply(w, self.simple_reflection(i))
-                        if cand.matrix not in seen:
-                            seen[cand.matrix] = cand
-                            nxt.append(cand)
-                frontier = nxt
-            self._group = sorted(seen.values(), key=lambda w: (len(w.word), w.word))
+            if self.field is None:
+                group = self._integral_weyl_group()
+            else:
+                ident = self.identity_element()
+                seen: Dict[tuple, WeylElement] = {ident.matrix: ident}
+                frontier = [ident]
+                while frontier:
+                    nxt = []
+                    for w in frontier:
+                        for i in range(self.rank):
+                            cand = self.multiply(w, self.simple_reflection(i))
+                            if cand.matrix not in seen:
+                                seen[cand.matrix] = cand
+                                nxt.append(cand)
+                    frontier = nxt
+                group = seen.values()
+            self._group = sorted(group, key=lambda w: (len(w.word), w.word))
             if len(self._group) != self.weyl_order:
                 raise RootSystemError("Weyl group enumeration mismatch")  # pragma: no cover
         return self._group
+
+    def _integral_weyl_group(self) -> list[WeylElement]:
+        """The BFS of ``weyl_group`` on integer matrices (systems over the rationals).
+
+        In simple-root coordinates s_i = I - e_i c_i with c_i row i of the
+        Cartan matrix, so M s_i subtracts M[r][i] * c_i from each row r of M.
+        The BFS order, and so the first-found words, are those of the
+        generic search; each Fraction matrix is built once at the end.
+        """
+        n = self.rank
+        cartan = [[int(c) for c in row] for row in self.cartan]
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        words: Dict[tuple, tuple] = {ident: ()}
+        frontier = [ident]
+        while frontier:
+            nxt = []
+            for m in frontier:
+                for i, ci in enumerate(cartan):
+                    cand = tuple(tuple(v - row[i] * c for v, c in zip(row, ci)) for row in m)
+                    if cand not in words:
+                        words[cand] = words[m] + (i,)
+                        nxt.append(cand)
+            frontier = nxt
+        # F4's 4,608 matrix rows hold 240 distinct rows of a few distinct
+        # integers: each is built once and shared
+        as_q = {v: _Q(v) for m in words for row in m for v in row}
+        rows = {row: tuple(as_q[v] for v in row) for m in words for row in m}
+        return [WeylElement(word, tuple(rows[row] for row in m)) for m, word in words.items()]
 
     def length_by_inversions(self, w: WeylElement) -> int:
         negs = 0

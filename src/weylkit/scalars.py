@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor, lcm
 from typing import Sequence, Tuple, Union
 
 
@@ -165,12 +166,10 @@ def _interval_mul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) ->
     return min(prods), max(prods)
 
 
-def _interval_horner(coeffs: Sequence[Fraction], box: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    lo, hi = Fraction(0), Fraction(0)
-    for c in reversed(coeffs):
-        lo, hi = _interval_mul((lo, hi), box)
-        lo, hi = lo + c, hi + c
-    return lo, hi
+def _integer_coeffs(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(a, den) with coeffs[k] == a[k] / den and den > 0."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 class NumberField:
@@ -179,6 +178,11 @@ class NumberField:
     ``minpoly`` is monic with rational coefficients, low degree first.  The
     isolator is validated with a Sturm count at construction time so that
     later sign determinations can rely on plain bisection.
+
+    Signs are decided by one integer rule: an element with integer
+    coefficients a_k lies between the two dot products of a with dyadic
+    enclosures L_k / 2^B <= zeta^k <= U_k / 2^B (rounded outward, kept per
+    precision B).  While the two bounds differ in sign, B doubles.
     """
 
     def __init__(self, name: str, minpoly: Sequence[Union[int, Fraction]], isolator: tuple[Fraction, Fraction]):
@@ -195,22 +199,12 @@ class NumberField:
         if count_real_roots(self.minpoly, lo, hi) != 1:
             raise ValueError("isolator must contain exactly one real root")
         self.isolator = (lo, hi)
-        # reduction table: zeta^(degree) ... zeta^(2*degree-2) mod minpoly,
-        # extended on demand by reduce()
-        cur = poly_trim([-c for c in self.minpoly[:-1]])  # zeta^deg
-        red = [cur]
-        for _ in range(max(0, self.degree - 2)):
-            cur = self._reduce_once(poly_mul(cur, (Fraction(0), Fraction(1))), red)
-            red.append(cur)
-        self._reduction = red
-
-    def _reduce_once(self, p: Poly, red: list[Poly]) -> Poly:
-        while len(p) > self.degree:
-            k = len(p) - 1
-            c = p[-1]
-            p = poly_trim(p[:-1])
-            p = poly_add(p, tuple(c * x for x in red[k - self.degree]))
-        return p
+        # reduction table: zeta^(degree + i) mod minpoly at index i, extended
+        # on demand by reduce(); reducing zeta^(2*degree-2) here fills it up to
+        # the largest power in a product of two reduced elements
+        self._reduction = [poly_trim([-c for c in self.minpoly[:-1]])]
+        self.reduce([Fraction(0)] * (2 * self.degree - 2) + [Fraction(1)])
+        self._enclosures: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def reduce(self, p: Sequence[Fraction]) -> Poly:
         p = poly_trim(p)
@@ -238,6 +232,55 @@ class NumberField:
 
     def one(self) -> "NFElem":
         return self.elem([1])
+
+    def enclosures(self, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(L, U) with L[k] <= 2^bits * zeta^k <= U[k] for k < degree."""
+        enc = self._enclosures.get(bits)
+        if enc is None:
+            lo, hi = self.isolator
+            # an interval power [lo, hi]^k is at most k M^(k-1) (hi - lo) wide
+            spread = self.degree * max(abs(lo), abs(hi), Fraction(1)) ** (self.degree - 1)
+            while (hi - lo) * spread * 2**bits > 1:
+                lo, hi = self.refine_isolator((lo, hi))
+            low, high = [], []
+            box = (Fraction(1), Fraction(1))
+            for _ in range(self.degree):
+                low.append(floor(box[0] * 2**bits))
+                high.append(ceil(box[1] * 2**bits))
+                box = _interval_mul(box, (lo, hi))
+            enc = self._enclosures[bits] = (tuple(low), tuple(high))
+        return enc
+
+    def bracket(self, a: Sequence[int], bits: int) -> tuple[int, int]:
+        """Integers lo <= 2^bits * sum_k a_k zeta^k <= hi for integers a_k."""
+        low, high = self.enclosures(bits)
+        lo = hi = 0
+        for ak, l, u in zip(a, low, high):
+            if ak > 0:
+                lo += ak * l
+                hi += ak * u
+            elif ak < 0:
+                lo += ak * u
+                hi += ak * l
+        return lo, hi
+
+    def int_sign(self, a: Sequence[int]) -> int:
+        """Exact sign of sum_k a_k zeta^k for integers a_k, k < degree.
+
+        A nonzero element does not vanish at zeta (the minimal polynomial is
+        irreducible), so doubling the precision decides it.
+        """
+        if not any(a):
+            return 0
+        bits = 64
+        while bits <= 1 << 16:
+            lo, hi = self.bracket(a, bits)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            bits *= 2
+        raise ArithmeticError("sign determination did not converge")  # pragma: no cover
 
     def refine_isolator(self, iv: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
         """One bisection step; keeps the endpoint signs of the minimal polynomial."""
@@ -353,17 +396,7 @@ class NFElem:
         return all(c == 0 for c in self.coeffs)
 
     def sign(self) -> int:
-        if self.is_zero():
-            return 0
-        iv = self.field.isolator
-        for _ in range(10_000):
-            lo, hi = _interval_horner(self.coeffs, iv)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            iv = self.field.refine_isolator(iv)
-        raise ArithmeticError("sign determination did not converge")  # pragma: no cover
+        return self.field.int_sign(_integer_coeffs(self.coeffs)[0])
 
     def __eq__(self, other):
         try:
@@ -398,15 +431,17 @@ class NFElem:
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
-    def to_float(self, refinements: int = 60) -> float:
-        iv = self.field.isolator
-        for _ in range(refinements):
-            lo, hi = _interval_horner(self.coeffs, iv)
-            if hi - lo < Fraction(1, 10**15):
-                break
-            iv = self.field.refine_isolator(iv)
-        lo, hi = _interval_horner(self.coeffs, iv)
-        return float((lo + hi) / 2)
+    def to_float(self) -> float:
+        a, den = _integer_coeffs(self.coeffs)
+        if not any(a):
+            return 0.0
+        bits = 64
+        while True:
+            lo, hi = self.field.bracket(a, bits)
+            # the bracket's midpoint is within 2^-53 of the value, relatively
+            if (hi - lo) << 53 <= abs(lo + hi):
+                return float(Fraction(lo + hi, den << (bits + 1)))
+            bits *= 2
 
     def __repr__(self):
         return f"NFElem({self.name_str()})"

@@ -78,6 +78,22 @@ class TestHull:
         assert obj["count"] == 5
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".weylkit-")]
 
+    def test_cap_flag(self, capsys):
+        # the box around the orbit of (20, 20) holds 1681 candidates
+        argv = ["hull", "--type", "A2", "--point", "20,20"]
+        assert main(argv + ["--cap", "10"]) == EXIT_CAP
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cap exceeded" in captured.err
+        code, obj = run_json(capsys, *argv, "--cap", "1681")
+        assert code == EXIT_OK and obj["count"] == 1261
+
+    def test_cap_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("WEYLKIT_CAP", "10")
+        assert main(["hull", "--type", "A2", "--point", "20,20"]) == EXIT_CAP
+        assert capsys.readouterr().out == ""
+        monkeypatch.setenv("WEYLKIT_CAP", "0")
+        assert main(["hull", "--type", "A1", "--point", "2"]) == EXIT_CAP
+
 
 class TestFold:
     def test_fold_reaches_target(self, capsys, tmp_path):

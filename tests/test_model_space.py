@@ -5,10 +5,13 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_root_system import KERNEL_LABELS, POINT_KINDS, draw_point, outcome, reference_apply, reference_pairing
 
 from weylkit import model_space as ms
-from weylkit.root_system import build
-from weylkit.scalars import compare, lex, sign
+from weylkit.root_system import build, solve_linear
+from weylkit.scalars import QuadInt, abs_val, compare, lex, scalar_mul, sign, zero_like
 
 
 def rational_point(rng, rank, span=8, den=3):
@@ -115,6 +118,60 @@ class TestDistanceViaCoords:
                 lhs = ms.distance_origin_via_coords(rs, x)
                 rhs = ms.distance(rs, rs.zero_point(), x)
                 assert compare(lhs, rhs) == 0
+
+
+def reference_distance(rs, x, y):
+    diff = tuple(b - a for a, b in zip(x, y))
+    acc = zero_like(diff[0])
+    for alpha in rs.positive_roots:
+        acc = acc + abs_val(reference_pairing(rs, diff, alpha))
+    return acc
+
+
+def reference_hyperplane_coords(rs, x):
+    return tuple(scalar_mul(Q(1, 2), reference_pairing(rs, x, a)) for a in rs.simple_roots)
+
+
+def reference_point_from_coords(rs, coords):
+    rhs = [[rs._f(1 if i == j else 0) for i in range(rs.rank)] for j in range(rs.rank)]
+    cols = solve_linear(rs.cartan, rhs)
+    cinv = tuple(tuple(cols[i][j] for i in range(rs.rank)) for j in range(rs.rank))
+    return reference_apply(cinv, tuple(scalar_mul(Q(2), c) for c in coords))
+
+
+def reference_distance_via_coords(rs, x):
+    coords = reference_hyperplane_coords(rs, x)
+    acc = zero_like(coords[0])
+    for alpha in rs.positive_roots:
+        nn = rs.norm_sq(alpha)
+        weights = tuple(alpha[b] * rs.gram[b][b] * 2 / nn for b in range(rs.rank))
+        acc = acc + abs_val(reference_apply((weights,), coords)[0])
+    return acc
+
+
+class TestLinearFormKernel:
+    """Metric and coordinates from the integer kernel against the per-term loop."""
+
+    @pytest.mark.parametrize("label", KERNEL_LABELS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_metric_and_coordinates_match(self, label, data):
+        rs = build(label)
+        kind = data.draw(st.sampled_from(POINT_KINDS))
+        x, y = draw_point(data, rs, kind), draw_point(data, rs, kind)
+        assert outcome(ms.distance, rs, x, y) == outcome(reference_distance, rs, x, y)
+        assert outcome(ms.hyperplane_coords, rs, x) == outcome(reference_hyperplane_coords, rs, x)
+        # x read as heights, so that every domain reaches the inverse map
+        assert outcome(ms.point_from_hyperplane_coords, rs, x) == outcome(reference_point_from_coords, rs, x)
+        assert outcome(ms.distance_origin_via_coords, rs, x) == outcome(reference_distance_via_coords, rs, x)
+
+    def test_heights_halve_the_sum(self):
+        # A3 over Z[sqrt 2]: <x, alpha_2^> = -2 for x = (1, 0, 1), so its height
+        # is -1, although the per-term halves -1/2 * 1 leave Z[sqrt 2]
+        rs = build("A3")
+        x = (QuadInt(1, 0, 2), QuadInt(0, 0, 2), QuadInt(1, 0, 2))
+        assert ms.hyperplane_coords(rs, x)[1] == QuadInt(-1, 0, 2)
+        assert ms.hyperplane_coords(rs, x) == reference_hyperplane_coords(rs, x)
 
 
 class TestSegment:

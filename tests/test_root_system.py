@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylkit.root_system import RootSystemError, build
-from weylkit.scalars import NFElem, lex, sign
+from weylkit.root_system import RootSystemError, apply_matrix, build
+from weylkit.scalars import SQRT2_FIELD, LexPair, NFElem, QuadInt, ScalarDomainError, lex, scalar_mul, sign
 
 
 class TestBuild:
@@ -217,6 +217,103 @@ class TestDominantWalk:
         self._check(rs, tuple(lex(data.draw(hi), data.draw(_small_q)) for _ in range(rs.rank)))
 
 
+def reference_apply(M, v):
+    """F-rows applied to a Lambda-vector one scalar_mul term at a time (the reference)."""
+    out = []
+    for row in M:
+        acc = None
+        for c, x in zip(row, v):
+            term = scalar_mul(c, x)
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return tuple(out)
+
+
+def reference_pairing(rs, x, alpha):
+    nn = rs.norm_sq(alpha)
+    row = tuple(c * 2 / nn for c in reference_apply(rs.gram, alpha))
+    return reference_apply((row,), x)[0]
+
+
+def reference_root_level(rs, x, alpha):
+    return reference_apply((reference_apply(rs.gram, alpha),), x)[0]
+
+
+def reference_bilinear(rs, x, y):
+    return reference_apply((reference_apply(rs.gram, y),), x)[0]
+
+
+def typed(v):
+    """v with the type of each of its parts, so that == compares value and type."""
+    if isinstance(v, tuple):
+        return tuple(typed(c) for c in v)
+    if isinstance(v, LexPair):
+        return (LexPair, typed(v.hi), typed(v.lo))
+    if isinstance(v, NFElem):
+        return (NFElem, v.field.name, typed(v.coeffs))
+    return (type(v), v)
+
+
+def outcome(f, *args):
+    """typed(f(*args)), or the type of the domain error it raises."""
+    try:
+        return typed(f(*args))
+    except TypeError as exc:  # ScalarDomainError, or + between two domains
+        return type(exc)
+
+
+KERNEL_LABELS = ("A1", "A2", "A3", "B2", "C2", "G2", "F4", "I2(5)", "I2(8)")
+# q: rationals; lex: lex pairs; image: a translated Weyl image of a rational
+# point (NFElem coordinates in I2(n)); lex-image: a Weyl image of a lex point;
+# quad: Z[sqrt 2] (the per-term fallback); foreign: NFElem of another field
+POINT_KINDS = ("q", "lex", "image", "lex-image", "quad", "foreign")
+
+
+def draw_point(data, rs, kind):
+    n = rs.rank
+    q = [data.draw(_small_q) for _ in range(n)]
+    if kind == "q":
+        return tuple(q)
+    if kind == "lex":
+        return tuple(lex(data.draw(st.integers(-2, 2)), c) for c in q)
+    if kind in ("image", "lex-image"):
+        group = rs.weyl_group()
+        w = group[data.draw(st.integers(0, len(group) - 1))]
+        if kind == "lex-image":
+            return w.apply(tuple(lex(data.draw(st.integers(-2, 2)), c) for c in q))
+        return tuple(a + data.draw(_small_q) for a in w.apply(tuple(q)))
+    if kind == "quad":
+        return tuple(QuadInt(data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3)), 2) for _ in q)
+    return tuple(SQRT2_FIELD.elem([c, data.draw(_small_q)]) for c in q)
+
+
+class TestLinearFormKernel:
+    """The integer kernel against the per-term loop, in value and in type."""
+
+    @pytest.mark.parametrize("label", KERNEL_LABELS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_forms_match_the_per_term_loop(self, label, data):
+        rs = build(label)
+        x = draw_point(data, rs, data.draw(st.sampled_from(POINT_KINDS)))
+        for alpha in rs.all_roots():
+            assert outcome(rs.pairing, x, alpha) == outcome(reference_pairing, rs, x, alpha)
+            assert outcome(rs.root_level, x, alpha) == outcome(reference_root_level, rs, x, alpha)
+        for cw in rs.fundamental_coweights():
+            assert outcome(rs.bilinear, x, cw) == outcome(reference_bilinear, rs, x, cw)
+        group = rs.weyl_group()
+        w = group[data.draw(st.integers(0, len(group) - 1))]
+        assert outcome(w.apply, x) == outcome(reference_apply, w.matrix, x)
+        assert outcome(apply_matrix, rs.gram, x) == outcome(reference_apply, rs.gram, x)
+
+    def test_fallback_keeps_per_term_integrality(self):
+        # Z[sqrt 2] takes the per-term loop: 1/2 * 2 is integral, 1/2 * 1 is not
+        m = ((Q(1, 2), Q(1, 2)),)
+        assert apply_matrix(m, (QuadInt(2, 0, 2), QuadInt(0, 2, 2))) == (QuadInt(1, 1, 2),)
+        with pytest.raises(ScalarDomainError):
+            apply_matrix(m, (QuadInt(1, 0, 2), QuadInt(1, 0, 2)))
+
+
 class TestCoweights:
     def test_a1(self):
         rs = build("A1")
@@ -296,10 +393,36 @@ class TestLattices:
         assert not rs.root_lattice_member(long_coroot)
 
 
+def reference_group(rs):
+    """The Weyl group BFS on exact F-matrices, keyed on the matrices."""
+    ident = rs.identity_element()
+    seen = {ident.matrix: ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(rs.rank):
+                cand = rs.multiply(w, rs.simple_reflection(i))
+                if cand.matrix not in seen:
+                    seen[cand.matrix] = cand
+                    nxt.append(cand)
+        frontier = nxt
+    return sorted(seen.values(), key=lambda w: (len(w.word), w.word))
+
+
 class TestWeylGroup:
     @pytest.mark.parametrize("label,order", [("A1", 2), ("A2", 6), ("B2", 8), ("G2", 12), ("I2(8)", 16)])
     def test_group_order(self, label, order):
         assert len(build(label).weyl_group()) == order
+
+    @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C2", "G2", "F4", "I2(5)"])
+    def test_same_words_and_matrices_as_the_matrix_bfs(self, label):
+        # crystallographic systems search on integer matrices; the order, the
+        # first-found words and the Fraction matrices must be those of the
+        # search on F-matrices
+        rs = build(label)
+        got = [(w.word, typed(w.matrix)) for w in rs.weyl_group()]
+        assert got == [(w.word, typed(w.matrix)) for w in reference_group(rs)]
 
     def test_length_equals_inversions_exhaustive(self):
         for label in ("A1", "A2", "B2", "G2"):

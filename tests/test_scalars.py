@@ -1,7 +1,8 @@
 """Ordered-arithmetic tests: exact comparisons against independent oracles."""
 
+import random
 from fractions import Fraction as Q
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,103 @@ class TestNumberField:
         z = SQRT2_FIELD.gen()
         assert compare(z, Q(141421, 100000)) == 1
         assert compare(z, Q(141422, 100000)) == -1
+
+
+def horner_sign(e) -> int:
+    """Sign oracle: interval Horner evaluation of the coefficients on an
+    isolating interval of the generator, bisected until the box excludes 0."""
+    if all(c == 0 for c in e.coeffs):
+        return 0
+    minpoly = e.field.minpoly
+    lo, hi = e.field.isolator
+
+    def at(t):
+        acc = Q(0)
+        for c in reversed(minpoly):
+            acc = acc * t + c
+        return acc
+
+    while True:
+        vlo = vhi = Q(0)
+        for c in reversed(e.coeffs):
+            prods = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+            vlo, vhi = min(prods) + c, max(prods) + c
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
+        mid = (lo + hi) / 2
+        if at(lo) * at(mid) <= 0:
+            hi = mid
+        else:
+            lo = mid
+
+
+def _sign_fields():
+    from weylkit.root_system import build
+
+    return (SQRT2_FIELD, SQRT3_FIELD, SQRT_2P2_FIELD, build("I2(5)").field, build("I2(8)").field)
+
+
+def _integer_coeffs(e):
+    den = 1
+    for c in e.coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return [int(c * den) for c in e.coeffs]
+
+
+class TestNumberFieldSign:
+    """NFElem.sign (integer dot products with dyadic enclosures) against interval Horner."""
+
+    @pytest.mark.parametrize("field", _sign_fields(), ids=lambda f: f.name)
+    def test_zero(self, field):
+        assert field.zero().sign() == 0
+        assert (field.gen() - field.gen()).sign() == 0
+
+    @pytest.mark.parametrize(
+        "unit,powers",
+        [
+            (SQRT2_FIELD.elem([-1, 1]), range(40, 81, 10)),  # sqrt 2 - 1
+            (SQRT_2P2_FIELD.elem([-1, 1]), range(40, 90, 7)),  # 2 cos(pi/8) - 1
+        ],
+        ids=["sqrt2-1", "2cos(pi/8)-1"],
+    )
+    def test_small_units_need_more_than_64_bits(self, unit, powers):
+        for k in powers:
+            e = unit**k
+            # at 2^-64 the enclosures cannot separate e from 0: the
+            # precision-doubling branch decides it
+            lo, hi = e.field.bracket(_integer_coeffs(e), 64)
+            assert lo <= 0 <= hi
+            want = horner_sign(e)
+            assert e.sign() == want and (-e).sign() == -want
+            assert want == 1
+
+    @pytest.mark.parametrize("field", _sign_fields(), ids=lambda f: f.name)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_elements(self, field, data):
+        q = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+        e = field.elem([data.draw(q) for _ in range(field.degree)])
+        assert e.sign() == horner_sign(e)
+        # near-cancelling elements: a unit power plus a nearby rational
+        u = field.gen() - round(field.gen().to_float())
+        k = data.draw(st.integers(1, 30))
+        near = u**k - Q(round((u**k).to_float() * 2**20), 2**20)
+        assert near.sign() == horner_sign(near)
+
+    @pytest.mark.parametrize("field", _sign_fields(), ids=lambda f: f.name)
+    def test_products_reduce_by_the_minimal_polynomial(self, field):
+        from weylkit.scalars import poly_divmod, poly_mul
+
+        rng = random.Random(11)
+        for _ in range(20):
+            a, b = (
+                field.elem([Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(field.degree)])
+                for _ in range(2)
+            )
+            _, rem = poly_divmod(poly_mul(a.coeffs, b.coeffs), field.minpoly)
+            assert (a * b).coeffs == tuple(rem) + (Q(0),) * (field.degree - len(rem))
 
 
 @given(

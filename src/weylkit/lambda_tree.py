@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Sequence, Tuple
 
-from .scalars import INF, Infinity, LexPair, abs_val, compare, sign, zero_like
+from .scalars import INF, Infinity, LexPair, compare, sign, zero_like
 
 
 class TreeError(ValueError):
@@ -267,11 +267,11 @@ def canonical_point(datum: RootedTreeDatum, end: str, height) -> TreePoint:
 def tree_distance(datum: RootedTreeDatum, p: TreePoint, q: TreePoint):
     """The pseudo-metric of the end/height construction (a metric on canonical points)."""
     if p.end == q.end:
-        return abs_val(p.height - q.height)
+        return abs(p.height - q.height)
     w = datum.wedge(p.end, q.end)
     if compare(p.height, w) <= 0 and compare(q.height, w) <= 0:
-        return abs_val(p.height - q.height)
-    return abs_val(p.height - w) + abs_val(q.height - w)
+        return abs(p.height - q.height)
+    return abs(p.height - w) + abs(q.height - w)
 
 
 def branch_point(datum: RootedTreeDatum, a: str, b: str, c: str) -> TreePoint:

@@ -11,11 +11,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, prod
 from typing import Iterable, Sequence
 
 from .root_system import LinearForms, RootSystem, solve_linear
 from .scalars import compare, sign
+
+
+DEFAULT_CAP = 1_000_000
+
+
+class CapExceeded(RuntimeError):
+    """An enumeration went past its configured state cap."""
 
 
 class ModelSpaceError(ValueError):
@@ -208,8 +215,12 @@ def orbit_coordinate_box(rs: RootSystem, x):
     return orbit, lo, hi
 
 
-def hull_candidates(rs: RootSystem, x) -> tuple:
-    """All co-root-coset points inside the coordinate bounding box of the orbit."""
+def hull_candidates(rs: RootSystem, x, cap: int = DEFAULT_CAP) -> tuple:
+    """All co-root-coset points inside the coordinate bounding box of the orbit.
+
+    Raises :class:`CapExceeded`, before the box is built, when it holds more
+    than ``cap`` points.
+    """
     if not rs.crystallographic:
         raise ModelSpaceError("hull enumeration needs a crystallographic system")
     _, lo, hi = orbit_coordinate_box(rs, x)
@@ -219,13 +230,16 @@ def hull_candidates(rs: RootSystem, x) -> tuple:
         kmin = ceil(Fraction(lo[j] - x[j]) / step)
         kmax = floor(Fraction(hi[j] - x[j]) / step)
         ranges.append([x[j] + k * step for k in range(kmin, kmax + 1)])
+    n = prod(map(len, ranges))
+    if n > cap:
+        raise CapExceeded(f"hull enumeration exceeded {cap} candidates ({n} in the box)")
     return tuple(itertools.product(*ranges))
 
 
-def enumerate_AQ(rs: RootSystem, x) -> tuple:
+def enumerate_AQ(rs: RootSystem, x, cap: int = DEFAULT_CAP) -> tuple:
     """All lattice points of dconv(W.x) in the coset of x, canonically sorted."""
     q = HullQuery(tuple(x))
-    out = [z for z in hull_candidates(rs, x) if in_AQ(rs, z, q)]
+    out = [z for z in hull_candidates(rs, x, cap) if in_AQ(rs, z, q)]
     return tuple(sorted(out))
 
 
@@ -267,23 +281,14 @@ def dual_directions(rs: RootSystem, weyl_closed: bool = True) -> tuple:
     return tuple(seen)
 
 
-def _min_max(values):
-    lo = hi = values[0]
-    for v in values[1:]:
-        if compare(v, lo) < 0:
-            lo = v
-        if compare(v, hi) > 0:
-            hi = v
-    return lo, hi
-
-
 def dual_hull_oracle(rs: RootSystem, points: Sequence, y, weyl_closed: bool = True) -> bool:
     """Membership of y in the intersection of dual half-apartments around ``points``."""
     points = [tuple(p) for p in points]
     if not points:
         return False
     for d in dual_directions(rs, weyl_closed):
-        lo, hi = _min_max([rs.bilinear(p, d) for p in points])
+        vals = [rs.bilinear(p, d) for p in points]
+        lo, hi = min(vals), max(vals)
         val = rs.bilinear(tuple(y), d)
         if compare(val, lo) < 0 or compare(val, hi) > 0:
             return False

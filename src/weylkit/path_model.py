@@ -22,11 +22,8 @@ from fractions import Fraction
 from math import ceil
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .model_space import HullQuery, gallery_distance, in_AQ, point_sub
+from .model_space import DEFAULT_CAP, CapExceeded, HullQuery, gallery_distance, in_AQ, point_sub
 from .root_system import LinearForms, RootSystem, apply_matrix, mat_mul
-
-class CapExceeded(RuntimeError):
-    """An enumeration went past its configured state cap."""
 
 
 class PathModelError(ValueError):
@@ -205,7 +202,7 @@ def root_operator_e(rs: RootSystem, path: PLPath, i: int) -> Optional[PLPath]:
 # positive folds of paths
 
 
-def positive_fold_closure(rs: RootSystem, path: PLPath, cap: int = 100_000) -> tuple:
+def positive_fold_closure(rs: RootSystem, path: PLPath, cap: int = DEFAULT_CAP) -> tuple:
     """The least e-closed set of paths containing ``path``; returns (paths, endpoints)."""
     seen = {path}
     queue = deque([path])
@@ -470,7 +467,7 @@ def minimal_gallery(rs: RootSystem, x) -> FoldedGallery:
 
 
 def folded_galleries(
-    rs: RootSystem, minimal: FoldedGallery, cap: int = 1_000_000
+    rs: RootSystem, minimal: FoldedGallery, cap: int = DEFAULT_CAP
 ) -> Iterable[FoldedGallery]:
     """All positively folded walks of the given type from the origin vertex.
 
@@ -523,6 +520,6 @@ def folded_galleries(
         yield from rec(0, start, rs.inverse(w).apply(d_int), (), (start,))
 
 
-def folded_gallery_endpoints(rs: RootSystem, minimal: FoldedGallery, cap: int = 1_000_000) -> tuple:
+def folded_gallery_endpoints(rs: RootSystem, minimal: FoldedGallery, cap: int = DEFAULT_CAP) -> tuple:
     """The set of weights of all positively folded walks of the given type."""
     return tuple(sorted({g.weight for g in folded_galleries(rs, minimal, cap)}))

@@ -30,7 +30,6 @@ from .scalars import (
     poly_trim,
     scalar_mul,
     sign,
-    abs_val,
     zero_like,
 )
 
@@ -241,7 +240,7 @@ class LinearForms:
         if parts is None:
             acc = zero_like(x[0]) if x else Fraction(0)
             for v in self._per_term(x):
-                acc = acc + abs_val(v)
+                acc = acc + abs(v)
             return acc
         signs = [self._sign(m) for m in parts[0][0]]
         if len(parts) == 2:  # a lex pair takes the sign of its first nonzero part
@@ -382,7 +381,10 @@ class RootSystem:
             if n < 3:
                 raise RootSystemError(f"I2(n) needs n >= 3, got {n}")
             self.rank = 2
-            self.crystallographic = n in (3, 4, 6)
+            # A2, B2 and G2 are the crystallographic forms of I2(3), I2(4) and
+            # I2(6); this equal-length realisation has number-field Cartan
+            # entries, which the lattice code paths cannot take
+            self.crystallographic = False
             self.field = dihedral_cosine_field(n)
             c = self.field.gen()
             one = self.field.one()

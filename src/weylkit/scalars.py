@@ -10,6 +10,12 @@ shipped domains are :class:`~fractions.Fraction`, :class:`NFElem` (real
 number fields given by a minimal polynomial and a root isolator),
 :class:`LexPair` (lexicographic pairs, an ordered group that is not
 archimedean) and :class:`QuadInt` (the ring Z[sqrt p] for p in {2, 3}).
+
+Every ordered domain, +inf included, subclasses :class:`Ordered`, which
+derives ``<``, ``<=``, ``>``, ``>=`` and ``abs`` from one method ``_cmp``;
+:func:`compare` and :func:`sign` dispatch to the same methods.  A new domain
+subclasses :class:`Ordered` and supplies ``sign()``; it overrides ``_cmp``
+only where that is faster than the sign of the difference.
 """
 
 from __future__ import annotations
@@ -24,12 +30,45 @@ class ScalarDomainError(TypeError):
     """Raised for mixed-domain comparisons and unsupported scalar actions."""
 
 
+class Ordered:
+    """A totally ordered scalar: the order operators and ``abs`` come from ``_cmp``.
+
+    ``_cmp(other)`` returns -1, 0 or +1, or raises :class:`ScalarDomainError`
+    for an operand outside the domain.  The default puts every value below
+    +inf and otherwise takes the sign of the difference.  Each domain
+    supplies ``sign()``; the base one raises, as +inf has no sign.
+    """
+
+    def sign(self) -> int:
+        raise ScalarDomainError(f"no sign for {type(self).__name__}")
+
+    def _cmp(self, other) -> int:
+        if isinstance(other, Infinity):
+            return -1
+        return (self - other).sign()
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0
+
+    def __abs__(self):
+        return -self if sign(self) < 0 else self
+
+
 # --------------------------------------------------------------------------
 # plus infinity (used by valuations and wedge tables)
 
 
-class Infinity:
-    """Positive infinity: absorbing under addition, larger than any scalar."""
+class Infinity(Ordered):
+    """Positive infinity: absorbing under addition, larger than any scalar; it has no sign."""
 
     _instance = None
 
@@ -47,17 +86,8 @@ class Infinity:
     def __hash__(self):
         return hash("weylkit-infinity")
 
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, Infinity)
-
-    def __gt__(self, other):
-        return not isinstance(other, Infinity)
-
-    def __ge__(self, other):
-        return True
+    def _cmp(self, other) -> int:
+        return 0 if isinstance(other, Infinity) else 1
 
     def __add__(self, other):
         return self
@@ -318,7 +348,7 @@ class NumberField:
 
 
 @dataclass(frozen=True)
-class NFElem:
+class NFElem(Ordered):
     """An element of a real number field, as a polynomial in the generator."""
 
     field: NumberField
@@ -408,29 +438,6 @@ class NFElem:
     def __hash__(self):
         return hash((self.field.name, self.coeffs))
 
-    def __lt__(self, other):
-        if isinstance(other, Infinity):
-            return True
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        if isinstance(other, Infinity):
-            return True
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        if isinstance(other, Infinity):
-            return False
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        if isinstance(other, Infinity):
-            return False
-        return (self - other).sign() >= 0
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
-
     def to_float(self) -> float:
         a, den = _integer_coeffs(self.coeffs)
         if not any(a):
@@ -476,7 +483,7 @@ def sqrt2_in_quartic() -> NFElem:
 
 
 @dataclass(frozen=True)
-class LexPair:
+class LexPair(Ordered):
     """An ordered-group element (hi, lo) compared lexicographically."""
 
     hi: object
@@ -503,20 +510,8 @@ class LexPair:
             return c
         return compare(self.lo, other.lo)
 
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __abs__(self):
-        return -self if sign(self) < 0 else self
+    def sign(self) -> int:
+        return sign(self.hi) or sign(self.lo)
 
     def __repr__(self):
         return f"({self.hi};{self.lo})"
@@ -545,7 +540,7 @@ def _quad_sign(a: int, b: int, p: int) -> int:
 
 
 @dataclass(frozen=True)
-class QuadInt:
+class QuadInt(Ordered):
     """a + b*sqrt(p) with integer a, b and p in {2, 3}; ordered exactly."""
 
     a: int
@@ -605,21 +600,6 @@ class QuadInt:
             oa, ob = self._parts(other)  # an int; anything else raises ScalarDomainError
         return _quad_sign(self.a - oa, self.b - ob, self.p)
 
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
@@ -643,13 +623,10 @@ def sign(x) -> int:
         # directly, as compare does
         n = x._numerator
         return (n > 0) - (n < 0)
+    if isinstance(x, Ordered):
+        return x.sign()
     if isinstance(x, (int, Fraction)):
         return (x > 0) - (x < 0)
-    if isinstance(x, (NFElem, QuadInt)):
-        return x.sign()
-    if isinstance(x, LexPair):
-        s = sign(x.hi)
-        return s if s != 0 else sign(x.lo)
     raise ScalarDomainError(f"no sign for {type(x).__name__}")
 
 
@@ -662,28 +639,12 @@ def compare(x, y) -> int:
         # skipping them made this path about 3x faster (timeit, CPython 3.11).
         d = x._numerator * y._denominator - y._numerator * x._denominator
         return (d > 0) - (d < 0)
-    if isinstance(x, Infinity) or isinstance(y, Infinity):
-        if isinstance(x, Infinity) and isinstance(y, Infinity):
-            return 0
-        return 1 if isinstance(x, Infinity) else -1
-    # Z[sqrt p] against Z[sqrt p] or an int: the ring's own exact order
-    if isinstance(x, QuadInt) and isinstance(y, (QuadInt, int)):
+    if isinstance(x, Ordered):
         return x._cmp(y)
-    if isinstance(x, int) and isinstance(y, QuadInt):
+    if isinstance(y, Ordered):
         return -y._cmp(x)
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(y, int):
-        y = Fraction(y)
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
+    if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
         return (x > y) - (x < y)
-    if isinstance(x, NFElem) or isinstance(y, NFElem):
-        if isinstance(x, (Fraction, NFElem)) and isinstance(y, (Fraction, NFElem)):
-            nf = x if isinstance(x, NFElem) else y
-            return sign(nf._coerce(x) - nf._coerce(y))
-        raise ScalarDomainError("mixed-domain comparison")
-    if isinstance(x, LexPair) and isinstance(y, LexPair):
-        return x._cmp(y)
     raise ScalarDomainError(f"mixed-domain comparison: {type(x).__name__} vs {type(y).__name__}")
 
 
@@ -730,10 +691,6 @@ def zero_like(x):
     if isinstance(x, QuadInt):
         return QuadInt(0, 0, x.p)
     raise ScalarDomainError(f"no zero for {type(x).__name__}")
-
-
-def abs_val(x):
-    return -x if sign(x) < 0 else x
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from .scalars import INF, Infinity, NFElem, QuadInt, SQRT_2P2_FIELD, compare, sqrt2_in_quartic
 
@@ -225,14 +225,6 @@ def phi_T(g: GroupTElem) -> NuValue:
     return nu(norm_N(g.r, g.s, g.t))
 
 
-def _min_nu(vals: Iterable[NuValue]) -> NuValue:
-    best: NuValue = INF
-    for v in vals:
-        if compare(v, best) < 0:
-            best = v
-    return best
-
-
 def nu_R_closed(s: LaurentElement, t: LaurentElement) -> NuValue:
     """min{sqrt2 nu(s), (sqrt2 + 2) nu(t)} as a closed form."""
     vals = []
@@ -240,7 +232,7 @@ def nu_R_closed(s: LaurentElement, t: LaurentElement) -> NuValue:
         vals.append(s.nu().times_sqrt_p())
     if not t.is_zero():
         vals.append(QuadInt(2, 1, 2) * t.nu())
-    return _min_nu(vals)
+    return min(vals, default=INF)
 
 
 def nu_N_closed(r: LaurentElement, s: LaurentElement, t: LaurentElement) -> NuValue:
@@ -252,7 +244,7 @@ def nu_N_closed(r: LaurentElement, s: LaurentElement, t: LaurentElement) -> NuVa
         vals.append(QuadInt(1, 1, 3) * s.nu())
     if not t.is_zero():
         vals.append(2 * t.nu())
-    return _min_nu(vals)
+    return min(vals, default=INF)
 
 
 # --------------------------------------------------------------------------

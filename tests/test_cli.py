@@ -41,6 +41,34 @@ class TestRootsys:
         _, second = run_cli(capsys, "rootsys", "--type", "G2")
         assert first == second
 
+    @pytest.mark.parametrize("n, order", [(3, 6), (4, 8), (6, 12)])
+    def test_dihedral_forms_of_crystallographic_types(self, capsys, n, order):
+        # the equal-length realisation of A2, B2 and G2 has number-field
+        # Cartan entries, so it is described but takes no lattice command
+        code, obj = run_json(capsys, "rootsys", "--type", f"I2({n})")
+        assert code == EXIT_OK
+        assert obj["weyl_order"] == order and len(obj["positive_roots"]) == n
+        assert obj["crystallographic"] is False
+        code, out = run_cli(capsys, "hull", "--type", f"I2({n})", "--point", "1,1")
+        assert code == EXIT_USAGE and out == ""
+
+    def test_parser_state_does_not_leak_between_calls(self, capsys, monkeypatch):
+        from weylkit import cli
+
+        cli._build_parser.cache_clear()
+        _, fresh = run_cli(capsys, "rootsys", "--type", "B2")
+        assert cli._build_parser() is cli._build_parser()
+        assert main(["hull", "--type", "A2"]) == EXIT_USAGE
+        capsys.readouterr()
+        _, again = run_cli(capsys, "rootsys", "--type", "B2")
+        assert again == fresh
+        # the parser is built once, yet a command rebound after that is called
+        calls = []
+        real = cli.cmd_rootsys
+        monkeypatch.setattr(cli, "cmd_rootsys", lambda args: calls.append(args.type) or real(args))
+        _, wrapped = run_cli(capsys, "rootsys", "--type", "B2")
+        assert wrapped == fresh and calls == ["B2"]
+
 
 class TestHull:
     def test_golden_count(self, capsys):
@@ -86,6 +114,17 @@ class TestHull:
         assert captured.out == "" and "cap exceeded" in captured.err
         code, obj = run_json(capsys, *argv, "--cap", "1681")
         assert code == EXIT_OK and obj["count"] == 1261
+
+    def test_one_candidate_box_per_job(self, capsys, monkeypatch):
+        from weylkit import model_space as ms
+
+        calls = []
+        real = ms.hull_candidates
+        monkeypatch.setattr(ms, "hull_candidates", lambda *a, **k: calls.append(a) or real(*a, **k))
+        for argv in (["A2", "3,3"], ["G2", "2,1"], ["B2", "2,2"]):
+            calls.clear()
+            code, _ = run_cli(capsys, "hull", "--type", argv[0], "--point", argv[1])
+            assert code == EXIT_OK and len(calls) == 1
 
     def test_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("WEYLKIT_CAP", "10")
@@ -191,6 +230,13 @@ class TestVerifyConvexity:
         code = main(["verify-convexity", "--type", "A2", "--point", "3,3"])
         capsys.readouterr()
         assert code == EXIT_CAP
+
+    def test_cap_bounds_the_hull_box(self, capsys):
+        # 1681 candidates, one more than the cap: the hull box is refused before it is built
+        code = main(["verify-convexity", "--type", "A2", "--point", "20,20", "--cap", "1680"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CAP and captured.out == ""
+        assert "hull enumeration exceeded 1680 candidates (1681 in the box)" in captured.err
 
     def test_cap_zero_is_honoured(self, capsys, monkeypatch):
         argv = ["verify-convexity", "--type", "A2", "--point", "3,3"]

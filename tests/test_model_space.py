@@ -11,7 +11,7 @@ from test_root_system import KERNEL_LABELS, POINT_KINDS, draw_point, outcome, re
 
 from weylkit import model_space as ms
 from weylkit.root_system import build, solve_linear
-from weylkit.scalars import QuadInt, abs_val, compare, lex, scalar_mul, sign, zero_like
+from weylkit.scalars import QuadInt, compare, lex, scalar_mul, sign, zero_like
 
 
 def rational_point(rng, rank, span=8, den=3):
@@ -124,7 +124,7 @@ def reference_distance(rs, x, y):
     diff = tuple(b - a for a, b in zip(x, y))
     acc = zero_like(diff[0])
     for alpha in rs.positive_roots:
-        acc = acc + abs_val(reference_pairing(rs, diff, alpha))
+        acc = acc + abs(reference_pairing(rs, diff, alpha))
     return acc
 
 
@@ -145,7 +145,7 @@ def reference_distance_via_coords(rs, x):
     for alpha in rs.positive_roots:
         nn = rs.norm_sq(alpha)
         weights = tuple(alpha[b] * rs.gram[b][b] * 2 / nn for b in range(rs.rank))
-        acc = acc + abs_val(reference_apply((weights,), coords)[0])
+        acc = acc + abs(reference_apply((weights,), coords)[0])
     return acc
 
 
@@ -272,6 +272,14 @@ class TestHull:
         aq = set(ms.enumerate_AQ(rs, x))
         for p in rs.weyl_orbit(x):
             assert p in aq
+
+    def test_cap_is_checked_before_the_box_is_built(self):
+        rs = build("A2")
+        x = (Q(3), Q(3))  # 49 candidates in the box, 37 in the hull
+        with pytest.raises(ms.CapExceeded, match=r"exceeded 10 candidates \(49 in the box\)"):
+            ms.enumerate_AQ(rs, x, cap=10)
+        assert len(ms.hull_candidates(rs, x, cap=49)) == 49
+        assert len(ms.enumerate_AQ(rs, x, cap=49)) == 37
 
 
 class TestNonCrystallographicHull:

@@ -37,6 +37,20 @@ class TestBuild:
         assert rs.field.minpoly == (Q(2), Q(0), Q(-4), Q(0), Q(1))
         assert not rs.crystallographic
 
+    @pytest.mark.parametrize("n, same_group", [(3, "A2"), (4, "B2"), (6, "G2")])
+    def test_dihedral_forms_of_crystallographic_types(self, n, same_group):
+        rs, ref = build(f"I2({n})"), build(same_group)
+        assert not rs.crystallographic
+        assert rs.weyl_order == len(rs.weyl_group()) == ref.weyl_order == 2 * n
+        assert len(rs.positive_roots) == len(ref.positive_roots) == n
+        # s_1 s_2 is a rotation of order n, as in the crystallographic form
+        for sys_ in (rs, ref):
+            rot = sys_.multiply(sys_.simple_reflection(0), sys_.simple_reflection(1))
+            powers = [rot]
+            while powers[-1] != sys_.identity_element() and len(powers) <= 2 * n:
+                powers.append(sys_.multiply(powers[-1], rot))
+            assert len(powers) == n
+
     def test_closure_under_reflections(self):
         for label in ("A2", "B2", "G2", "I2(8)"):
             rs = build(label)

@@ -1,5 +1,6 @@
 """Ordered-arithmetic tests: exact comparisons against independent oracles."""
 
+import operator
 import random
 from fractions import Fraction as Q
 from math import gcd, isqrt
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 
 from weylkit.scalars import (
     INF,
+    Infinity,
+    LexPair,
+    NFElem,
     NumberField,
     QuadInt,
     SQRT2_FIELD,
@@ -466,6 +470,231 @@ def test_laurent_terms_strictly_increasing(p, data):
     x, y = data.draw(_laurents(p)), data.draw(_laurents(p))
     for z in (x, y, x + y, x * y, x.theta(), (x * y).theta()):
         _assert_strictly_increasing(z)
+
+
+# --------------------------------------------------------------------------
+# the ordering as each domain spelled it out before the Ordered base class:
+# one compare ladder, a sign ladder, abs_val and per-class rich operators.
+# It is the reference for the differential test below.
+
+
+def ref_sign(x) -> int:
+    if isinstance(x, (int, Q)):
+        return (x > 0) - (x < 0)
+    if isinstance(x, (NFElem, QuadInt)):
+        return x.sign()
+    if isinstance(x, LexPair):
+        s = ref_sign(x.hi)
+        return s if s != 0 else ref_sign(x.lo)
+    raise ScalarDomainError(f"no sign for {type(x).__name__}")
+
+
+def ref_abs_val(x):
+    return -x if ref_sign(x) < 0 else x
+
+
+def ref_quad_cmp(x: QuadInt, other) -> int:
+    if isinstance(other, QuadInt) and other.p == x.p:
+        oa, ob = other.a, other.b
+    elif isinstance(other, Infinity):
+        return -1
+    elif isinstance(other, QuadInt):
+        raise ScalarDomainError("quadratic integers over different radicands")
+    elif isinstance(other, int):
+        oa, ob = other, 0
+    else:
+        raise ScalarDomainError(f"cannot coerce {type(other).__name__} into Z[sqrt{x.p}]")
+    return QuadInt(x.a - oa, x.b - ob, x.p).sign()
+
+
+def ref_lex_cmp(x: LexPair, other) -> int:
+    if isinstance(other, Infinity):
+        return -1
+    if not isinstance(other, LexPair):
+        raise ScalarDomainError("lex pair compared with non lex pair")
+    c = ref_compare(x.hi, other.hi)
+    if c != 0:
+        return c
+    return ref_compare(x.lo, other.lo)
+
+
+def ref_compare(x, y) -> int:
+    if isinstance(x, Infinity) or isinstance(y, Infinity):
+        if isinstance(x, Infinity) and isinstance(y, Infinity):
+            return 0
+        return 1 if isinstance(x, Infinity) else -1
+    if isinstance(x, QuadInt) and isinstance(y, (QuadInt, int)):
+        return ref_quad_cmp(x, y)
+    if isinstance(x, int) and isinstance(y, QuadInt):
+        return -ref_quad_cmp(y, x)
+    if isinstance(x, int):
+        x = Q(x)
+    if isinstance(y, int):
+        y = Q(y)
+    if isinstance(x, Q) and isinstance(y, Q):
+        return (x > y) - (x < y)
+    if isinstance(x, NFElem) or isinstance(y, NFElem):
+        if isinstance(x, (Q, NFElem)) and isinstance(y, (Q, NFElem)):
+            nf = x if isinstance(x, NFElem) else y
+            return ref_sign(nf._coerce(x) - nf._coerce(y))
+        raise ScalarDomainError("mixed-domain comparison")
+    if isinstance(x, LexPair) and isinstance(y, LexPair):
+        return ref_lex_cmp(x, y)
+    raise ScalarDomainError(f"mixed-domain comparison: {type(x).__name__} vs {type(y).__name__}")
+
+
+_RELATIONS = {"lt": operator.lt, "le": operator.le, "gt": operator.gt, "ge": operator.ge}
+_REFLECTED = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le"}
+
+
+def _ref_method(op: str, x, other):
+    """x.__<op>__(other) as each domain class defined it; None for int and Fraction."""
+    rel = _RELATIONS[op]
+    if isinstance(x, Infinity):
+        return {"lt": False, "le": isinstance(other, Infinity), "gt": not isinstance(other, Infinity), "ge": True}[op]
+    if isinstance(x, NFElem):
+        if isinstance(other, Infinity):
+            return op in ("lt", "le")
+        return rel((x - other).sign(), 0)
+    if isinstance(x, LexPair):
+        return rel(ref_lex_cmp(x, other), 0)
+    if isinstance(x, QuadInt):
+        return rel(ref_quad_cmp(x, other), 0)
+    return None
+
+
+def ref_order(op: str, x, y) -> bool:
+    """x <op> y: int and Fraction give way to the other operand's reflected method."""
+    got = _ref_method(op, x, y)
+    if got is None:
+        got = _ref_method(_REFLECTED[op], y, x)
+    return _RELATIONS[op](x, y) if got is None else got
+
+
+def ref_abs(x):
+    if isinstance(x, (NFElem, QuadInt)):
+        return -x if x.sign() < 0 else x
+    if isinstance(x, LexPair):
+        return -x if ref_sign(x) < 0 else x
+    if isinstance(x, Infinity):
+        raise TypeError("bad operand type for abs(): 'Infinity'")
+    return abs(x)
+
+
+BINARY_OPS = {
+    "compare": (compare, ref_compare),
+    "<": (operator.lt, lambda x, y: ref_order("lt", x, y)),
+    "<=": (operator.le, lambda x, y: ref_order("le", x, y)),
+    ">": (operator.gt, lambda x, y: ref_order("gt", x, y)),
+    ">=": (operator.ge, lambda x, y: ref_order("ge", x, y)),
+    # min and max keep the first of equal items and test with < and >
+    "min": (lambda x, y: min(x, y), lambda x, y: y if ref_order("lt", y, x) else x),
+    "max": (lambda x, y: max(x, y), lambda x, y: y if ref_order("gt", y, x) else x),
+}
+UNARY_OPS = {"sign": (sign, ref_sign), "abs": (abs, ref_abs_val)}
+
+
+def _outcome(f, *args):
+    try:
+        v = f(*args)
+    except Exception as exc:
+        return "raises", type(exc)
+    return "value", type(v), v
+
+
+def assert_same_order(x, y):
+    for a, b in ((x, y), (y, x)):
+        for name, (new, ref) in BINARY_OPS.items():
+            assert _outcome(new, a, b) == _outcome(ref, a, b), (name, a, b)
+        for name, (new, ref) in UNARY_OPS.items():
+            assert _outcome(new, a) == _outcome(ref, a), (name, a)
+        if a is INF:
+            # the old classes left abs undefined on +inf (a plain TypeError);
+            # abs now asks sign, which raises its TypeError subclass
+            assert _outcome(ref_abs, a) == ("raises", TypeError)
+            assert _outcome(abs, a) == ("raises", ScalarDomainError)
+        else:
+            assert _outcome(abs, a) == _outcome(ref_abs, a), ("abs operator", a)
+
+
+def _small_rationals():
+    return st.builds(Q, st.integers(-4, 4), st.integers(1, 3))
+
+
+def _field_elems(field):
+    return st.lists(_small_rationals(), min_size=field.degree, max_size=field.degree).map(field.elem)
+
+
+_FLAT_LEX = st.builds(lex, _small_rationals(), _small_rationals())
+ORDERED_DOMAINS = (
+    st.integers(-4, 4),
+    _small_rationals(),
+    _field_elems(SQRT2_FIELD),
+    _field_elems(SQRT3_FIELD),
+    _field_elems(SQRT_2P2_FIELD),
+    _FLAT_LEX,
+    st.builds(LexPair, _FLAT_LEX, _FLAT_LEX),
+    st.builds(LexPair, _field_elems(SQRT2_FIELD), _field_elems(SQRT2_FIELD)),
+    st.builds(QuadInt, st.integers(-4, 4), st.integers(-3, 3), st.just(2)),
+    st.builds(QuadInt, st.integers(-4, 4), st.integers(-3, 3), st.just(3)),
+    st.just(INF),
+)
+_ANY_SCALAR = st.one_of(ORDERED_DOMAINS)
+_PAIRS = st.one_of(
+    st.tuples(_ANY_SCALAR, _ANY_SCALAR),
+    st.sampled_from(ORDERED_DOMAINS).flatmap(lambda dom: st.tuples(dom, dom)),
+    _ANY_SCALAR.map(lambda x: (x, x)),
+)
+
+# every domain against every other, with equal values written in different
+# domains (2, 2/1, 2 in Q(sqrt 2), (2;0), 2 + 0 sqrt 2)
+ORDER_GRID = (
+    0,
+    2,
+    -1,
+    Q(2),
+    Q(-1, 2),
+    SQRT2_FIELD.elem([2]),
+    SQRT2_FIELD.gen(),
+    SQRT2_FIELD.elem([1, -1]),
+    SQRT3_FIELD.gen(),
+    SQRT_2P2_FIELD.gen(),
+    sqrt2_in_quartic(),
+    lex(0, 1),
+    lex(0),
+    lex(2),
+    lex(-1, 5),
+    LexPair(lex(0, 1), lex(2)),
+    LexPair(SQRT2_FIELD.gen(), SQRT2_FIELD.elem([1])),
+    QuadInt(0, 0, 2),
+    QuadInt(2, 0, 2),
+    QuadInt(-3, 2, 2),
+    QuadInt(1, 1, 3),
+    QuadInt(2, 0, 3),
+    INF,
+)
+
+
+class TestOrderingProtocol:
+    """compare, the order operators, sign, abs, min and max against the reference."""
+
+    @pytest.mark.parametrize("x", ORDER_GRID, ids=repr)
+    def test_grid(self, x):
+        for y in ORDER_GRID:
+            assert_same_order(x, y)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_PAIRS)
+    def test_drawn_pairs(self, pair):
+        assert_same_order(*pair)
+
+    def test_operators_are_defined_once(self):
+        from weylkit.scalars import Ordered
+
+        for cls in (Infinity, NFElem, LexPair, QuadInt):
+            assert issubclass(cls, Ordered)
+            for name in ("__lt__", "__le__", "__gt__", "__ge__", "__abs__"):
+                assert name not in vars(cls), (cls, name)
 
 
 class TestSerialization:

@@ -7,11 +7,13 @@ in the same direction.  The height of a path against a simple root alpha is
 on integer levels, and applying the operator shifts the endpoint by exactly
 the co-root ``2 alpha / (alpha, alpha)``.
 
-Galleries are alcove walks: a state is an affine Weyl element ``u`` (the map
-carrying the fundamental-alcove frame to the current alcove) and a step of
-type ``j`` either crosses the ``j``-panel (``u -> u s_j``) or folds at it.  A
-fold is positive when the wall separates the retained alcove from the
-antidominant direction.
+Galleries are alcove walks.  A walk is a start Weyl element ``w``, a type
+word and a fold mask: step ``i`` either crosses the panel of type
+``word[i]`` or folds at it, and these three fix every alcove of the walk.  A
+point moves through a walk by the reflections in the walls of the
+fundamental alcove, each applied as ``LinearForms`` plus the far wall's
+shift; no affine maps are composed.  A fold is positive when the wall
+separates the retained alcove from the antidominant direction.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import ceil
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .model_space import DEFAULT_CAP, CapExceeded, HullQuery, gallery_distance, in_AQ, point_sub
-from .root_system import LinearForms, RootSystem, apply_matrix, mat_mul
+from .root_system import LinearForms, RootSystem, WeylElement
 
 
 class PathModelError(ValueError):
@@ -59,14 +61,13 @@ def _canonical_steps(steps: Iterable[tuple]) -> tuple:
 
 @dataclass(frozen=True)
 class PLPath:
-    """A piecewise-linear path from the origin, as canonical displacement steps."""
+    """A piecewise-linear path from the origin of rank-``rank`` space, as canonical displacement steps."""
 
     steps: Tuple[Tuple[Fraction, ...], ...]
+    rank: int
 
     def endpoint(self) -> tuple:
-        if not self.steps:
-            return ()
-        acc = tuple(Fraction(0) for _ in self.steps[0])
+        acc = (Fraction(0),) * self.rank
         for v in self.steps:
             acc = tuple(a + b for a, b in zip(acc, v))
         return acc
@@ -74,27 +75,31 @@ class PLPath:
     def breakpoints(self) -> list[tuple[Fraction, tuple]]:
         """(time, point) pairs at uniform parameter speed."""
         m = max(1, len(self.steps))
-        pts = [(Fraction(0), tuple())]
-        if self.steps:
-            cur = tuple(Fraction(0) for _ in self.steps[0])
-            pts = [(Fraction(0), cur)]
-            for k, v in enumerate(self.steps, 1):
-                cur = tuple(a + b for a, b in zip(cur, v))
-                pts.append((Fraction(k, m), cur))
+        cur = (Fraction(0),) * self.rank
+        pts = [(Fraction(0), cur)]
+        for k, v in enumerate(self.steps, 1):
+            cur = tuple(a + b for a, b in zip(cur, v))
+            pts.append((Fraction(k, m), cur))
         return pts
 
     def __len__(self):
         return len(self.steps)
 
 
-def path_from_steps(steps: Iterable[Sequence]) -> PLPath:
-    return PLPath(_canonical_steps(tuple(tuple(v) for v in steps)))
+def path_from_steps(steps: Iterable[Sequence], rank: Optional[int] = None) -> PLPath:
+    """The path of the given steps; ``rank`` is needed only when there are none."""
+    steps = tuple(tuple(v) for v in steps)
+    if steps:
+        rank = len(steps[0])
+    if rank is None:
+        raise PathModelError("a path without steps needs a rank")
+    return PLPath(_canonical_steps(steps), rank)
 
 
 def path_from_points(points: Sequence[Sequence]) -> PLPath:
     pts = [tuple(Fraction(c) for c in p) for p in points]
     steps = [point_sub(b, a) for a, b in zip(pts, pts[1:])]
-    return path_from_steps(steps)
+    return path_from_steps(steps, len(pts[0]))
 
 
 def straight_path_to(x) -> PLPath:
@@ -102,11 +107,11 @@ def straight_path_to(x) -> PLPath:
 
 
 def zero_path(rank: int) -> PLPath:
-    return PLPath(())
+    return PLPath((), rank)
 
 
 def concat(p1: PLPath, p2: PLPath) -> PLPath:
-    return path_from_steps(p1.steps + p2.steps)
+    return path_from_steps(p1.steps + p2.steps, p1.rank)
 
 
 # --------------------------------------------------------------------------
@@ -195,7 +200,7 @@ def root_operator_e(rs: RootSystem, path: PLPath, i: int) -> Optional[PLPath]:
                     out.append(head)
                     middle.appendleft(tail)
                     acc = Fraction(0)
-    return path_from_steps(prefix + out + suffix)
+    return path_from_steps(prefix + out + suffix, path.rank)
 
 
 # --------------------------------------------------------------------------
@@ -289,39 +294,6 @@ def parkinson_ram_fold(rs: RootSystem, x, y, w0_word=None) -> PLPath:
 # alcove walks
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """An affine transformation x -> M x + t with rational data."""
-
-    linear: Tuple[Tuple[Fraction, ...], ...]
-    trans: Tuple[Fraction, ...]
-
-    def apply(self, pt):
-        img = apply_matrix(self.linear, pt)
-        return tuple(a + b for a, b in zip(img, self.trans))
-
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        lin = mat_mul(self.linear, other.linear)
-        tr = tuple(
-            a + b for a, b in zip(apply_matrix(self.linear, other.trans), self.trans)
-        )
-        return AffineMap(lin, tr)
-
-
-def _identity_map(rs: RootSystem) -> AffineMap:
-    eye = tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(rs.rank)) for i in range(rs.rank)
-    )
-    return AffineMap(eye, tuple(Fraction(0) for _ in range(rs.rank)))
-
-
-def _linear_map(rs: RootSystem, matrix) -> AffineMap:
-    return AffineMap(
-        tuple(tuple(Fraction(c) for c in row) for row in matrix),
-        tuple(Fraction(0) for _ in range(rs.rank)),
-    )
-
-
 def fundamental_walls(rs: RootSystem) -> tuple:
     """Walls of the fundamental alcove as (root, level): index 0 is the far wall."""
     theta = rs.highest_root()
@@ -331,49 +303,65 @@ def fundamental_walls(rs: RootSystem) -> tuple:
     return tuple(walls)
 
 
-def _generator_maps(rs: RootSystem) -> tuple:
-    walls = fundamental_walls(rs)
-    maps = []
-    for j, (beta, k) in enumerate(walls):
-        lin = tuple(
-            tuple(Fraction(c) for c in col)
-            for col in zip(*[rs.reflect(beta, rs.simple_roots[t]) for t in range(rs.rank)])
-        )
-        if k == 0:
-            maps.append(AffineMap(lin, tuple(Fraction(0) for _ in range(rs.rank))))
-        else:
-            shift = tuple(Fraction(c) * k for c in rs.coroot_of(beta))
-            maps.append(AffineMap(lin, shift))
-    return tuple(maps)
+def _wall_reflections(rs: RootSystem, walls) -> tuple:
+    """Per wall (beta, k): the forms of s_beta and the shift k beta^ (None when k is 0)."""
+    out = []
+    for beta, k in walls:
+        cols = [rs.reflect(beta, a) for a in rs.simple_roots]
+        shift = tuple(c * k for c in rs.coroot_of(beta)) if k else None
+        out.append((LinearForms(tuple(zip(*cols))), shift))
+    return tuple(out)
+
+
+def _reflect_through(refl, word, x) -> tuple:
+    """x reflected in the walls of ``word`` of the fundamental alcove, first letter first."""
+    for j in word:
+        forms, shift = refl[j]
+        x = forms.apply(x)
+        if shift is not None:
+            x = tuple(a + b for a, b in zip(x, shift))
+    return x
 
 
 _INTERIOR_CACHE: dict = {}
+_BASE_DIRECTIONS = 4  # directions tried for the base point of a minimal walk
+_BASE_SCALES = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 
-def interior_alcove_point(rs: RootSystem) -> tuple:
-    """A generic rational point inside the fundamental alcove."""
-    if rs.label in _INTERIOR_CACHE:
-        return _INTERIOR_CACHE[rs.label]
+def interior_alcove_point(rs: RootSystem, attempt: int = 0) -> tuple:
+    """A rational point inside the fundamental alcove; each ``attempt`` has its own direction."""
+    key = (rs.label, attempt)
+    if key in _INTERIOR_CACHE:
+        return _INTERIOR_CACHE[key]
     cw = rs.fundamental_coweights()
-    weights = [Fraction(2 * i + 1, 2 * i + 2) for i in range(rs.rank)]
+    weights = [
+        Fraction(2 * i + 1, 2 * i + 2) + Fraction(attempt, 7 * (i + 1) + attempt + 3)
+        for i in range(rs.rank)
+    ]
     d = tuple(
         sum(weights[i] * Fraction(cw[i][j]) for i in range(rs.rank)) for j in range(rs.rank)
     )
     mx = max(Fraction(rs.root_level(d, a)) for a in rs.positive_roots)
     p0 = tuple(c / (mx * 2 + 1) for c in d)
     assert all(0 < Fraction(rs.root_level(p0, a)) < 1 for a in rs.positive_roots)
-    _INTERIOR_CACHE[rs.label] = p0
+    _INTERIOR_CACHE[key] = p0
     return p0
 
 
 @dataclass(frozen=True)
 class FoldedGallery:
-    """An alcove walk of fixed type with a cross/fold mask and its weight."""
+    """An alcove walk of fixed type: a start, a type word and a fold mask, with its weight.
+
+    The walk begins at the alcove w A_0, for w = ``start`` and A_0 the
+    fundamental alcove; step i crosses the panel of type ``gallery_type[i]``,
+    or folds at it when ``fold_mask[i]`` is set.  These three fix every alcove
+    of the walk.  The weight is ``target_in_frame`` reflected in the walls of
+    the crossed letters, last first, and then moved by w.
+    """
 
     gallery_type: Tuple[int, ...]
     fold_mask: Tuple[bool, ...]
-    initial: AffineMap
-    alcove_track: Tuple[AffineMap, ...]
+    start: WeylElement
     target_in_frame: Tuple[Fraction, ...]
     weight: Tuple[Fraction, ...]
 
@@ -381,53 +369,39 @@ class FoldedGallery:
         return len(self.gallery_type)
 
 
-def _dominant_gallery_data(rs: RootSystem, xp) -> tuple:
-    """Type word and crossing walls of a minimal walk from the base alcove to xp."""
-    walls = fundamental_walls(rs)
-    gens = _generator_maps(rs)
-    for scale in (1, 2, 3, 5, 7, 11, 13, 17, 19, 23):
-        p0 = tuple(c / scale for c in interior_alcove_point(rs))
-        events = []
-        for alpha in rs.positive_roots:
-            a0 = Fraction(rs.root_level(p0, alpha))
-            a1 = Fraction(rs.root_level(xp, alpha))
-            if a1 == a0:
+def _dominant_gallery_data(rs: RootSystem, walls, refl, xp) -> tuple:
+    """(type word, xp in the frame of the last alcove) of a minimal walk from the base alcove to xp.
+
+    The walk follows a segment from a generic base point p0 in the fundamental
+    alcove to xp.  A segment that meets two walls at once has no single type,
+    so p0 is rescaled towards the origin, and then turned to a new direction,
+    until the crossing times are distinct.
+    """
+    for attempt in range(_BASE_DIRECTIONS):
+        for scale in _BASE_SCALES:
+            p0 = tuple(c / scale for c in interior_alcove_point(rs, attempt))
+            times = []
+            for alpha in rs.positive_roots:
+                a0 = Fraction(rs.root_level(p0, alpha))
+                a1 = Fraction(rs.root_level(xp, alpha))
+                if a1 == a0:
+                    continue
+                lo, hi = (a0, a1) if a0 < a1 else (a1, a0)
+                for k in range(ceil(lo), int(hi) + 1):
+                    if lo < k < hi:
+                        times.append((k - a0) / (a1 - a0))
+            if len(set(times)) != len(times):
                 continue
-            lo, hi = (a0, a1) if a0 < a1 else (a1, a0)
-            for k in range(ceil(lo), int(hi) + 1):
-                if lo < k < hi:
-                    t = (k - a0) / (a1 - a0)
-                    if 0 < t < 1:
-                        events.append((t, alpha, Fraction(k)))
-        times = [e[0] for e in events]
-        if len(set(times)) != len(times):
-            continue
-        events.sort(key=lambda e: e[0])
-        u = _identity_map(rs)
-        u_inv = _identity_map(rs)
-        word = []
-        crossings = []
-        ok = True
-        for t, alpha, k in events:
-            q = tuple(a + t * (b - a) for a, b in zip(p0, xp))
-            z = u_inv.apply(q)
-            hits = [
-                j
-                for j, (beta, kk) in enumerate(walls)
-                if Fraction(rs.root_level(z, beta)) == kk
-            ]
-            if len(hits) != 1:
-                ok = False
-                break
-            j = hits[0]
-            word.append(j)
-            crossings.append((alpha, k))
-            u = u.compose(gens[j])
-            u_inv = gens[j].compose(u_inv)
-        if not ok:
-            continue
-        x0 = u_inv.apply(tuple(Fraction(c) for c in xp))
-        return tuple(word), tuple(crossings), x0, u
+            word: list[int] = []
+            for t in sorted(times):
+                q = tuple(a + t * (b - a) for a, b in zip(p0, xp))
+                z = _reflect_through(refl, word, q)
+                hits = [j for j, (beta, k) in enumerate(walls) if Fraction(rs.root_level(z, beta)) == k]
+                if len(hits) != 1:
+                    break
+                word.append(hits[0])
+            else:
+                return tuple(word), _reflect_through(refl, word, xp)
     raise PathModelError("could not find a generic interior base point")  # pragma: no cover
 
 
@@ -442,25 +416,18 @@ def minimal_gallery(rs: RootSystem, x) -> FoldedGallery:
         raise PathModelError("gallery targets must be special vertices")
     xp, w = rs.dominant_rep(x)
     winv = rs.inverse(w)
-    word, crossings, x0, u_ref = _dominant_gallery_data(rs, xp)
-    initial = _linear_map(rs, winv.matrix)
-    gens = _generator_maps(rs)
-    track = [initial]
-    u = initial
-    for j in word:
-        u = u.compose(gens[j])
-        track.append(u)
-    weight = u.apply(x0)
-    if weight != x:
+    walls = fundamental_walls(rs)
+    refl = _wall_reflections(rs, walls)
+    word, x0 = _dominant_gallery_data(rs, walls, refl, xp)
+    if winv.apply(_reflect_through(refl, reversed(word), x0)) != x:
         raise PathModelError("gallery construction lost its target")  # pragma: no cover
     expected = gallery_distance(rs, rs.zero_point(), x) - 1
     if len(word) != expected:
         raise PathModelError("gallery is not minimal")  # pragma: no cover
     return FoldedGallery(
-        gallery_type=tuple(word),
+        gallery_type=word,
         fold_mask=tuple(False for _ in word),
-        initial=initial,
-        alcove_track=tuple(track),
+        start=winv,
         target_in_frame=tuple(x0),
         weight=x,
     )
@@ -476,22 +443,19 @@ def folded_galleries(
     alcove on the non-antidominant side of its wall.
     """
     walls = fundamental_walls(rs)
-    gens = _generator_maps(rs)
+    refl = _wall_reflections(rs, walls)
     bary = interior_alcove_point(rs)
     d_int = tuple(Fraction(c) for c in rs.interior_dominant_f())
     word = minimal.gallery_type
     x0 = minimal.target_in_frame
     budget = [cap]
+    own_side = [1 if Fraction(rs.root_level(bary, beta)) - k > 0 else -1 for beta, k in walls]
 
-    own_side = {}
-    for j, (beta, k) in enumerate(walls):
-        own_side[j] = 1 if Fraction(rs.root_level(bary, beta)) - k > 0 else -1
-
-    # rec carries v = (linear part of u^-1) . d_int, the one thing it reads of
-    # the inverse map; crossing wall j replaces u^-1 by gens[j] . u^-1
-    gen_forms = tuple(LinearForms(g.linear) for g in gens)
-
-    def rec(idx: int, u: AffineMap, v: tuple, mask: tuple, track: tuple):
+    # rec carries v = (linear part of u^-1) . d_int, for u the affine map from
+    # the fundamental alcove to the current one: the one thing it reads of u
+    # on the way.  Crossing wall j moves v by the linear part of that wall's
+    # reflection; the weight is computed at the leaf from the crossed letters.
+    def rec(idx: int, w, v: tuple, mask: tuple, crossed: tuple):
         budget[0] -= 1
         if budget[0] < 0:
             raise CapExceeded(f"gallery enumeration exceeded {cap} states")
@@ -499,25 +463,22 @@ def folded_galleries(
             yield FoldedGallery(
                 gallery_type=word,
                 fold_mask=mask,
-                initial=track[0],
-                alcove_track=track,
+                start=w,
                 target_in_frame=x0,
-                weight=u.apply(x0),
+                weight=w.apply(_reflect_through(refl, reversed(crossed), x0)),
             )
             return
         j = word[idx]
         beta, _ = walls[j]
         # cross
-        crossed = u.compose(gens[j])
-        yield from rec(idx + 1, crossed, gen_forms[j].apply(v), mask + (False,), track + (crossed,))
+        yield from rec(idx + 1, w, refl[j][0].apply(v), mask + (False,), crossed + (j,))
         # fold, kept only when positive
         lin = Fraction(rs.root_level(v, beta))
         if own_side[j] == (1 if lin > 0 else -1):
-            yield from rec(idx + 1, u, v, mask + (True,), track + (u,))
+            yield from rec(idx + 1, w, v, mask + (True,), crossed)
 
     for w in rs.weyl_group():
-        start = _linear_map(rs, w.matrix)
-        yield from rec(0, start, rs.inverse(w).apply(d_int), (), (start,))
+        yield from rec(0, w, rs.inverse(w).apply(d_int), (), ())
 
 
 def folded_gallery_endpoints(rs: RootSystem, minimal: FoldedGallery, cap: int = DEFAULT_CAP) -> tuple:

@@ -634,56 +634,44 @@ class RootSystem:
         return self._w0
 
     def weyl_group(self) -> list[WeylElement]:
-        """All Weyl elements, BFS by word length (canonical reduced words)."""
+        """All Weyl elements, BFS by word length (canonical reduced words).
+
+        In simple-root coordinates s_i = I - e_i c_i with c_i row i of the
+        Cartan matrix, so M s_i subtracts M[r][i] * c_i from each row r of M,
+        over any field.  Systems over the rationals search on integer
+        matrices, and each Fraction matrix is built once at the end.
+        """
         if self._group is None:
+            n = self.rank
             if self.field is None:
-                group = self._integral_weyl_group()
+                cartan = [[int(c) for c in row] for row in self.cartan]
+                one, zero = 1, 0
             else:
-                ident = self.identity_element()
-                seen: Dict[tuple, WeylElement] = {ident.matrix: ident}
-                frontier = [ident]
-                while frontier:
-                    nxt = []
-                    for w in frontier:
-                        for i in range(self.rank):
-                            cand = self.multiply(w, self.simple_reflection(i))
-                            if cand.matrix not in seen:
-                                seen[cand.matrix] = cand
-                                nxt.append(cand)
-                    frontier = nxt
-                group = seen.values()
+                cartan = self.cartan
+                one, zero = self._f(1), self._f(0)
+            ident = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+            words: Dict[tuple, tuple] = {ident: ()}
+            frontier = [ident]
+            while frontier:
+                nxt = []
+                for m in frontier:
+                    for i, ci in enumerate(cartan):
+                        cand = tuple(tuple(v - row[i] * c for v, c in zip(row, ci)) for row in m)
+                        if cand not in words:
+                            words[cand] = words[m] + (i,)
+                            nxt.append(cand)
+                frontier = nxt
+            rows = {row: row for m in words for row in m}
+            if self.field is None:
+                # F4's 4,608 matrix rows hold 240 distinct rows of a few
+                # distinct integers: each Fraction row is built once and shared
+                as_q = {v: _Q(v) for row in rows for v in row}
+                rows = {row: tuple(as_q[v] for v in row) for row in rows}
+            group = [WeylElement(word, tuple(rows[row] for row in m)) for m, word in words.items()]
             self._group = sorted(group, key=lambda w: (len(w.word), w.word))
             if len(self._group) != self.weyl_order:
                 raise RootSystemError("Weyl group enumeration mismatch")  # pragma: no cover
         return self._group
-
-    def _integral_weyl_group(self) -> list[WeylElement]:
-        """The BFS of ``weyl_group`` on integer matrices (systems over the rationals).
-
-        In simple-root coordinates s_i = I - e_i c_i with c_i row i of the
-        Cartan matrix, so M s_i subtracts M[r][i] * c_i from each row r of M.
-        The BFS order, and so the first-found words, are those of the
-        generic search; each Fraction matrix is built once at the end.
-        """
-        n = self.rank
-        cartan = [[int(c) for c in row] for row in self.cartan]
-        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        words: Dict[tuple, tuple] = {ident: ()}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for i, ci in enumerate(cartan):
-                    cand = tuple(tuple(v - row[i] * c for v, c in zip(row, ci)) for row in m)
-                    if cand not in words:
-                        words[cand] = words[m] + (i,)
-                        nxt.append(cand)
-            frontier = nxt
-        # F4's 4,608 matrix rows hold 240 distinct rows of a few distinct
-        # integers: each is built once and shared
-        as_q = {v: _Q(v) for m in words for row in m for v in row}
-        rows = {row: tuple(as_q[v] for v in row) for m in words for row in m}
-        return [WeylElement(word, tuple(rows[row] for row in m)) for m, word in words.items()]
 
     def length_by_inversions(self, w: WeylElement) -> int:
         negs = 0

@@ -179,6 +179,12 @@ class TestFold:
         code, _ = run_cli(capsys, "fold", "--type", "A2", "--point", "3,3", "--target", "4,2")
         assert code == EXIT_USAGE
 
+    def test_origin_folds_onto_itself(self, capsys):
+        code, obj = run_json(capsys, "fold", "--type", "A2", "--point", "0,0", "--target", "0,0")
+        assert code == EXIT_OK
+        assert obj["endpoint"] == ["0", "0"]
+        assert obj["breakpoints"] == [["0", "0", "0"]]
+
     def test_one_descent_chain_per_job(self, capsys, monkeypatch):
         from weylkit import path_model as pm
 
@@ -224,6 +230,22 @@ class TestVerifyConvexity:
         assert obj["counts"]["gallery_endpoints"] == hull
         _, ref = run_json(capsys, "verify-convexity", "--type", label, f"--point={dominant}")
         assert obj["endpoints"] == ref["endpoints"]
+
+    def test_origin_passes(self, capsys):
+        code, obj = run_json(capsys, "verify-convexity", "--type", "A2", "--point", "0,0")
+        assert code == EXIT_OK and obj["status"] == "pass"
+        assert obj["endpoints"] == [["0", "0"]]
+        assert obj["counts"]["gallery_length"] == 0
+
+    @pytest.mark.parametrize(
+        "label, point", [("B2", "5,8"), ("G2", "7,4"), ("C2", "7,5"), ("A2", "14/3,16/3")]
+    )
+    def test_vertex_on_the_base_point_ray_passes(self, capsys, label, point):
+        # 2w1 + 3w2 or 4w1 + 6w2 in co-weight coordinates: a segment from any
+        # rescaled base point meets two walls at once on the way there
+        code, obj = run_json(capsys, "verify-convexity", "--type", label, f"--point={point}")
+        assert code == EXIT_OK and obj["status"] == "pass"
+        assert obj["counts"]["hull_points"] == obj["counts"]["path_endpoints"]
 
     def test_cap_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("WEYLKIT_CAP", "3")

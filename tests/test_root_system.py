@@ -429,11 +429,13 @@ class TestWeylGroup:
     def test_group_order(self, label, order):
         assert len(build(label).weyl_group()) == order
 
-    @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C2", "G2", "F4", "I2(5)"])
+    @pytest.mark.parametrize(
+        "label", ["A1", "A2", "A3", "B2", "C2", "G2", "F4", "I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(8)"]
+    )
     def test_same_words_and_matrices_as_the_matrix_bfs(self, label):
-        # crystallographic systems search on integer matrices; the order, the
-        # first-found words and the Fraction matrices must be those of the
-        # search on F-matrices
+        # the row-update search (on integer matrices over the rationals, on
+        # field matrices for I2(n)) must give the order, the first-found words
+        # and the F-matrices of the search by matrix products
         rs = build(label)
         got = [(w.word, typed(w.matrix)) for w in rs.weyl_group()]
         assert got == [(w.word, typed(w.matrix)) for w in reference_group(rs)]

@@ -16,14 +16,13 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from . import lambda_tree as lt
 from . import model_space as ms
 from . import path_model as pm
 from . import twisted_algebra as tw
 from .root_system import RootSystem, RootSystemError, build
-from .scalars import QuadInt, ScalarDomainError, format_scalar, parse_scalar, scalar_to_json
+from .scalars import QuadInt, ScalarDomainError, format_scalar, parse_rational, parse_scalar, scalar_to_json
 from .svg import Scene, emit_svg
 
 EXIT_OK = 0
@@ -94,7 +93,7 @@ def _parse_point(rs: RootSystem, text: str) -> tuple:
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != rs.rank:
         raise ValueError(f"expected {rs.rank} coordinates, got {len(parts)}")
-    return tuple(Fraction(parse_scalar(p)) for p in parts)
+    return tuple(parse_rational(p) for p in parts)
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import ceil, floor, prod
 from typing import Iterable, Sequence
 
-from .root_system import LinearForms, RootSystem, solve_linear
+from .root_system import RootSystem, solve_linear
 from .scalars import compare, sign
 
 
@@ -44,22 +44,7 @@ def hyperplane_coords(rs: RootSystem, x) -> tuple:
 
 
 def point_from_hyperplane_coords(rs: RootSystem, coords) -> tuple:
-    return _cartan_inverse(rs).apply(coords)
-
-
-_CARTAN_INV_CACHE: dict = {}
-
-
-def _cartan_inverse(rs: RootSystem) -> LinearForms:
-    """Rows 2 C^-1: the point with heights x^alpha_i, since <x, alpha_i^> = 2 x^alpha_i."""
-    if rs.label not in _CARTAN_INV_CACHE:
-        rhs = [[rs._f(1 if i == j else 0) for i in range(rs.rank)] for j in range(rs.rank)]
-        cols = solve_linear(rs.cartan, rhs)
-        # solve_linear returns solution columns of C X = I; X[j][i] indexed [row][col]
-        _CARTAN_INV_CACHE[rs.label] = LinearForms(
-            tuple(cols[i][j] * 2 for i in range(rs.rank)) for j in range(rs.rank)
-        )
-    return _CARTAN_INV_CACHE[rs.label]
+    return rs.inverse_height_forms.apply(coords)
 
 
 def distance_origin_via_coords(rs: RootSystem, x):
@@ -69,25 +54,7 @@ def distance_origin_via_coords(rs: RootSystem, x):
     F-combination of the heights x^beta; summing absolute values per positive
     root recovers the metric.
     """
-    return _coroot_height_weights(rs).abs_sum(hyperplane_coords(rs, x))
-
-
-_HEIGHT_WEIGHTS_CACHE: dict = {}
-
-
-def _coroot_height_weights(rs: RootSystem) -> LinearForms:
-    """Per positive root alpha, the w_b with <x, alpha^> = sum_b w_b x^beta_b.
-
-    w_b = alpha_b (beta_b, beta_b) * 2 / (alpha, alpha): the coefficient of the
-    simple co-root beta_b^ in alpha^, doubled because x^beta = 1/2 <x, beta^>.
-    """
-    if rs.label not in _HEIGHT_WEIGHTS_CACHE:
-        rows = []
-        for alpha in rs.positive_roots:
-            nn = rs.norm_sq(alpha)
-            rows.append(tuple(alpha[b] * rs.gram[b][b] * 2 / nn for b in range(rs.rank)))
-        _HEIGHT_WEIGHTS_CACHE[rs.label] = LinearForms(rows)
-    return _HEIGHT_WEIGHTS_CACHE[rs.label]
+    return rs.coroot_height_forms.abs_sum(hyperplane_coords(rs, x))
 
 
 # --------------------------------------------------------------------------

@@ -227,11 +227,9 @@ def positive_fold_closure(rs: RootSystem, path: PLPath, cap: int = DEFAULT_CAP) 
 
 def _validate_w0_word(rs: RootSystem, word) -> tuple:
     word = tuple(word)
-    w = rs.identity_element()
-    for i in word:
-        w = rs.multiply(w, rs.simple_reflection(i))
-    w0 = rs.longest_element()
-    if w.matrix != w0.matrix or len(word) != len(rs.positive_roots):
+    if not all(0 <= i < rs.rank for i in word):
+        raise PathModelError(f"w0 word letters must lie in 0..{rs.rank - 1}")
+    if rs.element(word).matrix != rs.longest_element().matrix or len(word) != len(rs.positive_roots):
         raise PathModelError("not a reduced word for the longest element")
     return word
 
@@ -294,45 +292,22 @@ def parkinson_ram_fold(rs: RootSystem, x, y, w0_word=None) -> PLPath:
 # alcove walks
 
 
-def fundamental_walls(rs: RootSystem) -> tuple:
-    """Walls of the fundamental alcove as (root, level): index 0 is the far wall."""
-    theta = rs.highest_root()
-    walls = [(theta, Fraction(1))]
-    for a in rs.simple_roots:
-        walls.append((a, Fraction(0)))
-    return tuple(walls)
-
-
-def _wall_reflections(rs: RootSystem, walls) -> tuple:
-    """Per wall (beta, k): the forms of s_beta and the shift k beta^ (None when k is 0)."""
-    out = []
-    for beta, k in walls:
-        cols = [rs.reflect(beta, a) for a in rs.simple_roots]
-        shift = tuple(c * k for c in rs.coroot_of(beta)) if k else None
-        out.append((LinearForms(tuple(zip(*cols))), shift))
-    return tuple(out)
-
-
-def _reflect_through(refl, word, x) -> tuple:
-    """x reflected in the walls of ``word`` of the fundamental alcove, first letter first."""
+def _reflect_through(walls, word, x) -> tuple:
+    """x reflected in the ``walls`` of ``word`` (``RootSystem.alcove_walls``), first letter first."""
     for j in word:
-        forms, shift = refl[j]
+        _, _, forms, shift = walls[j]
         x = forms.apply(x)
         if shift is not None:
             x = tuple(a + b for a, b in zip(x, shift))
     return x
 
 
-_INTERIOR_CACHE: dict = {}
 _BASE_DIRECTIONS = 4  # directions tried for the base point of a minimal walk
 _BASE_SCALES = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 
 def interior_alcove_point(rs: RootSystem, attempt: int = 0) -> tuple:
     """A rational point inside the fundamental alcove; each ``attempt`` has its own direction."""
-    key = (rs.label, attempt)
-    if key in _INTERIOR_CACHE:
-        return _INTERIOR_CACHE[key]
     cw = rs.fundamental_coweights()
     weights = [
         Fraction(2 * i + 1, 2 * i + 2) + Fraction(attempt, 7 * (i + 1) + attempt + 3)
@@ -344,7 +319,6 @@ def interior_alcove_point(rs: RootSystem, attempt: int = 0) -> tuple:
     mx = max(Fraction(rs.root_level(d, a)) for a in rs.positive_roots)
     p0 = tuple(c / (mx * 2 + 1) for c in d)
     assert all(0 < Fraction(rs.root_level(p0, a)) < 1 for a in rs.positive_roots)
-    _INTERIOR_CACHE[key] = p0
     return p0
 
 
@@ -369,7 +343,7 @@ class FoldedGallery:
         return len(self.gallery_type)
 
 
-def _dominant_gallery_data(rs: RootSystem, walls, refl, xp) -> tuple:
+def _dominant_gallery_data(rs: RootSystem, xp) -> tuple:
     """(type word, xp in the frame of the last alcove) of a minimal walk from the base alcove to xp.
 
     The walk follows a segment from a generic base point p0 in the fundamental
@@ -377,9 +351,11 @@ def _dominant_gallery_data(rs: RootSystem, walls, refl, xp) -> tuple:
     so p0 is rescaled towards the origin, and then turned to a new direction,
     until the crossing times are distinct.
     """
+    walls = rs.alcove_walls
     for attempt in range(_BASE_DIRECTIONS):
+        base = interior_alcove_point(rs, attempt)
         for scale in _BASE_SCALES:
-            p0 = tuple(c / scale for c in interior_alcove_point(rs, attempt))
+            p0 = tuple(c / scale for c in base)
             times = []
             for alpha in rs.positive_roots:
                 a0 = Fraction(rs.root_level(p0, alpha))
@@ -395,13 +371,13 @@ def _dominant_gallery_data(rs: RootSystem, walls, refl, xp) -> tuple:
             word: list[int] = []
             for t in sorted(times):
                 q = tuple(a + t * (b - a) for a, b in zip(p0, xp))
-                z = _reflect_through(refl, word, q)
-                hits = [j for j, (beta, k) in enumerate(walls) if Fraction(rs.root_level(z, beta)) == k]
+                z = _reflect_through(walls, word, q)
+                hits = [j for j, (beta, k, _, _) in enumerate(walls) if Fraction(rs.root_level(z, beta)) == k]
                 if len(hits) != 1:
                     break
                 word.append(hits[0])
             else:
-                return tuple(word), _reflect_through(refl, word, xp)
+                return tuple(word), _reflect_through(walls, word, xp)
     raise PathModelError("could not find a generic interior base point")  # pragma: no cover
 
 
@@ -416,10 +392,8 @@ def minimal_gallery(rs: RootSystem, x) -> FoldedGallery:
         raise PathModelError("gallery targets must be special vertices")
     xp, w = rs.dominant_rep(x)
     winv = rs.inverse(w)
-    walls = fundamental_walls(rs)
-    refl = _wall_reflections(rs, walls)
-    word, x0 = _dominant_gallery_data(rs, walls, refl, xp)
-    if winv.apply(_reflect_through(refl, reversed(word), x0)) != x:
+    word, x0 = _dominant_gallery_data(rs, xp)
+    if winv.apply(_reflect_through(rs.alcove_walls, reversed(word), x0)) != x:
         raise PathModelError("gallery construction lost its target")  # pragma: no cover
     expected = gallery_distance(rs, rs.zero_point(), x) - 1
     if len(word) != expected:
@@ -442,20 +416,21 @@ def folded_galleries(
     type pins panels, not the first alcove); every fold must put the retained
     alcove on the non-antidominant side of its wall.
     """
-    walls = fundamental_walls(rs)
-    refl = _wall_reflections(rs, walls)
-    bary = interior_alcove_point(rs)
+    walls = rs.alcove_walls
     d_int = tuple(Fraction(c) for c in rs.interior_dominant_f())
     word = minimal.gallery_type
     x0 = minimal.target_in_frame
     budget = [cap]
-    own_side = [1 if Fraction(rs.root_level(bary, beta)) - k > 0 else -1 for beta, k in walls]
+    # the side of each wall the fundamental alcove lies on: below the far
+    # wall (theta, x) = 1, above each simple wall (alpha_i, x) = 0
+    own_side = (-1,) + (1,) * rs.rank
 
     # rec carries v = (linear part of u^-1) . d_int, for u the affine map from
     # the fundamental alcove to the current one: the one thing it reads of u
     # on the way.  Crossing wall j moves v by the linear part of that wall's
-    # reflection; the weight is computed at the leaf from the crossed letters.
-    def rec(idx: int, w, v: tuple, mask: tuple, crossed: tuple):
+    # reflection; the weight is computed at the leaf from the crossed letters
+    # and moved by the forms of the start element w.
+    def rec(idx: int, w, w_forms, v: tuple, mask: tuple, crossed: tuple):
         budget[0] -= 1
         if budget[0] < 0:
             raise CapExceeded(f"gallery enumeration exceeded {cap} states")
@@ -465,20 +440,20 @@ def folded_galleries(
                 fold_mask=mask,
                 start=w,
                 target_in_frame=x0,
-                weight=w.apply(_reflect_through(refl, reversed(crossed), x0)),
+                weight=w_forms.apply(_reflect_through(walls, reversed(crossed), x0)),
             )
             return
         j = word[idx]
-        beta, _ = walls[j]
+        beta, _, forms, _ = walls[j]
         # cross
-        yield from rec(idx + 1, w, refl[j][0].apply(v), mask + (False,), crossed + (j,))
+        yield from rec(idx + 1, w, w_forms, forms.apply(v), mask + (False,), crossed + (j,))
         # fold, kept only when positive
         lin = Fraction(rs.root_level(v, beta))
         if own_side[j] == (1 if lin > 0 else -1):
-            yield from rec(idx + 1, w, v, mask + (True,), crossed)
+            yield from rec(idx + 1, w, w_forms, v, mask + (True,), crossed)
 
     for w in rs.weyl_group():
-        yield from rec(0, w, rs.inverse(w).apply(d_int), (), ())
+        yield from rec(0, w, LinearForms(w.matrix), rs.inverse(w).apply(d_int), (), ())
 
 
 def folded_gallery_endpoints(rs: RootSystem, minimal: FoldedGallery, cap: int = DEFAULT_CAP) -> tuple:

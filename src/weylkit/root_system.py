@@ -12,8 +12,9 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Dict, Sequence, Tuple
 
 from .scalars import (
@@ -65,20 +66,6 @@ def solve_linear(A: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return [[aug[i][n + j] for i in range(n)] for j in range(m)]
-
-
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    return tuple(
-        tuple(_sum_f([A[i][t] * B[t][j] for t in range(k)]) for j in range(m)) for i in range(n)
-    )
-
-
-def _sum_f(vals):
-    acc = vals[0]
-    for v in vals[1:]:
-        acc = acc + v
-    return acc
 
 
 def apply_matrix(M, v):
@@ -146,22 +133,20 @@ class LinearForms:
                     tuple(tuple(flat[i * n + j][r] for j in range(n)) for r in range(d))
                     for i in range(len(scaled))
                 )
-        self._full = None
 
+    @cached_property
     def _field_rows(self):
         """Rows acting on the flattened coefficients of field points (built on first use)."""
-        if self._full is None:
-            field = self.field
-            powers = [field.elem([0] * k + [1]) for k in range(field.degree)]
-            # entry c acts on the coefficient vector of x by its multiplication
-            # matrix: coefficient r of c * zeta^k, for k = 0 .. degree - 1
-            blocks = [[[(c * z).coeffs for z in powers] for c in row] for row in self._scaled]
-            flat, den = _integer_rows(
-                [[col[r] for block in row for col in block] for row in blocks for r in range(field.degree)]
-            )
-            d = field.degree
-            self._full = (tuple(flat[i * d : (i + 1) * d] for i in range(len(blocks))), den)
-        return self._full
+        field = self.field
+        powers = [field.elem([0] * k + [1]) for k in range(field.degree)]
+        # entry c acts on the coefficient vector of x by its multiplication
+        # matrix: coefficient r of c * zeta^k, for k = 0 .. degree - 1
+        blocks = [[[(c * z).coeffs for z in powers] for c in row] for row in self._scaled]
+        flat, den = _integer_rows(
+            [[col[r] for block in row for col in block] for row in blocks for r in range(field.degree)]
+        )
+        d = field.degree
+        return tuple(flat[i * d : (i + 1) * d] for i in range(len(blocks))), den
 
     def _images(self, vals):
         """(integer images, den): row i applied to vals is images[i] / den.
@@ -195,7 +180,7 @@ class LinearForms:
         if parts is None:
             return None
         nums, den = parts
-        rows, row_den = self._field_rows()
+        rows, row_den = self._field_rows
         return [tuple(sum(map(mul, r, nums)) for r in block) for block in rows], den * row_den
 
     def _build(self, m, den):
@@ -328,6 +313,15 @@ class WeylElement:
         return len(self.word)
 
 
+def _times_simple_reflection(m, i: int, cartan_row):
+    """M s_i, over any field or over the integers.
+
+    In simple-root coordinates s_i = I - e_i c_i with c_i row i of the Cartan
+    matrix, so M s_i subtracts M[r][i] * c_i from each row r of M.
+    """
+    return tuple(tuple(v - row[i] * c for v, c in zip(row, cartan_row)) for row in m)
+
+
 # --------------------------------------------------------------------------
 # the root system proper
 
@@ -340,6 +334,14 @@ _POSITIVE_COUNT = {"B2": 4, "C2": 4, "G2": 6, "F4": 24}
 
 
 class RootSystem:
+    """A finite root system and the data derived from its Cartan data.
+
+    The system is immutable once built.  Derived data that not every caller
+    needs (co-weights, the Weyl group, w0, the fundamental alcove, the height
+    forms) is a ``cached_property``: computed on first use, at most once per
+    instance, and published by one assignment of an immutable value.
+    """
+
     def __init__(self, label: str):
         m_an = _AN_RE.match(label)
         m_i2 = _I2_RE.match(label)
@@ -415,7 +417,7 @@ class RootSystem:
             tuple((j, row[k]) for j, row in enumerate(self.cartan) if not _f_is_zero(row[k]))
             for k in range(self.rank)
         )
-        self._reflection_matrices = tuple(self._simple_reflection_matrix(i) for i in range(self.rank))
+        self._reflection_matrices = tuple(self._reflection_matrix(a) for a in self.simple_roots)
         self._reflection_forms = tuple(LinearForms(m) for m in self._reflection_matrices)
         self.positive_roots = self._positive_closure()
         if len(self.positive_roots) != self._expected_positives:
@@ -430,9 +432,6 @@ class RootSystem:
         self.height_forms = LinearForms(simple_coroots, scale=Fraction(1, 2))
         #: <x, alpha^> for the positive roots, in order: the rows of the metric
         self.coroot_forms = LinearForms(self.coroot_vec(a) for a in self.positive_roots)
-        self._coweights: tuple | None = None
-        self._w0: WeylElement | None = None
-        self._group: list[WeylElement] | None = None
 
     # -- scalar helpers ----------------------------------------------------
 
@@ -510,27 +509,30 @@ class RootSystem:
         nn = self.norm_sq(alpha)
         return tuple(r + scalar_mul(aj * 2 / nn, k) for r, aj in zip(refl, alpha))
 
-    def _simple_reflection_matrix(self, i: int):
-        cols = [self.reflect(self.simple_roots[i], self.simple_roots[j]) for j in range(self.rank)]
-        return tuple(tuple(cols[j][r] for j in range(self.rank)) for r in range(self.rank))
+    def _reflection_matrix(self, alpha):
+        """The matrix of s_alpha: column j is s_alpha(alpha_j)."""
+        cols = [self.reflect(alpha, b) for b in self.simple_roots]
+        return tuple(zip(*cols))
 
     def simple_reflection(self, i: int) -> WeylElement:
         return WeylElement((i,), self._reflection_matrices[i])
 
+    def element(self, word) -> WeylElement:
+        """The Weyl element s_word[0] ... s_word[-1], built by one row update per letter."""
+        word = tuple(word)
+        m = tuple(map(tuple, self._identity()))
+        for i in word:
+            m = _times_simple_reflection(m, i, self.cartan[i])
+        return WeylElement(word, m)
+
     def identity_element(self) -> WeylElement:
-        eye = tuple(
-            tuple(self._f(1 if i == j else 0) for j in range(self.rank)) for i in range(self.rank)
-        )
-        return WeylElement((), eye)
+        return self.element(())
 
     def multiply(self, w: WeylElement, v: WeylElement) -> WeylElement:
-        return WeylElement(w.word + v.word, mat_mul(w.matrix, v.matrix))
+        return self.element(w.word + v.word)
 
     def inverse(self, w: WeylElement) -> WeylElement:
-        out = self.identity_element()
-        for i in reversed(w.word):
-            out = self.multiply(out, self.simple_reflection(i))
-        return out
+        return self.element(reversed(w.word))
 
     # -- roots ----------------------------------------------------------------
 
@@ -610,68 +612,65 @@ class RootSystem:
     def dominant_rep(self, x) -> tuple:
         """(x_plus, w) with w.x = x_plus dominant."""
         xp, word = self.dominant_walk(x)
-        w = self.identity_element()
-        for k in reversed(word):
-            w = self.multiply(self.simple_reflection(k), w)
-        return xp, w
+        return xp, self.element(word)
 
     def is_dominant(self, x) -> bool:
         return all(sign(self.pairing(x, a)) >= 0 for a in self.simple_roots)
 
     def interior_dominant_f(self) -> tuple:
         """A regular dominant F-vector (sum of the fundamental co-weights)."""
-        cw = self.fundamental_coweights()
-        return tuple(_sum_f([cw[i][j] for i in range(self.rank)]) for j in range(self.rank))
+        return tuple(reduce(add, col) for col in zip(*self._coweights))
 
     def longest_element(self) -> WeylElement:
-        if self._w0 is None:
-            d = self.interior_dominant_f()
-            neg = tuple(-c for c in d)
-            _, w = self.dominant_rep(neg)
-            if len(w.word) != len(self.positive_roots):
-                raise RootSystemError("longest element has wrong length")  # pragma: no cover
-            self._w0 = w
         return self._w0
 
-    def weyl_group(self) -> list[WeylElement]:
-        """All Weyl elements, BFS by word length (canonical reduced words).
+    @cached_property
+    def _w0(self) -> WeylElement:
+        _, w = self.dominant_rep(tuple(-c for c in self.interior_dominant_f()))
+        if len(w.word) != len(self.positive_roots):
+            raise RootSystemError("longest element has wrong length")  # pragma: no cover
+        return w
 
-        In simple-root coordinates s_i = I - e_i c_i with c_i row i of the
-        Cartan matrix, so M s_i subtracts M[r][i] * c_i from each row r of M,
-        over any field.  Systems over the rationals search on integer
-        matrices, and each Fraction matrix is built once at the end.
-        """
-        if self._group is None:
-            n = self.rank
-            if self.field is None:
-                cartan = [[int(c) for c in row] for row in self.cartan]
-                one, zero = 1, 0
-            else:
-                cartan = self.cartan
-                one, zero = self._f(1), self._f(0)
-            ident = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-            words: Dict[tuple, tuple] = {ident: ()}
-            frontier = [ident]
-            while frontier:
-                nxt = []
-                for m in frontier:
-                    for i, ci in enumerate(cartan):
-                        cand = tuple(tuple(v - row[i] * c for v, c in zip(row, ci)) for row in m)
-                        if cand not in words:
-                            words[cand] = words[m] + (i,)
-                            nxt.append(cand)
-                frontier = nxt
-            rows = {row: row for m in words for row in m}
-            if self.field is None:
-                # F4's 4,608 matrix rows hold 240 distinct rows of a few
-                # distinct integers: each Fraction row is built once and shared
-                as_q = {v: _Q(v) for row in rows for v in row}
-                rows = {row: tuple(as_q[v] for v in row) for row in rows}
-            group = [WeylElement(word, tuple(rows[row] for row in m)) for m, word in words.items()]
-            self._group = sorted(group, key=lambda w: (len(w.word), w.word))
-            if len(self._group) != self.weyl_order:
-                raise RootSystemError("Weyl group enumeration mismatch")  # pragma: no cover
+    def weyl_group(self) -> tuple[WeylElement, ...]:
+        """All Weyl elements, BFS by word length (canonical reduced words)."""
         return self._group
+
+    @cached_property
+    def _group(self) -> tuple[WeylElement, ...]:
+        """The BFS by ``_times_simple_reflection``; keyed on the matrices, first-found words kept.
+
+        Systems over the rationals search on integer matrices, and each
+        Fraction matrix is built once at the end.
+        """
+        n = self.rank
+        if self.field is None:
+            cartan = [[int(c) for c in row] for row in self.cartan]
+            one, zero = 1, 0
+        else:
+            cartan = self.cartan
+            one, zero = self._f(1), self._f(0)
+        ident = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        words: Dict[tuple, tuple] = {ident: ()}
+        frontier = [ident]
+        while frontier:
+            nxt = []
+            for m in frontier:
+                for i, ci in enumerate(cartan):
+                    cand = _times_simple_reflection(m, i, ci)
+                    if cand not in words:
+                        words[cand] = words[m] + (i,)
+                        nxt.append(cand)
+            frontier = nxt
+        rows = {row: row for m in words for row in m}
+        if self.field is None:
+            # F4's 4,608 matrix rows hold 240 distinct rows of a few
+            # distinct integers: each Fraction row is built once and shared
+            as_q = {v: _Q(v) for row in rows for v in row}
+            rows = {row: tuple(as_q[v] for v in row) for row in rows}
+        group = [WeylElement(word, tuple(rows[row] for row in m)) for m, word in words.items()]
+        if len(group) != self.weyl_order:
+            raise RootSystemError("Weyl group enumeration mismatch")  # pragma: no cover
+        return tuple(sorted(group, key=lambda w: (len(w.word), w.word)))
 
     def length_by_inversions(self, w: WeylElement) -> int:
         negs = 0
@@ -685,13 +684,48 @@ class RootSystem:
 
     def fundamental_coweights(self) -> tuple:
         """Vectors with (beta_j, cw_i) = delta_ij for simple beta_j."""
-        if self._coweights is None:
-            rhs = [
-                [self._f(1 if i == j else 0) for i in range(self.rank)] for j in range(self.rank)
-            ]
-            sols = solve_linear(self.gram, rhs)
-            self._coweights = tuple(tuple(col) for col in sols)
         return self._coweights
+
+    def _identity(self) -> list:
+        """The identity matrix over F as lists: its rows, and the right-hand sides of C X = I."""
+        return [[self._f(1 if i == j else 0) for j in range(self.rank)] for i in range(self.rank)]
+
+    @cached_property
+    def _coweights(self) -> tuple:
+        return tuple(tuple(col) for col in solve_linear(self.gram, self._identity()))
+
+    @cached_property
+    def inverse_height_forms(self) -> LinearForms:
+        """Rows 2 C^-1: the point with heights x^alpha_i, since <x, alpha_i^> = 2 x^alpha_i."""
+        cols = solve_linear(self.cartan, self._identity())
+        # solve_linear returns solution columns of C X = I; X[j][i] indexed [row][col]
+        return LinearForms(tuple(cols[i][j] * 2 for i in range(self.rank)) for j in range(self.rank))
+
+    @cached_property
+    def coroot_height_forms(self) -> LinearForms:
+        """Per positive root alpha, the w_b with <x, alpha^> = sum_b w_b x^beta_b.
+
+        w_b = alpha_b (beta_b, beta_b) * 2 / (alpha, alpha): the coefficient of
+        the simple co-root beta_b^ in alpha^, doubled because x^beta = 1/2 <x, beta^>.
+        """
+        rows = []
+        for alpha in self.positive_roots:
+            nn = self.norm_sq(alpha)
+            rows.append(tuple(alpha[b] * self.gram[b][b] * 2 / nn for b in range(self.rank)))
+        return LinearForms(rows)
+
+    @cached_property
+    def alcove_walls(self) -> tuple:
+        """Walls of the fundamental alcove as (root, level, reflection forms, shift).
+
+        Index 0 is the far wall (theta, x) = 1 of the highest root theta; its
+        affine reflection adds the shift theta^.  Index i + 1 is the wall of
+        alpha_i through the origin, with shift None.
+        """
+        theta = self.highest_root()
+        far = (theta, Fraction(1), LinearForms(self._reflection_matrix(theta)), self.coroot_of(theta))
+        simple = [(a, Fraction(0), f, None) for a, f in zip(self.simple_roots, self._reflection_forms)]
+        return (far, *simple)
 
     def fundamental_coweight(self, i: int) -> tuple:
         return self.fundamental_coweights()[i]
@@ -754,7 +788,11 @@ _CACHE: Dict[str, RootSystem] = {}
 
 
 def build(label: str) -> RootSystem:
-    """Construct (and cache) the root system with the given label."""
-    if label not in _CACHE:
-        _CACHE[label] = RootSystem(label)
-    return _CACHE[label]
+    """Construct (and cache) the root system with the given label.
+
+    Threads that build one label at once all get the first system stored.
+    """
+    rs = _CACHE.get(label)
+    if rs is None:
+        rs = _CACHE.setdefault(label, RootSystem(label))
+    return rs

@@ -231,21 +231,24 @@ class NumberField:
         self.isolator = (lo, hi)
         # reduction table: zeta^(degree + i) mod minpoly at index i, extended
         # on demand by reduce(); reducing zeta^(2*degree-2) here fills it up to
-        # the largest power in a product of two reduced elements
-        self._reduction = [poly_trim([-c for c in self.minpoly[:-1]])]
+        # the largest power in a product of two reduced elements.  It is a
+        # tuple that reduce() replaces by one assignment, never edits in place,
+        # so threads that extend it at once each read a consistent table
+        self._reduction = (poly_trim([-c for c in self.minpoly[:-1]]),)
         self.reduce([Fraction(0)] * (2 * self.degree - 2) + [Fraction(1)])
         self._enclosures: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def reduce(self, p: Sequence[Fraction]) -> Poly:
         p = poly_trim(p)
+        table = self._reduction
         while len(p) > self.degree:
             k = len(p) - 1
-            while k - self.degree >= len(self._reduction):
-                nxt = self.reduce(poly_mul(self._reduction[-1], (Fraction(0), Fraction(1))))
-                self._reduction.append(nxt)
+            while k - self.degree >= len(table):
+                table += (self.reduce(poly_mul(table[-1], (Fraction(0), Fraction(1)))),)
+                self._reduction = table
             c = p[-1]
             p = poly_trim(p[:-1])
-            p = poly_add(p, tuple(c * x for x in self._reduction[k - self.degree]))
+            p = poly_add(p, tuple(c * x for x in table[k - self.degree]))
         return p
 
     def elem(self, coeffs: Sequence[Union[int, Fraction]]) -> "NFElem":
@@ -730,7 +733,10 @@ def scalar_to_json(x):
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text.strip()!r}") from None
 
 
 def parse_scalar(text: str):

@@ -427,6 +427,29 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "tree", "--input", "/nonexistent/x.json")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fold", "--type", "A2", "--point", "1,1", "--target", "0,0", "--w0-word", "0,5,0"], "0..1"),
+            # a negative letter must not wrap around to the last simple reflection
+            (["fold", "--type", "A2", "--point", "1,1", "--target", "0,0", "--w0-word=-1,0,1"], "0..1"),
+            (["hull", "--type", "A2", "--point", "1/0,1"], "zero denominator"),
+            # points are rational: a Z[sqrt p] or lex-pair literal is refused
+            (["hull", "--type", "A2", "--point", "1r2,1"], "1r2"),
+            (["verify-convexity", "--type", "A2", "--point", "(1;0),1"], "(1;0)"),
+        ],
+    )
+    def test_malformed_input(self, capsys, argv, message):
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and message in err and "Traceback" not in err
+
+    def test_zero_denominator_in_tree_table(self, capsys, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"ends": ["a", "b", "c", "d"], "values": {"a,b,c,d": "1/0"}}))
+        assert main(["tree", "--input", str(path)]) == EXIT_USAGE
+        assert "zero denominator" in capsys.readouterr().err
+
 
 class TestSvgModule:
     def test_empty_scene_is_valid(self):

@@ -1,0 +1,136 @@
+"""Root systems and number fields shared across threads give the results of a serial run.
+
+Each check builds fresh objects, so that the threads race on the first
+computation of every lazily derived value, and sets a short switch interval so
+that the interpreter switches threads often inside those computations.
+"""
+
+import importlib
+import random
+import sys
+import threading
+from fractions import Fraction as Q
+
+import pytest
+from test_root_system import typed
+
+from weylkit import model_space as ms
+from weylkit import path_model as pm
+from weylkit import root_system
+from weylkit.root_system import RootSystem, build, dihedral_cosine_field
+
+THREADS = 8
+LABELS = ("A2", "B2", "G2", "A3", "I2(8)")
+LAYER_MODULES = ("scalars", "root_system", "model_space", "path_model", "lambda_tree", "twisted_algebra", "cli")
+# module-level containers that are not caches of derived data: the build memo
+# and two constant tables keyed by label
+MODULE_CONTAINERS = {("root_system", "_CACHE"), ("root_system", "_SPHERICAL_ORDER"), ("root_system", "_POSITIVE_COUNT")}
+
+
+@pytest.fixture
+def fast_switching():
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
+
+
+def run_threads(job):
+    """job(k) run by THREADS threads released together; their results in thread order."""
+    barrier = threading.Barrier(THREADS)
+    results, errors = [None] * THREADS, []
+
+    def target(k):
+        barrier.wait()
+        try:
+            results[k] = job(k)
+        except Exception as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=target, args=(k,)) for k in range(THREADS)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=300)
+        assert not t.is_alive(), "a thread did not finish"
+    if errors:
+        raise errors[0]
+    return results
+
+
+def powers(field, n=60):
+    return [field.elem([0] * k + [1]).coeffs for k in range(n)]
+
+
+def test_reduction_table_extended_by_many_threads(fast_switching):
+    # every elem() of a high power extends the field's reduction table
+    want = powers(dihedral_cosine_field(8))
+    for _ in range(30):
+        field = dihedral_cosine_field(8)  # quartic: 2 cos(pi/8)
+        assert field.degree == 4
+        assert run_threads(lambda k: powers(field)) == [want] * THREADS
+
+
+def points(rs, n=4):
+    rng = random.Random(rs.label)
+    return [tuple(Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rs.rank)) for _ in range(n)]
+
+
+def jobs(rs):
+    """Named computations on rs; each result is a plain value to compare."""
+    xs = points(rs)
+    out = {
+        "group": lambda: [(w.word, typed(w.matrix)) for w in rs.weyl_group()],
+        "w0": lambda: (rs.longest_element().word, typed(rs.longest_element().matrix)),
+        "distance": lambda: [typed(ms.distance(rs, x, y)) for x in xs for y in xs],
+        "via coords": lambda: [typed(ms.distance_origin_via_coords(rs, x)) for x in xs],
+        "round trip": lambda: [
+            typed(ms.point_from_hyperplane_coords(rs, ms.hyperplane_coords(rs, x))) for x in xs
+        ],
+        # Weyl images: field coordinates for I2(n), so the field's tables are read
+        "images": lambda: [
+            typed(ms.distance_origin_via_coords(rs, w.apply(x))) for w in rs.weyl_group()[:6] for x in xs
+        ],
+    }
+    if rs.crystallographic:
+        vertex = tuple(Q(c) for c in rs.interior_dominant_f())
+        out["hull"] = lambda: ms.enumerate_AQ(rs, vertex)
+        out["galleries"] = lambda: pm.folded_gallery_endpoints(rs, pm.minimal_gallery(rs, vertex))
+    return out
+
+
+def run_jobs(rs, first=0):
+    """Every job of rs, starting from the job at index ``first``, keyed by name."""
+    named = list(jobs(rs).items())
+    named = named[first % len(named) :] + named[: first % len(named)]
+    return {name: job() for name, job in named}
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_shared_root_system_matches_a_serial_run(label, fast_switching):
+    want = run_jobs(RootSystem(label))
+    rs = RootSystem(label)  # fresh: every derived value and, for I2(n), a fresh field
+    # each thread starts on another job, so each derived value is first asked
+    # for by several threads from several call sites
+    assert run_threads(lambda k: run_jobs(rs, k)) == [want] * THREADS
+
+
+def test_build_hands_every_thread_one_system(fast_switching):
+    # two I2(n) systems of one label have two fields, whose elements do not mix
+    root_system._CACHE.pop("I2(7)", None)
+    systems = run_threads(lambda k: build("I2(7)"))
+    assert all(rs is systems[0] for rs in systems)
+
+
+def test_no_module_level_caches():
+    # derived data lives on the RootSystem that owns it; a module-level dict,
+    # list or set would be shared by every thread and keyed by label
+    found = {
+        (name, attr)
+        for name in LAYER_MODULES
+        for attr, value in vars(importlib.import_module(f"weylkit.{name}")).items()
+        if isinstance(value, (dict, list, set)) and not attr.startswith("__")
+    }
+    assert found <= MODULE_CONTAINERS, found - MODULE_CONTAINERS

@@ -82,7 +82,7 @@ class TestHyperplaneCoords:
 
     def test_round_trip(self):
         rng = random.Random(37)
-        for label in ("A2", "B2", "G2", "F4"):
+        for label in ("A1", "A2", "A3", "B2", "C2", "G2", "F4", "I2(5)", "I2(8)"):
             rs = build(label)
             for _ in range(100):
                 x = rational_point(rng, rs.rank)
@@ -111,13 +111,13 @@ class TestDistanceViaCoords:
 
     def test_agreement_random(self):
         rng = random.Random(41)
-        for label in ("A2", "G2"):
+        for label in KERNEL_LABELS:
             rs = build(label)
             for _ in range(200):
-                x = rational_point(rng, rs.rank)
-                lhs = ms.distance_origin_via_coords(rs, x)
-                rhs = ms.distance(rs, rs.zero_point(), x)
-                assert compare(lhs, rhs) == 0
+                for x in (rational_point(rng, rs.rank), lex_point(rng, rs.rank)):
+                    lhs = ms.distance_origin_via_coords(rs, x)
+                    rhs = ms.distance(rs, tuple(zero_like(c) for c in x), x)
+                    assert compare(lhs, rhs) == 0
 
 
 def reference_distance(rs, x, y):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylkit.root_system import RootSystemError, apply_matrix, build
+from weylkit.root_system import RootSystemError, WeylElement, apply_matrix, build
 from weylkit.scalars import SQRT2_FIELD, LexPair, NFElem, QuadInt, ScalarDomainError, lex, scalar_mul, sign
 
 
@@ -407,8 +407,22 @@ class TestLattices:
         assert not rs.root_lattice_member(long_coroot)
 
 
+def reference_product(A, B):
+    """The matrix product A B over F, each entry summed left to right."""
+    out = []
+    for row in A:
+        entries = []
+        for col in zip(*B):
+            acc = row[0] * col[0]
+            for a, b in zip(row[1:], col[1:]):
+                acc = acc + a * b
+            entries.append(acc)
+        out.append(tuple(entries))
+    return tuple(out)
+
+
 def reference_group(rs):
-    """The Weyl group BFS on exact F-matrices, keyed on the matrices."""
+    """The Weyl group BFS by exact F-matrix products, keyed on the matrices."""
     ident = rs.identity_element()
     seen = {ident.matrix: ident}
     frontier = [ident]
@@ -416,7 +430,8 @@ def reference_group(rs):
         nxt = []
         for w in frontier:
             for i in range(rs.rank):
-                cand = rs.multiply(w, rs.simple_reflection(i))
+                s = rs.simple_reflection(i)
+                cand = WeylElement(w.word + s.word, reference_product(w.matrix, s.matrix))
                 if cand.matrix not in seen:
                     seen[cand.matrix] = cand
                     nxt.append(cand)
@@ -439,6 +454,22 @@ class TestWeylGroup:
         rs = build(label)
         got = [(w.word, typed(w.matrix)) for w in rs.weyl_group()]
         assert got == [(w.word, typed(w.matrix)) for w in reference_group(rs)]
+
+    @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "G2", "I2(5)"])
+    def test_elements_from_words_match_the_matrix_products(self, label):
+        # element, multiply and inverse build matrices by row updates, one per
+        # letter; the reference multiplies F-matrices
+        rs = build(label)
+        group = reference_group(rs)
+        ident = typed(rs.identity_element().matrix)
+        rng = random.Random(label)
+        for w in group:
+            assert typed(rs.element(w.word).matrix) == typed(w.matrix)
+            assert typed(reference_product(rs.inverse(w).matrix, w.matrix)) == ident
+            v = rng.choice(group)
+            uv = rs.multiply(w, v)
+            assert uv.word == w.word + v.word
+            assert typed(uv.matrix) == typed(reference_product(w.matrix, v.matrix))
 
     def test_length_equals_inversions_exhaustive(self):
         for label in ("A1", "A2", "B2", "G2"):

@@ -220,12 +220,19 @@ def cmd_verify_convexity(args) -> int:
 def cmd_tree(args) -> int:
     with open(args.input) as fh:
         data = json.load(fh)
-    ends = tuple(data["ends"])
+    ends = data.get("ends") if isinstance(data, dict) else None
+    if not (isinstance(ends, list) and all(isinstance(e, str) for e in ends)):
+        raise ValueError("tree input must be a JSON object with an 'ends' list of strings")
+    if not isinstance(data.get("values"), dict):
+        raise ValueError("tree input needs a 'values' object")
+    ends = tuple(ends)
     entries = {}
     for key, val in data["values"].items():
         quad = tuple(k.strip() for k in key.split(","))
         if len(quad) != 4:
             raise ValueError(f"bad quadruple key {key!r}")
+        if not isinstance(val, str):
+            raise ValueError(f"value of {key!r} must be a string, got {val!r}")
         entries[quad] = parse_scalar(val)
     pv = lt.valuation_from_entries(ends, entries)
     pv_report = lt.check_pv(pv)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import ceil, floor, prod
 from typing import Iterable, Sequence
 
-from .root_system import RootSystem, solve_linear
+from .root_system import RootSystem
 from .scalars import compare, sign
 
 
@@ -66,48 +66,34 @@ def segment_contains(rs: RootSystem, x, y, z) -> bool:
     return compare(distance(rs, x, y), distance(rs, x, z) + distance(rs, z, y)) == 0
 
 
-def _coroot_step_matrix(rs: RootSystem):
-    """M[j][i] = <alpha_i^, alpha_j^> over the rationals."""
-    steps = [rs.coroot_of(a) for a in rs.simple_roots]
-    return [[Fraction(rs.pairing(steps[i], rs.simple_roots[j])) for i in range(rs.rank)] for j in range(rs.rank)]
+def _coroot_coset_box(rs: RootSystem, x, points) -> list:
+    """Per coordinate j, the values of x + (co-root lattice) in the range of ``points``.
 
-
-def _integer_box(rs: RootSystem, base_point, lo_vals, hi_vals):
-    """Integer co-root offsets k with the pairing vector of base + k inside the box."""
-    m = _coroot_step_matrix(rs)
-    minv = solve_linear(m, [[Fraction(1 if i == j else 0) for i in range(rs.rank)] for j in range(rs.rank)])
-    minv = [[minv[j][i] for j in range(rs.rank)] for i in range(rs.rank)]
-    base = [Fraction(rs.pairing(base_point, a)) for a in rs.simple_roots]
-    corners = []
-    for choice in itertools.product(*[(lo_vals[j], hi_vals[j]) for j in range(rs.rank)]):
-        v = [Fraction(choice[j]) - base[j] for j in range(rs.rank)]
-        corners.append([sum(minv[i][j] * v[j] for j in range(rs.rank)) for i in range(rs.rank)])
+    The simple co-root alpha_j^ is 2/(alpha_j, alpha_j) times the unit vector
+    e_j, so the lattice moves each coordinate by its own step.
+    """
     ranges = []
-    for i in range(rs.rank):
-        vals = [c[i] for c in corners]
-        ranges.append(range(ceil(min(vals)), floor(max(vals)) + 1))
-    return itertools.product(*ranges)
+    for j in range(rs.rank):
+        step = Fraction(2) / rs.gram[j][j]
+        kmin = ceil(Fraction(min(p[j] for p in points) - x[j]) / step)
+        kmax = floor(Fraction(max(p[j] for p in points) - x[j]) / step)
+        ranges.append([x[j] + k * step for k in range(kmin, kmax + 1)])
+    return ranges
 
 
 def segment_lattice_points(rs: RootSystem, x, y) -> tuple:
-    """All points of (x + co-root lattice) on the segment from x to y."""
+    """All points of (x + co-root lattice) on the segment from x to y.
+
+    The segment lies in the box spanned by the heights of x and y, so the
+    candidates are the coset points in the coordinate range of its corners.
+    """
     if not rs.crystallographic:
         raise ModelSpaceError("segment enumeration needs a discrete lattice")
-    steps = [rs.coroot_of(a) for a in rs.simple_roots]
-    px = [Fraction(rs.pairing(x, a)) for a in rs.simple_roots]
-    py = [Fraction(rs.pairing(y, a)) for a in rs.simple_roots]
-    lo = [min(a, b) for a, b in zip(px, py)]
-    hi = [max(a, b) for a, b in zip(px, py)]
-    out = []
-    for ks in _integer_box(rs, x, lo, hi):
-        z = list(x)
-        for i, k in enumerate(ks):
-            for j in range(rs.rank):
-                z[j] = z[j] + k * steps[i][j]
-        z = tuple(z)
-        if segment_contains(rs, x, y, z):
-            out.append(z)
-    return tuple(sorted(set(out)))
+    heights = zip(rs.height_forms.apply(x), rs.height_forms.apply(y))
+    corners = [rs.inverse_height_forms.apply(c) for c in itertools.product(*heights)]
+    # a product of ascending ranges comes out sorted
+    candidates = itertools.product(*_coroot_coset_box(rs, x, corners))
+    return tuple(z for z in candidates if segment_contains(rs, x, y, z))
 
 
 # --------------------------------------------------------------------------
@@ -175,13 +161,6 @@ def in_AQ(rs: RootSystem, y, query) -> bool:
     return True
 
 
-def orbit_coordinate_box(rs: RootSystem, x):
-    orbit = rs.weyl_orbit(x)
-    lo = [min(p[j] for p in orbit) for j in range(rs.rank)]
-    hi = [max(p[j] for p in orbit) for j in range(rs.rank)]
-    return orbit, lo, hi
-
-
 def hull_candidates(rs: RootSystem, x, cap: int = DEFAULT_CAP) -> tuple:
     """All co-root-coset points inside the coordinate bounding box of the orbit.
 
@@ -190,13 +169,7 @@ def hull_candidates(rs: RootSystem, x, cap: int = DEFAULT_CAP) -> tuple:
     """
     if not rs.crystallographic:
         raise ModelSpaceError("hull enumeration needs a crystallographic system")
-    _, lo, hi = orbit_coordinate_box(rs, x)
-    ranges = []
-    for j in range(rs.rank):
-        step = Fraction(2) / rs.gram[j][j]  # coordinate step of alpha_j co-root moves
-        kmin = ceil(Fraction(lo[j] - x[j]) / step)
-        kmax = floor(Fraction(hi[j] - x[j]) / step)
-        ranges.append([x[j] + k * step for k in range(kmin, kmax + 1)])
+    ranges = _coroot_coset_box(rs, x, rs.weyl_orbit(x))
     n = prod(map(len, ranges))
     if n > cap:
         raise CapExceeded(f"hull enumeration exceeded {cap} candidates ({n} in the box)")

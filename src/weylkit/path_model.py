@@ -25,7 +25,7 @@ from math import ceil
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .model_space import DEFAULT_CAP, CapExceeded, HullQuery, gallery_distance, in_AQ, point_sub
-from .root_system import LinearForms, RootSystem, WeylElement
+from .root_system import RootSystem, WeylElement
 
 
 class PathModelError(ValueError):
@@ -137,11 +137,6 @@ def height_function(rs: RootSystem, path: PLPath, i: int) -> HeightFunction:
     return HeightFunction(samples, min(values))
 
 
-def _reflect_step(rs: RootSystem, i: int, v: tuple) -> tuple:
-    pairing = sum(Fraction(rs.cartan[i][j]) * v[j] for j in range(rs.rank))
-    return tuple(c - pairing if j == i else c for j, c in enumerate(v))
-
-
 def _split_step(v: tuple, f: Fraction) -> tuple[tuple, tuple]:
     head = tuple(c * f for c in v)
     tail = tuple(c * (1 - f) for c in v)
@@ -181,7 +176,7 @@ def root_operator_e(rs: RootSystem, path: PLPath, i: int) -> Optional[PLPath]:
         v = middle.popleft()
         inc = Fraction(rs.root_level(v, alpha))
         if inc < 0:
-            out.append(_reflect_step(rs, i, v))
+            out.append(rs.reflection_forms[i].apply(v))
         elif inc == 0:
             out.append(v)
         else:
@@ -225,8 +220,9 @@ def positive_fold_closure(rs: RootSystem, path: PLPath, cap: int = DEFAULT_CAP) 
     return paths, endpoints
 
 
-def _validate_w0_word(rs: RootSystem, word) -> tuple:
-    word = tuple(word)
+def _validate_w0_word(rs: RootSystem, word=None) -> tuple:
+    """The given reduced word for w0, checked; w0's own word when None."""
+    word = tuple(word if word is not None else rs.longest_element().word)
     if not all(0 <= i < rs.rank for i in word):
         raise PathModelError(f"w0 word letters must lie in 0..{rs.rank - 1}")
     if rs.element(word).matrix != rs.longest_element().matrix or len(word) != len(rs.positive_roots):
@@ -241,7 +237,7 @@ def parkinson_ram_chain(rs: RootSystem, x, y, w0_word=None) -> tuple[list, list]
     query = HullQuery(x)
     if not in_AQ(rs, y, query):
         raise PathModelError("target point is outside the orbit hull")
-    word = _validate_w0_word(rs, w0_word if w0_word is not None else rs.longest_element().word)
+    word = _validate_w0_word(rs, w0_word)
     ys = [y]
     ms = []
     for i_k in word:
@@ -256,8 +252,7 @@ def parkinson_ram_chain(rs: RootSystem, x, y, w0_word=None) -> tuple[list, list]
             cur = cand
         ys.append(cur)
         ms.append(m)
-    w0x = rs.longest_element().apply(x)
-    if ys[-1] != tuple(w0x):
+    if ys[-1] != rs.longest_element().apply(x):
         raise PathModelError("descent chain did not reach the opposite extreme point")
     return ys, ms
 
@@ -267,9 +262,15 @@ def parkinson_ram_unfold(rs: RootSystem, x, y, w0_word=None) -> tuple[list, list
     x = tuple(Fraction(c) for c in x)
     if not rs.is_dominant(x):
         raise PathModelError("the orbit generator must be dominant")
-    word = _validate_w0_word(rs, w0_word if w0_word is not None else rs.longest_element().word)
-    ys, ms = parkinson_ram_chain(rs, x, tuple(Fraction(c) for c in y), word)
-    pi = straight_path_to(rs.longest_element().apply(x))
+    y = tuple(Fraction(c) for c in y)
+    try:
+        ys, ms = parkinson_ram_chain(rs, x, y, w0_word)
+    except PathModelError:
+        # the chain checks the target before the word; an unfold reports a bad word first
+        _validate_w0_word(rs, w0_word)
+        raise
+    word = tuple(w0_word) if w0_word is not None else rs.longest_element().word
+    pi = straight_path_to(ys[-1])  # w0.x, where the chain ends
     for i_k, m_k in zip(reversed(word), reversed(ms)):
         for _ in range(m_k):
             nxt = root_operator_e(rs, pi, i_k)
@@ -278,7 +279,7 @@ def parkinson_ram_unfold(rs: RootSystem, x, y, w0_word=None) -> tuple[list, list
                     "root operator unexpectedly inapplicable during the unfold"
                 )
             pi = nxt
-    if pi.endpoint() != tuple(Fraction(c) for c in y):
+    if pi.endpoint() != y:
         raise PathModelError("folded path missed its target")  # pragma: no cover
     return ys, ms, pi
 
@@ -429,8 +430,8 @@ def folded_galleries(
     # the fundamental alcove to the current one: the one thing it reads of u
     # on the way.  Crossing wall j moves v by the linear part of that wall's
     # reflection; the weight is computed at the leaf from the crossed letters
-    # and moved by the forms of the start element w.
-    def rec(idx: int, w, w_forms, v: tuple, mask: tuple, crossed: tuple):
+    # and moved by the start element w.
+    def rec(idx: int, w, v: tuple, mask: tuple, crossed: tuple):
         budget[0] -= 1
         if budget[0] < 0:
             raise CapExceeded(f"gallery enumeration exceeded {cap} states")
@@ -440,20 +441,20 @@ def folded_galleries(
                 fold_mask=mask,
                 start=w,
                 target_in_frame=x0,
-                weight=w_forms.apply(_reflect_through(walls, reversed(crossed), x0)),
+                weight=w.apply(_reflect_through(walls, reversed(crossed), x0)),
             )
             return
         j = word[idx]
         beta, _, forms, _ = walls[j]
         # cross
-        yield from rec(idx + 1, w, w_forms, forms.apply(v), mask + (False,), crossed + (j,))
+        yield from rec(idx + 1, w, forms.apply(v), mask + (False,), crossed + (j,))
         # fold, kept only when positive
         lin = Fraction(rs.root_level(v, beta))
         if own_side[j] == (1 if lin > 0 else -1):
-            yield from rec(idx + 1, w, w_forms, v, mask + (True,), crossed)
+            yield from rec(idx + 1, w, v, mask + (True,), crossed)
 
     for w in rs.weyl_group():
-        yield from rec(0, w, LinearForms(w.matrix), rs.inverse(w).apply(d_int), (), ())
+        yield from rec(0, w, rs.inverse(w).apply(d_int), (), ())
 
 
 def folded_gallery_endpoints(rs: RootSystem, minimal: FoldedGallery, cap: int = DEFAULT_CAP) -> tuple:

@@ -68,11 +68,6 @@ def solve_linear(A: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list]:
     return [[aug[i][n + j] for i in range(n)] for j in range(m)]
 
 
-def apply_matrix(M, v):
-    """Image of a coordinate vector under an F-matrix; works over F and over Lambda."""
-    return LinearForms(M).apply(v)
-
-
 def _rational_parts(vals):
     """(nums, den) with vals[t] == nums[t] / den, or None if a value is not rational."""
     dens = []
@@ -300,8 +295,16 @@ class WeylElement:
     word: Tuple[int, ...]
     matrix: Tuple[Tuple[object, ...], ...]
 
+    @cached_property
+    def forms(self) -> LinearForms:
+        """The matrix as ``LinearForms``: built on first use, published by one assignment.
+
+        Not a dataclass field, so it takes no part in eq, hash or repr.
+        """
+        return LinearForms(self.matrix)
+
     def apply(self, x):
-        return apply_matrix(self.matrix, x)
+        return self.forms.apply(x)
 
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.matrix == other.matrix
@@ -404,10 +407,8 @@ class RootSystem:
         self.simple_roots = tuple(
             tuple(self._f(1 if i == j else 0) for j in range(self.rank)) for i in range(self.rank)
         )
-        self.cartan = tuple(
-            tuple(self.pairing_f(self.simple_roots[j], i) for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        #: row i is the simple co-root alpha_i^: cartan[i][j] = <alpha_j, alpha_i^>
+        self.cartan = tuple(self.coroot_vec(a) for a in self.simple_roots)
         if self.crystallographic and not all(
             c.denominator == 1 for row in self.cartan for c in row
         ):
@@ -417,19 +418,18 @@ class RootSystem:
             tuple((j, row[k]) for j, row in enumerate(self.cartan) if not _f_is_zero(row[k]))
             for k in range(self.rank)
         )
-        self._reflection_matrices = tuple(self._reflection_matrix(a) for a in self.simple_roots)
-        self._reflection_forms = tuple(LinearForms(m) for m in self._reflection_matrices)
+        #: s_i for the simple roots, in order
+        self.reflection_forms = tuple(self.simple_reflection(i).forms for i in range(self.rank))
         self.positive_roots = self._positive_closure()
         if len(self.positive_roots) != self._expected_positives:
             raise RootSystemError(
                 f"{label}: got {len(self.positive_roots)} positive roots, "
                 f"expected {self._expected_positives}"
             )  # pragma: no cover
-        simple_coroots = [self.coroot_vec(a) for a in self.simple_roots]
         #: <x, alpha^> for the simple roots, in order
-        self.simple_coroot_forms = LinearForms(simple_coroots)
+        self.simple_coroot_forms = LinearForms(self.cartan)
         #: the heights x^alpha = 1/2 <x, alpha^> over the simple roots
-        self.height_forms = LinearForms(simple_coroots, scale=Fraction(1, 2))
+        self.height_forms = LinearForms(self.cartan, scale=Fraction(1, 2))
         #: <x, alpha^> for the positive roots, in order: the rows of the metric
         self.coroot_forms = LinearForms(self.coroot_vec(a) for a in self.positive_roots)
 
@@ -464,11 +464,6 @@ class RootSystem:
 
     def norm_sq(self, alpha):
         return self.bilinear_f(alpha, alpha)
-
-    def pairing_f(self, x_f, i: int):
-        """<x, alpha_i^> for an F-vector; returns an F value."""
-        alpha = self.simple_roots[i]
-        return self.bilinear_f(x_f, alpha) * 2 / self.norm_sq(alpha)
 
     def _coroot_form(self, alpha) -> LinearForms:
         key = tuple(alpha)
@@ -515,7 +510,7 @@ class RootSystem:
         return tuple(zip(*cols))
 
     def simple_reflection(self, i: int) -> WeylElement:
-        return WeylElement((i,), self._reflection_matrices[i])
+        return self.element((i,))
 
     def element(self, word) -> WeylElement:
         """The Weyl element s_word[0] ... s_word[-1], built by one row update per letter."""
@@ -537,19 +532,12 @@ class RootSystem:
     # -- roots ----------------------------------------------------------------
 
     def _positive_closure(self):
-        seen = set(self.simple_roots) | {tuple(-c for c in a) for a in self.simple_roots}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for beta in frontier:
-                for i in range(self.rank):
-                    img = self._reflection_forms[i].apply(beta)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        positives = [b for b in seen if all(sign(c) >= 0 for c in b)]
-        return tuple(sorted(positives))
+        """The positive part of the Weyl orbits of the simple roots: every root lies in one."""
+        roots: set = set()
+        for a in self.simple_roots:
+            if a not in roots:
+                roots.update(self.weyl_orbit(a))
+        return tuple(sorted(b for b in roots if all(sign(c) >= 0 for c in b)))
 
     def all_roots(self):
         return self.positive_roots + tuple(tuple(-c for c in b) for b in self.positive_roots)
@@ -557,12 +545,7 @@ class RootSystem:
     def highest_root(self):
         if not self.crystallographic:
             raise RootSystemError("highest root needs a crystallographic system")
-        dominant = [
-            b
-            for b in self.positive_roots
-            if all(sign(self.pairing(b, a)) >= 0 for a in self.simple_roots)
-        ]
-        return max(dominant, key=lambda b: sum(b))
+        return max(filter(self.is_dominant, self.positive_roots), key=sum)
 
     def coroot_of(self, alpha) -> tuple:
         """The co-root 2 alpha/(alpha,alpha) as a coordinate vector."""
@@ -577,8 +560,8 @@ class RootSystem:
         while frontier:
             nxt = []
             for p in frontier:
-                for a in self.simple_roots:
-                    img = self.reflect(a, p)
+                for forms in self.reflection_forms:
+                    img = forms.apply(p)
                     if img not in seen:
                         seen.add(img)
                         nxt.append(img)
@@ -615,7 +598,7 @@ class RootSystem:
         return xp, self.element(word)
 
     def is_dominant(self, x) -> bool:
-        return all(sign(self.pairing(x, a)) >= 0 for a in self.simple_roots)
+        return all(sign(p) >= 0 for p in self.simple_coroot_forms.apply(x))
 
     def interior_dominant_f(self) -> tuple:
         """A regular dominant F-vector (sum of the fundamental co-weights)."""
@@ -724,7 +707,7 @@ class RootSystem:
         """
         theta = self.highest_root()
         far = (theta, Fraction(1), LinearForms(self._reflection_matrix(theta)), self.coroot_of(theta))
-        simple = [(a, Fraction(0), f, None) for a, f in zip(self.simple_roots, self._reflection_forms)]
+        simple = [(a, Fraction(0), f, None) for a, f in zip(self.simple_roots, self.reflection_forms)]
         return (far, *simple)
 
     def fundamental_coweight(self, i: int) -> tuple:
@@ -755,22 +738,15 @@ class RootSystem:
         if not self.crystallographic:
             raise RootSystemError("weight lattice needs a crystallographic system")
         self._require_rational_point(x)
-        for a in self.simple_roots:
-            v = self.pairing(x, a)
-            if Fraction(v).denominator != 1:
-                return False
-        return True
+        return all(v.denominator == 1 for v in self.simple_coroot_forms.apply(x))
 
     def coweight_lattice_member(self, x) -> bool:
         """Membership in P(R^), which is exactly the set of special vertices."""
         if not self.crystallographic:
             raise RootSystemError("co-weight lattice needs a crystallographic system")
         self._require_rational_point(x)
-        for a in self.simple_roots:
-            v = self.root_level(x, a)
-            if Fraction(v).denominator != 1:
-                return False
-        return True
+        # (alpha_i, x) for the simple roots: the Gram rows
+        return all(v.denominator == 1 for v in self._gram_forms.apply(x))
 
     def coroot_coset_member(self, x, y) -> bool:
         """Whether x - y lies in the co-root lattice."""

@@ -8,6 +8,7 @@ from fractions import Fraction as Q
 import pytest
 
 from weylkit.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, main
+from weylkit.root_system import build
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -197,6 +198,21 @@ class TestFold:
             calls.clear()
             code, _ = run_cli(capsys, "fold", "--type", argv[0], "--point", argv[1], "--target", argv[2])
             assert code == EXIT_OK and len(calls) == 1
+
+    def test_one_word_check_and_one_w0_image_per_job(self, capsys, monkeypatch):
+        from weylkit import path_model as pm
+        from weylkit.root_system import WeylElement
+
+        checks, images = [], []
+        check, apply = pm._validate_w0_word, WeylElement.apply
+        monkeypatch.setattr(pm, "_validate_w0_word", lambda *a: checks.append(a) or check(*a))
+        monkeypatch.setattr(WeylElement, "apply", lambda w, x: images.append(w.word) or apply(w, x))
+        for argv in (["A2", "3,3", "2,2"], ["B2", "2,2", "1,0"], ["G2", "2,1", "0,0"]):
+            checks.clear()
+            images.clear()
+            code, _ = run_cli(capsys, "fold", "--type", argv[0], "--point", argv[1], "--target", argv[2])
+            assert code == EXIT_OK and len(checks) == 1
+            assert images == [build(argv[0]).longest_element().word]
 
 
 class TestVerifyConvexity:
@@ -449,6 +465,23 @@ class TestExitCodes:
         path.write_text(json.dumps({"ends": ["a", "b", "c", "d"], "values": {"a,b,c,d": "1/0"}}))
         assert main(["tree", "--input", str(path)]) == EXIT_USAGE
         assert "zero denominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([1, 2], "JSON object"),  # not an object
+            ({"values": {}}, "'ends' list"),  # no ends
+            ({"ends": [1, 2, 3, 4], "values": {"1,2,3,4": "0"}}, "list of strings"),  # keys name ends by strings
+            ({"ends": ["a", "b", "c", "d"], "values": {"a,b,c,d": 3}}, "must be a string"),  # a bare number
+        ],
+        ids=["list", "no-ends", "number-ends", "number-value"],
+    )
+    def test_malformed_tree_table(self, capsys, tmp_path, table, message):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table))
+        assert main(["tree", "--input", str(path)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("weylkit: ") and message in err and "Traceback" not in err
 
 
 class TestSvgModule:

@@ -6,6 +6,7 @@ that the interpreter switches threads often inside those computations.
 """
 
 import importlib
+import json
 import random
 import sys
 import threading
@@ -14,10 +15,13 @@ from fractions import Fraction as Q
 import pytest
 from test_root_system import typed
 
+from weylkit import cli
+from weylkit import lambda_tree as lt
 from weylkit import model_space as ms
 from weylkit import path_model as pm
 from weylkit import root_system
 from weylkit.root_system import RootSystem, build, dihedral_cosine_field
+from weylkit.scalars import format_scalar
 
 THREADS = 8
 LABELS = ("A2", "B2", "G2", "A3", "I2(8)")
@@ -115,6 +119,34 @@ def test_shared_root_system_matches_a_serial_run(label, fast_switching):
     # each thread starts on another job, so each derived value is first asked
     # for by several threads from several call sites
     assert run_threads(lambda k: run_jobs(rs, k)) == [want] * THREADS
+
+
+def test_cli_jobs_in_threads_match_a_serial_run(tmp_path, fast_switching):
+    # each thread runs hull, fold and tree jobs through main, every job
+    # writing to its own --output file
+    pv = lt.tree_generator(5, 6, "Z")[1]
+    table = tmp_path / "table.json"
+    values = {",".join(q): format_scalar(v) for q, v in pv.table.items()}
+    table.write_text(json.dumps({"ends": list(pv.ends), "values": values}))
+    argvs = [
+        ["hull", "--type", "B2", "--point", "3,4"],
+        ["hull", "--type", "G2", "--point", "2,1"],
+        ["fold", "--type", "A2", "--point", "3,3", "--target", "1,-1"],
+        ["fold", "--type", "C2", "--point", "2,2", "--target", "0,1"],
+        ["tree", "--input", str(table)],
+    ]
+
+    def run(name):
+        out = []
+        for i, argv in enumerate(argvs):
+            path = tmp_path / f"{name}-{i}.json"
+            code = cli.main(argv + ["--output", str(path)])
+            out.append((code, path.read_bytes()))
+        return out
+
+    want = run("serial")
+    assert all(code == 0 for code, _ in want)
+    assert run_threads(lambda k: run(f"thread{k}")) == [want] * THREADS
 
 
 def test_build_hands_every_thread_one_system(fast_switching):

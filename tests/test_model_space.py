@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction as Q
+from math import ceil
 
 import pytest
 from hypothesis import given, settings
@@ -174,6 +175,27 @@ class TestLinearFormKernel:
         assert ms.hyperplane_coords(rs, x) == reference_hyperplane_coords(rs, x)
 
 
+def reference_segment_points(rs, x, y):
+    """The points of x + (co-root lattice) on the segment [x, y], by brute force over a generous box.
+
+    A point z of the segment has each simple pairing <z - x, alpha_i^> between
+    0 and <y - x, alpha_i^>, and z - x is the sum of those pairings times the
+    fundamental weights w_i.  So coordinate j of z - x is at most
+    sum_i |<y - x, alpha_i^>| |w_i[j]| in size; the box reaches two co-root
+    steps beyond that on each side.
+    """
+    n = rs.rank
+    weights = solve_linear(rs.cartan, [[Q(int(i == j)) for i in range(n)] for j in range(n)])
+    diff = tuple(b - a for a, b in zip(x, y))
+    reach = [abs(reference_pairing(rs, diff, a)) for a in rs.simple_roots]
+    ranges = []
+    for j in range(n):
+        step = Q(2) / rs.gram[j][j]
+        k = ceil(sum(r * abs(w[j]) for r, w in zip(reach, weights)) / step) + 2
+        ranges.append([x[j] + t * step for t in range(-k, k + 1)])
+    return tuple(sorted(z for z in itertools.product(*ranges) if ms.segment_contains(rs, x, y, z)))
+
+
 class TestSegment:
     def test_endpoints_are_members(self):
         rs = build("A2")
@@ -196,6 +218,18 @@ class TestSegment:
                 brute.append(z)
         assert got == tuple(sorted(brute))
         assert (Q(1), Q(1)) in got  # interior additivity example
+
+    @pytest.mark.parametrize("label, pairs", [("A3", 3), ("B2", 10), ("C2", 10), ("G2", 5)])
+    def test_against_a_brute_force_box(self, label, pairs):
+        # rational endpoints away from the origin, not on a common coset
+        rs = build(label)
+        rng = random.Random(label)
+        for _ in range(pairs):
+            x = tuple(Q(rng.choice((-1, 1)) * rng.randint(2, 9), rng.randint(1, 3)) for _ in range(rs.rank))
+            y = tuple(c + Q(rng.randint(-3, 3), rng.randint(1, 2)) for c in x)
+            got = ms.segment_lattice_points(rs, x, y)
+            assert got == reference_segment_points(rs, x, y)
+            assert x in got and all(type(c) is Q for z in got for c in z)
 
     def test_equivariance(self):
         rs = build("B2")

@@ -187,6 +187,20 @@ class TestParkinsonRam:
         with pytest.raises(pm.PathModelError):
             pm.parkinson_ram_fold(rs, (Q(1), Q(1)), (Q(1), Q(1)), w0_word=(0, 1))
 
+    def test_order_of_checks(self):
+        # a fold checks dominance, then the word, then the target; the chain
+        # checks the target, then the word
+        rs = build("A2")
+        x, outside = (Q(3), Q(3)), (Q(4), Q(2))
+        with pytest.raises(pm.PathModelError, match="dominant"):
+            pm.parkinson_ram_fold(rs, (Q(-1), Q(1)), outside, w0_word=(0, 1))
+        with pytest.raises(pm.PathModelError, match="reduced word"):
+            pm.parkinson_ram_fold(rs, x, outside, w0_word=(0, 1))
+        with pytest.raises(pm.PathModelError, match="outside"):
+            pm.parkinson_ram_chain(rs, x, outside, w0_word=(0, 1))
+        with pytest.raises(pm.PathModelError, match="0..1"):
+            pm.parkinson_ram_fold(rs, x, (Q(0), Q(0)), w0_word=(0, 5, 0))
+
     def test_alternative_reduced_word(self):
         rs = build("A2")
         x = (Q(2), Q(2))

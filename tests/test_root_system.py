@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylkit.root_system import RootSystemError, WeylElement, apply_matrix, build
+from weylkit.root_system import LinearForms, RootSystemError, WeylElement, build
 from weylkit.scalars import SQRT2_FIELD, LexPair, NFElem, QuadInt, ScalarDomainError, lex, scalar_mul, sign
 
 
@@ -36,6 +36,17 @@ class TestBuild:
         assert c == -rs.field.gen()
         assert rs.field.minpoly == (Q(2), Q(0), Q(-4), Q(0), Q(1))
         assert not rs.crystallographic
+
+    @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C2", "G2", "F4", "I2(5)", "I2(8)", "I2(12)"])
+    def test_cartan_rows_and_reflection_forms(self, label):
+        # row i of the Cartan matrix is the simple co-root: <alpha_j, alpha_i^>
+        # = 2 (alpha_j, alpha_i) / (alpha_i, alpha_i), in value and in type
+        rs = build(label)
+        for i, ai in enumerate(rs.simple_roots):
+            want = [rs.bilinear_f(aj, ai) * 2 / rs.norm_sq(ai) for aj in rs.simple_roots]
+            assert typed(rs.cartan[i]) == typed(tuple(want))
+            for b in rs.all_roots():
+                assert typed(rs.reflection_forms[i].apply(b)) == typed(rs.reflect(ai, b))
 
     @pytest.mark.parametrize("n, same_group", [(3, "A2"), (4, "B2"), (6, "G2")])
     def test_dihedral_forms_of_crystallographic_types(self, n, same_group):
@@ -318,14 +329,14 @@ class TestLinearFormKernel:
         group = rs.weyl_group()
         w = group[data.draw(st.integers(0, len(group) - 1))]
         assert outcome(w.apply, x) == outcome(reference_apply, w.matrix, x)
-        assert outcome(apply_matrix, rs.gram, x) == outcome(reference_apply, rs.gram, x)
+        assert outcome(LinearForms(rs.gram).apply, x) == outcome(reference_apply, rs.gram, x)
 
     def test_fallback_keeps_per_term_integrality(self):
         # Z[sqrt 2] takes the per-term loop: 1/2 * 2 is integral, 1/2 * 1 is not
         m = ((Q(1, 2), Q(1, 2)),)
-        assert apply_matrix(m, (QuadInt(2, 0, 2), QuadInt(0, 2, 2))) == (QuadInt(1, 1, 2),)
+        assert LinearForms(m).apply((QuadInt(2, 0, 2), QuadInt(0, 2, 2))) == (QuadInt(1, 1, 2),)
         with pytest.raises(ScalarDomainError):
-            apply_matrix(m, (QuadInt(1, 0, 2), QuadInt(1, 0, 2)))
+            LinearForms(m).apply((QuadInt(1, 0, 2), QuadInt(1, 0, 2)))
 
 
 class TestCoweights:
@@ -397,6 +408,18 @@ class TestLattices:
                     y = tuple(u + k * Q(v) for u, v in zip(y, a))
                 assert rs.coroot_lattice_member(x) and rs.coweight_lattice_member(x)
                 assert rs.root_lattice_member(y) and rs.weight_lattice_member(y)
+
+    @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C2", "G2", "F4"])
+    def test_membership_and_dominance_per_simple_root(self, label):
+        # each test applies one multi-row form; the reference asks each simple root
+        rs = build(label)
+        rng = random.Random(label)
+        for _ in range(60):
+            x = tuple(Q(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(rs.rank))
+            pairings = [rs.pairing(x, a) for a in rs.simple_roots]
+            assert rs.is_dominant(x) == all(sign(p) >= 0 for p in pairings)
+            assert rs.weight_lattice_member(x) == all(p.denominator == 1 for p in pairings)
+            assert rs.coweight_lattice_member(x) == all(rs.root_level(x, a).denominator == 1 for a in rs.simple_roots)
 
     def test_g2_normalisation_counterexample(self):
         # with short roots of squared length 2 the long co-root leaves the root
@@ -470,6 +493,18 @@ class TestWeylGroup:
             uv = rs.multiply(w, v)
             assert uv.word == w.word + v.word
             assert typed(uv.matrix) == typed(reference_product(w.matrix, v.matrix))
+
+    def test_forms_built_once_and_outside_eq_hash_and_repr(self):
+        w = build("B2").element((0, 1, 0))
+        twin = WeylElement(w.word, w.matrix)
+        before = (repr(w), hash(w))
+        x = (Q(1, 2), Q(-3))
+        assert w.apply(x) == reference_apply(w.matrix, x)
+        forms = vars(w)["forms"]
+        assert w.apply(x) == twin.apply(x) and vars(w)["forms"] is forms and w.forms is forms
+        assert (repr(w), hash(w)) == before == (repr(twin), hash(twin))
+        assert w == twin and "forms" not in repr(w)
+        assert w != build("B2").element((0,))
 
     def test_length_equals_inversions_exhaustive(self):
         for label in ("A1", "A2", "B2", "G2"):

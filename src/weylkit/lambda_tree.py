@@ -9,10 +9,12 @@ ordered abelian group from :mod:`weylkit.scalars`.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Sequence, Tuple
+from math import lcm
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .scalars import INF, Infinity, LexPair, compare, sign, zero_like
 
@@ -22,6 +24,72 @@ class TreeError(ValueError):
 
 
 _EVEN_PERMS = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+
+
+# --------------------------------------------------------------------------
+# tables on cleared integers
+
+
+def _cleared(xs: list) -> Optional[list]:
+    """Fractions as numerators over their least common denominator; None unless all are Fractions."""
+    if not all(type(x) is Fraction for x in xs):
+        return None
+    scale = lcm(*[x._denominator for x in xs])
+    return [x._numerator * (scale // x._denominator) for x in xs]
+
+
+def _encode(values: list) -> Optional[list]:
+    """Integer codes that order sums of the values exactly as the values do.
+
+    Fractions are scaled by the lcm L of their denominators.  A lex pair of
+    Fractions (hi, lo) becomes H*M + Lo, where H = hi*L, Lo = lo*L, L is
+    the lcm over every hi and lo, and M = 16*max|Lo| + 1.  Take values v_i,
+    integer coefficients c_i with sum |c_i| <= 16, H = sum c_i*H_i and
+    Lo = sum c_i*Lo_i.  Then sum c_i*code_i = H*M + Lo with
+    |Lo| <= 16*max|Lo| < M, so it is zero exactly when H = Lo = 0, and
+    otherwise has the sign of H if H != 0 and of Lo if not: the lex sign of
+    sum c_i*v_i.  Comparing two such sums compares their difference, and the
+    largest difference compared in this module is the round trip's
+    kappa(a,b,d) - kappa(a,b,c) - omega(q), with coefficients summing to at
+    most 7.
+
+    Returns None when the values are not all Fractions or not all lex pairs
+    of Fractions (ints, QuadInt, number-field, infinite or mixed values);
+    callers then work on the values themselves.
+    """
+    codes = _cleared(values)
+    if codes is not None or not all(type(v) is LexPair for v in values):
+        return codes
+    parts = _cleared([v.hi for v in values] + [v.lo for v in values])
+    if parts is None:
+        return None
+    his, los = parts[: len(values)], parts[len(values) :]
+    m = 16 * max(map(abs, los), default=0) + 1
+    return [h * m + lo for h, lo in zip(his, los)]
+
+
+def _encoded(ends: tuple, *lookups: tuple) -> Optional[list]:
+    """One ``{key: code}`` per ``(mapping, keys)``, all values encoded together.
+
+    None when an end repeats, a key is missing or the values are outside the
+    encoding; callers then run their loops on the values.
+    """
+    if len(set(ends)) != len(ends):
+        return None
+    values = []
+    for mapping, keys in lookups:
+        try:
+            values += [mapping[k] for k in keys]
+        except KeyError:
+            return None
+    codes = _encode(values)
+    if codes is None:
+        return None
+    out, start = [], 0
+    for _, keys in lookups:
+        out.append(dict(zip(keys, codes[start : start + len(keys)])))
+        start += len(keys)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -37,7 +105,11 @@ def _pv1_orbit(quad: tuple) -> tuple:
 
 def complete_pv1(entries: Dict[tuple, object]) -> tuple[Dict[tuple, object], list]:
     """Close a partial quadruple table under the symmetry axiom; report conflicts."""
-    table: Dict[tuple, object] = {}
+    codes = _encode(list(entries.values()))
+    table = None if codes is None else _complete_encoded(entries, codes)
+    if table is not None:
+        return table, []
+    table = {}
     conflicts = []
     for quad, val in entries.items():
         plus, minus = _pv1_orbit(quad)
@@ -51,6 +123,36 @@ def complete_pv1(entries: Dict[tuple, object]) -> tuple[Dict[tuple, object], lis
                 conflicts.append(("PV1", q, f"{table[q]!r} vs {neg!r}"))
             table[q] = neg
     return table, conflicts
+
+
+def _complete_encoded(entries: Dict[tuple, object], codes: list) -> Optional[dict]:
+    """complete_pv1's table from the entries' codes; None where it would report a conflict.
+
+    The first entry of each symmetry orbit writes the whole orbit, in the
+    order complete_pv1's loop does; a later entry of that orbit only has its
+    code compared with the one written at its quadruple.  The loop reports a
+    conflict exactly when such a pair differs.  Without conflicts this table
+    holds each orbit's first entry where the loop's holds its last: equal
+    values of one type, so the same reprs.
+    """
+    table, coded = {}, {}
+    for (quad, val), code in zip(entries.items(), codes):
+        if quad in coded:
+            if coded[quad] != code:
+                return None
+            continue
+        a, b, c, d = quad
+        if a == b or c == d:  # the orbit's two halves meet: its value must be its own negative
+            return None
+        plus, minus = _pv1_orbit(quad)
+        neg = -val
+        for q in plus:
+            table[q] = val
+            coded[q] = code
+        for q in minus:
+            table[q] = neg
+            coded[q] = -code
+    return table
 
 
 @dataclass(frozen=True)
@@ -81,11 +183,26 @@ class ProjectiveValuation:
 
 
 def valuation_from_entries(ends: Sequence[str], entries: Dict[tuple, object]) -> ProjectiveValuation:
+    """The valuation a partial table determines; a bad end list, key or table raises TreeError."""
     ends = tuple(ends)
+    for i, e in enumerate(ends):
+        if e in ends[:i]:
+            raise TreeError(f"end {e!r} is listed twice")
     table, conflicts = complete_pv1(entries)
+    quads = list(itertools.permutations(ends, 4))
+    missing = [q for q in quads if q not in table]
+    # every key lands in the table, so a table holding exactly the quadruples
+    # of the ends has no bad key; look at the keys only when it does not
+    if conflicts or missing or len(table) != len(quads):
+        known = set(ends)
+        for quad in entries:
+            outside = [e for e in quad if e not in known]
+            if outside:
+                raise TreeError(f"bad quadruple key {quad}: {outside[0]!r} is not an end")
+            if len(set(quad)) != 4:
+                raise TreeError(f"bad quadruple key {quad}: it must name four distinct ends")
     if conflicts:
         raise TreeError(f"inconsistent table under the symmetry axiom: {conflicts[:3]}")
-    missing = [q for q in itertools.permutations(ends, 4) if q not in table]
     if missing:
         raise TreeError(f"incomplete table, e.g. {missing[0]}")
     return ProjectiveValuation(ends, table)
@@ -101,25 +218,66 @@ class PVReport:
 
 
 def check_pv(pv: ProjectiveValuation) -> PVReport:
-    """Exhaustively verify the three valuation axioms; violations are data."""
+    """Verify the three valuation axioms; violations are data.
+
+    PV1 and PV2 are checked on every quadruple.  On a table the integer
+    encoding covers, PV3 is first decided in O(n^4) (:func:`_cocycle_holds`);
+    the O(n^5) enumeration of 5-tuples runs only when that decision fails,
+    to list the violations.  Other tables run the same loops on the values.
+    """
+    quads = list(pv.quadruples())
+    encoded = _encoded(pv.ends, (pv.table, quads))
+    if encoded is None:
+        code, value, cmp, sgn = None, (lambda q: pv.value(*q)), compare, sign
+    else:
+        # on codes the difference orders, and a code is its own sign
+        (code,) = encoded
+        value, cmp, sgn = code.__getitem__, operator.sub, operator.pos
     out = []
-    for q in pv.quadruples():
+    for q in quads:
         a, b, c, d = q
-        v = pv.value(a, b, c, d)
-        if compare(v, pv.value(c, d, a, b)) != 0:
+        v = value(q)
+        if cmp(v, value((c, d, a, b))) != 0:
             out.append(("PV1", q, "pair swap changed the value"))
-        if compare(v, -pv.value(a, b, d, c)) != 0:
+        if cmp(v, -value((a, b, d, c))) != 0:
             out.append(("PV1", q, "flip of the second pair did not negate"))
-        if sign(v) > 0:
-            if compare(pv.value(a, d, c, b), v) != 0:
+        if sgn(v) > 0:
+            if cmp(value((a, d, c, b)), v) != 0:
                 out.append(("PV2", q, "exchange of b and d changed a positive value"))
-            if sign(pv.value(a, c, b, d)) != 0:
+            if sgn(value((a, c, b, d))) != 0:
                 out.append(("PV2", q, "companion quadruple is not zero"))
-    for a, b, c, d, e in itertools.permutations(pv.ends, 5):
-        lhs = pv.value(a, b, d, e) + pv.value(b, c, d, e)
-        if compare(lhs, pv.value(a, c, d, e)) != 0:
-            out.append(("PV3", (a, b, c, d, e), "cocycle sum failed"))
+    if code is None or not _cocycle_holds(pv.ends, code):
+        for a, b, c, d, e in itertools.permutations(pv.ends, 5):
+            lhs = value((a, b, d, e)) + value((b, c, d, e))
+            if cmp(lhs, value((a, c, d, e))) != 0:
+                out.append(("PV3", (a, b, c, d, e), "cocycle sum failed"))
     return PVReport(tuple(out))
+
+
+def _cocycle_holds(ends: tuple, code: dict) -> bool:
+    """PV3 on an encoded table of pairwise distinct ends, decided in O(n^4).
+
+    Fix d, e and write g(a, b) = omega(a, b, d, e) on the other ends S.  The
+    cocycle g(a, b) + g(b, c) = g(a, c) on distinct a, b, c of S holds
+    exactly when g(a, b) = f(a) - f(b) for all distinct a, b of S, where
+    f(x) = g(x, r) and f(r) = 0 for one end r of S.  If g has that form the
+    sum telescopes.  Conversely, take the cocycle and |S| >= 3: adding it at
+    (a, b, c) and (b, a, c) for a third end c gives g(a, b) = -g(b, a), so
+    g(a, r) = f(a) - f(r), g(r, b) = -f(b) = f(r) - f(b), and for a, b != r
+    g(a, b) = g(a, r) + g(r, b) = f(a) - f(b).  |S| >= 3 needs five ends;
+    with fewer there is no 5-tuple and PV3 holds vacuously.
+    """
+    if len(ends) < 5:
+        return True
+    for d, e in itertools.permutations(ends, 2):
+        rest = [x for x in ends if x != d and x != e]
+        r = rest[0]
+        f = {x: code[(x, r, d, e)] for x in rest[1:]}
+        f[r] = 0
+        for a, b in itertools.permutations(rest, 2):
+            if code[(a, b, d, e)] != f[a] - f[b]:
+                return False
+    return True
 
 
 def three_point_case(pv: ProjectiveValuation, a, a1, a2, a3) -> int:
@@ -183,8 +341,8 @@ def _base_of(pv: ProjectiveValuation, base_triple: Sequence[str]) -> tuple:
 def datum_from_valuation(pv: ProjectiveValuation, base_triple: Sequence[str]) -> RootedTreeDatum:
     """Build the wedge table of the rooted tree determined by pv and a base triple.
 
-    Validates its input: the base triple first, then pv with one exhaustive
-    O(n^5) :func:`check_pv`; a non-valuation raises :class:`TreeError`.
+    Validates its input: the base triple first, then pv with one
+    :func:`check_pv`; a non-valuation raises :class:`TreeError`.
     """
     base = _base_of(pv, base_triple)
     report = check_pv(pv)
@@ -226,18 +384,24 @@ def build_datum(pv: ProjectiveValuation, base_triple: Sequence[str]) -> RootedTr
 
 
 def datum_axiom_violations(datum: RootedTreeDatum) -> tuple:
-    """(RT0), (RT1), (RT2) checked exhaustively."""
+    """(RT0), (RT1), (RT2) checked exhaustively, on the wedges' codes where the encoding covers them."""
+    encoded = _encoded(datum.ends, (datum._wedge, list(itertools.permutations(datum.ends, 2))))
+    if encoded is None:
+        wedge, cmp, sgn = datum.wedge, compare, sign
+    else:
+        (code,) = encoded
+        wedge, cmp, sgn = (lambda a, b: code[(a, b)]), operator.sub, operator.pos
     out = []
     for a, b in itertools.combinations(datum.ends, 2):
-        w = datum.wedge(a, b)
-        if not isinstance(w, Infinity) and sign(w) < 0:
+        w = wedge(a, b)
+        if not isinstance(w, Infinity) and sgn(w) < 0:
             out.append(("RT0", (a, b)))
-        if compare(datum.wedge(a, b), datum.wedge(b, a)) != 0:
+        if cmp(wedge(a, b), wedge(b, a)) != 0:
             out.append(("RT1", (a, b)))
     for a, b, c in itertools.permutations(datum.ends, 3):
-        lhs = datum.wedge(a, c)
-        rhs = min(datum.wedge(a, b), datum.wedge(b, c))
-        if compare(lhs, rhs) < 0:
+        lhs = wedge(a, c)
+        rhs = min(wedge(a, b), wedge(b, c))
+        if cmp(lhs, rhs) < 0:
             out.append(("RT2", (a, b, c)))
     return tuple(out)
 
@@ -285,19 +449,21 @@ def branch_point(datum: RootedTreeDatum, a: str, b: str, c: str) -> TreePoint:
     return canonical_point(datum, a, h)
 
 
-def _kappa_coord_on_line(datum: RootedTreeDatum, a: str, b: str, c: str):
+def _kappa_coord_on_line(wedge: Callable, cmp: Callable, a: str, b: str, c: str):
     """Signed coordinate of the median of (a, b, c) on the line [ab], b-direction positive."""
-    wab, wac, wbc = datum.wedge(a, b), datum.wedge(a, c), datum.wedge(b, c)
-    if compare(wbc, wac) > 0:
+    wab, wac, wbc = wedge(a, b), wedge(a, c), wedge(b, c)
+    if cmp(wbc, wac) > 0:
         return wbc - (wab + wab)
-    return -(wab if compare(wab, wac) >= 0 else wac)
+    return -(wab if cmp(wab, wac) >= 0 else wac)
 
 
 def canonical_valuation(datum: RootedTreeDatum, a: str, b: str, c: str, d: str):
     """Signed distance along [ab] between the medians of (a,b,c) and (a,b,d)."""
     if len({a, b, c, d}) != 4:
         raise TreeError("ends must be pairwise distinct")
-    return _kappa_coord_on_line(datum, a, b, d) - _kappa_coord_on_line(datum, a, b, c)
+    return _kappa_coord_on_line(datum.wedge, compare, a, b, d) - _kappa_coord_on_line(
+        datum.wedge, compare, a, b, c
+    )
 
 
 @dataclass(frozen=True)
@@ -312,21 +478,33 @@ class RoundtripReport:
 def roundtrip_check(pv: ProjectiveValuation, base_triple: Sequence[str]) -> RoundtripReport:
     """Rebuild the tree from pv and compare its canonical valuation with pv, exactly.
 
-    Validates pv with one exhaustive O(n^5) :func:`check_pv` (through
+    Validates pv with one :func:`check_pv` (through
     :func:`datum_from_valuation`); a non-valuation raises :class:`TreeError`.
     """
     return roundtrip_report(pv, datum_from_valuation(pv, base_triple))
 
 
 def roundtrip_report(pv: ProjectiveValuation, datum: RootedTreeDatum) -> RoundtripReport:
-    """Compare the canonical valuation of an already built datum with pv, exactly."""
-    bad = []
-    for q in pv.quadruples():
-        got = canonical_valuation(datum, *q)
-        want = pv.value(*q)
-        if compare(got, want) != 0:
-            bad.append((q, want, got))
-    return RoundtripReport(tuple(bad))
+    """Compare the canonical valuation of an already built datum with pv, exactly.
+
+    Where the integer encoding covers pv's values and the datum's wedges
+    together (both enter the comparisons), the canonical valuation is
+    computed on their codes, and ``(q, want, got)`` is rebuilt from the
+    values only for a mismatch.
+    """
+    quads = list(pv.quadruples())
+    pairs = list(itertools.permutations(pv.ends, 2))
+    encoded = _encoded(pv.ends, (pv.table, quads), (datum._wedge, pairs))
+    if encoded is None:
+        bad = [q for q in quads if compare(canonical_valuation(datum, *q), pv.value(*q)) != 0]
+    else:
+        code, wedge = encoded
+        coord = {
+            (a, b, c): _kappa_coord_on_line(lambda x, y: wedge[(x, y)], operator.sub, a, b, c)
+            for a, b, c in itertools.permutations(pv.ends, 3)
+        }
+        bad = [q for q in quads if coord[(q[0], q[1], q[3])] - coord[q[:3]] != code[q]]
+    return RoundtripReport(tuple((q, pv.value(*q), canonical_valuation(datum, *q)) for q in bad))
 
 
 # --------------------------------------------------------------------------
@@ -424,26 +602,39 @@ class ExplicitTree:
         return nodes, pos
 
     def median(self, a: str, b: str, c: str) -> int:
-        nodes_ab, _ = self.node_path(a, b)
-        nodes_ac, _ = self.node_path(a, c)
-        common = None
-        for u, v in zip(nodes_ab, nodes_ac):
-            if u == v:
-                common = u
-            else:
-                break
-        return common
+        return _common_prefix_end(self.node_path(a, b)[0], self.node_path(a, c)[0])
 
     def omega(self, a: str, b: str, c: str, d: str):
-        nodes, pos = self.node_path(a, b)
-        x = self.median(a, b, c)
-        y = self.median(a, b, d)
-        return pos[nodes.index(y)] - pos[nodes.index(x)]
+        return _omega_on_paths(self.node_path, a, b, c, d)
 
     def valuation(self) -> ProjectiveValuation:
         ends = tuple(sorted(self.leaf_of))
-        table = {q: self.omega(*q) for q in itertools.permutations(ends, 4)}
+        paths = {(a, b): self.node_path(a, b) for a, b in itertools.permutations(ends, 2)}
+
+        def path(a, b):
+            return paths[(a, b)]
+
+        table = {q: _omega_on_paths(path, *q) for q in itertools.permutations(ends, 4)}
         return ProjectiveValuation(ends, table)
+
+
+def _common_prefix_end(nodes_ab: list, nodes_ac: list) -> int:
+    """The last node two paths from the same leaf share: the median of their three leaves."""
+    common = None
+    for u, v in zip(nodes_ab, nodes_ac):
+        if u == v:
+            common = u
+        else:
+            break
+    return common
+
+
+def _omega_on_paths(path: Callable, a: str, b: str, c: str, d: str):
+    """omega(a, b, c, d) of an explicit tree, from its leaf-to-leaf paths ``path(x, y)``."""
+    nodes, pos = path(a, b)
+    x = _common_prefix_end(nodes, path(a, c)[0])
+    y = _common_prefix_end(nodes, path(a, d)[0])
+    return pos[nodes.index(y)] - pos[nodes.index(x)]
 
 
 _END_LABELS = "abcdefghijklmnop"

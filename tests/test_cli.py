@@ -396,6 +396,146 @@ class TestTree:
         assert "rt_ok" not in obj and "rendering" not in obj
 
 
+    @staticmethod
+    def _write_styled(tmp_path, ends, table, style):
+        """Write a table in full style (every quadruple) or orbit style (one per symmetry orbit).
+
+        Z[sqrt 2] values are written as ``a+br2``: a plain integer would be read as a rational.
+        """
+        import itertools
+
+        from weylkit import lambda_tree as lt
+        from weylkit.scalars import QuadInt, format_scalar
+
+        values, covered = {}, set()
+        for q in itertools.permutations(ends, 4):
+            if style == "full" or q not in covered:
+                v = table[q]
+                values[",".join(q)] = f"{v.a}{v.b:+d}r{v.p}" if isinstance(v, QuadInt) else format_scalar(v)
+                covered.update(itertools.chain(*lt._pv1_orbit(q)))
+        path = tmp_path / f"{style}.json"
+        path.write_text(json.dumps({"ends": list(ends), "values": values}))
+        return path
+
+    @staticmethod
+    def _with_orbit(table, quad, value):
+        from weylkit import lambda_tree as lt
+
+        plus, minus = lt._pv1_orbit(quad)
+        return {**table, **{q: value for q in plus}, **{q: -value for q in minus}}
+
+    def _pinned(self, capsys, path, code, out, err):
+        got = main(["tree", "--input", str(path)])
+        captured = capsys.readouterr()
+        expected_out = json.dumps(out, sort_keys=True, indent=2) + "\n" if out is not None else ""
+        assert (got, captured.out, captured.err) == (code, expected_out, err)
+
+    @pytest.mark.parametrize("style", ["full", "orbit"])
+    def test_quadint_table_pinned(self, capsys, tmp_path, style):
+        # Z[sqrt 2] values are outside the integer encoding: the loops run on the values
+        from weylkit import lambda_tree as lt
+        from weylkit.scalars import QuadInt
+
+        pv = lt.tree_generator(2, 5, "Z")[1]
+        table = {q: QuadInt(int(v), int(v), 2) for q, v in pv.table.items()}
+        rendering = [
+            "root (base triple a, b, c)",
+            "  end a",
+            "  end b",
+            "  branch at height 3+3√2",
+            "    branch at height 5+5√2",
+            "      end c",
+            "      end d",
+            "    end e",
+        ]
+        out = {
+            "ends": list("abcde"),
+            "pv_ok": True,
+            "rendering": rendering,
+            "roundtrip_ok": True,
+            "rt_ok": True,
+            "violations": [],
+        }
+        self._pinned(capsys, self._write_styled(tmp_path, pv.ends, table, style), 0, out, "")
+        bumped = self._with_orbit(table, tuple("abcd"), table[tuple("abcd")] + QuadInt(0, 1, 2))
+        exchange, companion = "exchange of b and d changed a positive value", "companion quadruple is not zero"
+        where = [
+            ("abcd", exchange), ("abcd", companion), ("acbd", companion), ("adbc", companion),
+            ("badc", exchange), ("badc", companion), ("bcad", companion), ("bdac", companion),
+            ("cadb", companion), ("cbda", companion),
+        ]  # fmt: skip
+        out = {
+            "ends": list("abcde"),
+            "pv_ok": False,
+            "violations": [{"axiom": "PV2", "detail": d, "where": list(q)} for q, d in where],
+        }
+        self._pinned(capsys, self._write_styled(tmp_path, pv.ends, bumped, style), 1, out, "")
+
+    @pytest.mark.parametrize("style", ["full", "orbit"])
+    @pytest.mark.parametrize(
+        "other, message",
+        [("quadint", "cannot coerce Fraction into Z[sqrt2]"), ("lexpair", "lex pair compared with non lex pair")],
+    )
+    def test_mixed_domain_table_pinned(self, capsys, tmp_path, style, other, message):
+        from weylkit import lambda_tree as lt
+        from weylkit.scalars import LexPair, QuadInt
+
+        pv = lt.h_tree(Q(3), Q(2)).valuation()
+        zero = QuadInt(0, 0, 2) if other == "quadint" else LexPair(Q(0), Q(0))
+        table = self._with_orbit(pv.table, tuple("abcd"), zero)
+        path = self._write_styled(tmp_path, pv.ends, table, style)
+        self._pinned(capsys, path, EXIT_USAGE, None, f"weylkit: {message}\n")
+
+    @pytest.mark.parametrize("style", ["full", "orbit"])
+    def test_denominators_pinned(self, capsys, tmp_path, style):
+        from weylkit import lambda_tree as lt
+
+        pv = lt.tree_generator(3, 6, "Z")[1]
+        table = {q: v / 3 for q, v in pv.table.items()}
+        rendering = [
+            "root (base triple a, b, c)",
+            "  end a",
+            "  end b",
+            "  branch at height Fraction(5, 3)",
+            "    end c",
+            "    end d",
+            "    branch at height Fraction(8, 3)",
+            "      end e",
+            "      end f",
+        ]
+        out = {
+            "ends": list("abcdef"),
+            "pv_ok": True,
+            "rendering": rendering,
+            "roundtrip_ok": True,
+            "rt_ok": True,
+            "violations": [],
+        }
+        self._pinned(capsys, self._write_styled(tmp_path, pv.ends, table, style), 0, out, "")
+
+    @pytest.mark.parametrize(
+        "ends, extra, message",
+        [
+            ("abcd", {"a,b,c,z": "0"}, "bad quadruple key ('a', 'b', 'c', 'z'): 'z' is not an end"),
+            ("abcd", {"a,b,a,b": "0"}, "bad quadruple key ('a', 'b', 'a', 'b'): it must name four distinct ends"),
+            ("abcd", {"a,a,b,c": "1"}, "bad quadruple key ('a', 'a', 'b', 'c'): it must name four distinct ends"),
+            ("abcda", {}, "end 'a' is listed twice"),
+        ],
+        ids=["unknown-end", "repeated-pair", "repeated-end", "duplicate-end"],
+    )
+    def test_bad_quadruple_keys_rejected(self, capsys, tmp_path, ends, extra, message):
+        from weylkit import lambda_tree as lt
+        from weylkit.scalars import format_scalar
+
+        pv = lt.h_tree(Q(3), Q(1)).valuation()
+        values = {",".join(q): format_scalar(v) for q, v in pv.table.items()}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"ends": list(ends), "values": {**values, **extra}}))
+        assert main(["tree", "--input", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"weylkit: {message}\n")
+
+
 class TestSr:
     def test_norm_case_b(self, capsys):
         code, obj = run_json(

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylkit import lambda_tree as lt
-from weylkit.scalars import Infinity, compare, lex, sign
+from weylkit.scalars import Infinity, LexPair, QuadInt, compare, lex, sign
 
 
 @pytest.fixture(scope="module")
@@ -339,3 +339,233 @@ def test_render_contains_every_end(h_pv):
     for e in datum.ends:
         assert f"end {e}" in text
     assert "branch at height" in text
+
+
+# --------------------------------------------------------------------------
+# differential tests: the integer encoding against the exhaustive loops on values
+
+
+def reference_check_pv(pv):
+    """check_pv as it was before the integer encoding: every quadruple and 5-tuple, on values."""
+    out = []
+    for q in pv.quadruples():
+        a, b, c, d = q
+        v = pv.value(a, b, c, d)
+        if compare(v, pv.value(c, d, a, b)) != 0:
+            out.append(("PV1", q, "pair swap changed the value"))
+        if compare(v, -pv.value(a, b, d, c)) != 0:
+            out.append(("PV1", q, "flip of the second pair did not negate"))
+        if sign(v) > 0:
+            if compare(pv.value(a, d, c, b), v) != 0:
+                out.append(("PV2", q, "exchange of b and d changed a positive value"))
+            if sign(pv.value(a, c, b, d)) != 0:
+                out.append(("PV2", q, "companion quadruple is not zero"))
+    for a, b, c, d, e in itertools.permutations(pv.ends, 5):
+        lhs = pv.value(a, b, d, e) + pv.value(b, c, d, e)
+        if compare(lhs, pv.value(a, c, d, e)) != 0:
+            out.append(("PV3", (a, b, c, d, e), "cocycle sum failed"))
+    return lt.PVReport(tuple(out))
+
+
+def _reference_kappa_coord(datum, a, b, c):
+    wab, wac, wbc = datum.wedge(a, b), datum.wedge(a, c), datum.wedge(b, c)
+    if compare(wbc, wac) > 0:
+        return wbc - (wab + wab)
+    return -(wab if compare(wab, wac) >= 0 else wac)
+
+
+def reference_roundtrip_report(pv, datum):
+    """roundtrip_report as it was before the integer encoding: kappa on values, per quadruple."""
+    bad = []
+    for q in pv.quadruples():
+        a, b, c, d = q
+        got = _reference_kappa_coord(datum, a, b, d) - _reference_kappa_coord(datum, a, b, c)
+        want = pv.value(*q)
+        if compare(got, want) != 0:
+            bad.append((q, want, got))
+    return lt.RoundtripReport(tuple(bad))
+
+
+def reference_complete_pv1(entries):
+    table = {}
+    conflicts = []
+    for quad, val in entries.items():
+        plus, minus = lt._pv1_orbit(quad)
+        for q in plus:
+            if q in table and compare(table[q], val) != 0:
+                conflicts.append(("PV1", q, f"{table[q]!r} vs {val!r}"))
+            table[q] = val
+        neg = -val
+        for q in minus:
+            if q in table and compare(table[q], neg) != 0:
+                conflicts.append(("PV1", q, f"{table[q]!r} vs {neg!r}"))
+            table[q] = neg
+    return table, conflicts
+
+
+def reference_datum_axiom_violations(datum):
+    out = []
+    for a, b in itertools.combinations(datum.ends, 2):
+        w = datum.wedge(a, b)
+        if not isinstance(w, Infinity) and sign(w) < 0:
+            out.append(("RT0", (a, b)))
+        if compare(datum.wedge(a, b), datum.wedge(b, a)) != 0:
+            out.append(("RT1", (a, b)))
+    for a, b, c in itertools.permutations(datum.ends, 3):
+        if compare(datum.wedge(a, c), min(datum.wedge(a, b), datum.wedge(b, c))) < 0:
+            out.append(("RT2", (a, b, c)))
+    return tuple(out)
+
+
+def _outcome(f, *args):
+    """f's result, or the type and message of what it raised (mixed domains raise in both)."""
+    try:
+        return f(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _set_orbit(table, quad, value):
+    plus, minus = lt._pv1_orbit(quad)
+    table.update({q: value for q in plus})
+    table.update({q: -value for q in minus})
+
+
+def _map_values(table, f):
+    return {q: f(v) for q, v in table.items()}
+
+
+def _lex_map(f):
+    return lambda v: LexPair(f(v.hi), f(v.lo)) if isinstance(v, LexPair) else f(v)
+
+
+def _perturbed(pv, kind, rng):
+    """pv's table changed in one of the ways a bad or unusual input can be."""
+    table = dict(pv.table)
+    quad = rng.choice(sorted(table))
+    v = table[quad]
+    if kind == "entry":  # one entry moved by +-1 or +-1/3: PV1 breaks
+        step = rng.choice((1, -1, Q(1, 3), Q(-1, 3)))
+        table[quad] = v + (lex(0, step) if isinstance(v, LexPair) else step)
+    elif kind == "orbit":  # a whole symmetry orbit moved, as the benchmark's rejected jobs are
+        step = rng.choice((1, -1, Q(1, 3), Q(-1, 3)))
+        _set_orbit(table, quad, v + (lex(rng.choice((0, 1)), step) if isinstance(v, LexPair) else step))
+    elif kind == "flip":  # a sign flip, of one entry or of its orbit
+        if rng.random() < 0.5:
+            table[quad] = -v
+        else:
+            _set_orbit(table, quad, -v)
+    elif kind == "carry":  # a zero orbit set to (1; -X), X the largest |lo|: one carry from zero
+        if isinstance(v, LexPair):
+            zero = rng.choice(sorted(q for q, w in table.items() if sign(w) == 0))
+            top = max(max(abs(w.lo) for w in table.values()), Q(1))
+            _set_orbit(table, zero, LexPair(Q(1), -top))
+        else:
+            _set_orbit(table, quad, v + 1)
+    elif kind == "lo0":  # lex tables whose lo parts are all zero
+        table = _map_values(table, lambda w: LexPair(w.hi, Q(0)) if isinstance(w, LexPair) else w)
+    elif kind == "big":  # values up to 10^40, with a small offset on one orbit
+        table = _map_values(table, _lex_map(lambda x: x * 10**40))
+        _set_orbit(table, quad, table[quad] + (lex(0, 1) if isinstance(v, LexPair) else 1))
+    elif kind == "thirds":  # denominators
+        table = _map_values(table, _lex_map(lambda x: x / 3))
+    elif kind == "ints":  # plain ints: the encoding does not cover them
+        table = _map_values(table, lambda w: int(w) if not isinstance(w, LexPair) else w)
+    elif kind == "quadint":  # Z[sqrt 2] values: the encoding does not cover them
+        table = _map_values(table, lambda w: QuadInt(int(w), int(w), 2) if not isinstance(w, LexPair) else w)
+    return lt.ProjectiveValuation(pv.ends, table)
+
+
+KINDS = ("none", "entry", "orbit", "flip", "carry", "lo0", "big", "thirds", "ints", "quadint")
+
+
+def _table_for(seed, n_ends, lam, kind):
+    if kind == "star":
+        return lt.star_tree(n_ends, Q(seed % 5 + 1)).valuation()
+    _, pv = lt.tree_generator(seed, n_ends, lam)
+    return _perturbed(pv, kind, random.Random(seed))
+
+
+def _wedges_off_table(datum, rng):
+    """A datum whose wedges are values the table does not hold: denominators, large lo parts."""
+    table = dict(datum._wedge)
+    for pair in rng.sample(sorted(table), k=min(4, len(table))):
+        w = table[pair]
+        if isinstance(w, LexPair):
+            table[pair] = LexPair(w.hi + rng.choice((0, 1)), Q(rng.randint(-60, 60), rng.choice((1, 3))))
+        else:
+            table[pair] = Q(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+    return lt.RootedTreeDatum(datum.ends, datum.base_triple, table)
+
+
+cases = st.tuples(
+    st.integers(0, 2**31),
+    st.integers(4, 9),
+    st.sampled_from(("Z", "Z2lex")),
+)
+
+
+class TestEncodedAgainstValues:
+    """check_pv, roundtrip_report, complete_pv1 and datum_axiom_violations give the
+    reports of the loops on values, on tables and datums the encoding covers and on
+    those it does not."""
+
+    @pytest.mark.parametrize("kind", KINDS + ("star",))
+    @given(case=cases)
+    @settings(max_examples=6, deadline=None)
+    def test_check_pv(self, kind, case):
+        pv = _table_for(*case, kind)
+        assert _outcome(lt.check_pv, pv) == _outcome(reference_check_pv, pv)
+
+    @pytest.mark.parametrize("kind", KINDS + ("star",))
+    @given(case=cases)
+    @settings(max_examples=4, deadline=None)
+    def test_cocycle_decision(self, kind, case):
+        pv = _table_for(*case, kind)
+        encoded = lt._encoded(pv.ends, (pv.table, list(pv.quadruples())))
+        if encoded is not None:
+            pv3 = any(axiom == "PV3" for axiom, _, _ in reference_check_pv(pv).violations)
+            assert lt._cocycle_holds(pv.ends, encoded[0]) is not pv3
+
+    @pytest.mark.parametrize("kind", KINDS + ("star",))
+    @pytest.mark.parametrize("off_table", [False, True])
+    @given(case=cases)
+    @settings(max_examples=4, deadline=None)
+    def test_roundtrip_report(self, kind, off_table, case):
+        seed, n_ends, lam = case
+        _, valid = lt.tree_generator(seed, n_ends, lam)
+        datum = lt.build_datum(valid, random.Random(seed).sample(valid.ends, 3))
+        if off_table:
+            datum = _wedges_off_table(datum, random.Random(seed))
+        pv = _table_for(*case, kind)
+        got = _outcome(lt.roundtrip_report, pv, datum)
+        want = _outcome(reference_roundtrip_report, pv, datum)
+        assert got == want
+        assert repr(got) == repr(want)
+        assert lt.datum_axiom_violations(datum) == reference_datum_axiom_violations(datum)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("style", ["full", "orbit", "shuffled"])
+    @given(case=cases)
+    @settings(max_examples=3, deadline=None)
+    def test_complete_pv1(self, kind, style, case):
+        pv = _table_for(*case, kind)
+        entries = dict(pv.table)
+        rng = random.Random(case[0])
+        if style == "orbit":
+            entries = {q: v for q, v in entries.items() if q == min(itertools.chain(*lt._pv1_orbit(q)))}
+        elif style == "shuffled":
+            keys = sorted(entries)
+            rng.shuffle(keys)
+            entries = {q: entries[q] for q in keys[: rng.randint(1, len(keys))]}
+        table, conflicts = lt.complete_pv1(entries)
+        want_table, want_conflicts = reference_complete_pv1(entries)
+        assert conflicts == want_conflicts
+        assert list(table) == list(want_table)
+        assert repr(table) == repr(want_table)
+
+    def test_degenerate_keys_take_the_loop(self):
+        # a key repeating an end inside a pair is an orbit whose two halves meet
+        for val in (Q(0), Q(2)):
+            entries = {("a", "a", "b", "c"): val, ("a", "b", "c", "d"): Q(1)}
+            assert lt.complete_pv1(entries) == reference_complete_pv1(entries)

@@ -13,10 +13,9 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .scalars import INF, Infinity, LexPair, compare, sign, zero_like
+from .scalars import INF, Infinity, LexPair, _clear_denominators, compare, sign, zero_like
 
 
 class TreeError(ValueError):
@@ -28,14 +27,6 @@ _EVEN_PERMS = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 # --------------------------------------------------------------------------
 # tables on cleared integers
-
-
-def _cleared(xs: list) -> Optional[list]:
-    """Fractions as numerators over their least common denominator; None unless all are Fractions."""
-    if not all(type(x) is Fraction for x in xs):
-        return None
-    scale = lcm(*[x._denominator for x in xs])
-    return [x._numerator * (scale // x._denominator) for x in xs]
 
 
 def _encode(values: list) -> Optional[list]:
@@ -57,13 +48,14 @@ def _encode(values: list) -> Optional[list]:
     of Fractions (ints, QuadInt, number-field, infinite or mixed values);
     callers then work on the values themselves.
     """
-    codes = _cleared(values)
-    if codes is not None or not all(type(v) is LexPair for v in values):
-        return codes
-    parts = _cleared([v.hi for v in values] + [v.lo for v in values])
-    if parts is None:
+    lex = bool(values) and all(type(v) is LexPair for v in values)
+    flat = [v.hi for v in values] + [v.lo for v in values] if lex else values
+    if not all(type(x) is Fraction for x in flat):
         return None
-    his, los = parts[: len(values)], parts[len(values) :]
+    codes = _clear_denominators(flat)[0]
+    if not lex:
+        return codes
+    his, los = codes[: len(values)], codes[len(values) :]
     m = 16 * max(map(abs, los), default=0) + 1
     return [h * m + lo for h, lo in zip(his, los)]
 
@@ -600,12 +592,6 @@ class ExplicitTree:
             step = self.edge_len[cur] if self.parent.get(cur) == prev else self.edge_len[prev]
             pos[i] = pos[i - 1] + step
         return nodes, pos
-
-    def median(self, a: str, b: str, c: str) -> int:
-        return _common_prefix_end(self.node_path(a, b)[0], self.node_path(a, c)[0])
-
-    def omega(self, a: str, b: str, c: str, d: str):
-        return _omega_on_paths(self.node_path, a, b, c, d)
 
     def valuation(self) -> ProjectiveValuation:
         ends = tuple(sorted(self.leaf_of))

@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import lcm
 from operator import add, mul
 from typing import Dict, Sequence, Tuple
 
@@ -24,6 +23,7 @@ from .scalars import (
     NumberField,
     Poly,
     ScalarDomainError,
+    _clear_denominators,
     count_real_roots,
     poly_add,
     poly_divmod,
@@ -68,25 +68,11 @@ def solve_linear(A: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list]:
     return [[aug[i][n + j] for i in range(n)] for j in range(m)]
 
 
-def _rational_parts(vals):
-    """(nums, den) with vals[t] == nums[t] / den, or None if a value is not rational."""
-    dens = []
-    for v in vals:
-        t = type(v)
-        if t is Fraction:
-            dens.append(v._denominator)
-        elif t is int:
-            dens.append(1)
-        else:
-            return None
-    den = lcm(*dens)
-    return [v._numerator * (den // v._denominator) if type(v) is Fraction else v * den for v in vals], den
-
-
 def _integer_rows(rows):
     """(integer rows, E) with rows[i][j] == int_rows[i][j] / E for rational rows."""
-    den = lcm(*(c.denominator for row in rows for c in row))
-    return tuple(tuple(c.numerator * (den // c.denominator) for c in row) for row in rows), den
+    nums, den = _clear_denominators([c for row in rows for c in row])
+    flat = iter(nums)
+    return tuple(tuple(next(flat) for _ in row) for row in rows), den
 
 
 class LinearForms:
@@ -151,7 +137,7 @@ class LinearForms:
         """
         if self._int is None:
             return None
-        parts = _rational_parts(vals)
+        parts = _clear_denominators(vals)
         field = self.field
         if parts is not None:
             nums, den = parts
@@ -171,7 +157,7 @@ class LinearForms:
                 flat.extend(pad)
             else:
                 return None
-        parts = _rational_parts(flat)
+        parts = _clear_denominators(flat)
         if parts is None:
             return None
         nums, den = parts
@@ -714,9 +700,8 @@ class RootSystem:
         return self.fundamental_coweights()[i]
 
     def _require_rational_point(self, x):
-        for c in x:
-            if not isinstance(c, (int, Fraction)):
-                raise ScalarDomainError("lattice membership needs rational coordinates")
+        if _clear_denominators(x) is None:
+            raise ScalarDomainError("lattice membership needs rational coordinates")
 
     def coroot_lattice_member(self, x) -> bool:
         if not self.crystallographic:
@@ -750,8 +735,8 @@ class RootSystem:
 
     def coroot_coset_member(self, x, y) -> bool:
         """Whether x - y lies in the co-root lattice."""
-        diff = tuple(Fraction(a) - Fraction(b) for a, b in zip(x, y))
-        return self.coroot_lattice_member(diff)
+        self._require_rational_point((*x, *y))
+        return self.coroot_lattice_member(tuple(a - b for a, b in zip(x, y)))
 
     def zero_point(self) -> tuple:
         return tuple(_Q(0) for _ in range(self.rank))

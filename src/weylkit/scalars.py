@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
-from typing import Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 
 class ScalarDomainError(TypeError):
@@ -194,12 +194,6 @@ def count_real_roots(a: Sequence[Fraction], lo: Fraction, hi: Fraction) -> int:
 def _interval_mul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
     prods = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return min(prods), max(prods)
-
-
-def _integer_coeffs(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(a, den) with coeffs[k] == a[k] / den and den > 0."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 class NumberField:
@@ -429,7 +423,7 @@ class NFElem(Ordered):
         return all(c == 0 for c in self.coeffs)
 
     def sign(self) -> int:
-        return self.field.int_sign(_integer_coeffs(self.coeffs)[0])
+        return self.field.int_sign(_clear_denominators(self.coeffs)[0])
 
     def __eq__(self, other):
         try:
@@ -442,7 +436,7 @@ class NFElem(Ordered):
         return hash((self.field.name, self.coeffs))
 
     def to_float(self) -> float:
-        a, den = _integer_coeffs(self.coeffs)
+        a, den = _clear_denominators(self.coeffs)
         if not any(a):
             return 0.0
         bits = 64
@@ -651,6 +645,25 @@ def compare(x, y) -> int:
     raise ScalarDomainError(f"mixed-domain comparison: {type(x).__name__} vs {type(y).__name__}")
 
 
+def _clear_denominators(values: Sequence) -> Optional[tuple[list[int], int]]:
+    """(nums, den) with values[k] == nums[k] / den, den their least common denominator.
+
+    None unless every value is an int or a Fraction (bool, float and the
+    other domains included).  The Fraction slots are read directly, as
+    compare does.
+    """
+    dens = []
+    for v in values:
+        t = type(v)
+        if t is Fraction:
+            dens.append(v._denominator)
+        elif t is not int:
+            return None
+    den = lcm(*dens)
+    nums = [v._numerator * (den // v._denominator) if type(v) is Fraction else v * den for v in values]
+    return nums, den
+
+
 def scalar_mul(c, x):
     """Action of a field scalar ``c`` on the group element ``x``.
 
@@ -708,13 +721,7 @@ def format_scalar(x) -> str:
     if isinstance(x, LexPair):
         return f"({format_scalar(x.hi)};{format_scalar(x.lo)})"
     if isinstance(x, QuadInt):
-        if x.b == 0:
-            return str(x.a)
-        tail = f"{x.b}√{x.p}" if x.b >= 0 else f"-{-x.b}√{x.p}"
-        if x.a == 0:
-            return tail
-        joiner = "+" if x.b >= 0 else ""
-        return f"{x.a}{joiner}{tail}"
+        return _write_radical(x.a, x.b, f"√{x.p}")
     if isinstance(x, NFElem):
         return x.name_str()
     if isinstance(x, Infinity):
@@ -761,21 +768,29 @@ def parse_scalar(text: str):
         return LexPair(parse_scalar(body[:cut]), parse_scalar(body[cut + 1 :]))
     for radical in ("√", "r"):
         if radical in text:
-            head, _, ptext = text.rpartition(radical)
-            p = int(ptext)
-            head = head.rstrip()
-            if head in ("", "+"):
-                return QuadInt(0, 1, p)
-            if head == "-":
-                return QuadInt(0, -1, p)
-            body = head
-            # split off the b coefficient: the sign directly before it
-            k = max(body.rfind("+", 1), body.rfind("-", 1))
-            if k <= 0:
-                return QuadInt(0, int(body), p)
-            a_text, b_text = body[:k], body[k:]
-            b_text = b_text.rstrip()
-            if b_text in ("+", "-"):
-                b_text += "1"
-            return QuadInt(int(a_text), int(b_text), p)
+            a, b, ptext = _read_radical(text, radical)
+            return QuadInt(a, b, int(ptext))
     return parse_rational(text)
+
+
+def _write_radical(a: int, b: int, radical: str) -> str:
+    """a + b*radical as ``a+b<radical>``; a = 0 is left out unless b = 0 too."""
+    if a == 0 and b != 0:
+        return f"{b}{radical}"
+    return f"{a}{b:+d}{radical}"
+
+
+def _read_radical(text: str, radical: str) -> tuple[int, int, str]:
+    """(a, b, rest) of ``a+b<radical>rest``, split at the first radical.
+
+    a may be left out, and b = 1 or b = -1 may be written as its sign alone.
+    Raises ValueError when a or b is not an integer.
+    """
+    head, _, rest = text.partition(radical)
+    head = head.rstrip()
+    # split off the b coefficient: the sign directly before it
+    k = max(head.rfind("+", 1), head.rfind("-", 1))
+    a_text, b_text = (head[:k], head[k:]) if k > 0 else ("0", head)
+    if b_text in ("", "+", "-"):
+        b_text += "1"
+    return int(a_text), int(b_text), rest

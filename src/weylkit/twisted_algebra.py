@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple, Union
 
 from .scalars import INF, Infinity, NFElem, QuadInt, SQRT_2P2_FIELD, compare, sqrt2_in_quartic
+from .scalars import _read_radical, _write_radical
 
 
 class TwistedAlgebraError(ValueError):
@@ -446,22 +447,10 @@ def valuation_2var(num: TwoVarPoly, den: TwoVarPoly) -> NuValue:
 
 
 def _parse_exponent(text: str, p: int) -> QuadInt:
-    text = text.replace(" ", "")
     if "r" not in text:
         return QuadInt(int(text), 0, p)
-    head, _, _ = text.partition("r")
-    k = max(head.rfind("+", 1), head.rfind("-", 1))
-    if k <= 0:
-        b = head
-        if b in ("", "+"):
-            b = "1"
-        elif b == "-":
-            b = "-1"
-        return QuadInt(0, int(b), p)
-    a_text, b_text = head[:k], head[k:]
-    if b_text in ("+", "-"):
-        b_text += "1"
-    return QuadInt(int(a_text), int(b_text), p)
+    a, b, _ = _read_radical(text, "r")  # the text after the radical is not read
+    return QuadInt(a, b, p)
 
 
 def _split_terms(text: str) -> list[str]:
@@ -507,12 +496,7 @@ def parse_laurent(text: str, p: int) -> LaurentElement:
 
 
 def format_exponent(e: QuadInt) -> str:
-    if e.b == 0:
-        return str(e.a)
-    rad = f"{e.b}r"
-    if e.a == 0:
-        return rad
-    return f"{e.a}+{e.b}r" if e.b > 0 else f"{e.a}{e.b}r"
+    return str(e.a) if e.b == 0 else _write_radical(e.a, e.b, "r")
 
 
 def format_laurent(x: LaurentElement) -> str:

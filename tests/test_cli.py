@@ -338,6 +338,15 @@ class TestTree:
         code, _ = run_cli(capsys, "tree", "--input", str(path))
         assert code == EXIT_USAGE  # inconsistent table is unusable input
 
+    def test_quadint_table_written_by_format_scalar(self, capsys, tmp_path):
+        # a b = 0 value is written a+0√2, so it reads back in Z[sqrt 2] and not as a rational
+        from weylkit import lambda_tree as lt
+        from weylkit.scalars import QuadInt
+
+        path = self._write_table(tmp_path, lt.h_tree(QuadInt(1, 1, 2), QuadInt(2, 0, 2)).valuation())
+        code, obj = run_json(capsys, "tree", "--input", str(path))
+        assert code == EXIT_OK and obj["pv_ok"] and obj["roundtrip_ok"]
+
     def _write_table(self, tmp_path, pv, bump=None):
         """Write pv's table; ``bump`` moves one quadruple's whole symmetry orbit up by 1."""
         from weylkit import lambda_tree as lt
@@ -398,20 +407,16 @@ class TestTree:
 
     @staticmethod
     def _write_styled(tmp_path, ends, table, style):
-        """Write a table in full style (every quadruple) or orbit style (one per symmetry orbit).
-
-        Z[sqrt 2] values are written as ``a+br2``: a plain integer would be read as a rational.
-        """
+        """Write a table in full style (every quadruple) or orbit style (one per symmetry orbit)."""
         import itertools
 
         from weylkit import lambda_tree as lt
-        from weylkit.scalars import QuadInt, format_scalar
+        from weylkit.scalars import format_scalar
 
         values, covered = {}, set()
         for q in itertools.permutations(ends, 4):
             if style == "full" or q not in covered:
-                v = table[q]
-                values[",".join(q)] = f"{v.a}{v.b:+d}r{v.p}" if isinstance(v, QuadInt) else format_scalar(v)
+                values[",".join(q)] = format_scalar(table[q])
                 covered.update(itertools.chain(*lt._pv1_orbit(q)))
         path = tmp_path / f"{style}.json"
         path.write_text(json.dumps({"ends": list(ends), "values": values}))

@@ -376,6 +376,14 @@ class TestLattices:
         with pytest.raises(RootSystemError):
             build("I2(8)").coroot_lattice_member((Q(0), Q(0)))
 
+    @pytest.mark.parametrize("odd", [lex(1, 2), QuadInt(1, 1, 2)], ids=repr)
+    def test_coset_needs_rational_points(self, odd):
+        rs = build("A2")
+        zero = rs.zero_point()
+        for x, y in (((odd, Q(0)), zero), (zero, (Q(0), odd))):
+            with pytest.raises(ScalarDomainError, match="rational coordinates"):
+                rs.coroot_coset_member(x, y)
+
     def test_lattice_chain(self):
         # the full embedded chain Q(R^) in Q(R) in P(R) in P(R^) holds for the
         # normalisations with long roots of squared length 2

@@ -1,5 +1,6 @@
 """Ordered-arithmetic tests: exact comparisons against independent oracles."""
 
+import math
 import operator
 import random
 from fractions import Fraction as Q
@@ -28,6 +29,7 @@ from weylkit.scalars import (
     sign,
     sqrt2_in_quartic,
 )
+from weylkit.scalars import _clear_denominators
 from weylkit.twisted_algebra import LaurentElement, laurent
 
 
@@ -317,6 +319,19 @@ class TestRationalCompare:
         assert sign(x) == (x > 0) - (x < 0) == cross_sign(n1, d1, 0, 1)
         assert sign(-x) == -sign(x)
         assert scalar_mul(x, y) == Q(n1 * n2, d1 * d2) == scalar_mul(y, x)
+
+    @given(st.lists(st.one_of(st.integers(-HUGE, HUGE), st.builds(Q, st.integers(-HUGE, HUGE), _nonzero))))
+    @settings(max_examples=200, deadline=None)
+    def test_cleared_denominators(self, values):
+        nums, den = _clear_denominators(values)
+        assert den == math.lcm(*(Q(v).denominator for v in values))
+        assert [Q(n, den) for n in nums] == [Q(v) for v in values]
+        assert all(type(n) is int for n in nums)
+
+    @pytest.mark.parametrize("odd", [lex(1, 2), QuadInt(1, 0, 2), SQRT2_FIELD.one(), True, 0.5], ids=repr)
+    def test_clearing_rejects_other_values(self, odd):
+        assert _clear_denominators([Q(1, 2), odd, 3]) is None
+        assert _clear_denominators([odd]) is None
 
     def test_worked_values(self):
         assert compare(Q(2, 4), Q(1, 2)) == 0
@@ -700,11 +715,18 @@ class TestOrderingProtocol:
 class TestSerialization:
     @pytest.mark.parametrize(
         "text",
-        ["3/4", "-7", "(1/2;-3)", "3+2√2", "-√3", "2√3", "((1;2);0)"],
+        ["3/4", "-7", "(1/2;-3)", "3+2√2", "-√3", "2√3", "((1;2);0)", "3+0√2", "0+0√3", "-4+0√2", "2-3√3"],
     )
     def test_round_trip(self, text):
         val = parse_scalar(text)
         assert parse_scalar(format_scalar(val)) == val
+
+    @given(st.integers(-HUGE, HUGE), st.integers(-HUGE, HUGE), st.sampled_from([2, 3]))
+    @settings(max_examples=200, deadline=None)
+    def test_quadint_round_trip(self, a, b, p):
+        # b = 0 included: the text must not read back as a rational
+        q = QuadInt(a, b, p)
+        assert parse_scalar(format_scalar(q)) == q
 
     def test_r_alias(self):
         assert parse_scalar("3+2r2") == QuadInt(3, 2, 2)

@@ -179,6 +179,8 @@ def cmd_verify_convexity(args) -> int:
     cap = _cap(args)
     report = Report()
     t0 = time.perf_counter()
+    # built first: a point that is no special vertex is refused before any enumeration
+    gallery = pm.minimal_gallery(rs, x)
     aq = ms.enumerate_AQ(rs, x, cap)
     report.counts["hull_points"] = len(aq)
     w0 = rs.longest_element()
@@ -193,7 +195,6 @@ def cmd_verify_convexity(args) -> int:
                 "extra": [_point_json(p) for p in set(endpoints) - set(aq)][:3],
             }
         )
-    gallery = pm.minimal_gallery(rs, x)
     report.counts["gallery_length"] = len(gallery)
     if len(gallery) <= args.gallery_max_length:
         g_endpoints = pm.folded_gallery_endpoints(rs, gallery, cap=cap)

@@ -9,7 +9,7 @@ co-root-pairing indexing ``<x, alpha^> = k``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import ceil, floor, prod
 from typing import Iterable, Sequence
@@ -128,32 +128,30 @@ def dual_hyperplane_through(rs: RootSystem, alpha_index: int, x) -> DualHyperpla
 
 @dataclass(frozen=True)
 class HullQuery:
-    """An orbit-hull membership query for the Weyl orbit of ``x``.
+    """An orbit-hull membership query for the Weyl orbit of ``x`` in ``rs``.
 
     ``lattice`` is "coroot" (translation group = co-root lattice; requires a
     crystallographic system) or "all" (every translation allowed, the
-    non-crystallographic reading).
+    non-crystallographic reading).  ``x_plus``, the dominant image of x in
+    ``rs``, is computed once, when the query is made; every candidate reuses
+    it, so a query serves only the system it was made with.
     """
 
+    rs: InitVar[RootSystem]
     x: tuple
     lattice: str = "coroot"
-    # x+ per root-system label, filled on first use; every candidate reuses it
-    _x_plus: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    x_plus: tuple = field(init=False)
 
-    def x_plus(self, rs: RootSystem):
-        xp = self._x_plus.get(rs.label)
-        if xp is None:
-            xp = self._x_plus[rs.label] = rs.dominant_walk(self.x)[0]
-        return xp
+    def __post_init__(self, rs):
+        object.__setattr__(self, "x_plus", rs.dominant_walk(self.x)[0])
 
 
 def in_AQ(rs: RootSystem, y, query) -> bool:
     """Dominance test: x+ - y+ has non-negative coordinates, plus the coset test."""
     if not isinstance(query, HullQuery):
-        query = HullQuery(tuple(query))
-    xp = query.x_plus(rs)
+        query = HullQuery(rs, tuple(query))
     yp, _ = rs.dominant_walk(tuple(y))
-    diff = point_sub(xp, yp)
+    diff = point_sub(query.x_plus, yp)
     if not all(sign(c) >= 0 for c in diff):
         return False
     if query.lattice == "coroot":
@@ -178,7 +176,7 @@ def hull_candidates(rs: RootSystem, x, cap: int = DEFAULT_CAP) -> tuple:
 
 def enumerate_AQ(rs: RootSystem, x, cap: int = DEFAULT_CAP) -> tuple:
     """All lattice points of dconv(W.x) in the coset of x, canonically sorted."""
-    q = HullQuery(tuple(x))
+    q = HullQuery(rs, tuple(x))
     out = [z for z in hull_candidates(rs, x, cap) if in_AQ(rs, z, q)]
     return tuple(sorted(out))
 
@@ -257,8 +255,8 @@ def aq_triple_characterizations(rs: RootSystem, x) -> dict:
     dual-hull oracle + coset) plus a global agreement flag.
     """
     x = tuple(x)
-    q = HullQuery(x)
-    xp = q.x_plus(rs)
+    q = HullQuery(rs, x)
+    xp = q.x_plus
     orbit = rs.weyl_orbit(x)
     group = rs.weyl_group()
     rows = []

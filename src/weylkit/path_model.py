@@ -21,10 +21,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .model_space import DEFAULT_CAP, CapExceeded, HullQuery, gallery_distance, in_AQ, point_sub
+from .model_space import (
+    DEFAULT_CAP, CapExceeded, HullQuery, gallery_distance, in_AQ, is_special_vertex, point_sub,
+)
 from .root_system import RootSystem, WeylElement
 
 
@@ -131,7 +132,7 @@ def height_function(rs: RootSystem, path: PLPath, i: int) -> HeightFunction:
     alpha = rs.simple_roots[i]
     values = [Fraction(0)]
     for v in path.steps:
-        values.append(values[-1] + Fraction(rs.root_level(v, alpha)))
+        values.append(values[-1] + rs.root_level(v, alpha))
     m = max(1, len(path.steps))
     samples = tuple((Fraction(k, m), h) for k, h in enumerate(values))
     return HeightFunction(samples, min(values))
@@ -149,7 +150,7 @@ def root_operator_e(rs: RootSystem, path: PLPath, i: int) -> Optional[PLPath]:
     steps = list(path.steps)
     if not steps:
         return None
-    incs = [Fraction(rs.root_level(v, alpha)) for v in steps]
+    incs = [rs.root_level(v, alpha) for v in steps]
     heights = [Fraction(0)]
     for d in incs:
         heights.append(heights[-1] + d)
@@ -174,7 +175,7 @@ def root_operator_e(rs: RootSystem, path: PLPath, i: int) -> Optional[PLPath]:
     out: list[tuple] = []
     while middle:
         v = middle.popleft()
-        inc = Fraction(rs.root_level(v, alpha))
+        inc = rs.root_level(v, alpha)
         if inc < 0:
             out.append(rs.reflection_forms[i].apply(v))
         elif inc == 0:
@@ -185,7 +186,7 @@ def root_operator_e(rs: RootSystem, path: PLPath, i: int) -> Optional[PLPath]:
             out.append(v)
             while acc > 0:
                 w = middle.popleft()
-                winc = Fraction(rs.root_level(w, alpha))
+                winc = rs.root_level(w, alpha)
                 if acc + winc >= 0:
                     out.append(w)
                     acc += winc
@@ -234,7 +235,7 @@ def parkinson_ram_chain(rs: RootSystem, x, y, w0_word=None) -> tuple[list, list]
     """The greedy co-root descent y = y_0, ..., y_n; the last point is w0.x."""
     x = tuple(Fraction(c) for c in x)
     y = tuple(Fraction(c) for c in y)
-    query = HullQuery(x)
+    query = HullQuery(rs, x)
     if not in_AQ(rs, y, query):
         raise PathModelError("target point is outside the orbit hull")
     word = _validate_w0_word(rs, w0_word)
@@ -303,23 +304,11 @@ def _reflect_through(walls, word, x) -> tuple:
     return x
 
 
-_BASE_DIRECTIONS = 4  # directions tried for the base point of a minimal walk
-_BASE_SCALES = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23)
-
-
-def interior_alcove_point(rs: RootSystem, attempt: int = 0) -> tuple:
-    """A rational point inside the fundamental alcove; each ``attempt`` has its own direction."""
-    cw = rs.fundamental_coweights()
-    weights = [
-        Fraction(2 * i + 1, 2 * i + 2) + Fraction(attempt, 7 * (i + 1) + attempt + 3)
-        for i in range(rs.rank)
-    ]
-    d = tuple(
-        sum(weights[i] * Fraction(cw[i][j]) for i in range(rs.rank)) for j in range(rs.rank)
-    )
-    mx = max(Fraction(rs.root_level(d, a)) for a in rs.positive_roots)
-    p0 = tuple(c / (mx * 2 + 1) for c in d)
-    assert all(0 < Fraction(rs.root_level(p0, a)) < 1 for a in rs.positive_roots)
+def interior_alcove_point(rs: RootSystem) -> tuple:
+    """A rational point inside the fundamental alcove: the co-weight sum, scaled below the far wall."""
+    d = rs.interior_dominant_f()
+    p0 = tuple(c / (rs.root_level(d, rs.highest_root()) + 1) for c in d)
+    assert all(0 < rs.root_level(p0, a) < 1 for a in rs.positive_roots)
     return p0
 
 
@@ -347,39 +336,25 @@ class FoldedGallery:
 def _dominant_gallery_data(rs: RootSystem, xp) -> tuple:
     """(type word, xp in the frame of the last alcove) of a minimal walk from the base alcove to xp.
 
-    The walk follows a segment from a generic base point p0 in the fundamental
-    alcove to xp.  A segment that meets two walls at once has no single type,
-    so p0 is rescaled towards the origin, and then turned to a new direction,
-    until the crossing times are distinct.
+    The walk starts at q = xp + e (p0 - xp), for p0 inside the fundamental
+    alcove and 0 < e < 1 / (1 + (theta, xp)); (theta, xp) is the largest
+    (alpha, xp), xp being dominant.  Every (alpha, xp) is an integer, so q
+    lies on no wall, inside the alcove at xp nearest the base alcove.  While
+    q lies beyond a wall of the base alcove, q is reflected in it.  Each
+    reflection crosses one wall separating q's alcove from the base alcove,
+    so the letters are a reduced word, and the type of a minimal walk.
     """
     walls = rs.alcove_walls
-    for attempt in range(_BASE_DIRECTIONS):
-        base = interior_alcove_point(rs, attempt)
-        for scale in _BASE_SCALES:
-            p0 = tuple(c / scale for c in base)
-            times = []
-            for alpha in rs.positive_roots:
-                a0 = Fraction(rs.root_level(p0, alpha))
-                a1 = Fraction(rs.root_level(xp, alpha))
-                if a1 == a0:
-                    continue
-                lo, hi = (a0, a1) if a0 < a1 else (a1, a0)
-                for k in range(ceil(lo), int(hi) + 1):
-                    if lo < k < hi:
-                        times.append((k - a0) / (a1 - a0))
-            if len(set(times)) != len(times):
-                continue
-            word: list[int] = []
-            for t in sorted(times):
-                q = tuple(a + t * (b - a) for a, b in zip(p0, xp))
-                z = _reflect_through(walls, word, q)
-                hits = [j for j, (beta, k, _, _) in enumerate(walls) if Fraction(rs.root_level(z, beta)) == k]
-                if len(hits) != 1:
-                    break
-                word.append(hits[0])
-            else:
-                return tuple(word), _reflect_through(walls, word, xp)
-    raise PathModelError("could not find a generic interior base point")  # pragma: no cover
+    e = 1 / (2 + rs.root_level(xp, rs.highest_root()))
+    q = tuple(a + e * (b - a) for a, b in zip(xp, interior_alcove_point(rs)))
+    word: list[int] = []
+    while True:
+        # reflections permute the walls, so q stays on none: no level equals k
+        j = next((j for j, (beta, k, _, _) in enumerate(walls) if rs.root_level(q, beta) < k), None)
+        if j is None:
+            return tuple(word), _reflect_through(walls, word, xp)
+        q = _reflect_through(walls, (j,), q)
+        word.append(j)
 
 
 def minimal_gallery(rs: RootSystem, x) -> FoldedGallery:
@@ -387,8 +362,6 @@ def minimal_gallery(rs: RootSystem, x) -> FoldedGallery:
     if not rs.crystallographic:
         raise PathModelError("galleries need a crystallographic system")
     x = tuple(Fraction(c) for c in x)
-    from .model_space import is_special_vertex
-
     if not is_special_vertex(rs, x):
         raise PathModelError("gallery targets must be special vertices")
     xp, w = rs.dominant_rep(x)
@@ -422,9 +395,6 @@ def folded_galleries(
     word = minimal.gallery_type
     x0 = minimal.target_in_frame
     budget = [cap]
-    # the side of each wall the fundamental alcove lies on: below the far
-    # wall (theta, x) = 1, above each simple wall (alpha_i, x) = 0
-    own_side = (-1,) + (1,) * rs.rank
 
     # rec carries v = (linear part of u^-1) . d_int, for u the affine map from
     # the fundamental alcove to the current one: the one thing it reads of u
@@ -448,9 +418,10 @@ def folded_galleries(
         beta, _, forms, _ = walls[j]
         # cross
         yield from rec(idx + 1, w, forms.apply(v), mask + (False,), crossed + (j,))
-        # fold, kept only when positive
-        lin = Fraction(rs.root_level(v, beta))
-        if own_side[j] == (1 if lin > 0 else -1):
+        # fold, kept only when positive: (beta, v) > 0 for the oriented wall.
+        # v is a Weyl image of the regular vector interior_dominant_f, so
+        # (beta, v) is never 0
+        if rs.root_level(v, beta) > 0:
             yield from rec(idx + 1, w, v, mask + (True,), crossed)
 
     for w in rs.weyl_group():

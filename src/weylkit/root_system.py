@@ -687,12 +687,15 @@ class RootSystem:
     def alcove_walls(self) -> tuple:
         """Walls of the fundamental alcove as (root, level, reflection forms, shift).
 
-        Index 0 is the far wall (theta, x) = 1 of the highest root theta; its
-        affine reflection adds the shift theta^.  Index i + 1 is the wall of
-        alpha_i through the origin, with shift None.
+        Each wall (beta, k) is oriented so that the alcove is the set of x
+        with (beta, x) > k for every wall.  Index 0 is the far wall
+        (-theta, x) = -1 of the highest root theta; its affine reflection adds
+        the shift theta^.  Index i + 1 is the wall of alpha_i through the
+        origin, with shift None.
         """
         theta = self.highest_root()
-        far = (theta, Fraction(1), LinearForms(self._reflection_matrix(theta)), self.coroot_of(theta))
+        reflection = LinearForms(self._reflection_matrix(theta))
+        far = (tuple(-c for c in theta), Fraction(-1), reflection, self.coroot_of(theta))
         simple = [(a, Fraction(0), f, None) for a, f in zip(self.simple_roots, self.reflection_forms)]
         return (far, *simple)
 

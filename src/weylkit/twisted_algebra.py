@@ -449,7 +449,9 @@ def valuation_2var(num: TwoVarPoly, den: TwoVarPoly) -> NuValue:
 def _parse_exponent(text: str, p: int) -> QuadInt:
     if "r" not in text:
         return QuadInt(int(text), 0, p)
-    a, b, _ = _read_radical(text, "r")  # the text after the radical is not read
+    a, b, rest = _read_radical(text, "r")
+    if rest:
+        raise ValueError(f"unexpected {rest!r} after the radical")
     return QuadInt(a, b, p)
 
 

@@ -257,8 +257,9 @@ class TestVerifyConvexity:
         "label, point", [("B2", "5,8"), ("G2", "7,4"), ("C2", "7,5"), ("A2", "14/3,16/3")]
     )
     def test_vertex_on_the_base_point_ray_passes(self, capsys, label, point):
-        # 2w1 + 3w2 or 4w1 + 6w2 in co-weight coordinates: a segment from any
-        # rescaled base point meets two walls at once on the way there
+        # 2w1 + 3w2 or 4w1 + 6w2 in co-weight coordinates: a straight segment
+        # from the base alcove meets two walls at once, so its crossings give
+        # no single type word
         code, obj = run_json(capsys, "verify-convexity", "--type", label, f"--point={point}")
         assert code == EXIT_OK and obj["status"] == "pass"
         assert obj["counts"]["hull_points"] == obj["counts"]["path_endpoints"]
@@ -275,6 +276,19 @@ class TestVerifyConvexity:
         captured = capsys.readouterr()
         assert code == EXIT_CAP and captured.out == ""
         assert "hull enumeration exceeded 1680 candidates (1681 in the box)" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # no special vertex: refused before the 5,460-point hull box, so the cap never trips
+            (["--type", "F4", "--point", "3,3,3,3", "--cap", "100"], "gallery targets must be special vertices"),
+            (["--type", "I2(5)", "--point", "1,1"], "galleries need a crystallographic system"),
+        ],
+    )
+    def test_gallery_refusal_comes_before_enumeration(self, capsys, argv, message):
+        assert main(["verify-convexity", *argv]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
 
     def test_cap_zero_is_honoured(self, capsys, monkeypatch):
         argv = ["verify-convexity", "--type", "A2", "--point", "3,3"]
@@ -598,6 +612,8 @@ class TestExitCodes:
             # points are rational: a Z[sqrt p] or lex-pair literal is refused
             (["hull", "--type", "A2", "--point", "1r2,1"], "1r2"),
             (["verify-convexity", "--type", "A2", "--point", "(1;0),1"], "(1;0)"),
+            # nothing may follow the radical of an exponent
+            (["sr", "norm", "--case", "B", "--args", "x^{1r7},x^1"], "malformed exponent"),
         ],
     )
     def test_malformed_input(self, capsys, argv, message):

@@ -1,5 +1,6 @@
 """Root operators, positive folds, the descent algorithm and alcove walks."""
 
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -220,6 +221,13 @@ class TestGalleries:
         rs = build("A2")
         assert len(pm.minimal_gallery(rs, (Q(3), Q(3)))) == 9
         assert len(pm.minimal_gallery(rs, (Q(4), Q(2)))) == 10
+        # every dominant special vertex sum_i c_i w_i with c_i <= top
+        for label, top in (("A2", 8), ("B2", 8), ("C2", 8), ("G2", 5), ("A3", 3), ("F4", 2)):
+            rs = build(label)
+            cw = rs.fundamental_coweights()
+            for coeffs in itertools.product(range(top + 1), repeat=rs.rank):
+                x = tuple(sum(c * v[j] for c, v in zip(coeffs, cw)) for j in range(rs.rank))
+                assert len(pm.minimal_gallery(rs, x)) == ms.gallery_distance(rs, rs.zero_point(), x) - 1
 
     def test_non_vertex_rejected(self):
         rs = build("A2")
@@ -240,7 +248,7 @@ class TestGalleries:
     def test_soundness_subset(self):
         rs = build("G2")
         x = (Q(2), Q(1))
-        q = ms.HullQuery(x)
+        q = ms.HullQuery(rs, x)
         for gallery in pm.folded_galleries(rs, pm.minimal_gallery(rs, x)):
             assert ms.in_AQ(rs, gallery.weight, q)
 
@@ -282,13 +290,14 @@ class TestThreeOracles:
     @settings(max_examples=40, deadline=None)
     @given(special_vertices())
     @example(("A2", (0, 0)))
-    # on the ray of the first base point: every rescaled base point meets two
-    # walls at once on the way there
+    # on the ray of the co-weight sum: a straight segment from the base alcove
+    # meets two walls at once, so its crossings give no single type word
     @example(("A2", (4, 6)))
     @example(("B2", (2, 3)))
     @example(("B2", (4, 6)))
     @example(("C2", (4, 6)))
     @example(("G2", (2, 3)))
+    @example(("F4", (1, 0, 0, 0)))
     def test_hull_closure_and_gallery_endpoints_agree(self, case):
         label, coeffs = case
         rs = build(label)

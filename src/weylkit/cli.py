@@ -237,7 +237,8 @@ def cmd_tree(args) -> int:
         entries[quad] = parse_scalar(val)
     pv = lt.valuation_from_entries(ends, entries)
     pv_report = lt.check_pv(pv)
-    base = tuple(args.base.split(",")) if args.base else ends[:3]
+    # the base labels follow the spacing rule of the keys
+    base = tuple(k.strip() for k in args.base.split(",")) if args.base else ends[:3]
     obj = {
         "ends": list(ends),
         "pv_ok": pv_report.ok,

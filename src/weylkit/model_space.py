@@ -146,10 +146,8 @@ class HullQuery:
         object.__setattr__(self, "x_plus", rs.dominant_walk(self.x)[0])
 
 
-def in_AQ(rs: RootSystem, y, query) -> bool:
+def in_AQ(rs: RootSystem, y, query: HullQuery) -> bool:
     """Dominance test: x+ - y+ has non-negative coordinates, plus the coset test."""
-    if not isinstance(query, HullQuery):
-        query = HullQuery(rs, tuple(query))
     yp, _ = rs.dominant_walk(tuple(y))
     diff = point_sub(query.x_plus, yp)
     if not all(sign(c) >= 0 for c in diff):

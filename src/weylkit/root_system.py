@@ -118,15 +118,18 @@ class LinearForms:
     @cached_property
     def _field_rows(self):
         """Rows acting on the flattened coefficients of field points (built on first use)."""
-        field = self.field
-        powers = [field.elem([0] * k + [1]) for k in range(field.degree)]
-        # entry c acts on the coefficient vector of x by its multiplication
-        # matrix: coefficient r of c * zeta^k, for k = 0 .. degree - 1
-        blocks = [[[(c * z).coeffs for z in powers] for c in row] for row in self._scaled]
-        flat, den = _integer_rows(
-            [[col[r] for block in row for col in block] for row in blocks for r in range(field.degree)]
-        )
-        d = field.degree
+        field, d = self.field, self.field.degree
+
+        def columns(c):
+            # entry c acts on the coefficient vector of x by its multiplication
+            # matrix: column k is c * zeta^k, the column before times zeta
+            cols = [c.coeffs]
+            for _ in range(d - 1):
+                cols.append(field.elem((0, *cols[-1])).coeffs)
+            return cols
+
+        blocks = [[columns(c) for c in row] for row in self._scaled]
+        flat, den = _integer_rows([[col[r] for block in row for col in block] for row in blocks for r in range(d)])
         return tuple(flat[i * d : (i + 1) * d] for i in range(len(blocks))), den
 
     def _images(self, vals):
@@ -256,18 +259,21 @@ def real_cyclotomic_minpoly(m: int) -> Poly:
 
 
 def dihedral_cosine_field(n: int) -> NumberField:
-    """The field Q(2 cos(pi/n)) with its distinguished positive root isolated."""
+    """The field Q(2 cos(pi/n)), n >= 3, with its generator isolated exactly.
+
+    The roots of the minimal polynomial are the conjugates 2 cos(k pi/n), k
+    odd and prime to n; cosine falls on [0, pi], so k = 1 gives the largest
+    one, and it lies in [1, 2).  Neither 0 nor 2 is a root, so (0, 2] holds
+    every positive root, and halving it from below until one root is left
+    isolates the generator.  A halving runs only while lo lies below the next
+    conjugate, at most 2 cos(3 pi/n), and 2 - 2 cos(3 pi/n) exceeds twice
+    2 - 2 cos(pi/n): so lo never passes the generator.
+    """
     minpoly = real_cyclotomic_minpoly(2 * n)
-    approx = 2.0 * math.cos(math.pi / n)
-    width = Fraction(1, 10**6)
-    center = Fraction(approx).limit_denominator(10**9)
-    for attempt in range(40):
-        lo, hi = center - width, center + width
-        try:
-            return NumberField(f"2cos(pi/{n})", minpoly, (lo, hi))
-        except ValueError:
-            width = width * 3 if count_real_roots(minpoly, lo, hi) == 0 else width / 3
-    raise RootSystemError(f"could not isolate 2cos(pi/{n})")  # pragma: no cover
+    lo, hi = Fraction(0), Fraction(2)
+    while count_real_roots(minpoly, lo, hi) > 1:
+        lo = (lo + hi) / 2
+    return NumberField(f"2cos(pi/{n})", minpoly, (lo, hi))
 
 
 # --------------------------------------------------------------------------
@@ -387,8 +393,8 @@ class RootSystem:
             raise RootSystemError(f"unsupported label: {label}")
 
         self._gram_forms = LinearForms(self.gram)
-        # one-row forms per F-vector: <x, alpha^> and (x, y)
-        self._coroot_forms: Dict[tuple, LinearForms] = {}
+        # one-row forms (x, y) per F-vector y: the pairing with alpha reads the
+        # entry of its co-root, which is alpha itself when (alpha, alpha) = 2
         self._bilinear_forms: Dict[tuple, LinearForms] = {}
         self.simple_roots = tuple(
             tuple(self._f(1 if i == j else 0) for j in range(self.rank)) for i in range(self.rank)
@@ -427,18 +433,7 @@ class RootSystem:
             return self.field.elem([Fraction(x)])
         return Fraction(x)
 
-    def f_zero(self):
-        return self._f(0)
-
     # -- bilinear data -----------------------------------------------------
-
-    def bilinear_f(self, x, y):
-        """(x, y) for two F-coordinate vectors."""
-        acc = self.f_zero()
-        for i in range(self.rank):
-            for j in range(self.rank):
-                acc = acc + x[i] * self.gram[i][j] * y[j]
-        return acc
 
     def bilinear(self, x, y_f):
         """(x, y) for a Lambda-vector x against an F-vector y."""
@@ -449,24 +444,15 @@ class RootSystem:
         return forms.apply(x)[0]
 
     def norm_sq(self, alpha):
-        return self.bilinear_f(alpha, alpha)
-
-    def _coroot_form(self, alpha) -> LinearForms:
-        key = tuple(alpha)
-        forms = self._coroot_forms.get(key)
-        if forms is None:
-            nn = self.norm_sq(key)
-            row = tuple(c * 2 / nn for c in self._gram_forms.apply(key))
-            forms = self._coroot_forms[key] = LinearForms([row])
-        return forms
+        return self.bilinear(alpha, alpha)
 
     def coroot_vec(self, alpha) -> tuple:
         """Coefficients c with <x, alpha^> = sum_j c_j x_j."""
-        return self._coroot_form(alpha).rows[0]
+        return self._gram_forms.apply(self.coroot_of(alpha))
 
     def pairing(self, x, alpha):
         """<x, alpha^> for a Lambda-point x (linear extension of co-root evaluation)."""
-        return self._coroot_form(alpha).apply(x)[0]
+        return self.bilinear(x, self.coroot_of(alpha))
 
     def root_level(self, x, alpha):
         """(alpha, x) for a Lambda-point x; indexes the affine wall family."""

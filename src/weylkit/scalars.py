@@ -140,17 +140,18 @@ def poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Poly, Pol
     b = poly_trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [Fraction(0)] * max(0, len(r) - len(b) + 1)
-    lead = b[-1]
-    while len(poly_trim(r)) >= len(b):
-        r = list(poly_trim(r))
-        shift = len(r) - len(b)
-        coef = r[-1] / lead
-        q[shift] = coef
-        for i, y in enumerate(b):
-            r[shift + i] -= coef * y
-    return poly_trim(q), poly_trim(r)
+    r = list(poly_trim(a))
+    m, lead = len(b) - 1, b[-1]
+    q = [Fraction(0)] * max(0, len(r) - m)
+    # step by step from the top: the step at ``shift`` clears r[shift + m]
+    for shift in range(len(r) - m - 1, -1, -1):
+        coef = r[shift + m] if lead == 1 else r[shift + m] / lead
+        if coef:
+            q[shift] = coef
+            for i in range(m):
+                if b[i]:
+                    r[shift + i] -= coef * b[i]
+    return poly_trim(q), poly_trim(r[:m])
 
 
 def poly_eval(a: Sequence[Fraction], x: Fraction) -> Fraction:
@@ -223,27 +224,11 @@ class NumberField:
         if count_real_roots(self.minpoly, lo, hi) != 1:
             raise ValueError("isolator must contain exactly one real root")
         self.isolator = (lo, hi)
-        # reduction table: zeta^(degree + i) mod minpoly at index i, extended
-        # on demand by reduce(); reducing zeta^(2*degree-2) here fills it up to
-        # the largest power in a product of two reduced elements.  It is a
-        # tuple that reduce() replaces by one assignment, never edits in place,
-        # so threads that extend it at once each read a consistent table
-        self._reduction = (poly_trim([-c for c in self.minpoly[:-1]]),)
-        self.reduce([Fraction(0)] * (2 * self.degree - 2) + [Fraction(1)])
         self._enclosures: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def reduce(self, p: Sequence[Fraction]) -> Poly:
-        p = poly_trim(p)
-        table = self._reduction
-        while len(p) > self.degree:
-            k = len(p) - 1
-            while k - self.degree >= len(table):
-                table += (self.reduce(poly_mul(table[-1], (Fraction(0), Fraction(1)))),)
-                self._reduction = table
-            c = p[-1]
-            p = poly_trim(p[:-1])
-            p = poly_add(p, tuple(c * x for x in table[k - self.degree]))
-        return p
+        """The remainder of p by the (monic) minimal polynomial."""
+        return poly_divmod(p, self.minpoly)[1]
 
     def elem(self, coeffs: Sequence[Union[int, Fraction]]) -> "NFElem":
         c = [Fraction(x) for x in coeffs]
@@ -599,9 +584,6 @@ class QuadInt(Ordered):
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def to_float(self) -> float:
-        return self.a + self.b * (self.p ** 0.5)
 
     def __repr__(self):
         return format_scalar(self)

@@ -397,6 +397,14 @@ class TestTree:
         code, _ = run_cli(capsys, "tree", "--input", str(path), "--base", base)
         assert code == EXIT_USAGE
 
+    def test_base_labels_follow_the_key_spacing_rule(self, capsys, tmp_path):
+        from weylkit import lambda_tree as lt
+
+        path = self._write_table(tmp_path, lt.h_tree(Q(3), Q(1)).valuation())
+        tight = run_cli(capsys, "tree", "--input", str(path), "--base", "a,b,c")
+        spaced = run_cli(capsys, "tree", "--input", str(path), "--base", " a, b ,c ")
+        assert tight[0] == EXIT_OK and spaced == tight
+
     def test_non_default_base(self, capsys, tmp_path):
         from weylkit import lambda_tree as lt
 

@@ -69,7 +69,8 @@ def powers(field, n=60):
 
 
 def test_reduction_table_extended_by_many_threads(fast_switching):
-    # every elem() of a high power extends the field's reduction table
+    # every elem() of a high power divides it by the minimal polynomial; threads
+    # sharing one fresh field must each get the powers of a serial run
     want = powers(dihedral_cosine_field(8))
     for _ in range(30):
         field = dihedral_cosine_field(8)  # quartic: 2 cos(pi/8)

@@ -8,7 +8,15 @@ from math import ceil
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_root_system import KERNEL_LABELS, POINT_KINDS, draw_point, outcome, reference_apply, reference_pairing
+from test_root_system import (
+    KERNEL_LABELS,
+    POINT_KINDS,
+    draw_point,
+    outcome,
+    reference_apply,
+    reference_bilinear,
+    reference_pairing,
+)
 
 from weylkit import model_space as ms
 from weylkit.root_system import build, solve_linear
@@ -144,7 +152,7 @@ def reference_distance_via_coords(rs, x):
     coords = reference_hyperplane_coords(rs, x)
     acc = zero_like(coords[0])
     for alpha in rs.positive_roots:
-        nn = rs.norm_sq(alpha)
+        nn = reference_bilinear(rs, alpha, alpha)
         weights = tuple(alpha[b] * rs.gram[b][b] * 2 / nn for b in range(rs.rank))
         acc = acc + abs(reference_apply((weights,), coords)[0])
     return acc

@@ -1,5 +1,6 @@
 """Root system construction, Weyl actions, co-weights and lattice chains."""
 
+import math
 import random
 from fractions import Fraction as Q
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylkit.root_system import LinearForms, RootSystemError, WeylElement, build
+from weylkit.root_system import LinearForms, RootSystem, RootSystemError, WeylElement, build, dihedral_cosine_field
 from weylkit.scalars import SQRT2_FIELD, LexPair, NFElem, QuadInt, ScalarDomainError, lex, scalar_mul, sign
 
 
@@ -37,13 +38,17 @@ class TestBuild:
         assert rs.field.minpoly == (Q(2), Q(0), Q(-4), Q(0), Q(1))
         assert not rs.crystallographic
 
+    @pytest.mark.parametrize("n", range(3, 31))
+    def test_dihedral_generator_is_twice_cos_pi_over_n(self, n):
+        assert abs(dihedral_cosine_field(n).gen().to_float() - 2 * math.cos(math.pi / n)) < 1e-12
+
     @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C2", "G2", "F4", "I2(5)", "I2(8)", "I2(12)"])
     def test_cartan_rows_and_reflection_forms(self, label):
         # row i of the Cartan matrix is the simple co-root: <alpha_j, alpha_i^>
         # = 2 (alpha_j, alpha_i) / (alpha_i, alpha_i), in value and in type
         rs = build(label)
         for i, ai in enumerate(rs.simple_roots):
-            want = [rs.bilinear_f(aj, ai) * 2 / rs.norm_sq(ai) for aj in rs.simple_roots]
+            want = [reference_bilinear(rs, aj, ai) * 2 / reference_bilinear(rs, ai, ai) for aj in rs.simple_roots]
             assert typed(rs.cartan[i]) == typed(tuple(want))
             for b in rs.all_roots():
                 assert typed(rs.reflection_forms[i].apply(b)) == typed(rs.reflect(ai, b))
@@ -107,6 +112,14 @@ class TestPairing:
     def test_zero(self):
         rs = build("A2")
         assert rs.pairing(rs.zero_point(), rs.simple_roots[0]) == 0
+
+    def test_pairing_and_root_level_share_forms_when_norm_is_two(self):
+        # alpha^ = alpha when (alpha, alpha) = 2, so both read one cached form
+        rs = RootSystem("A2")
+        x = (Q(3, 2), Q(-1, 3))
+        for alpha in rs.positive_roots:
+            assert rs.pairing(x, alpha) == rs.root_level(x, alpha)
+        assert set(rs._bilinear_forms) == set(rs.positive_roots)
 
 
 class TestAffineReflect:
@@ -255,7 +268,7 @@ def reference_apply(M, v):
 
 
 def reference_pairing(rs, x, alpha):
-    nn = rs.norm_sq(alpha)
+    nn = reference_bilinear(rs, alpha, alpha)
     row = tuple(c * 2 / nn for c in reference_apply(rs.gram, alpha))
     return reference_apply((row,), x)[0]
 
@@ -354,7 +367,7 @@ class TestCoweights:
             for i in range(rs.rank):
                 cw = rs.fundamental_coweight(i)
                 for j in range(rs.rank):
-                    val = rs.bilinear_f(rs.simple_roots[j], cw)
+                    val = reference_bilinear(rs, rs.simple_roots[j], cw)
                     assert sign(val - rs._f(1 if i == j else 0)) == 0
 
 

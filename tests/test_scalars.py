@@ -147,6 +147,26 @@ class TestNumberField:
         assert compare(z, Q(141422, 100000)) == -1
 
 
+def _reduction_fields():
+    from weylkit.root_system import dihedral_cosine_field
+
+    return (SQRT2_FIELD, SQRT3_FIELD, SQRT_2P2_FIELD, *(dihedral_cosine_field(n) for n in (5, 8, 12)))
+
+
+@pytest.mark.parametrize("field", _reduction_fields(), ids=lambda f: f.name)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_elem_reduces_to_the_horner_value(field, data):
+    # a polynomial of up to 3 * degree + 2 terms, reduced at once by elem(),
+    # against its Horner evaluation in the field, one reduced product a step
+    q = st.fractions(min_value=-100, max_value=100, max_denominator=20)
+    p = data.draw(st.lists(q, max_size=3 * field.degree + 2))
+    z, acc = field.gen(), field.zero()
+    for c in reversed(p):
+        acc = acc * z + c
+    assert field.elem(p) == acc
+
+
 def horner_sign(e) -> int:
     """Sign oracle: interval Horner evaluation of the coefficients on an
     isolating interval of the generator, bisected until the box excludes 0."""

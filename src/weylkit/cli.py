@@ -184,7 +184,7 @@ def cmd_verify_convexity(args) -> int:
     aq = ms.enumerate_AQ(rs, x, cap)
     report.counts["hull_points"] = len(aq)
     w0 = rs.longest_element()
-    x_plus = rs.dominant_walk(x)[0]
+    x_plus = rs.dominant_rep(x)[0]
     _, endpoints = pm.positive_fold_closure(rs, pm.straight_path_to(w0.apply(x_plus)), cap=cap)
     report.counts["path_endpoints"] = len(endpoints)
     if endpoints != aq:

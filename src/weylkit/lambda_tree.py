@@ -736,8 +736,5 @@ def render_datum_text(datum: RootedTreeDatum) -> str:
     zero = zero_like(datum.finite_wedges()[0]) if len(datum.ends) > 1 else Fraction(0)
     lines.append(f"root (base triple {', '.join(datum.base_triple)})")
     for g in clusters(list(datum.ends), zero):
-        if len(g) == 1:
-            lines.append(f"  end {g[0]}")
-        else:
-            emit(g, zero, 1)
+        emit(g, zero, 1)
     return "\n".join(lines)

@@ -143,12 +143,12 @@ class HullQuery:
     x_plus: tuple = field(init=False)
 
     def __post_init__(self, rs):
-        object.__setattr__(self, "x_plus", rs.dominant_walk(self.x)[0])
+        object.__setattr__(self, "x_plus", rs.dominant_rep(self.x)[0])
 
 
 def in_AQ(rs: RootSystem, y, query: HullQuery) -> bool:
     """Dominance test: x+ - y+ has non-negative coordinates, plus the coset test."""
-    yp, _ = rs.dominant_walk(tuple(y))
+    yp, _ = rs.dominant_rep(tuple(y))
     diff = point_sub(query.x_plus, yp)
     if not all(sign(c) >= 0 for c in diff):
         return False
@@ -160,12 +160,16 @@ def in_AQ(rs: RootSystem, y, query: HullQuery) -> bool:
 def hull_candidates(rs: RootSystem, x, cap: int = DEFAULT_CAP) -> tuple:
     """All co-root-coset points inside the coordinate bounding box of the orbit.
 
-    Raises :class:`CapExceeded`, before the box is built, when it holds more
-    than ``cap`` points.
+    For dominant x_plus every x_plus - w x_plus is a non-negative combination
+    of simple roots, so x_plus is the coordinate-wise maximum of the orbit
+    and w0 x_plus its minimum: the two corners span the box.  Raises
+    :class:`CapExceeded`, before the box is built, when it holds more than
+    ``cap`` points.
     """
     if not rs.crystallographic:
         raise ModelSpaceError("hull enumeration needs a crystallographic system")
-    ranges = _coroot_coset_box(rs, x, rs.weyl_orbit(x))
+    xp, _ = rs.dominant_rep(x)
+    ranges = _coroot_coset_box(rs, x, (rs.longest_element().apply(xp), xp))
     n = prod(map(len, ranges))
     if n > cap:
         raise CapExceeded(f"hull enumeration exceeded {cap} candidates ({n} in the box)")
@@ -195,9 +199,7 @@ def gallery_distance(rs: RootSystem, x, y) -> int:
         raise ModelSpaceError("gallery distance is defined between special vertices")
     walls = 0
     for alpha in rs.positive_roots:
-        a = Fraction(rs.root_level(x, alpha))
-        b = Fraction(rs.root_level(y, alpha))
-        walls += max(0, abs(a - b) - 1)
+        walls += max(0, abs(rs.root_level(x, alpha) - rs.root_level(y, alpha)) - 1)
     return 1 + int(walls)
 
 

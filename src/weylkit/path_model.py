@@ -38,19 +38,17 @@ class PathModelError(ValueError):
 
 
 def _is_positive_multiple(v, w) -> bool:
+    """Whether w = c v for some c > 0, decided by cross-multiplication at v's pivot."""
     piv = next((j for j, c in enumerate(v) if c != 0), None)
-    if piv is None or w[piv] == 0:
+    if piv is None or w[piv] == 0 or (w[piv] > 0) != (v[piv] > 0):
         return False
-    c = Fraction(w[piv]) / Fraction(v[piv])
-    if c <= 0:
-        return False
-    return all(Fraction(wj) == c * Fraction(vj) for vj, wj in zip(v, w))
+    return all(wj * v[piv] == vj * w[piv] for vj, wj in zip(v, w))
 
 
 def _canonical_steps(steps: Iterable[tuple]) -> tuple:
+    """Exact steps in normal form: zero steps dropped, positively parallel neighbours merged."""
     out: list[tuple] = []
     for v in steps:
-        v = tuple(Fraction(c) for c in v)
         if all(c == 0 for c in v):
             continue
         if out and _is_positive_multiple(out[-1], v):
@@ -88,8 +86,8 @@ class PLPath:
 
 
 def path_from_steps(steps: Iterable[Sequence], rank: Optional[int] = None) -> PLPath:
-    """The path of the given steps; ``rank`` is needed only when there are none."""
-    steps = tuple(tuple(v) for v in steps)
+    """The path of the given steps, made exact here; ``rank`` is needed only when there are none."""
+    steps = tuple(tuple(Fraction(c) for c in v) for v in steps)
     if steps:
         rank = len(steps[0])
     if rank is None:
@@ -98,13 +96,12 @@ def path_from_steps(steps: Iterable[Sequence], rank: Optional[int] = None) -> PL
 
 
 def path_from_points(points: Sequence[Sequence]) -> PLPath:
-    pts = [tuple(Fraction(c) for c in p) for p in points]
-    steps = [point_sub(b, a) for a, b in zip(pts, pts[1:])]
-    return path_from_steps(steps, len(pts[0]))
+    steps = [point_sub(b, a) for a, b in zip(points, points[1:])]
+    return path_from_steps(steps, len(points[0]))
 
 
 def straight_path_to(x) -> PLPath:
-    return path_from_steps([tuple(Fraction(c) for c in x)])
+    return path_from_steps([x])
 
 
 def zero_path(rank: int) -> PLPath:
@@ -112,7 +109,7 @@ def zero_path(rank: int) -> PLPath:
 
 
 def concat(p1: PLPath, p2: PLPath) -> PLPath:
-    return path_from_steps(p1.steps + p2.steps, p1.rank)
+    return PLPath(_canonical_steps(p1.steps + p2.steps), p1.rank)
 
 
 # --------------------------------------------------------------------------
@@ -196,7 +193,7 @@ def root_operator_e(rs: RootSystem, path: PLPath, i: int) -> Optional[PLPath]:
                     out.append(head)
                     middle.appendleft(tail)
                     acc = Fraction(0)
-    return path_from_steps(prefix + out + suffix, path.rank)
+    return PLPath(_canonical_steps(prefix + out + suffix), path.rank)
 
 
 # --------------------------------------------------------------------------
@@ -364,8 +361,8 @@ def minimal_gallery(rs: RootSystem, x) -> FoldedGallery:
     x = tuple(Fraction(c) for c in x)
     if not is_special_vertex(rs, x):
         raise PathModelError("gallery targets must be special vertices")
-    xp, w = rs.dominant_rep(x)
-    winv = rs.inverse(w)
+    xp, to_dominant = rs.dominant_rep(x)
+    winv = rs.element(reversed(to_dominant))
     word, x0 = _dominant_gallery_data(rs, xp)
     if winv.apply(_reflect_through(rs.alcove_walls, reversed(word), x0)) != x:
         raise PathModelError("gallery construction lost its target")  # pragma: no cover
@@ -391,7 +388,7 @@ def folded_galleries(
     alcove on the non-antidominant side of its wall.
     """
     walls = rs.alcove_walls
-    d_int = tuple(Fraction(c) for c in rs.interior_dominant_f())
+    d_int = rs.interior_dominant_f()
     word = minimal.gallery_type
     x0 = minimal.target_in_frame
     budget = [cap]
@@ -424,8 +421,9 @@ def folded_galleries(
         if rs.root_level(v, beta) > 0:
             yield from rec(idx + 1, w, v, mask + (True,), crossed)
 
+    # w^-1 = s_word[-1] ... s_word[0]: d_int reflected in the simple walls of w's word, first letter first
     for w in rs.weyl_group():
-        yield from rec(0, w, rs.inverse(w).apply(d_int), (), ())
+        yield from rec(0, w, _reflect_through(walls, (i + 1 for i in w.word), d_int), (), ())
 
 
 def folded_gallery_endpoints(rs: RootSystem, minimal: FoldedGallery, cap: int = DEFAULT_CAP) -> tuple:

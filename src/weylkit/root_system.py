@@ -304,9 +304,6 @@ class WeylElement:
     def __hash__(self):
         return hash(self.matrix)
 
-    def length(self) -> int:
-        return len(self.word)
-
 
 def _times_simple_reflection(m, i: int, cartan_row):
     """M s_i, over any field or over the integers.
@@ -540,7 +537,7 @@ class RootSystem:
             frontier = nxt
         return tuple(sorted(seen))
 
-    def dominant_walk(self, x) -> tuple:
+    def dominant_rep(self, x) -> tuple:
         """(x_plus, word) with s_word[0] ... s_word[-1] . x = x_plus dominant.
 
         The walk keeps the pairings p_i = <x, alpha_i^> beside x.  Reflecting in
@@ -564,11 +561,6 @@ class RootSystem:
             word.append(k)
         raise RootSystemError("dominance walk did not terminate")  # pragma: no cover
 
-    def dominant_rep(self, x) -> tuple:
-        """(x_plus, w) with w.x = x_plus dominant."""
-        xp, word = self.dominant_walk(x)
-        return xp, self.element(word)
-
     def is_dominant(self, x) -> bool:
         return all(sign(p) >= 0 for p in self.simple_coroot_forms.apply(x))
 
@@ -581,10 +573,10 @@ class RootSystem:
 
     @cached_property
     def _w0(self) -> WeylElement:
-        _, w = self.dominant_rep(tuple(-c for c in self.interior_dominant_f()))
-        if len(w.word) != len(self.positive_roots):
+        _, word = self.dominant_rep(tuple(-c for c in self.interior_dominant_f()))
+        if len(word) != len(self.positive_roots):
             raise RootSystemError("longest element has wrong length")  # pragma: no cover
-        return w
+        return self.element(word)
 
     def weyl_group(self) -> tuple[WeylElement, ...]:
         """All Weyl elements, BFS by word length (canonical reduced words)."""

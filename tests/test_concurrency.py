@@ -64,18 +64,34 @@ def run_threads(job):
     return results
 
 
-def powers(field, n=60):
-    return [field.elem([0] * k + [1]).coeffs for k in range(n)]
+def near_zero_coeffs(field):
+    """Coefficients of p - q zeta^k, p / q a close rational value of zeta^k, and of their negatives."""
+    lo, hi = field.isolator
+    for _ in range(200):
+        lo, hi = field.refine_isolator((lo, hi))
+    out = []
+    for k in range(1, field.degree):
+        approx = (((lo + hi) / 2) ** k).limit_denominator(2**40)
+        a = [approx.numerator] + [0] * (k - 1) + [-approx.denominator]
+        out += [a, [-c for c in a]]
+    return out + [[1, -1], [-3, 0, 1], [0, 0, 0, 1]]
 
 
-def test_reduction_table_extended_by_many_threads(fast_switching):
-    # every elem() of a high power divides it by the minimal polynomial; threads
-    # sharing one fresh field must each get the powers of a serial run
-    want = powers(dihedral_cosine_field(8))
-    for _ in range(30):
+def test_sign_enclosures_filled_by_many_threads(fast_switching):
+    # a sign decision reads the field's enclosures of the powers of zeta, kept
+    # per precision and filled on first use; threads sharing one fresh field
+    # must each get the signs of a serial run
+    cases = near_zero_coeffs(dihedral_cosine_field(8))
+    serial = dihedral_cosine_field(8)
+    want = [serial.elem(a).sign() for a in cases]
+    assert set(want) == {-1, 1}
+    # some signs are left open by the 64-bit enclosures, so wider ones are filled
+    assert any(lo <= 0 <= hi for lo, hi in (serial.bracket(a, 64) for a in cases))
+    assert len(serial._enclosures) > 1
+    for _ in range(6):
         field = dihedral_cosine_field(8)  # quartic: 2 cos(pi/8)
         assert field.degree == 4
-        assert run_threads(lambda k: powers(field)) == [want] * THREADS
+        assert run_threads(lambda k: [field.elem(a).sign() for a in cases]) == [want] * THREADS
 
 
 def points(rs, n=4):

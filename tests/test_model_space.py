@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction as Q
-from math import ceil
+from math import ceil, floor, prod
 
 import pytest
 from hypothesis import given, settings
@@ -277,11 +277,13 @@ class TestHull:
     def test_x_plus_computed_once_per_query(self, monkeypatch):
         rs = build("A2")
         x = (Q(0), Q(3))  # s_1 of (3, 3)
+        rs.longest_element()  # built before counting: w0 comes from a walk of its own
         walks = []
-        real = type(rs).dominant_walk
-        monkeypatch.setattr(type(rs), "dominant_walk", lambda self, p: walks.append(p) or real(self, p))
+        real = type(rs).dominant_rep
+        monkeypatch.setattr(type(rs), "dominant_rep", lambda self, p: walks.append(p) or real(self, p))
         points = ms.enumerate_AQ(rs, x)
-        assert len(walks) == len(ms.hull_candidates(rs, x)) + 1
+        # one walk per candidate, one for the query's x_plus and one for the box
+        assert len(walks) == len(ms.hull_candidates(rs, x)) + 2
         assert points == ms.enumerate_AQ(rs, (Q(3), Q(3)))
         q = ms.HullQuery(rs, x)
         assert q.x_plus == (Q(3), Q(3))
@@ -321,6 +323,69 @@ class TestHull:
             ms.enumerate_AQ(rs, x, cap=10)
         assert len(ms.hull_candidates(rs, x, cap=49)) == 49
         assert len(ms.enumerate_AQ(rs, x, cap=49)) == 37
+
+    @pytest.mark.parametrize("label,x", [("A2", (3, 3)), ("B2", (1, -2)), ("G2", (2, 1)), ("A3", (1, 0, 1))])
+    def test_enumeration_walks_no_orbit(self, label, x, monkeypatch):
+        rs = build(label)
+        orbits = []
+        real = type(rs).weyl_orbit
+        monkeypatch.setattr(type(rs), "weyl_orbit", lambda self, p: orbits.append(p) or real(self, p))
+        assert ms.enumerate_AQ(rs, tuple(map(Q, x)))
+        assert orbits == []
+
+
+def reference_hull_box(rs, x):
+    """The coset points in the coordinate range of the whole Weyl orbit of x."""
+    orbit = rs.weyl_orbit(x)
+    ranges = []
+    for j in range(rs.rank):
+        step = 2 / rs.gram[j][j]
+        lo, hi = min(p[j] for p in orbit), max(p[j] for p in orbit)
+        ks = range(ceil((lo - x[j]) / step), floor((hi - x[j]) / step) + 1)
+        ranges.append([x[j] + k * step for k in ks])
+    return ranges
+
+
+_BOX_LABELS = ("A1", "A2", "A3", "B2", "C2", "G2", "F4")
+_BOX_CAP = 3000
+
+
+class TestHullBox:
+    """The box spanned by w0 x+ and x+ is the coordinate range of the orbit."""
+
+    @staticmethod
+    def _check(rs, x):
+        ranges = reference_hull_box(rs, x)
+        n = prod(map(len, ranges))
+        if n > _BOX_CAP:
+            with pytest.raises(ms.CapExceeded, match=rf"\({n} in the box\)"):
+                ms.hull_candidates(rs, x, cap=_BOX_CAP)
+        else:
+            assert ms.hull_candidates(rs, x) == tuple(itertools.product(*ranges))
+
+    @pytest.mark.parametrize("label", _BOX_LABELS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_rational_points(self, label, data):
+        rs = build(label)
+        span = 1 if label == "F4" else 3
+        coord = st.fractions(min_value=-span, max_value=span, max_denominator=3)
+        self._check(rs, tuple(data.draw(coord) for _ in range(rs.rank)))
+
+    @pytest.mark.parametrize("label", _BOX_LABELS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_special_points(self, label, data):
+        # integer combinations of the fundamental co-weights, in every chamber
+        rs = build(label)
+        top = 1 if label == "F4" else 3
+        coeffs = [data.draw(st.integers(-top, top)) for _ in range(rs.rank)]
+        cw = rs.fundamental_coweights()
+        x = tuple(sum(c * v[j] for c, v in zip(coeffs, cw)) for j in range(rs.rank))
+        self._check(rs, x)
+
+    def test_non_special_f4_point(self):
+        self._check(build("F4"), (Q(1), Q(2), Q(3), Q(2)))
 
 
 class TestNonCrystallographicHull:

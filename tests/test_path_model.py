@@ -267,6 +267,17 @@ class TestGalleries:
         with pytest.raises(pm.CapExceeded):
             pm.folded_gallery_endpoints(rs, g, cap=10)
 
+    @pytest.mark.parametrize("label,x", [("A2", (2, 2)), ("B2", (1, 2)), ("G2", (2, 1))])
+    def test_walks_start_without_inverse_matrices(self, label, x, monkeypatch):
+        # each start w^-1 . d_int is reached by simple reflections, not a w^-1 matrix
+        rs = build(label)
+        x = tuple(map(Q, x))
+        inverses = []
+        real = type(rs).inverse
+        monkeypatch.setattr(type(rs), "inverse", lambda self, w: inverses.append(w) or real(self, w))
+        assert pm.folded_gallery_endpoints(rs, pm.minimal_gallery(rs, x)) == ms.enumerate_AQ(rs, x)
+        assert inverses == []
+
     def test_track_consistency(self):
         rs = build("A2")
         g = pm.minimal_gallery(rs, (Q(2), Q(2)))

@@ -180,8 +180,8 @@ class TestOrbitsAndDominance:
     def test_dominant_input_is_fixed(self):
         rs = build("A2")
         x = (Q(4), Q(2))
-        xp, w = rs.dominant_rep(x)
-        assert xp == x and w.word == ()
+        xp, word = rs.dominant_rep(x)
+        assert xp == x and word == ()
         assert rs.pairing(x, rs.simple_roots[0]) == 6
         assert rs.pairing(x, rs.simple_roots[1]) == 0
 
@@ -190,9 +190,9 @@ class TestOrbitsAndDominance:
         # representative is the highest root, reached after two reflections)
         rs = build("A2")
         x = (Q(-1), Q(0))
-        xp, w = rs.dominant_rep(x)
+        xp, word = rs.dominant_rep(x)
         assert xp == (Q(1), Q(1))
-        assert w.apply(x) == xp
+        assert rs.element(word).apply(x) == xp
         assert rs.is_dominant(xp)
 
     def test_dominant_rep_random(self):
@@ -201,8 +201,8 @@ class TestOrbitsAndDominance:
             rs = build(label)
             for _ in range(25):
                 x = tuple(Q(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(rs.rank))
-                xp, w = rs.dominant_rep(x)
-                assert w.apply(x) == xp
+                xp, word = rs.dominant_rep(x)
+                assert rs.element(word).apply(x) == xp
                 assert rs.is_dominant(xp)
 
 
@@ -231,12 +231,10 @@ class TestDominantWalk:
     @staticmethod
     def _check(rs, x):
         want_xp, want_word = reference_walk(rs, x)
-        xp, word = rs.dominant_walk(x)
+        xp, word = rs.dominant_rep(x)
         assert xp == want_xp and word == want_word
         assert rs.is_dominant(xp)
-        xp_rep, w = rs.dominant_rep(x)
-        assert xp_rep == xp and w.word == word
-        assert w.apply(x) == xp
+        assert rs.element(word).apply(x) == xp
 
     @pytest.mark.parametrize("label", _WALK_LABELS)
     @given(data=st.data())
@@ -532,6 +530,20 @@ class TestWeylGroup:
             rs = build(label)
             for w in rs.weyl_group():
                 assert len(w.word) == rs.length_by_inversions(w)
+
+    @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+    def test_product_length_is_the_reduced_length(self, label):
+        # a product's word is the concatenation, not reduced: (0, 0) is the
+        # identity; its length is that of the group element equal to it
+        rs = build(label)
+        group = rs.weyl_group()
+        rng = random.Random(label)
+        for _ in range(40):
+            uv = rs.multiply(rng.choice(group), rng.choice(group))
+            u = next(u for u in group if u == uv)
+            assert rs.length_by_inversions(uv) == len(u.word)
+        s0 = rs.simple_reflection(0)
+        assert rs.length_by_inversions(rs.multiply(s0, s0)) == 0
 
     def test_length_equals_inversions_f4_sampled(self):
         rs = build("F4")

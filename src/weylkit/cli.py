@@ -183,30 +183,26 @@ def cmd_verify_convexity(args) -> int:
     gallery = pm.minimal_gallery(rs, x)
     aq = ms.enumerate_AQ(rs, x, cap)
     report.counts["hull_points"] = len(aq)
+
+    def against_hull(check, got) -> dict:
+        return {
+            "check": check,
+            "missing": [_point_json(p) for p in set(aq) - set(got)][:3],
+            "extra": [_point_json(p) for p in set(got) - set(aq)][:3],
+        }
+
     w0 = rs.longest_element()
     x_plus = rs.dominant_rep(x)[0]
     _, endpoints = pm.positive_fold_closure(rs, pm.straight_path_to(w0.apply(x_plus)), cap=cap)
     report.counts["path_endpoints"] = len(endpoints)
     if endpoints != aq:
-        report.fail(
-            {
-                "check": "path closure vs hull",
-                "missing": [_point_json(p) for p in set(aq) - set(endpoints)][:3],
-                "extra": [_point_json(p) for p in set(endpoints) - set(aq)][:3],
-            }
-        )
+        report.fail(against_hull("path closure vs hull", endpoints))
     report.counts["gallery_length"] = len(gallery)
     if len(gallery) <= args.gallery_max_length:
         g_endpoints = pm.folded_gallery_endpoints(rs, gallery, cap=cap)
         report.counts["gallery_endpoints"] = len(g_endpoints)
         if g_endpoints != aq:
-            report.fail(
-                {
-                    "check": "gallery vs hull",
-                    "missing": [_point_json(p) for p in set(aq) - set(g_endpoints)][:3],
-                    "extra": [_point_json(p) for p in set(g_endpoints) - set(aq)][:3],
-                }
-            )
+            report.fail(against_hull("gallery vs hull", g_endpoints))
     else:
         report.counts["gallery_endpoints"] = "skipped (length above --gallery-max-length)"
     report.timings["total_s"] = round(time.perf_counter() - t0, 6)
@@ -249,7 +245,7 @@ def cmd_tree(args) -> int:
     if pv_report.ok:
         # pv_report is this job's one exhaustive axiom check; build on it directly
         datum = lt.build_datum(pv, base)
-        rt = lt.roundtrip_report(pv, datum)
+        rt = lt.roundtrip_check(pv, datum)
         obj["rt_ok"] = not lt.datum_axiom_violations(datum)
         obj["roundtrip_ok"] = rt.ok
         if not rt.ok:

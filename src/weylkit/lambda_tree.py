@@ -467,18 +467,11 @@ class RoundtripReport:
         return not self.mismatches
 
 
-def roundtrip_check(pv: ProjectiveValuation, base_triple: Sequence[str]) -> RoundtripReport:
-    """Rebuild the tree from pv and compare its canonical valuation with pv, exactly.
-
-    Validates pv with one :func:`check_pv` (through
-    :func:`datum_from_valuation`); a non-valuation raises :class:`TreeError`.
-    """
-    return roundtrip_report(pv, datum_from_valuation(pv, base_triple))
-
-
-def roundtrip_report(pv: ProjectiveValuation, datum: RootedTreeDatum) -> RoundtripReport:
+def roundtrip_check(pv: ProjectiveValuation, datum: RootedTreeDatum) -> RoundtripReport:
     """Compare the canonical valuation of an already built datum with pv, exactly.
 
+    pv is not validated here: a caller that wants the check builds the datum
+    with :func:`datum_from_valuation`, which runs one :func:`check_pv`.
     Where the integer encoding covers pv's values and the datum's wedges
     together (both enter the comparisons), the canonical valuation is
     computed on their codes, and ``(q, want, got)`` is rebuilt from the

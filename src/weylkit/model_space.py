@@ -9,7 +9,7 @@ co-root-pairing indexing ``<x, alpha^> = k``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, prod
 from typing import Iterable, Sequence
@@ -126,35 +126,18 @@ def dual_hyperplane_through(rs: RootSystem, alpha_index: int, x) -> DualHyperpla
     return DualHyperplane(rs.label, alpha_index, rs.bilinear(tuple(x), cw))
 
 
-@dataclass(frozen=True)
-class HullQuery:
-    """An orbit-hull membership query for the Weyl orbit of ``x`` in ``rs``.
+def in_AQ(rs: RootSystem, y, x_plus) -> bool:
+    """Dominance test: x_plus - y+ has non-negative coordinates.
 
-    ``lattice`` is "coroot" (translation group = co-root lattice; requires a
-    crystallographic system) or "all" (every translation allowed, the
-    non-crystallographic reading).  ``x_plus``, the dominant image of x in
-    ``rs``, is computed once, when the query is made; every candidate reuses
-    it, so a query serves only the system it was made with.
+    ``x_plus`` is the dominant image of the orbit generator x, so this is
+    membership in conv(W.x) with every translation allowed, which is the
+    whole hull test on a non-crystallographic system.  Whether y lies in the
+    co-root coset of x is the caller's job: box points and descent steps lie
+    in it by construction, and a point from outside is tested once with
+    :meth:`RootSystem.coroot_coset_member`.
     """
-
-    rs: InitVar[RootSystem]
-    x: tuple
-    lattice: str = "coroot"
-    x_plus: tuple = field(init=False)
-
-    def __post_init__(self, rs):
-        object.__setattr__(self, "x_plus", rs.dominant_rep(self.x)[0])
-
-
-def in_AQ(rs: RootSystem, y, query: HullQuery) -> bool:
-    """Dominance test: x+ - y+ has non-negative coordinates, plus the coset test."""
-    yp, _ = rs.dominant_rep(tuple(y))
-    diff = point_sub(query.x_plus, yp)
-    if not all(sign(c) >= 0 for c in diff):
-        return False
-    if query.lattice == "coroot":
-        return rs.coroot_coset_member(query.x, tuple(y))
-    return True
+    yp, _ = rs.dominant_rep(y)
+    return all(sign(c) >= 0 for c in point_sub(x_plus, yp))
 
 
 def hull_candidates(rs: RootSystem, x, cap: int = DEFAULT_CAP) -> tuple:
@@ -178,8 +161,9 @@ def hull_candidates(rs: RootSystem, x, cap: int = DEFAULT_CAP) -> tuple:
 
 def enumerate_AQ(rs: RootSystem, x, cap: int = DEFAULT_CAP) -> tuple:
     """All lattice points of dconv(W.x) in the coset of x, canonically sorted."""
-    q = HullQuery(rs, tuple(x))
-    out = [z for z in hull_candidates(rs, x, cap) if in_AQ(rs, z, q)]
+    xp, _ = rs.dominant_rep(x)
+    # box points are x + sum k_j alpha_j^, so each lies in the coset of x
+    out = [z for z in hull_candidates(rs, x, cap) if in_AQ(rs, z, xp)]
     return tuple(sorted(out))
 
 
@@ -255,14 +239,13 @@ def aq_triple_characterizations(rs: RootSystem, x) -> dict:
     dual-hull oracle + coset) plus a global agreement flag.
     """
     x = tuple(x)
-    q = HullQuery(rs, x)
-    xp = q.x_plus
+    xp, _ = rs.dominant_rep(x)
     orbit = rs.weyl_orbit(x)
     group = rs.weyl_group()
     rows = []
     agree = True
     for z in hull_candidates(rs, x):
-        dom = in_AQ(rs, z, q)
+        dom = in_AQ(rs, z, xp)
         inter = True
         for w in group:
             diff = point_sub(xp, w.apply(z))

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .model_space import (
-    DEFAULT_CAP, CapExceeded, HullQuery, gallery_distance, in_AQ, is_special_vertex, point_sub,
+    DEFAULT_CAP, CapExceeded, gallery_distance, in_AQ, is_special_vertex, point_sub,
 )
 from .root_system import RootSystem, WeylElement
 
@@ -232,8 +232,8 @@ def parkinson_ram_chain(rs: RootSystem, x, y, w0_word=None) -> tuple[list, list]
     """The greedy co-root descent y = y_0, ..., y_n; the last point is w0.x."""
     x = tuple(Fraction(c) for c in x)
     y = tuple(Fraction(c) for c in y)
-    query = HullQuery(rs, x)
-    if not in_AQ(rs, y, query):
+    xp, _ = rs.dominant_rep(x)
+    if not (in_AQ(rs, y, xp) and rs.coroot_coset_member(x, y)):
         raise PathModelError("target point is outside the orbit hull")
     word = _validate_w0_word(rs, w0_word)
     ys = [y]
@@ -244,7 +244,8 @@ def parkinson_ram_chain(rs: RootSystem, x, y, w0_word=None) -> tuple[list, list]
         cur = ys[-1]
         while True:
             cand = tuple(c - (m + 1) * s for c, s in zip(ys[-1], coroot))
-            if not in_AQ(rs, cand, query):
+            # y - m alpha^ stays in the coset of y, which was tested above
+            if not in_AQ(rs, cand, xp):
                 break
             m += 1
             cur = cand

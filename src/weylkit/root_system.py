@@ -495,9 +495,6 @@ class RootSystem:
     def multiply(self, w: WeylElement, v: WeylElement) -> WeylElement:
         return self.element(w.word + v.word)
 
-    def inverse(self, w: WeylElement) -> WeylElement:
-        return self.element(reversed(w.word))
-
     # -- roots ----------------------------------------------------------------
 
     def _positive_closure(self):

@@ -177,7 +177,7 @@ def test_criterion_08_tree_round_trip():
             n_ends = 4 + (seed % 5)
             _, pv = lt.tree_generator(seed, n_ends, lam)
             assert lt.check_pv(pv).ok, (seed, lam)
-            assert lt.roundtrip_check(pv, pv.ends[:3]).ok, (seed, lam)
+            assert lt.roundtrip_check(pv, lt.datum_from_valuation(pv, pv.ends[:3])).ok, (seed, lam)
             for quad in itertools.permutations(pv.ends, 4):
                 lt.three_point_case(pv, *quad)
     _passed(

@@ -218,22 +218,22 @@ class TestCanonicalValuation:
 
 class TestRoundtrip:
     def test_star(self, star_pv):
-        assert lt.roundtrip_check(star_pv, ("a", "b", "c")).ok
+        assert lt.roundtrip_check(star_pv, lt.datum_from_valuation(star_pv, ("a", "b", "c"))).ok
 
     def test_h_tree(self, h_pv):
-        assert lt.roundtrip_check(h_pv, ("a", "b", "c")).ok
+        assert lt.roundtrip_check(h_pv, lt.datum_from_valuation(h_pv, ("a", "b", "c"))).ok
 
     def test_base_triple_independence(self):
         _, pv = lt.tree_generator(20240817, 6, "Z")
         for base in itertools.permutations(pv.ends, 3):
-            assert lt.roundtrip_check(pv, base).ok
+            assert lt.roundtrip_check(pv, lt.datum_from_valuation(pv, base)).ok
 
     def test_generated_trees(self):
         for seed in range(10):
             for lam in ("Z", "Z2lex"):
                 _, pv = lt.tree_generator(seed, 4 + (seed + 1) % 5, lam)
                 assert lt.check_pv(pv).ok
-                assert lt.roundtrip_check(pv, pv.ends[:3]).ok
+                assert lt.roundtrip_check(pv, lt.datum_from_valuation(pv, pv.ends[:3])).ok
 
     @given(
         st.integers(0, 2**31),
@@ -246,12 +246,12 @@ class TestRoundtrip:
         _, pv = lt.tree_generator(seed, n_ends, lam)
         base = data.draw(st.permutations(pv.ends).map(lambda p: tuple(p[:3])))
         assert lt.check_pv(pv).ok
-        assert lt.roundtrip_check(pv, base).ok
+        assert lt.roundtrip_check(pv, lt.datum_from_valuation(pv, base)).ok
 
     def test_prebuilt_datum_matches_checked_path(self, h_pv):
         datum = lt.build_datum(h_pv, ("c", "a", "d"))
         assert datum == lt.datum_from_valuation(h_pv, ("c", "a", "d"))
-        assert lt.roundtrip_report(h_pv, datum) == lt.roundtrip_check(h_pv, ("c", "a", "d"))
+        assert lt.roundtrip_check(h_pv, datum).ok
 
 
 class TestBaseChange:
@@ -374,8 +374,8 @@ def _reference_kappa_coord(datum, a, b, c):
     return -(wab if compare(wab, wac) >= 0 else wac)
 
 
-def reference_roundtrip_report(pv, datum):
-    """roundtrip_report as it was before the integer encoding: kappa on values, per quadruple."""
+def reference_roundtrip_check(pv, datum):
+    """roundtrip_check as it was before the integer encoding: kappa on values, per quadruple."""
     bad = []
     for q in pv.quadruples():
         a, b, c, d = q
@@ -506,7 +506,7 @@ cases = st.tuples(
 
 
 class TestEncodedAgainstValues:
-    """check_pv, roundtrip_report, complete_pv1 and datum_axiom_violations give the
+    """check_pv, roundtrip_check, complete_pv1 and datum_axiom_violations give the
     reports of the loops on values, on tables and datums the encoding covers and on
     those it does not."""
 
@@ -538,8 +538,8 @@ class TestEncodedAgainstValues:
         if off_table:
             datum = _wedges_off_table(datum, random.Random(seed))
         pv = _table_for(*case, kind)
-        got = _outcome(lt.roundtrip_report, pv, datum)
-        want = _outcome(reference_roundtrip_report, pv, datum)
+        got = _outcome(lt.roundtrip_check, pv, datum)
+        want = _outcome(reference_roundtrip_check, pv, datum)
         assert got == want
         assert repr(got) == repr(want)
         assert lt.datum_axiom_violations(datum) == reference_datum_axiom_violations(datum)

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 from math import ceil, floor, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from test_root_system import (
     KERNEL_LABELS,
@@ -19,6 +19,7 @@ from test_root_system import (
 )
 
 from weylkit import model_space as ms
+from weylkit import path_model as pm
 from weylkit.root_system import build, solve_linear
 from weylkit.scalars import QuadInt, compare, lex, scalar_mul, sign, zero_like
 
@@ -259,22 +260,25 @@ class TestHull:
     def test_self_membership(self):
         rs = build("A2")
         x = (Q(3), Q(3))
-        assert ms.in_AQ(rs, x, ms.HullQuery(rs, x))
+        assert ms.in_AQ(rs, x, rs.dominant_rep(x)[0])
 
     def test_worked_counterexample_excluded(self):
         rs = build("A2")
-        assert not ms.in_AQ(rs, (Q(4), Q(2)), ms.HullQuery(rs, (Q(3), Q(3))))
+        assert not ms.in_AQ(rs, (Q(4), Q(2)), rs.dominant_rep((Q(3), Q(3)))[0])
 
     def test_interior_member(self):
         rs = build("A2")
-        assert ms.in_AQ(rs, (Q(2), Q(2)), ms.HullQuery(rs, (Q(3), Q(3))))
+        assert ms.in_AQ(rs, (Q(2), Q(2)), rs.dominant_rep((Q(3), Q(3)))[0])
 
     def test_coset_filter(self):
         rs = build("A1")
-        # x + half a co-root is dominated but lies in the wrong coset
-        assert not ms.in_AQ(rs, (Q(1, 2),), ms.HullQuery(rs, (Q(2),)))
+        # x + half a co-root is dominated, so in_AQ accepts it; it lies in the
+        # wrong coset, which the descent tests once, at its target
+        assert ms.in_AQ(rs, (Q(1, 2),), (Q(2),))
+        with pytest.raises(pm.PathModelError, match="outside"):
+            pm.parkinson_ram_chain(rs, (Q(2),), (Q(1, 2),))
 
-    def test_x_plus_computed_once_per_query(self, monkeypatch):
+    def test_x_plus_computed_once_per_enumeration(self, monkeypatch):
         rs = build("A2")
         x = (Q(0), Q(3))  # s_1 of (3, 3)
         rs.longest_element()  # built before counting: w0 comes from a walk of its own
@@ -282,12 +286,10 @@ class TestHull:
         real = type(rs).dominant_rep
         monkeypatch.setattr(type(rs), "dominant_rep", lambda self, p: walks.append(p) or real(self, p))
         points = ms.enumerate_AQ(rs, x)
-        # one walk per candidate, one for the query's x_plus and one for the box
+        # one walk per candidate, one for x_plus and one for the box
         assert len(walks) == len(ms.hull_candidates(rs, x)) + 2
         assert points == ms.enumerate_AQ(rs, (Q(3), Q(3)))
-        q = ms.HullQuery(rs, x)
-        assert q.x_plus == (Q(3), Q(3))
-        assert q == ms.HullQuery(rs, x) and hash(q) == hash(ms.HullQuery(rs, x))
+        assert rs.dominant_rep(x)[0] == (Q(3), Q(3))
 
     def test_enumerate_zero(self):
         rs = build("A2")
@@ -332,6 +334,18 @@ class TestHull:
         monkeypatch.setattr(type(rs), "weyl_orbit", lambda self, p: orbits.append(p) or real(self, p))
         assert ms.enumerate_AQ(rs, tuple(map(Q, x)))
         assert orbits == []
+
+    @pytest.mark.parametrize("label,x", [("A2", (3, 3)), ("B2", (1, -2)), ("G2", (2, 1)), ("A3", (1, 0, 1))])
+    def test_enumeration_tests_no_coset(self, label, x, monkeypatch):
+        # box points are x + sum k_j alpha_j^: in the coset of x by construction
+        rs = build(label)
+        calls = []
+        real = type(rs).coroot_coset_member
+        monkeypatch.setattr(
+            type(rs), "coroot_coset_member", lambda self, a, b: calls.append(b) or real(self, a, b)
+        )
+        assert ms.enumerate_AQ(rs, tuple(map(Q, x)))
+        assert calls == []
 
 
 def reference_hull_box(rs, x):
@@ -388,6 +402,49 @@ class TestHullBox:
         self._check(build("F4"), (Q(1), Q(2), Q(3), Q(2)))
 
 
+@st.composite
+def small_points(draw, label):
+    """A small rational point of ``label``: a special vertex or an arbitrary one."""
+    rs = build(label)
+    top = 1 if rs.rank > 2 else 2
+    if draw(st.booleans()):
+        coeffs = [draw(st.integers(-top, top)) for _ in range(rs.rank)]
+        cw = rs.fundamental_coweights()
+        return tuple(sum(c * v[j] for c, v in zip(coeffs, cw)) for j in range(rs.rank))
+    coord = st.fractions(min_value=-top, max_value=top, max_denominator=3)
+    return tuple(draw(coord) for _ in range(rs.rank))
+
+
+class TestHullCoset:
+    """The hull box holds only coset points, so the hull is dominance on the box."""
+
+    @pytest.mark.parametrize("label", _BOX_LABELS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_box_points_lie_in_the_coset(self, label, data):
+        rs = build(label)
+        x = data.draw(small_points(label))
+        try:
+            box = ms.hull_candidates(rs, x, cap=_BOX_CAP)
+        except ms.CapExceeded:
+            reject()
+        assert all(rs.coroot_coset_member(x, z) for z in box)
+
+    @pytest.mark.parametrize("label", [lab for lab in _BOX_LABELS if lab != "F4"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_hull_is_the_dual_oracle_with_the_coset(self, label, data):
+        rs = build(label)
+        x = data.draw(small_points(label))
+        orbit = rs.weyl_orbit(x)
+        want = tuple(
+            z
+            for z in ms.hull_candidates(rs, x)
+            if ms.dual_hull_oracle(rs, orbit, z) and rs.coroot_coset_member(x, z)
+        )
+        assert ms.enumerate_AQ(rs, x) == tuple(sorted(want))
+
+
 class TestNonCrystallographicHull:
     def test_dominance_reading_over_the_octagon_field(self):
         # with every translation allowed, membership is pure dominance; the
@@ -395,14 +452,14 @@ class TestNonCrystallographicHull:
         rs = build("I2(8)")
         one = rs.field.one()
         x = (one * 2, one * 2)
-        q = ms.HullQuery(rs, x, lattice="all")
-        assert ms.in_AQ(rs, x, q)
-        assert ms.in_AQ(rs, (one, one), q)
+        xp = rs.dominant_rep(x)[0]
+        assert ms.in_AQ(rs, x, xp)
+        assert ms.in_AQ(rs, (one, one), xp)
         zeta = rs.field.gen()
-        assert ms.in_AQ(rs, (zeta, zeta), q)  # 1 < zeta < 2 keeps dominance
-        assert not ms.in_AQ(rs, (one * 3, one * 2), q)
+        assert ms.in_AQ(rs, (zeta, zeta), xp)  # 1 < zeta < 2 keeps dominance
+        assert not ms.in_AQ(rs, (one * 3, one * 2), xp)
         for p in rs.weyl_orbit(x):
-            assert ms.in_AQ(rs, p, q)
+            assert ms.in_AQ(rs, p, xp)
 
     def test_enumeration_needs_a_lattice(self):
         rs = build("I2(8)")
@@ -455,10 +512,10 @@ class TestDualHull:
         for label, x in (("A2", (Q(3), Q(3))), ("G2", (Q(2), Q(1)))):
             rs = build(label)
             orbit = rs.weyl_orbit(x)
-            q = ms.HullQuery(rs, x)
+            xp = rs.dominant_rep(x)[0]
             for z in ms.hull_candidates(rs, x):
                 dual = ms.dual_hull_oracle(rs, orbit, z)
-                dom = ms.in_AQ(rs, z, q)
+                dom = ms.in_AQ(rs, z, xp)
                 assert dom == (dual and rs.coroot_coset_member(x, z))
 
     def test_reading_disagreement_is_reported(self):

@@ -209,6 +209,24 @@ class TestParkinsonRam:
             path = pm.parkinson_ram_fold(rs, x, y, w0_word=(1, 0, 1))
             assert path.endpoint() == y
 
+    @pytest.mark.parametrize("label,x", [("A2", (3, 3)), ("B2", (3, 4))])
+    def test_coset_tested_once_per_target(self, label, x, monkeypatch):
+        # descent steps y - m alpha^ stay in the coset of the target; only the
+        # target, which comes from outside, is tested
+        rs = build(label)
+        x = tuple(map(Q, x))
+        hull = ms.enumerate_AQ(rs, x)
+        calls = []
+        real = type(rs).coroot_coset_member
+        monkeypatch.setattr(
+            type(rs), "coroot_coset_member", lambda self, a, b: calls.append((a, b)) or real(self, a, b)
+        )
+        for y in hull[:: len(hull) // 4]:
+            calls.clear()
+            ys, _ = pm.parkinson_ram_chain(rs, x, y)
+            assert calls == [(x, y)]
+            assert ys[-1] == rs.longest_element().apply(x)
+
 
 class TestGalleries:
     def test_zero_gallery(self):
@@ -248,9 +266,9 @@ class TestGalleries:
     def test_soundness_subset(self):
         rs = build("G2")
         x = (Q(2), Q(1))
-        q = ms.HullQuery(rs, x)
+        xp = rs.dominant_rep(x)[0]
         for gallery in pm.folded_galleries(rs, pm.minimal_gallery(rs, x)):
-            assert ms.in_AQ(rs, gallery.weight, q)
+            assert ms.in_AQ(rs, gallery.weight, xp) and rs.coroot_coset_member(x, gallery.weight)
 
     def test_both_entry_points_agree(self):
         # the type of a minimal walk to x+ and of one to w0.x fold to the same set
@@ -272,11 +290,13 @@ class TestGalleries:
         # each start w^-1 . d_int is reached by simple reflections, not a w^-1 matrix
         rs = build(label)
         x = tuple(map(Q, x))
-        inverses = []
-        real = type(rs).inverse
-        monkeypatch.setattr(type(rs), "inverse", lambda self, w: inverses.append(w) or real(self, w))
-        assert pm.folded_gallery_endpoints(rs, pm.minimal_gallery(rs, x)) == ms.enumerate_AQ(rs, x)
-        assert inverses == []
+        minimal = pm.minimal_gallery(rs, x)
+        elements = []
+        real = type(rs).element
+        monkeypatch.setattr(type(rs), "element", lambda self, w: elements.append(w) or real(self, w))
+        endpoints = pm.folded_gallery_endpoints(rs, minimal)
+        assert elements == []
+        assert endpoints == ms.enumerate_AQ(rs, x)
 
     def test_track_consistency(self):
         rs = build("A2")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, prod
+from math import ceil, floor, lcm, prod
 from typing import Iterable, Sequence
 
 from .root_system import RootSystem
@@ -137,7 +137,7 @@ def in_AQ(rs: RootSystem, y, x_plus) -> bool:
     :meth:`RootSystem.coroot_coset_member`.
     """
     yp, _ = rs.dominant_rep(y)
-    return all(sign(c) >= 0 for c in point_sub(x_plus, yp))
+    return all(compare(a, b) >= 0 for a, b in zip(x_plus, yp))
 
 
 def hull_candidates(rs: RootSystem, x, cap: int = DEFAULT_CAP) -> tuple:
@@ -191,30 +191,45 @@ def gallery_distance(rs: RootSystem, x, y) -> int:
 # dual convexity oracles
 
 
-def dual_directions(rs: RootSystem, weyl_closed: bool = True) -> tuple:
-    dirs = list(rs.fundamental_coweights())
-    if not weyl_closed:
-        return tuple(dirs)
-    seen = []
-    for d in dirs:
-        for img in rs.weyl_orbit(d):
-            if img not in seen:
-                seen.append(img)
-    return tuple(seen)
+def dual_bounds(rs: RootSystem, points: Sequence, weyl_closed: bool = True):
+    """(forms, integer, extremes): the bounds of ``points`` along every dual direction.
+
+    ``forms`` maps y to (y, d) for every direction d, as one LinearForms;
+    extremes[k] is the least and the greatest value of row k over the
+    points.  For rational points ``integer`` is (den, integer extremes over
+    den), so that a rational candidate is tested on integers; else None.
+    The directions are ``rs.dual_directions``, or the fundamental co-weights
+    alone when not ``weyl_closed``.  None when there are no points: their
+    hull is empty.
+    """
+    points = [tuple(p) for p in points]
+    if not points:
+        return None
+    forms = rs.bilinear_forms(rs.dual_directions if weyl_closed else rs.fundamental_coweights())
+    images = [forms.integer_images(p) for p in points]
+    if None in images:
+        return forms, None, tuple((min(vals), max(vals)) for vals in zip(*map(forms.apply, points)))
+    den = lcm(*(d for _, d in images))
+    ints = tuple((min(vals), max(vals)) for vals in zip(*([m * (den // d) for m in ims] for ims, d in images)))
+    return forms, (den, ints), tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in ints)
+
+
+def within_dual_bounds(bounds, y) -> bool:
+    """Whether y lies between the bounds of every direction (``dual_bounds``)."""
+    if bounds is None:
+        return False
+    forms, integer, extremes = bounds
+    y = tuple(y)
+    parts = forms.integer_images(y) if integer is not None else None
+    if parts is not None:
+        (images, dy), (den, ints) = parts, integer
+        return all(lo * dy <= m * den <= hi * dy for m, (lo, hi) in zip(images, ints))
+    return all(compare(v, lo) >= 0 and compare(v, hi) <= 0 for v, (lo, hi) in zip(forms.apply(y), extremes))
 
 
 def dual_hull_oracle(rs: RootSystem, points: Sequence, y, weyl_closed: bool = True) -> bool:
     """Membership of y in the intersection of dual half-apartments around ``points``."""
-    points = [tuple(p) for p in points]
-    if not points:
-        return False
-    for d in dual_directions(rs, weyl_closed):
-        vals = [rs.bilinear(p, d) for p in points]
-        lo, hi = min(vals), max(vals)
-        val = rs.bilinear(tuple(y), d)
-        if compare(val, lo) < 0 or compare(val, hi) > 0:
-            return False
-    return True
+    return within_dual_bounds(dual_bounds(rs, points, weyl_closed), y)
 
 
 def dual_reading_disagreements(rs: RootSystem, points: Sequence, candidates: Iterable) -> tuple:
@@ -223,10 +238,12 @@ def dual_reading_disagreements(rs: RootSystem, points: Sequence, candidates: Ite
     The two readings of "dual half-apartment" are not interchangeable in
     general; disagreements are reported, never reconciled silently.
     """
+    narrow_bounds = dual_bounds(rs, points, weyl_closed=False)
+    closed_bounds = dual_bounds(rs, points, weyl_closed=True)
     out = []
     for z in candidates:
-        narrow = dual_hull_oracle(rs, points, z, weyl_closed=False)
-        closed = dual_hull_oracle(rs, points, z, weyl_closed=True)
+        narrow = within_dual_bounds(narrow_bounds, z)
+        closed = within_dual_bounds(closed_bounds, z)
         if narrow != closed:
             out.append((tuple(z), narrow, closed))
     return tuple(out)
@@ -240,7 +257,7 @@ def aq_triple_characterizations(rs: RootSystem, x) -> dict:
     """
     x = tuple(x)
     xp, _ = rs.dominant_rep(x)
-    orbit = rs.weyl_orbit(x)
+    bounds = dual_bounds(rs, rs.weyl_orbit(x))
     group = rs.weyl_group()
     rows = []
     agree = True
@@ -252,7 +269,7 @@ def aq_triple_characterizations(rs: RootSystem, x) -> dict:
             if not (all(sign(c) >= 0 for c in diff) and rs.coroot_lattice_member(diff)):
                 inter = False
                 break
-        dual = dual_hull_oracle(rs, orbit, z, weyl_closed=True) and rs.coroot_coset_member(x, z)
+        dual = within_dual_bounds(bounds, z) and rs.coroot_coset_member(x, z)
         rows.append({"point": z, "dominance": dom, "intersection": inter, "dual": dual})
         if not (dom == inter == dual):
             agree = False

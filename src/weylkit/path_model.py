@@ -7,13 +7,24 @@ in the same direction.  The height of a path against a simple root alpha is
 on integer levels, and applying the operator shifts the endpoint by exactly
 the co-root ``2 alpha / (alpha, alpha)``.
 
+The kernels run on Python ints, in level coordinates L_j = (alpha_j, v)
+(``RootSystem.to_levels``).  A path is held as its level steps over one
+common denominator D, reduced so that D and the entries share no factor; the
+height of a step against alpha_i is its component i, and s_i moves a step by
+L <- L - L_i * cartan[i].  A split of a step at a height fraction that is not
+exact over D rescales the whole path, never rounds it.  ``PLPath`` values,
+with their simple-root ``Fraction`` steps, are built only for what a public
+function returns: ``root_operator_e`` converts its path in, applies the one
+kernel and converts the result back.
+
 Galleries are alcove walks.  A walk is a start Weyl element ``w``, a type
 word and a fold mask: step ``i`` either crosses the panel of type
 ``word[i]`` or folds at it, and these three fix every alcove of the walk.  A
 point moves through a walk by the reflections in the walls of the
-fundamental alcove, each applied as ``LinearForms`` plus the far wall's
-shift; no affine maps are composed.  A fold is positive when the wall
-separates the retained alcove from the antidominant direction.
+fundamental alcove, each an integer map of level vectors
+(``RootSystem.alcove_walls``); no affine maps are composed.  A fold is
+positive when the wall separates the retained alcove from the antidominant
+direction.
 """
 
 from __future__ import annotations
@@ -21,6 +32,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .model_space import (
@@ -33,23 +47,28 @@ class PathModelError(ValueError):
     pass
 
 
+def _require_lattice(rs: RootSystem) -> None:
+    if not rs.crystallographic:
+        raise PathModelError("paths need a crystallographic system")
+
+
 # --------------------------------------------------------------------------
 # paths
 
 
 def _is_positive_multiple(v, w) -> bool:
     """Whether w = c v for some c > 0, decided by cross-multiplication at v's pivot."""
-    piv = next((j for j, c in enumerate(v) if c != 0), None)
-    if piv is None or w[piv] == 0 or (w[piv] > 0) != (v[piv] > 0):
-        return False
-    return all(wj * v[piv] == vj * w[piv] for vj, wj in zip(v, w))
+    for vp, wp in zip(v, w):
+        if vp:
+            return wp != 0 and (wp > 0) == (vp > 0) and all(wj * vp == vj * wp for vj, wj in zip(v, w))
+    return False
 
 
 def _canonical_steps(steps: Iterable[tuple]) -> tuple:
     """Exact steps in normal form: zero steps dropped, positively parallel neighbours merged."""
     out: list[tuple] = []
     for v in steps:
-        if all(c == 0 for c in v):
+        if not any(v):
             continue
         if out and _is_positive_multiple(out[-1], v):
             out[-1] = tuple(a + b for a, b in zip(out[-1], v))
@@ -135,65 +154,110 @@ def height_function(rs: RootSystem, path: PLPath, i: int) -> HeightFunction:
     return HeightFunction(samples, min(values))
 
 
-def _split_step(v: tuple, f: Fraction) -> tuple[tuple, tuple]:
-    head = tuple(c * f for c in v)
-    tail = tuple(c * (1 - f) for c in v)
-    return head, tail
+def _reduced(steps: tuple, den: int) -> tuple:
+    """(steps, den) divided by the greatest common factor of den and every entry."""
+    g = den
+    for v in steps:
+        g = gcd(g, *v)
+        if g == 1:
+            return steps, den
+    return tuple(tuple(c // g for c in v) for v in steps), den // g
+
+
+def _levels_of(rs: RootSystem, path: PLPath) -> tuple:
+    """The path as (level steps, den)."""
+    steps, den = rs.to_levels(path.steps)
+    return _reduced(tuple(steps), den)
+
+
+def _path_of(rs: RootSystem, steps: tuple, den: int, rank: int) -> PLPath:
+    """The PLPath of (level steps, den)."""
+    return PLPath(tuple(rs.from_levels(v, den) for v in steps), rank)
+
+
+def _sorted_paths(rs: RootSystem, paths, rank: int) -> tuple:
+    """The PLPaths of the (level steps, den) in ``paths``, sorted by their steps.
+
+    Each distinct step is converted once and ranked once among the others,
+    so the paths sort on tuples of integer ranks, in the order of their
+    Fraction steps.
+    """
+    steps_of = {(v, den): None for steps, den in paths for v in steps}
+    for key in steps_of:
+        steps_of[key] = rs.from_levels(*key)
+    ranks, last, r = {}, None, -1
+    for key in sorted(steps_of, key=steps_of.get):
+        # two keys of one value (levels over den and over a multiple) share a rank
+        r += steps_of[key] != last
+        ranks[key], last = r, steps_of[key]
+    order = sorted(paths, key=lambda p: [ranks[(v, p[1])] for v in p[0]])
+    return tuple(PLPath(tuple(steps_of[(v, den)] for v in steps), rank) for steps, den in order)
+
+
+def _raise(rs: RootSystem, i: int, steps: tuple, den: int) -> Optional[tuple]:
+    """e_i on (level steps, den), reduced; None when it does not apply.
+
+    Heights are component i of the partial sums, integers over den.  A step
+    split at height fraction a / b is kept as the piece (v, a, b), the vector
+    a / b * v, until the end; one common factor m then makes every piece an
+    integer vector over den * m.
+    """
+    row = rs.integer_cartan[i]  # s_i moves a level vector v by v - v[i] * row
+    heights = list(accumulate((v[i] for v in steps), initial=0))
+    n = min(heights)
+    if n > -den:
+        return None
+    idx1 = heights.index(n)
+    # first strict undershoot of n + 1 along the prefix
+    top = n + den
+    s = 0
+    while heights[s + 1] >= top:
+        s += 1
+    pieces = []
+    middle = deque((v, 1, 1) for v in steps[s:idx1])
+    if heights[s] != top:
+        a, b = heights[s] - top, heights[s] - heights[s + 1]
+        pieces.append((steps[s], a, b))
+        middle[0] = (steps[s], b - a, b)
+
+    while middle:
+        v, p, q = middle.popleft()
+        inc = v[i] * p // q
+        if inc < 0:
+            vi = v[i]
+            pieces.append((tuple(c - vi * r for c, r in zip(v, row)), p, q))
+        elif inc == 0:
+            pieces.append((v, p, q))
+        else:
+            # an excursion above the running minimum: keep it, up to its return
+            acc = inc
+            pieces.append((v, p, q))
+            while acc > 0:
+                w, p, q = middle.popleft()
+                winc = w[i] * p // q
+                if acc + winc >= 0:
+                    pieces.append((w, p, q))
+                    acc += winc
+                else:
+                    pieces.append((w, p * acc, q * -winc))
+                    middle.appendleft((w, p * (-winc - acc), q * -winc))
+                    acc = 0
+    m = 1
+    for v, p, q in pieces:
+        if q != 1:
+            m = lcm(m, q // gcd(q, p * gcd(*v)))
+    out = [v if m == q == 1 else tuple(c * p * m // q for c in v) for v, p, q in pieces]
+    prefix, suffix = steps[:s], steps[idx1:]
+    if m != 1:
+        prefix, suffix = (tuple(tuple(c * m for c in v) for v in part) for part in (prefix, suffix))
+    return _reduced(_canonical_steps(prefix + tuple(out) + suffix), den * m)
 
 
 def root_operator_e(rs: RootSystem, path: PLPath, i: int) -> Optional[PLPath]:
     """The raising operator for the i-th simple root; None when it does not apply."""
-    alpha = rs.simple_roots[i]
-    steps = list(path.steps)
-    if not steps:
-        return None
-    incs = [rs.root_level(v, alpha) for v in steps]
-    heights = [Fraction(0)]
-    for d in incs:
-        heights.append(heights[-1] + d)
-    n = min(heights)
-    if n > -1:
-        return None
-    idx1 = heights.index(n)
-    # first strict undershoot of n + 1 along the prefix
-    s = 0
-    while heights[s + 1] >= n + 1:
-        s += 1
-    if heights[s] == n + 1:
-        prefix = steps[:s]
-        middle = deque(steps[s:idx1])
-    else:
-        f = (heights[s] - (n + 1)) / (heights[s] - heights[s + 1])
-        head, tail = _split_step(steps[s], f)
-        prefix = steps[:s] + [head]
-        middle = deque([tail] + steps[s + 1 : idx1])
-    suffix = steps[idx1:]
-
-    out: list[tuple] = []
-    while middle:
-        v = middle.popleft()
-        inc = rs.root_level(v, alpha)
-        if inc < 0:
-            out.append(rs.reflection_forms[i].apply(v))
-        elif inc == 0:
-            out.append(v)
-        else:
-            # an excursion above the running minimum: keep it, up to its return
-            acc = inc
-            out.append(v)
-            while acc > 0:
-                w = middle.popleft()
-                winc = rs.root_level(w, alpha)
-                if acc + winc >= 0:
-                    out.append(w)
-                    acc += winc
-                else:
-                    f = acc / (-winc)
-                    head, tail = _split_step(w, f)
-                    out.append(head)
-                    middle.appendleft(tail)
-                    acc = Fraction(0)
-    return PLPath(_canonical_steps(prefix + out + suffix), path.rank)
+    _require_lattice(rs)
+    nxt = _raise(rs, i, *_levels_of(rs, path))
+    return None if nxt is None else _path_of(rs, *nxt, path.rank)
 
 
 # --------------------------------------------------------------------------
@@ -202,20 +266,25 @@ def root_operator_e(rs: RootSystem, path: PLPath, i: int) -> Optional[PLPath]:
 
 def positive_fold_closure(rs: RootSystem, path: PLPath, cap: int = DEFAULT_CAP) -> tuple:
     """The least e-closed set of paths containing ``path``; returns (paths, endpoints)."""
-    seen = {path}
-    queue = deque([path])
+    _require_lattice(rs)
+    start = _levels_of(rs, path)
+    seen = {start}
+    queue = deque([start])
     while queue:
-        cur = queue.popleft()
+        steps, den = queue.popleft()
         for i in range(rs.rank):
-            nxt = root_operator_e(rs, cur, i)
+            nxt = _raise(rs, i, steps, den)
             if nxt is not None and nxt not in seen:
                 seen.add(nxt)
                 if len(seen) > cap:
                     raise CapExceeded(f"positive fold closure exceeded {cap} paths")
                 queue.append(nxt)
-    paths = tuple(sorted(seen, key=lambda p: p.steps))
-    endpoints = tuple(sorted({p.endpoint() for p in paths}))
-    return paths, endpoints
+    ends = set()
+    for steps, den in seen:
+        end = tuple(map(sum, zip(*steps)))  # () for the empty path: the origin
+        g = gcd(den, *end)
+        ends.add((tuple(c // g for c in end), den // g))
+    return _sorted_paths(rs, seen, path.rank), tuple(sorted(rs.from_levels(end, den) for end, den in ends))
 
 
 def _validate_w0_word(rs: RootSystem, word=None) -> tuple:
@@ -269,15 +338,15 @@ def parkinson_ram_unfold(rs: RootSystem, x, y, w0_word=None) -> tuple[list, list
         _validate_w0_word(rs, w0_word)
         raise
     word = tuple(w0_word) if w0_word is not None else rs.longest_element().word
-    pi = straight_path_to(ys[-1])  # w0.x, where the chain ends
+    path = _levels_of(rs, straight_path_to(ys[-1]))  # w0.x, where the chain ends
     for i_k, m_k in zip(reversed(word), reversed(ms)):
         for _ in range(m_k):
-            nxt = root_operator_e(rs, pi, i_k)
-            if nxt is None:
+            path = _raise(rs, i_k, *path)
+            if path is None:
                 raise PathModelError(
                     "root operator unexpectedly inapplicable during the unfold"
                 )
-            pi = nxt
+    pi = _path_of(rs, *path, rs.rank)
     if pi.endpoint() != y:
         raise PathModelError("folded path missed its target")  # pragma: no cover
     return ys, ms, pi
@@ -292,14 +361,18 @@ def parkinson_ram_fold(rs: RootSystem, x, y, w0_word=None) -> PLPath:
 # alcove walks
 
 
-def _reflect_through(walls, word, x) -> tuple:
-    """x reflected in the ``walls`` of ``word`` (``RootSystem.alcove_walls``), first letter first."""
+def _reflect_levels(walls, word, y, den: int) -> tuple:
+    """The level vector y / den reflected in the ``walls`` of ``word``, first letter first.
+
+    ``walls`` is ``RootSystem.alcove_walls``.  With den = 0 only the linear
+    parts act, as on a direction.
+    """
     for j in word:
-        _, _, forms, shift = walls[j]
-        x = forms.apply(x)
-        if shift is not None:
-            x = tuple(a + b for a, b in zip(x, shift))
-    return x
+        beta, k, c = walls[j]
+        t = sum(map(mul, beta, y)) - k * den
+        if t:
+            y = tuple(a - t * b for a, b in zip(y, c))
+    return y
 
 
 def interior_alcove_point(rs: RootSystem) -> tuple:
@@ -345,13 +418,14 @@ def _dominant_gallery_data(rs: RootSystem, xp) -> tuple:
     walls = rs.alcove_walls
     e = 1 / (2 + rs.root_level(xp, rs.highest_root()))
     q = tuple(a + e * (b - a) for a, b in zip(xp, interior_alcove_point(rs)))
+    (q, x), den = rs.to_levels((q, xp))
     word: list[int] = []
     while True:
         # reflections permute the walls, so q stays on none: no level equals k
-        j = next((j for j, (beta, k, _, _) in enumerate(walls) if rs.root_level(q, beta) < k), None)
+        j = next((j for j, (beta, k, _) in enumerate(walls) if sum(map(mul, beta, q)) < k * den), None)
         if j is None:
-            return tuple(word), _reflect_through(walls, word, xp)
-        q = _reflect_through(walls, (j,), q)
+            return tuple(word), rs.from_levels(_reflect_levels(walls, word, x, den), den)
+        q = _reflect_levels(walls, (j,), q, den)
         word.append(j)
 
 
@@ -365,7 +439,8 @@ def minimal_gallery(rs: RootSystem, x) -> FoldedGallery:
     xp, to_dominant = rs.dominant_rep(x)
     winv = rs.element(reversed(to_dominant))
     word, x0 = _dominant_gallery_data(rs, xp)
-    if winv.apply(_reflect_through(rs.alcove_walls, reversed(word), x0)) != x:
+    (y,), den = rs.to_levels((x0,))
+    if winv.apply(rs.from_levels(_reflect_levels(rs.alcove_walls, reversed(word), y, den), den)) != x:
         raise PathModelError("gallery construction lost its target")  # pragma: no cover
     expected = gallery_distance(rs, rs.zero_point(), x) - 1
     if len(word) != expected:
@@ -389,13 +464,15 @@ def folded_galleries(
     alcove on the non-antidominant side of its wall.
     """
     walls = rs.alcove_walls
-    d_int = rs.interior_dominant_f()
     word = minimal.gallery_type
     x0 = minimal.target_in_frame
+    (target,), den = rs.to_levels((x0,))
     budget = [cap]
+    weights: dict = {}  # level vector -> the weight in simple-root coordinates
 
-    # rec carries v = (linear part of u^-1) . d_int, for u the affine map from
-    # the fundamental alcove to the current one: the one thing it reads of u
+    # rec carries v = (linear part of u^-1) . d_int as levels, for u the affine
+    # map from the fundamental alcove to the current one and d_int the
+    # regular dominant vector with every level 1: the one thing it reads of u
     # on the way.  Crossing wall j moves v by the linear part of that wall's
     # reflection; the weight is computed at the leaf from the crossed letters
     # and moved by the start element w.
@@ -404,27 +481,29 @@ def folded_galleries(
         if budget[0] < 0:
             raise CapExceeded(f"gallery enumeration exceeded {cap} states")
         if idx == len(word):
-            yield FoldedGallery(
-                gallery_type=word,
-                fold_mask=mask,
-                start=w,
-                target_in_frame=x0,
-                weight=w.apply(_reflect_through(walls, reversed(crossed), x0)),
-            )
+            y = _reflect_levels(walls, reversed(crossed), target, den)
+            # w = s_word[0] ... s_word[-1] acts last letter first
+            y = _reflect_levels(walls, (i + 1 for i in reversed(w.word)), y, den)
+            weight = weights.get(y)
+            if weight is None:
+                weight = weights[y] = rs.from_levels(y, den)
+            yield FoldedGallery(gallery_type=word, fold_mask=mask, start=w, target_in_frame=x0, weight=weight)
             return
         j = word[idx]
-        beta, _, forms, _ = walls[j]
         # cross
-        yield from rec(idx + 1, w, forms.apply(v), mask + (False,), crossed + (j,))
+        yield from rec(idx + 1, w, _reflect_levels(walls, (j,), v, 0), mask + (False,), crossed + (j,))
         # fold, kept only when positive: (beta, v) > 0 for the oriented wall.
-        # v is a Weyl image of the regular vector interior_dominant_f, so
-        # (beta, v) is never 0
-        if rs.root_level(v, beta) > 0:
+        # v is a Weyl image of the regular vector d_int, so (beta, v) is never 0
+        if sum(map(mul, walls[j][0], v)) > 0:
             yield from rec(idx + 1, w, v, mask + (True,), crossed)
 
-    # w^-1 = s_word[-1] ... s_word[0]: d_int reflected in the simple walls of w's word, first letter first
+    # w^-1 . d_int for w = (prefix) s_i is s_i applied to the prefix's vector:
+    # the BFS words of weyl_group() are prefix-closed, so the prefix came first
+    starts = {(): (1,) * rs.rank}
     for w in rs.weyl_group():
-        yield from rec(0, w, _reflect_through(walls, (i + 1 for i in w.word), d_int), (), ())
+        if w.word:
+            starts[w.word] = _reflect_levels(walls, (w.word[-1] + 1,), starts[w.word[:-1]], 0)
+        yield from rec(0, w, starts[w.word], (), ())
 
 
 def folded_gallery_endpoints(rs: RootSystem, minimal: FoldedGallery, cap: int = DEFAULT_CAP) -> tuple:

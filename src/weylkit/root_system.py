@@ -2,8 +2,18 @@
 
 Roots are stored in simple-root coordinates over the base field F (rationals
 for the crystallographic types, a real cyclotomic field for the dihedral
-ones).  Co-roots are never materialized: every formula goes through the
-pairing ``<x, a^> = 2 (x, a) / (a, a)``.
+ones).  Co-roots enter through the pairing ``<x, a^> = 2 (x, a) / (a, a)``;
+``pairing`` keeps one co-root per root it has met.
+
+The integer kernels of a crystallographic system work in level coordinates
+L_j = (alpha_j, x), the coordinates of x in the basis of the fundamental
+co-weights.  A special vertex has integer levels, and a simple reflection
+s_i acts on them by L_j <- L_j - cartan[i][j] L_i, so every Weyl element and
+every alcove wall acts by an integer matrix G M G^-1 (G the Gram matrix).
+``to_levels`` and ``from_levels`` are the boundary: they turn rational
+vectors into integer level vectors over one common denominator and back, so
+Fractions are built only for what a public function returns.  The dominance
+walk runs on the integer numerators of a rational point in the same way.
 """
 
 from __future__ import annotations
@@ -166,6 +176,10 @@ class LinearForms:
         nums, den = parts
         rows, row_den = self._field_rows
         return [tuple(sum(map(mul, r, nums)) for r in block) for block in rows], den * row_den
+
+    def integer_images(self, x):
+        """(images, den) with row_i . x = images[i] / den, for rational rows and x; else None."""
+        return self._images(x) if self.field is None else None
 
     def _build(self, m, den):
         if self.field is None:
@@ -432,12 +446,16 @@ class RootSystem:
 
     # -- bilinear data -----------------------------------------------------
 
+    def bilinear_forms(self, ys) -> LinearForms:
+        """The forms x -> (x, y), one row per F-vector y of ``ys``."""
+        return LinearForms([self._gram_forms.apply(tuple(y)) for y in ys])
+
     def bilinear(self, x, y_f):
         """(x, y) for a Lambda-vector x against an F-vector y."""
         key = tuple(y_f)
         forms = self._bilinear_forms.get(key)
         if forms is None:
-            forms = self._bilinear_forms[key] = LinearForms([self._gram_forms.apply(key)])
+            forms = self._bilinear_forms[key] = self.bilinear_forms([key])
         return forms.apply(x)[0]
 
     def norm_sq(self, alpha):
@@ -447,9 +465,18 @@ class RootSystem:
         """Coefficients c with <x, alpha^> = sum_j c_j x_j."""
         return self._gram_forms.apply(self.coroot_of(alpha))
 
+    @cached_property
+    def _coroots(self) -> Dict[tuple, tuple]:
+        """alpha -> its co-root, for ``pairing``: each entry added by one assignment on first use."""
+        return {}
+
     def pairing(self, x, alpha):
         """<x, alpha^> for a Lambda-point x (linear extension of co-root evaluation)."""
-        return self.bilinear(x, self.coroot_of(alpha))
+        key = tuple(alpha)
+        coroot = self._coroots.get(key)
+        if coroot is None:
+            coroot = self._coroots[key] = self.coroot_of(key)
+        return self.bilinear(x, coroot)
 
     def root_level(self, x, alpha):
         """(alpha, x) for a Lambda-point x; indexes the affine wall family."""
@@ -472,11 +499,6 @@ class RootSystem:
         refl = self.reflect(alpha, x)
         nn = self.norm_sq(alpha)
         return tuple(r + scalar_mul(aj * 2 / nn, k) for r, aj in zip(refl, alpha))
-
-    def _reflection_matrix(self, alpha):
-        """The matrix of s_alpha: column j is s_alpha(alpha_j)."""
-        cols = [self.reflect(alpha, b) for b in self.simple_roots]
-        return tuple(zip(*cols))
 
     def simple_reflection(self, i: int) -> WeylElement:
         return self.element((i,))
@@ -541,20 +563,30 @@ class RootSystem:
         a simple root alpha_k changes only coordinate k of x (alpha_k is a unit
         vector in simple-root coordinates) and moves each pairing by a Cartan
         entry: p_j <- p_j - <alpha_k, alpha_j^> p_k.  So the pairings are
-        computed once, not once per step, and no Weyl matrix is built.
+        computed once, not once per step, and no Weyl matrix is built.  A
+        rational point of a rational system walks on the integer numerators
+        over one common denominator, with the integer Cartan columns; field
+        and lex points walk on their own scalars.
         """
-        cur = list(x)
-        pairs = list(self.simple_coroot_forms.apply(cur))
+        parts = _clear_denominators(x) if self.field is None else None
+        if parts is None:
+            cur, columns, times = list(x), self._cartan_columns, scalar_mul
+            pairs = list(self.simple_coroot_forms.apply(cur))
+        else:
+            (cur, den), columns, times = parts, self._integer_cartan_columns, mul
+            pairs = [sum(map(mul, row, cur)) for row in self.integer_cartan]
         word: list[int] = []
         for _ in range(len(self.positive_roots) + 1):
             k = next((i for i, p in enumerate(pairs) if sign(p) < 0), None)
             if k is None:
                 word.reverse()
+                if parts is not None:
+                    cur = [Fraction(n, den) for n in cur]
                 return tuple(cur), tuple(word)
             pk = pairs[k]
             cur[k] = cur[k] - pk
-            for j, c in self._cartan_columns[k]:
-                pairs[j] = pairs[j] - scalar_mul(c, pk)
+            for j, c in columns[k]:
+                pairs[j] = pairs[j] - times(c, pk)
             word.append(k)
         raise RootSystemError("dominance walk did not terminate")  # pragma: no cover
 
@@ -639,6 +671,11 @@ class RootSystem:
         return tuple(tuple(col) for col in solve_linear(self.gram, self._identity()))
 
     @cached_property
+    def dual_directions(self) -> tuple:
+        """The Weyl orbits of the fundamental co-weights, in order, each direction once."""
+        return tuple(dict.fromkeys(d for cw in self._coweights for d in self.weyl_orbit(cw)))
+
+    @cached_property
     def inverse_height_forms(self) -> LinearForms:
         """Rows 2 C^-1: the point with heights x^alpha_i, since <x, alpha_i^> = 2 x^alpha_i."""
         cols = solve_linear(self.cartan, self._identity())
@@ -660,19 +697,56 @@ class RootSystem:
 
     @cached_property
     def alcove_walls(self) -> tuple:
-        """Walls of the fundamental alcove as (root, level, reflection forms, shift).
+        """Walls of the fundamental alcove in level coordinates, as integer (beta, k, c).
 
-        Each wall (beta, k) is oriented so that the alcove is the set of x
-        with (beta, x) > k for every wall.  Index 0 is the far wall
-        (-theta, x) = -1 of the highest root theta; its affine reflection adds
-        the shift theta^.  Index i + 1 is the wall of alpha_i through the
-        origin, with shift None.
+        Each wall {x : (beta, x) = k} is oriented so that the alcove is the set
+        of x with (beta, x) > k for every wall; (beta, x) is the dot product of
+        beta with the levels of x.  c holds the levels (alpha_j, beta^) of the
+        co-root, so the reflection in the wall moves a level vector L by
+        L <- L - ((beta, x) - k) c.  Index 0 is the far wall (-theta, x) = -1
+        of the highest root theta, whose reflection sends the origin to
+        theta^.  Index i + 1 is the wall of alpha_i through the origin, and its
+        c is row i of the Cartan matrix.
         """
-        theta = self.highest_root()
-        reflection = LinearForms(self._reflection_matrix(theta))
-        far = (tuple(-c for c in theta), Fraction(-1), reflection, self.coroot_of(theta))
-        simple = [(a, Fraction(0), f, None) for a, f in zip(self.simple_roots, self.reflection_forms)]
-        return (far, *simple)
+        walls = ((tuple(-c for c in self.highest_root()), -1), *((a, 0) for a in self.simple_roots))
+        return tuple(
+            (tuple(int(c) for c in beta), k, tuple(int(c) for c in self.coroot_vec(beta))) for beta, k in walls
+        )
+
+    # -- level coordinates (rational systems) ----------------------------------
+
+    @cached_property
+    def integer_cartan(self) -> tuple:
+        """The Cartan matrix over the integers: row i holds the levels of alpha_i^."""
+        return tuple(tuple(int(c) for c in row) for row in self.cartan)
+
+    @cached_property
+    def _integer_cartan_columns(self) -> tuple:
+        """Column k of ``integer_cartan`` without its zero entries, as (j, entry)."""
+        return tuple(
+            tuple((j, row[k]) for j, row in enumerate(self.integer_cartan) if row[k]) for k in range(self.rank)
+        )
+
+    @cached_property
+    def _level_maps(self) -> tuple:
+        """(G, E, K, F): integer rows with gram = G / E and gram^-1 = K / F."""
+        g_rows, e = _integer_rows(self.gram)
+        # the inverse Gram matrix is symmetric: its columns, the co-weights, are its rows
+        k_rows, f = _integer_rows(self._coweights)
+        return g_rows, e, k_rows, f
+
+    def to_levels(self, vectors) -> tuple:
+        """(levels, den): integer vectors over one den, levels[k][j] / den = (alpha_j, vectors[k])."""
+        nums, d = _clear_denominators([c for v in vectors for c in v])
+        g_rows, e, _, _ = self._level_maps
+        n = self.rank
+        return [tuple(sum(map(mul, row, nums[k : k + n])) for row in g_rows) for k in range(0, len(nums), n)], d * e
+
+    def from_levels(self, levels, den) -> tuple:
+        """The rational vector, in simple-root coordinates, whose levels are levels / den."""
+        _, _, k_rows, f = self._level_maps
+        den *= f
+        return tuple(Fraction(sum(map(mul, row, levels)), den) for row in k_rows)
 
     def fundamental_coweight(self, i: int) -> tuple:
         return self.fundamental_coweights()[i]

@@ -597,11 +597,14 @@ Scalar = Union[Fraction, NFElem, LexPair, QuadInt]
 
 
 def sign(x) -> int:
-    if type(x) is Fraction:
+    t = type(x)
+    if t is Fraction:
         # Fraction keeps its denominator positive; read the numerator slot
         # directly, as compare does
         n = x._numerator
         return (n > 0) - (n < 0)
+    if t is int:  # the integer kernels' case; isinstance on Ordered costs more
+        return (x > 0) - (x < 0)
     if isinstance(x, Ordered):
         return x.sign()
     if isinstance(x, (int, Fraction)):
@@ -722,10 +725,15 @@ def scalar_to_json(x):
 
 
 def parse_rational(text: str) -> Fraction:
+    text = text.strip()
+    # an optional sign and decimal digits: int reads these exactly as Fraction
+    # does, without Fraction's regular expression
+    if (text[1:] if text[:1] in ("+", "-") else text).isdecimal():
+        return Fraction(int(text))
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {text.strip()!r}") from None
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def parse_scalar(text: str):

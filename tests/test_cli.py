@@ -676,3 +676,33 @@ class TestSvgModule:
         rs = build("G2")
         scene = Scene(orbit=list(rs.weyl_orbit((Q(1), Q(1)))), title="orbit")
         assert emit_svg(rs, scene) == emit_svg(rs, scene)
+
+
+class TestWorkCounts:
+    # Fraction constructions in one in-process `verify-convexity --type A2
+    # --point=3,4`, counted on a second run so that every lazily derived value
+    # of A2 exists.  The convexity kernels run on ints and build Fractions only
+    # for what they return: CPython 3.11 counted 9,018 constructions with
+    # Fraction kernels and 762 with integer ones.  The bound is about 1.5x the
+    # latter.
+    FRACTION_BOUND = 1150
+
+    def test_verify_convexity_fraction_constructions(self, capsys):
+        argv = ("verify-convexity", "--type", "A2", "--point=3,4")
+        first = run_cli(capsys, *argv)
+        count = 0
+        new = vars(Q)["__new__"]
+        real = new.__func__
+
+        def counting(cls, *args, **kwargs):
+            nonlocal count
+            count += 1
+            return real(cls, *args, **kwargs)
+
+        Q.__new__ = staticmethod(counting)
+        try:
+            second = run_cli(capsys, *argv)
+        finally:
+            Q.__new__ = new
+        assert first == second and first[0] == EXIT_OK
+        assert 0 < count <= self.FRACTION_BOUND

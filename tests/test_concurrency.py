@@ -106,6 +106,8 @@ def jobs(rs):
         "group": lambda: [(w.word, typed(w.matrix)) for w in rs.weyl_group()],
         "w0": lambda: (rs.longest_element().word, typed(rs.longest_element().matrix)),
         "distance": lambda: [typed(ms.distance(rs, x, y)) for x in xs for y in xs],
+        # each root's co-root is kept on first use, by one dict assignment
+        "pairing": lambda: [typed(rs.pairing(x, a)) for x in xs for a in rs.positive_roots],
         "via coords": lambda: [typed(ms.distance_origin_via_coords(rs, x)) for x in xs],
         "round trip": lambda: [
             typed(ms.point_from_hyperplane_coords(rs, ms.hyperplane_coords(rs, x))) for x in xs
@@ -119,6 +121,8 @@ def jobs(rs):
         vertex = tuple(Q(c) for c in rs.interior_dominant_f())
         out["hull"] = lambda: ms.enumerate_AQ(rs, vertex)
         out["galleries"] = lambda: pm.folded_gallery_endpoints(rs, pm.minimal_gallery(rs, vertex))
+        # the level maps, the integer Cartan matrix and the level walls are built on first use
+        out["closure"] = lambda: pm.positive_fold_closure(rs, pm.straight_path_to(rs.longest_element().apply(vertex)))
     return out
 
 

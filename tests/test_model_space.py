@@ -430,18 +430,19 @@ class TestHullCoset:
             reject()
         assert all(rs.coroot_coset_member(x, z) for z in box)
 
-    @pytest.mark.parametrize("label", [lab for lab in _BOX_LABELS if lab != "F4"])
+    @pytest.mark.parametrize("label", _BOX_LABELS)
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_hull_is_the_dual_oracle_with_the_coset(self, label, data):
         rs = build(label)
         x = data.draw(small_points(label))
-        orbit = rs.weyl_orbit(x)
-        want = tuple(
-            z
-            for z in ms.hull_candidates(rs, x)
-            if ms.dual_hull_oracle(rs, orbit, z) and rs.coroot_coset_member(x, z)
-        )
+        try:
+            box = ms.hull_candidates(rs, x, cap=_BOX_CAP)
+        except ms.CapExceeded:
+            reject()
+        # the bounds are read once per orbit and tested per candidate
+        bounds = ms.dual_bounds(rs, rs.weyl_orbit(x))
+        want = tuple(z for z in box if ms.within_dual_bounds(bounds, z) and rs.coroot_coset_member(x, z))
         assert ms.enumerate_AQ(rs, x) == tuple(sorted(want))
 
 
@@ -533,6 +534,59 @@ class TestDualHull:
         rs = build("A1")
         orbit = rs.weyl_orbit((Q(2),))
         assert not ms.dual_reading_disagreements(rs, orbit, ms.hull_candidates(rs, (Q(2),)))
+
+
+def ref_dual_hull_oracle(rs, points, y, weyl_closed=True):
+    """The oracle as it was: directions and orbit extrema recomputed on every call."""
+    dirs = list(rs.fundamental_coweights())
+    if weyl_closed:
+        seen = []
+        for d in dirs:
+            for img in rs.weyl_orbit(d):
+                if img not in seen:
+                    seen.append(img)
+        dirs = seen
+    points = [tuple(p) for p in points]
+    if not points:
+        return False
+    for d in dirs:
+        vals = [rs.bilinear(p, d) for p in points]
+        val = rs.bilinear(tuple(y), d)
+        if compare(val, min(vals)) < 0 or compare(val, max(vals)) > 0:
+            return False
+    return True
+
+
+class TestDualBounds:
+    @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "I2(5)"])
+    def test_bounds_once_per_orbit_match_the_per_call_oracle(self, label):
+        rs = build(label)
+        rng = random.Random(label)
+        one = rs._f(1)
+        for _ in range(3):
+            x = tuple(one * Q(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(rs.rank))
+            orbit = rs.weyl_orbit(x)
+            for closed in (True, False):
+                bounds = ms.dual_bounds(rs, orbit, weyl_closed=closed)
+                for _ in range(40):
+                    y = tuple(one * Q(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(rs.rank))
+                    want = ref_dual_hull_oracle(rs, orbit, y, closed)
+                    assert ms.within_dual_bounds(bounds, y) == want
+                    assert ms.dual_hull_oracle(rs, orbit, y, closed) == want
+
+    def test_directions_are_a_cached_property(self):
+        rs = build("B2")
+        assert rs.dual_directions is rs.dual_directions
+        assert len(rs.dual_directions) == len(set(rs.dual_directions)) == 8
+        for cw in rs.fundamental_coweights():
+            assert set(rs.weyl_orbit(cw)) <= set(rs.dual_directions)
+
+    def test_no_points_bound_nothing(self):
+        rs = build("A2")
+        assert ms.dual_bounds(rs, []) is None
+        assert not ms.within_dual_bounds(None, rs.zero_point())
+        assert not ms.dual_hull_oracle(rs, [], rs.zero_point())
+        assert ms.dual_reading_disagreements(rs, [], [rs.zero_point()]) == ()
 
 
 class TestDualHyperplaneType:

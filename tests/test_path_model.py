@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction as Q
 
 import pytest
@@ -27,6 +28,150 @@ def random_lattice_path(rs, rng, max_steps=5):
         path = pm.path_from_steps(steps)
         if path.steps:
             return path
+
+
+# --------------------------------------------------------------------------
+# the Fraction implementations that the level-coordinate kernels replaced,
+# kept here as references: simple-root steps, heights by root_level,
+# reflections by LinearForms and affine reflections by co-roots
+
+
+def ref_is_positive_multiple(v, w):
+    piv = next((j for j, c in enumerate(v) if c != 0), None)
+    if piv is None or w[piv] == 0 or (w[piv] > 0) != (v[piv] > 0):
+        return False
+    return all(wj * v[piv] == vj * w[piv] for vj, wj in zip(v, w))
+
+
+def ref_canonical_steps(steps):
+    out = []
+    for v in steps:
+        if all(c == 0 for c in v):
+            continue
+        if out and ref_is_positive_multiple(out[-1], v):
+            out[-1] = tuple(a + b for a, b in zip(out[-1], v))
+        else:
+            out.append(v)
+    return tuple(out)
+
+
+def ref_split_step(v, f):
+    return tuple(c * f for c in v), tuple(c * (1 - f) for c in v)
+
+
+def ref_root_operator_e(rs, path, i):
+    """The raising operator on Fraction steps, as it was before the level kernels."""
+    alpha = rs.simple_roots[i]
+    steps = list(path.steps)
+    if not steps:
+        return None
+    incs = [rs.root_level(v, alpha) for v in steps]
+    heights = [Q(0)]
+    for d in incs:
+        heights.append(heights[-1] + d)
+    n = min(heights)
+    if n > -1:
+        return None
+    idx1 = heights.index(n)
+    # first strict undershoot of n + 1 along the prefix
+    s = 0
+    while heights[s + 1] >= n + 1:
+        s += 1
+    if heights[s] == n + 1:
+        prefix = steps[:s]
+        middle = deque(steps[s:idx1])
+    else:
+        f = (heights[s] - (n + 1)) / (heights[s] - heights[s + 1])
+        head, tail = ref_split_step(steps[s], f)
+        prefix = steps[:s] + [head]
+        middle = deque([tail] + steps[s + 1 : idx1])
+    suffix = steps[idx1:]
+
+    out = []
+    while middle:
+        v = middle.popleft()
+        inc = rs.root_level(v, alpha)
+        if inc < 0:
+            out.append(rs.reflection_forms[i].apply(v))
+        elif inc == 0:
+            out.append(v)
+        else:
+            # an excursion above the running minimum: keep it, up to its return
+            acc = inc
+            out.append(v)
+            while acc > 0:
+                w = middle.popleft()
+                winc = rs.root_level(w, alpha)
+                if acc + winc >= 0:
+                    out.append(w)
+                    acc += winc
+                else:
+                    f = acc / (-winc)
+                    head, tail = ref_split_step(w, f)
+                    out.append(head)
+                    middle.appendleft(tail)
+                    acc = Q(0)
+    return pm.PLPath(ref_canonical_steps(prefix + out + suffix), path.rank)
+
+
+def ref_closure(rs, path):
+    seen = {path}
+    queue = deque([path])
+    while queue:
+        cur = queue.popleft()
+        for i in range(rs.rank):
+            nxt = ref_root_operator_e(rs, cur, i)
+            if nxt is not None and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    paths = tuple(sorted(seen, key=lambda p: p.steps))
+    return paths, tuple(sorted({p.endpoint() for p in paths}))
+
+
+def ref_unfold(rs, x, y):
+    ys, mults = pm.parkinson_ram_chain(rs, x, y)
+    pi = pm.straight_path_to(ys[-1])
+    for i_k, m_k in zip(reversed(rs.longest_element().word), reversed(mults)):
+        for _ in range(m_k):
+            pi = ref_root_operator_e(rs, pi, i_k)
+    return ys, mults, pi
+
+
+def ref_galleries(rs, minimal):
+    """(start word, fold mask, weight) of every positively folded walk, in the kernel's order."""
+    theta = rs.highest_root()
+    walls = [(tuple(-c for c in theta), Q(-1))] + [(a, Q(0)) for a in rs.simple_roots]
+
+    def affine(j, y):
+        beta, k = walls[j]
+        t = rs.root_level(y, beta) - k
+        return tuple(a - t * c for a, c in zip(y, rs.coroot_of(beta)))
+
+    word, x0, out = minimal.gallery_type, minimal.target_in_frame, []
+
+    def rec(idx, w, v, mask, crossed):
+        if idx == len(word):
+            y = x0
+            for j in reversed(crossed):
+                y = affine(j, y)
+            out.append((w.word, mask, w.apply(y)))
+            return
+        beta, _ = walls[word[idx]]
+        rec(idx + 1, w, rs.reflect(beta, v), mask + (False,), crossed + (word[idx],))
+        if rs.root_level(v, beta) > 0:
+            rec(idx + 1, w, v, mask + (True,), crossed)
+
+    for w in rs.weyl_group():
+        v = rs.interior_dominant_f()
+        for i in w.word:
+            v = rs.reflect(rs.simple_roots[i], v)
+        rec(0, w, v, (), ())
+    return out
+
+
+def special_vertex(rs, coeffs):
+    cw = rs.fundamental_coweights()
+    return tuple(sum(c * Q(v[j]) for c, v in zip(coeffs, cw)) for j in range(rs.rank))
 
 
 class TestPaths:
@@ -101,6 +246,95 @@ class TestRootOperator:
         assert lifted.endpoint() == (Q(0),)
         heights = [pt[0] * 2 for _, pt in lifted.breakpoints()]
         assert min(heights) >= Q(-1)
+
+
+_KERNEL_LABELS = ("A1", "A2", "A3", "B2", "C2", "G2", "F4")
+
+
+@st.composite
+def rational_paths(draw):
+    """(label, path): a few rational steps, most of them off the co-weight lattice."""
+    label = draw(st.sampled_from(_KERNEL_LABELS))
+    rank = build(label).rank
+    coord = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    steps = draw(st.lists(st.tuples(*[coord] * rank), min_size=1, max_size=5))
+    return label, pm.path_from_steps(steps, rank)
+
+
+class TestRootOperatorKernel:
+    """The level-coordinate kernel against the Fraction operator it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_paths())
+    # splits that are not exact over the path's denominator: the kernel rescales
+    @example(("A2", pm.path_from_steps([(Q(-1), Q(-1)), (Q(-3), Q(1))])))
+    @example(("A2", pm.path_from_steps([(Q(-1), Q(-2, 3))])))
+    @example(("A2", pm.path_from_steps([(Q(-1, 2), Q(-2)), (Q(3, 2), Q(2)), (Q(4, 3), Q(1, 2))])))
+    @example(("A1", pm.path_from_points([(Q(0),), (Q(-1, 4),), (Q(1),), (Q(-1),)])))
+    def test_matches_the_fraction_operator(self, case):
+        label, path = case
+        rs = build(label)
+        for i in range(rs.rank):
+            got = pm.root_operator_e(rs, path, i)
+            assert got == ref_root_operator_e(rs, path, i)
+            assert got is None or all(type(c) is Q for v in got.steps for c in v)
+
+    def test_rescale_branch_is_taken(self):
+        # over one denominator the first split of this integer path is not
+        # exact: the raised path needs a larger one
+        rs = build("A2")
+        path = pm.path_from_steps([(Q(-1), Q(-1)), (Q(-3), Q(1))])
+        _, den = rs.to_levels(path.steps)
+        raised = pm.root_operator_e(rs, path, 0)
+        assert raised == ref_root_operator_e(rs, path, 0)
+        assert rs.to_levels(raised.steps)[1] > den
+
+    def test_needs_a_crystallographic_system(self):
+        rs = build("I2(5)")
+        with pytest.raises(pm.PathModelError, match="crystallographic"):
+            pm.root_operator_e(rs, pm.straight_path_to((Q(-1), Q(0))), 0)
+
+
+# special vertices (co-weight coefficients) per system, for the kernel grid
+_GRID = {
+    "A1": [(c,) for c in range(5)],
+    "A2": list(itertools.product(range(3), repeat=2)),
+    "A3": list(itertools.product(range(2), repeat=3)),
+    "B2": list(itertools.product(range(3), repeat=2)),
+    "C2": list(itertools.product(range(3), repeat=2)),
+    "G2": list(itertools.product(range(3), repeat=2)),
+    "F4": [(1, 0, 0, 0), (0, 0, 0, 1)],
+}
+_GRID_CASES = [(label, c) for label, cs in _GRID.items() for c in cs]
+
+
+class TestKernelGrid:
+    """Closure, unfold and gallery walks equal the Fraction references on special vertices."""
+
+    @pytest.mark.parametrize("label,coeffs", _GRID_CASES, ids=str)
+    def test_closure(self, label, coeffs):
+        rs = build(label)
+        x = special_vertex(rs, coeffs)
+        path = pm.straight_path_to(rs.longest_element().apply(x))
+        assert pm.positive_fold_closure(rs, path) == ref_closure(rs, path)
+
+    @pytest.mark.parametrize("label,coeffs", _GRID_CASES, ids=str)
+    def test_unfold(self, label, coeffs):
+        rs = build(label)
+        x = special_vertex(rs, coeffs)
+        hull = ms.enumerate_AQ(rs, x)
+        for y in hull[:: max(1, len(hull) // 12)]:
+            assert pm.parkinson_ram_unfold(rs, x, y) == ref_unfold(rs, x, y)
+
+    # the reference walks every F4 start with LinearForms reflections: one vertex
+    @pytest.mark.parametrize("label,coeffs", [c for c in _GRID_CASES if c != ("F4", (0, 0, 0, 1))], ids=str)
+    def test_gallery_walks(self, label, coeffs):
+        rs = build(label)
+        minimal = pm.minimal_gallery(rs, special_vertex(rs, coeffs))
+        want = ref_galleries(rs, minimal)
+        got = [(g.start.word, g.fold_mask, g.weight) for g in pm.folded_galleries(rs, minimal)]
+        assert got == want
+        assert pm.folded_gallery_endpoints(rs, minimal) == tuple(sorted({weight for _, _, weight in want}))
 
 
 class TestHeightFunction:
@@ -328,6 +562,8 @@ class TestThreeOracles:
     @example(("B2", (4, 6)))
     @example(("C2", (4, 6)))
     @example(("G2", (2, 3)))
+    # the point (14, 8): 37,961 paths for 571 endpoints; its gallery has 70 letters
+    @example(("G2", (4, 6)))
     @example(("F4", (1, 0, 0, 0)))
     def test_hull_closure_and_gallery_endpoints_agree(self, case):
         label, coeffs = case

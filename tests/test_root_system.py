@@ -121,6 +121,18 @@ class TestPairing:
             assert rs.pairing(x, alpha) == rs.root_level(x, alpha)
         assert set(rs._bilinear_forms) == set(rs.positive_roots)
 
+    @pytest.mark.parametrize("label", ["B2", "G2", "I2(8)"])
+    def test_one_coroot_per_root(self, label, monkeypatch):
+        rs = RootSystem(label)
+        x = tuple(rs._f(Q(k, 3)) for k in (2, -5))
+        want = [rs.bilinear(x, rs.coroot_of(a)) for a in rs.positive_roots]
+        calls = []
+        real = RootSystem.coroot_of
+        monkeypatch.setattr(RootSystem, "coroot_of", lambda self, a: calls.append(a) or real(self, a))
+        for _ in range(3):
+            assert [rs.pairing(x, a) for a in rs.positive_roots] == want
+        assert sorted(calls) == sorted(rs.positive_roots)
+
 
 class TestAffineReflect:
     def test_k_zero_is_linear(self):
@@ -607,3 +619,64 @@ class TestWallTransport:
             shift = rs.root_level(tuple(Q(c) for c in bv), alpha)
             moved = tuple(a + Q(b) for a, b in zip(x, bv))
             assert rs.root_level(moved, alpha) == rs.root_level(x, alpha) + shift
+
+
+_LEVEL_LABELS = ("A1", "A2", "A3", "B2", "C2", "G2", "F4")
+
+
+class TestLevelCoordinates:
+    """Level coordinates L_j = (alpha_j, x): the integer frame of the convexity kernels."""
+
+    @pytest.mark.parametrize("label", _LEVEL_LABELS)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip(self, label, data):
+        rs = build(label)
+        vectors = data.draw(st.lists(st.tuples(*[_small_q] * rs.rank), min_size=1, max_size=3))
+        levels, den = rs.to_levels(vectors)
+        for v, lv in zip(vectors, levels):
+            assert all(type(c) is int for c in lv)
+            assert [Q(c, den) for c in lv] == [rs.root_level(v, a) for a in rs.simple_roots]
+            back = rs.from_levels(lv, den)
+            assert back == v and all(type(c) is Q for c in back)
+
+    @pytest.mark.parametrize("label", _LEVEL_LABELS)
+    def test_special_vertices_have_integer_levels(self, label):
+        rs = build(label)
+        # the levels of the fundamental co-weight i are the unit vector e_i
+        for i, cw in enumerate(rs.fundamental_coweights()):
+            (levels,), den = rs.to_levels([cw])
+            assert [Q(c, den) for c in levels] == [int(i == j) for j in range(rs.rank)]
+
+    @pytest.mark.parametrize("label", _LEVEL_LABELS)
+    def test_walls_reflect_as_affine_reflections(self, label):
+        rs = build(label)
+        rng = random.Random(label)
+        theta = rs.highest_root()
+        roots = [(tuple(-c for c in theta), Q(-1))] + [(a, Q(0)) for a in rs.simple_roots]
+        for (beta, k), (wall_beta, wall_k, c) in zip(roots, rs.alcove_walls):
+            assert wall_beta == beta and wall_k == k
+            assert all(type(e) is int for e in (*wall_beta, *c))
+            for _ in range(5):
+                x = tuple(Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rs.rank))
+                (lv,), den = rs.to_levels([x])
+                t = sum(b * e for b, e in zip(wall_beta, lv)) - wall_k * den
+                moved = rs.from_levels(tuple(e - t * ce for e, ce in zip(lv, c)), den)
+                assert moved == rs.affine_reflect(beta, k, x)
+
+    @pytest.mark.parametrize("label", _LEVEL_LABELS)
+    def test_simple_reflections_use_the_integer_cartan_rows(self, label):
+        rs = build(label)
+        rng = random.Random(label)
+        for i, row in enumerate(rs.integer_cartan):
+            assert row == tuple(int(c) for c in rs.cartan[i])
+            x = tuple(Q(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rs.rank))
+            (lv,), den = rs.to_levels([x])
+            moved = tuple(e - lv[i] * r for e, r in zip(lv, row))
+            assert rs.from_levels(moved, den) == rs.reflect(rs.simple_roots[i], x)
+
+    def test_integer_walk_takes_ints_and_returns_fractions(self):
+        rs = build("G2")
+        xp, word = rs.dominant_rep((-3, 1))
+        assert (xp, word) == reference_walk(rs, (Q(-3), Q(1)))
+        assert all(type(c) is Q for c in xp)

@@ -750,3 +750,40 @@ class TestSerialization:
 
     def test_r_alias(self):
         assert parse_scalar("3+2r2") == QuadInt(3, 2, 2)
+
+
+def fraction_reading(text):
+    """What a rational string parsed to through Fraction(str) alone: (type, value) or (error type, message)."""
+    text = text.strip()
+    try:
+        value = Q(text)
+    except ZeroDivisionError:
+        return ValueError, f"zero denominator: {text!r}"
+    except ValueError as exc:
+        return ValueError, str(exc)
+    return Q, value
+
+
+def parse_reading(text):
+    try:
+        value = parse_scalar(text)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    return type(value), value
+
+
+class TestRationalGrammar:
+    """Plain integers skip Fraction's regular expression; the accepted grammar does not change."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [" 7 ", "+3", "-0", "1/2", "1_0", "\u0663", "1/0", "1.5", "1e3", "-12", "007", "+\u0663\u0663", "\xb2",
+         "+-3", "-", "+", "", "0x10", "1 2", "\uff11\uff12"],
+    )
+    def test_same_reading_as_fraction(self, text):
+        assert parse_reading(text) == fraction_reading(text)
+
+    @given(st.text(alphabet="0123456789+-_/. e\u0663\xb2", max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_random_strings(self, text):
+        assert parse_reading(text) == fraction_reading(text)

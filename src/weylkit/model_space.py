@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm, prod
+from math import ceil, floor, prod
 from typing import Iterable, Sequence
 
 from .root_system import RootSystem
@@ -192,39 +192,27 @@ def gallery_distance(rs: RootSystem, x, y) -> int:
 
 
 def dual_bounds(rs: RootSystem, points: Sequence, weyl_closed: bool = True):
-    """(forms, integer, extremes): the bounds of ``points`` along every dual direction.
+    """(forms, extremes): the bounds of ``points`` along every dual direction.
 
     ``forms`` maps y to (y, d) for every direction d, as one LinearForms;
     extremes[k] is the least and the greatest value of row k over the
-    points.  For rational points ``integer`` is (den, integer extremes over
-    den), so that a rational candidate is tested on integers; else None.
-    The directions are ``rs.dual_directions``, or the fundamental co-weights
-    alone when not ``weyl_closed``.  None when there are no points: their
-    hull is empty.
+    points.  The directions are ``rs.dual_directions``, or the fundamental
+    co-weights alone when not ``weyl_closed``.  None when there are no
+    points: their hull is empty.
     """
     points = [tuple(p) for p in points]
     if not points:
         return None
     forms = rs.bilinear_forms(rs.dual_directions if weyl_closed else rs.fundamental_coweights())
-    images = [forms.integer_images(p) for p in points]
-    if None in images:
-        return forms, None, tuple((min(vals), max(vals)) for vals in zip(*map(forms.apply, points)))
-    den = lcm(*(d for _, d in images))
-    ints = tuple((min(vals), max(vals)) for vals in zip(*([m * (den // d) for m in ims] for ims, d in images)))
-    return forms, (den, ints), tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in ints)
+    return forms, tuple((min(vals), max(vals)) for vals in zip(*map(forms.apply, points)))
 
 
 def within_dual_bounds(bounds, y) -> bool:
     """Whether y lies between the bounds of every direction (``dual_bounds``)."""
     if bounds is None:
         return False
-    forms, integer, extremes = bounds
-    y = tuple(y)
-    parts = forms.integer_images(y) if integer is not None else None
-    if parts is not None:
-        (images, dy), (den, ints) = parts, integer
-        return all(lo * dy <= m * den <= hi * dy for m, (lo, hi) in zip(images, ints))
-    return all(compare(v, lo) >= 0 and compare(v, hi) <= 0 for v, (lo, hi) in zip(forms.apply(y), extremes))
+    forms, extremes = bounds
+    return all(compare(v, lo) >= 0 and compare(v, hi) <= 0 for v, (lo, hi) in zip(forms.apply(tuple(y)), extremes))
 
 
 def dual_hull_oracle(rs: RootSystem, points: Sequence, y, weyl_closed: bool = True) -> bool:

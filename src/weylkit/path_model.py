@@ -58,17 +58,17 @@ def _require_lattice(rs: RootSystem) -> None:
 
 def _is_positive_multiple(v, w) -> bool:
     """Whether w = c v for some c > 0, decided by cross-multiplication at v's pivot."""
-    for vp, wp in zip(v, w):
-        if vp:
-            return wp != 0 and (wp > 0) == (vp > 0) and all(wj * vp == vj * wp for vj, wj in zip(v, w))
-    return False
+    piv = next((j for j, c in enumerate(v) if c != 0), None)
+    if piv is None or w[piv] == 0 or (w[piv] > 0) != (v[piv] > 0):
+        return False
+    return all(wj * v[piv] == vj * w[piv] for vj, wj in zip(v, w))
 
 
 def _canonical_steps(steps: Iterable[tuple]) -> tuple:
     """Exact steps in normal form: zero steps dropped, positively parallel neighbours merged."""
     out: list[tuple] = []
     for v in steps:
-        if not any(v):
+        if all(c == 0 for c in v):
             continue
         if out and _is_positive_multiple(out[-1], v):
             out[-1] = tuple(a + b for a, b in zip(out[-1], v))
@@ -178,20 +178,11 @@ def _path_of(rs: RootSystem, steps: tuple, den: int, rank: int) -> PLPath:
 def _sorted_paths(rs: RootSystem, paths, rank: int) -> tuple:
     """The PLPaths of the (level steps, den) in ``paths``, sorted by their steps.
 
-    Each distinct step is converted once and ranked once among the others,
-    so the paths sort on tuples of integer ranks, in the order of their
-    Fraction steps.
+    Each distinct step is converted once.
     """
-    steps_of = {(v, den): None for steps, den in paths for v in steps}
-    for key in steps_of:
-        steps_of[key] = rs.from_levels(*key)
-    ranks, last, r = {}, None, -1
-    for key in sorted(steps_of, key=steps_of.get):
-        # two keys of one value (levels over den and over a multiple) share a rank
-        r += steps_of[key] != last
-        ranks[key], last = r, steps_of[key]
-    order = sorted(paths, key=lambda p: [ranks[(v, p[1])] for v in p[0]])
-    return tuple(PLPath(tuple(steps_of[(v, den)] for v in steps), rank) for steps, den in order)
+    steps_of = {key: rs.from_levels(*key) for key in {(v, den) for steps, den in paths for v in steps}}
+    out = [PLPath(tuple(steps_of[(v, den)] for v in steps), rank) for steps, den in paths]
+    return tuple(sorted(out, key=lambda p: p.steps))
 
 
 def _raise(rs: RootSystem, i: int, steps: tuple, den: int) -> Optional[tuple]:

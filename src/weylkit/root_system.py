@@ -177,10 +177,6 @@ class LinearForms:
         rows, row_den = self._field_rows
         return [tuple(sum(map(mul, r, nums)) for r in block) for block in rows], den * row_den
 
-    def integer_images(self, x):
-        """(images, den) with row_i . x = images[i] / den, for rational rows and x; else None."""
-        return self._images(x) if self.field is None else None
-
     def _build(self, m, den):
         if self.field is None:
             return Fraction(m, den)
@@ -620,7 +616,7 @@ class RootSystem:
         """
         n = self.rank
         if self.field is None:
-            cartan = [[int(c) for c in row] for row in self.cartan]
+            cartan = self.integer_cartan
             one, zero = 1, 0
         else:
             cartan = self.cartan
@@ -729,11 +725,13 @@ class RootSystem:
 
     @cached_property
     def _level_maps(self) -> tuple:
-        """(G, E, K, F): integer rows with gram = G / E and gram^-1 = K / F."""
-        g_rows, e = _integer_rows(self.gram)
+        """(G, E, K, F): integer rows with gram = G / E and gram^-1 = K / F.
+
+        G / E are the integer rows that ``_gram_forms`` already keeps.
+        """
         # the inverse Gram matrix is symmetric: its columns, the co-weights, are its rows
         k_rows, f = _integer_rows(self._coweights)
-        return g_rows, e, k_rows, f
+        return self._gram_forms._int, self._gram_forms._den, k_rows, f
 
     def to_levels(self, vectors) -> tuple:
         """(levels, den): integer vectors over one den, levels[k][j] / den = (alpha_j, vectors[k])."""

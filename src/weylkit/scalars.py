@@ -597,14 +597,11 @@ Scalar = Union[Fraction, NFElem, LexPair, QuadInt]
 
 
 def sign(x) -> int:
-    t = type(x)
-    if t is Fraction:
+    if type(x) is Fraction:
         # Fraction keeps its denominator positive; read the numerator slot
         # directly, as compare does
         n = x._numerator
         return (n > 0) - (n < 0)
-    if t is int:  # the integer kernels' case; isinstance on Ordered costs more
-        return (x > 0) - (x < 0)
     if isinstance(x, Ordered):
         return x.sign()
     if isinstance(x, (int, Fraction)):

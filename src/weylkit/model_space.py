@@ -9,7 +9,6 @@ co-root-pairing indexing ``<x, alpha^> = k``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, prod
 from typing import Iterable, Sequence
@@ -98,32 +97,6 @@ def segment_lattice_points(rs: RootSystem, x, y) -> tuple:
 
 # --------------------------------------------------------------------------
 # the orbit hull A^Q(x)
-
-
-@dataclass(frozen=True)
-class DualHyperplane:
-    """The locus {x : (x, cw) = k} for the co-weight dual to a simple root."""
-
-    rs_label: str
-    alpha_index: int
-    k: object
-
-    def contains(self, rs: RootSystem, x) -> bool:
-        if rs.label != self.rs_label:
-            raise ModelSpaceError("hyperplane belongs to a different system")
-        cw = rs.fundamental_coweight(self.alpha_index)
-        return compare(rs.bilinear(tuple(x), cw), self.k) == 0
-
-    def side(self, rs: RootSystem, x) -> int:
-        """-1, 0, +1 for the two half-apartments and the wall itself."""
-        cw = rs.fundamental_coweight(self.alpha_index)
-        return compare(rs.bilinear(tuple(x), cw), self.k)
-
-
-def dual_hyperplane_through(rs: RootSystem, alpha_index: int, x) -> DualHyperplane:
-    """The dual hyperplane in the alpha-direction passing through x."""
-    cw = rs.fundamental_coweight(alpha_index)
-    return DualHyperplane(rs.label, alpha_index, rs.bilinear(tuple(x), cw))
 
 
 def in_AQ(rs: RootSystem, y, x_plus) -> bool:

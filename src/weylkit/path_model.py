@@ -123,35 +123,8 @@ def straight_path_to(x) -> PLPath:
     return path_from_steps([x])
 
 
-def zero_path(rank: int) -> PLPath:
-    return PLPath((), rank)
-
-
-def concat(p1: PLPath, p2: PLPath) -> PLPath:
-    return PLPath(_canonical_steps(p1.steps + p2.steps), p1.rank)
-
-
 # --------------------------------------------------------------------------
 # the raising root operator
-
-
-@dataclass(frozen=True)
-class HeightFunction:
-    """The PL height of a path against a simple root, with its minimum."""
-
-    samples: Tuple[Tuple[Fraction, Fraction], ...]  # (time, value) at breakpoints
-    minimum: Fraction
-
-
-def height_function(rs: RootSystem, path: PLPath, i: int) -> HeightFunction:
-    """(pi(t), alpha_i) at the breakpoints; PL, so the minimum sits at one."""
-    alpha = rs.simple_roots[i]
-    values = [Fraction(0)]
-    for v in path.steps:
-        values.append(values[-1] + rs.root_level(v, alpha))
-    m = max(1, len(path.steps))
-    samples = tuple((Fraction(k, m), h) for k, h in enumerate(values))
-    return HeightFunction(samples, min(values))
 
 
 def _reduced(steps: tuple, den: int) -> tuple:
@@ -488,6 +461,9 @@ def folded_galleries(
         if sum(map(mul, walls[j][0], v)) > 0:
             yield from rec(idx + 1, w, v, mask + (True,), crossed)
 
+    # every start costs a state: past the cap, the Weyl group is not built
+    if rs.weyl_order > cap:
+        raise CapExceeded(f"gallery enumeration exceeded {cap} states")
     # w^-1 . d_int for w = (prefix) s_i is s_i applied to the prefix's vector:
     # the BFS words of weyl_group() are prefix-closed, so the prefix came first
     starts = {(): (1,) * rs.rank}

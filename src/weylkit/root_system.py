@@ -5,6 +5,10 @@ for the crystallographic types, a real cyclotomic field for the dihedral
 ones).  Co-roots enter through the pairing ``<x, a^> = 2 (x, a) / (a, a)``;
 ``pairing`` keeps one co-root per root it has met.
 
+Every crystallographic system -- A_n, B_n, C_n, D_n, E6, F4 and G2 -- is
+built by one table (``_dynkin``) of its Gram diagonal, its bonds and the
+degrees of its invariants; the dihedral I2(n) is built over its field.
+
 The integer kernels of a crystallographic system work in level coordinates
 L_j = (alpha_j, x), the coordinates of x in the basis of the fundamental
 co-weights.  A special vertex has integer levels, and a simple reflection
@@ -328,11 +332,35 @@ def _times_simple_reflection(m, i: int, cartan_row):
 # the root system proper
 
 
-_AN_RE = re.compile(r"^A(\d+)$")
+_LABEL_RE = re.compile(r"^([A-G])(\d+)$")
 _I2_RE = re.compile(r"^I2\((\d+)\)$")
 
-_SPHERICAL_ORDER = {"B2": 8, "C2": 8, "G2": 12, "F4": 1152}
-_POSITIVE_COUNT = {"B2": 4, "C2": 4, "G2": 6, "F4": 24}
+
+def _dynkin(letter: str, n: int):
+    """(Gram diagonal, bonds, degrees) of the Dynkin diagram letter_n; None when there is none.
+
+    The diagonal holds the norms d_i = (alpha_i, alpha_i): long roots have
+    norm 2, B_n ends in a root of norm 1 and C_n in one of norm 4.  Bonded
+    simple roots have (alpha_i, alpha_j) = -max(d_i, d_j) / 2.  The degrees
+    of the basic invariants give |W| as their product and the number of
+    positive roots as the sum of (d - 1)
+    (Humphreys, Reflection Groups and Coxeter Groups, 3.7; Bourbaki, Lie
+    Groups and Lie Algebras VI, plates I-IX, whose numbering E6 keeps).
+    """
+    if not {"A": n >= 1, "B": n >= 2, "C": n >= 2, "D": n >= 4, "E": n == 6, "F": n == 4, "G": n == 2}[letter]:
+        return None
+    chain = [(i, i + 1) for i in range(n - 1)]
+    evens = range(2, 2 * n + 1, 2)
+    diag, bonds, degrees = {
+        "A": ([2] * n, chain, range(2, n + 2)),
+        "B": ([2] * (n - 1) + [1], chain, evens),
+        "C": ([2] * (n - 1) + [4], chain, evens),
+        "D": ([2] * n, chain[:-1] + [(n - 3, n - 1)], [*evens[:-1], n]),
+        "E": ([2] * n, [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)], (2, 5, 6, 8, 9, 12)),
+        "F": ([2, 2, 1, 1], chain, (2, 6, 8, 12)),
+        "G": ([2, 6], chain, (2, 6)),
+    }[letter]
+    return diag, bonds, tuple(degrees)
 
 
 class RootSystem:
@@ -345,46 +373,13 @@ class RootSystem:
     """
 
     def __init__(self, label: str):
-        m_an = _AN_RE.match(label)
-        m_i2 = _I2_RE.match(label)
         self.label = label
         self.field: NumberField | None = None
-        if m_an:
-            n = int(m_an.group(1))
-            if n < 1:
-                raise RootSystemError(label)
-            self.rank = n
-            self.crystallographic = True
-            g = [[_Q(0)] * n for _ in range(n)]
-            for i in range(n):
-                g[i][i] = _Q(2)
-                if i + 1 < n:
-                    g[i][i + 1] = g[i + 1][i] = _Q(-1)
-            self.gram = tuple(tuple(r) for r in g)
-            self.weyl_order = math.factorial(n + 1)
-            self._expected_positives = n * (n + 1) // 2
-        elif label in ("B2", "C2", "G2", "F4"):
-            self.rank = 4 if label == "F4" else 2
-            self.crystallographic = True
-            grams = {
-                "B2": ((2, -1), (-1, 1)),
-                "C2": ((2, -2), (-2, 4)),
-                "G2": ((2, -3), (-3, 6)),
-                "F4": (
-                    (2, -1, 0, 0),
-                    (-1, 2, -1, 0),
-                    (0, -1, 1, Fraction(-1, 2)),
-                    (0, 0, Fraction(-1, 2), 1),
-                ),
-            }
-            self.gram = tuple(tuple(_Q(x) for x in row) for row in grams[label])
-            self.weyl_order = _SPHERICAL_ORDER[label]
-            self._expected_positives = _POSITIVE_COUNT[label]
-        elif m_i2:
+        m_i2 = _I2_RE.match(label)
+        if m_i2:
             n = int(m_i2.group(1))
             if n < 3:
                 raise RootSystemError(f"I2(n) needs n >= 3, got {n}")
-            self.rank = 2
             # A2, B2 and G2 are the crystallographic forms of I2(3), I2(4) and
             # I2(6); this equal-length realisation has number-field Cartan
             # entries, which the lattice code paths cannot take
@@ -394,10 +389,21 @@ class RootSystem:
             one = self.field.one()
             half = Fraction(1, 2)
             self.gram = ((one, c * -half), (c * -half, one))
-            self.weyl_order = 2 * n
-            self._expected_positives = n
+            degrees = (2, n)
         else:
-            raise RootSystemError(f"unsupported label: {label}")
+            m = _LABEL_RE.match(label)
+            dynkin = m and _dynkin(m.group(1), int(m.group(2)))
+            if not dynkin:
+                raise RootSystemError(f"unsupported label: {label}")
+            diag, bonds, degrees = dynkin
+            self.crystallographic = True
+            g = [[_Q(diag[i] if i == j else 0) for j in range(len(diag))] for i in range(len(diag))]
+            for i, j in bonds:
+                g[i][j] = g[j][i] = _Q(-max(diag[i], diag[j]), 2)
+            self.gram = tuple(map(tuple, g))
+        self.rank = len(self.gram)
+        self.weyl_order = math.prod(degrees)
+        self._expected_positives = sum(d - 1 for d in degrees)
 
         self._gram_forms = LinearForms(self.gram)
         # one-row forms (x, y) per F-vector y: the pairing with alpha reads the
@@ -487,15 +493,6 @@ class RootSystem:
         p = self.pairing(x, alpha)
         return tuple(xi - scalar_mul(aj, p) for xi, aj in zip(x, alpha))
 
-    def affine_reflect(self, alpha, k, x):
-        """r_{alpha,k}(x) = s_alpha(x) + k * 2/(alpha,alpha) * alpha.
-
-        The fixed locus is the wall {y : (alpha, y) = k}.
-        """
-        refl = self.reflect(alpha, x)
-        nn = self.norm_sq(alpha)
-        return tuple(r + scalar_mul(aj * 2 / nn, k) for r, aj in zip(refl, alpha))
-
     def simple_reflection(self, i: int) -> WeylElement:
         return self.element((i,))
 
@@ -507,12 +504,6 @@ class RootSystem:
             m = _times_simple_reflection(m, i, self.cartan[i])
         return WeylElement(word, m)
 
-    def identity_element(self) -> WeylElement:
-        return self.element(())
-
-    def multiply(self, w: WeylElement, v: WeylElement) -> WeylElement:
-        return self.element(w.word + v.word)
-
     # -- roots ----------------------------------------------------------------
 
     def _positive_closure(self):
@@ -522,9 +513,6 @@ class RootSystem:
             if a not in roots:
                 roots.update(self.weyl_orbit(a))
         return tuple(sorted(b for b in roots if all(sign(c) >= 0 for c in b)))
-
-    def all_roots(self):
-        return self.positive_roots + tuple(tuple(-c for c in b) for b in self.positive_roots)
 
     def highest_root(self):
         if not self.crystallographic:
@@ -644,14 +632,6 @@ class RootSystem:
             raise RootSystemError("Weyl group enumeration mismatch")  # pragma: no cover
         return tuple(sorted(group, key=lambda w: (len(w.word), w.word)))
 
-    def length_by_inversions(self, w: WeylElement) -> int:
-        negs = 0
-        for beta in self.positive_roots:
-            img = w.apply(beta)
-            if all(sign(c) <= 0 for c in img):
-                negs += 1
-        return negs
-
     # -- lattices -----------------------------------------------------------
 
     def fundamental_coweights(self) -> tuple:
@@ -745,9 +725,6 @@ class RootSystem:
         _, _, k_rows, f = self._level_maps
         den *= f
         return tuple(Fraction(sum(map(mul, row, levels)), den) for row in k_rows)
-
-    def fundamental_coweight(self, i: int) -> tuple:
-        return self.fundamental_coweights()[i]
 
     def _require_rational_point(self, x):
         if _clear_denominators(x) is None:

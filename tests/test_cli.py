@@ -1,5 +1,6 @@
 """End-to-end CLI checks: JSON stability, golden values, exit codes, figures."""
 
+import hashlib
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -22,7 +23,34 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+# sha256 of the rootsys output of every label that was built by hand before the Dynkin table
+ROOTSYS_SHA256 = {
+    "A1": "e7853f29b03ed49001fec131f41a33b925cc9fb021e4fa3de4c4b2e6d439c8c9",
+    "A2": "7bc751220beb2b850ad582ff702b297e2909e84459cd16984e65ffc8685e6308",
+    "A3": "3ffc302dd570a870990f9aff4f4b0890f4b8a06e4de8d7266acae1b8a2f4c134",
+    "A4": "7daa4aca9058d8c24c880dc65f3ac63be3179e11e082645dd32a5eab0b8c9f49",
+    "B2": "8b6b8be70855f4b5015011e77716ff07cd84a267ac5009904f4e7a38488d7b5a",
+    "C2": "6b81f7d4fc2991e8770b3643f4f0c595996b5b4f834b619e95c1ebd29e9a0689",
+    "G2": "cd0db11a1698af855dac9c83416888bed58f4d9bd4e00e1e2980c5838df2efcd",
+    "F4": "6310100bf67ba6cffed6f41ff9cab3e52118e0d4f0a8f37ae3b57463bca39380",
+    "I2(5)": "0a16eae29dd57220853cbbadc0c2b0f770d7433f5d58486bda3dafcd0174e86b",
+    "I2(8)": "6bcec54bda5eb4ba367f045729f00674c4d6f9179a286684265afcaf50b42e06",
+}
+
+
 class TestRootsys:
+    @pytest.mark.parametrize("label", sorted(ROOTSYS_SHA256))
+    def test_pinned_output(self, capsys, label):
+        code, out = run_cli(capsys, "rootsys", "--type", label)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == ROOTSYS_SHA256[label]
+
+    @pytest.mark.parametrize("label, order", [("B3", 48), ("C3", 48), ("D4", 192), ("E6", 51_840)])
+    def test_table_types(self, capsys, label, order):
+        code, obj = run_json(capsys, "rootsys", "--type", label)
+        assert code == EXIT_OK
+        assert obj["weyl_order"] == order and obj["crystallographic"] is True
+
     def test_json_shape(self, capsys):
         code, obj = run_json(capsys, "rootsys", "--type", "A2")
         assert code == EXIT_OK

@@ -360,7 +360,8 @@ def reference_hull_box(rs, x):
     return ranges
 
 
-_BOX_LABELS = ("A1", "A2", "A3", "B2", "C2", "G2", "F4")
+# D4, simply laced like A3, is left out of these drawn tests to keep their cost down
+_BOX_LABELS = ("A1", "A2", "A3", "B2", "C2", "G2", "F4", "B3", "C3")
 _BOX_CAP = 3000
 
 
@@ -587,23 +588,6 @@ class TestDualBounds:
         assert not ms.within_dual_bounds(None, rs.zero_point())
         assert not ms.dual_hull_oracle(rs, [], rs.zero_point())
         assert ms.dual_reading_disagreements(rs, [], [rs.zero_point()]) == ()
-
-
-class TestDualHyperplaneType:
-    def test_locus_and_sides(self):
-        rs = build("A2")
-        h = ms.dual_hyperplane_through(rs, 0, (Q(3), Q(3)))
-        assert h.k == Q(3)
-        assert h.contains(rs, (Q(3), Q(3)))
-        assert h.contains(rs, (Q(3), Q(0)))  # moving along alpha2 keeps (., cw1)
-        assert h.side(rs, (Q(4), Q(2))) > 0
-        assert h.side(rs, rs.zero_point()) < 0
-
-    def test_wrong_system_rejected(self):
-        rs, other = build("A2"), build("B2")
-        h = ms.dual_hyperplane_through(rs, 0, (Q(1), Q(0)))
-        with pytest.raises(ms.ModelSpaceError):
-            h.contains(other, (Q(1), Q(0)))
 
 
 class TestTripleCharacterization:

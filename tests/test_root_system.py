@@ -12,13 +12,52 @@ from weylkit.root_system import LinearForms, RootSystem, RootSystemError, WeylEl
 from weylkit.scalars import SQRT2_FIELD, LexPair, NFElem, QuadInt, ScalarDomainError, lex, scalar_mul, sign
 
 
+def all_roots(rs):
+    return rs.positive_roots + tuple(tuple(-c for c in b) for b in rs.positive_roots)
+
+
+def _a_gram(n):
+    return tuple(tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)) for i in range(n))
+
+
+# Gram matrices of the types that were built by hand before the Dynkin table
+REFERENCE_GRAMS = {
+    **{f"A{n}": _a_gram(n) for n in range(1, 5)},
+    "B2": ((2, -1), (-1, 1)),
+    "C2": ((2, -2), (-2, 4)),
+    "G2": ((2, -3), (-3, 6)),
+    "F4": ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 1, Q(-1, 2)), (0, 0, Q(-1, 2), 1)),
+}
+
+
 class TestBuild:
     @pytest.mark.parametrize(
         "label,count",
-        [("A1", 1), ("A2", 3), ("A3", 6), ("B2", 4), ("C2", 4), ("G2", 6), ("F4", 24), ("I2(8)", 8), ("I2(5)", 5)],
+        [
+            ("A1", 1), ("A2", 3), ("A3", 6), ("B2", 4), ("C2", 4), ("G2", 6), ("F4", 24), ("I2(8)", 8), ("I2(5)", 5),
+            ("B3", 9), ("C3", 9), ("D4", 12), ("B4", 16), ("C4", 16), ("D5", 20), ("E6", 36),
+        ],
     )
     def test_positive_root_counts(self, label, count):
         assert len(build(label).positive_roots) == count
+
+    @pytest.mark.parametrize("label", ["A1", "A4", "B2", "C2", "G2", "B3", "C3", "D4", "B4", "C4", "D5"])
+    def test_weyl_order_is_the_group_size(self, label):
+        # weyl_order is the product of the degrees; the BFS counts the elements
+        rs = build(label)
+        assert rs.weyl_order == len(rs.weyl_group())
+
+    @pytest.mark.parametrize("label", sorted(REFERENCE_GRAMS))
+    def test_gram_matrices_of_the_hand_built_types(self, label):
+        # the Dynkin table must give the Gram matrices once written out by hand
+        want = tuple(tuple(Q(c) for c in row) for row in REFERENCE_GRAMS[label])
+        assert typed(RootSystem(label).gram) == typed(want)
+
+    # E8 and I2(2) are pinned by test_unsupported_label
+    @pytest.mark.parametrize("label", ["A0", "B1", "C1", "D3", "E7", "F3", "G3", "H3", "A", "a2"])
+    def test_labels_outside_the_table(self, label):
+        with pytest.raises(RootSystemError):
+            RootSystem(label)
 
     def test_a2_positive_roots(self):
         assert set(build("A2").positive_roots) == {(Q(1), Q(0)), (Q(0), Q(1)), (Q(1), Q(1))}
@@ -50,7 +89,7 @@ class TestBuild:
         for i, ai in enumerate(rs.simple_roots):
             want = [reference_bilinear(rs, aj, ai) * 2 / reference_bilinear(rs, ai, ai) for aj in rs.simple_roots]
             assert typed(rs.cartan[i]) == typed(tuple(want))
-            for b in rs.all_roots():
+            for b in all_roots(rs):
                 assert typed(rs.reflection_forms[i].apply(b)) == typed(rs.reflect(ai, b))
 
     @pytest.mark.parametrize("n, same_group", [(3, "A2"), (4, "B2"), (6, "G2")])
@@ -61,16 +100,16 @@ class TestBuild:
         assert len(rs.positive_roots) == len(ref.positive_roots) == n
         # s_1 s_2 is a rotation of order n, as in the crystallographic form
         for sys_ in (rs, ref):
-            rot = sys_.multiply(sys_.simple_reflection(0), sys_.simple_reflection(1))
+            rot = sys_.element((0, 1))
             powers = [rot]
-            while powers[-1] != sys_.identity_element() and len(powers) <= 2 * n:
-                powers.append(sys_.multiply(powers[-1], rot))
+            while powers[-1] != sys_.element(()) and len(powers) <= 2 * n:
+                powers.append(sys_.element(powers[-1].word + rot.word))
             assert len(powers) == n
 
     def test_closure_under_reflections(self):
         for label in ("A2", "B2", "G2", "I2(8)"):
             rs = build(label)
-            roots = set(rs.all_roots())
+            roots = set(all_roots(rs))
             for alpha in rs.positive_roots:
                 for beta in roots:
                     assert tuple(rs.reflect(alpha, beta)) in roots
@@ -88,7 +127,7 @@ class TestReflect:
 
     def test_wall_fixed(self):
         rs = build("A2")
-        x = tuple(Q(c) for c in rs.fundamental_coweight(1))
+        x = tuple(Q(c) for c in rs.fundamental_coweights()[1])
         assert rs.pairing(x, rs.simple_roots[0]) == 0
         assert rs.reflect(rs.simple_roots[0], x) == x
 
@@ -134,18 +173,26 @@ class TestPairing:
         assert sorted(calls) == sorted(rs.positive_roots)
 
 
+def reference_affine_reflect(rs, alpha, k, x):
+    """r_{alpha,k}(x) = s_alpha(x) + k * 2/(alpha,alpha) * alpha: the reflection in {y : (alpha, y) = k}."""
+    nn = rs.norm_sq(alpha)
+    return tuple(r + aj * 2 / nn * k for r, aj in zip(rs.reflect(alpha, x), alpha))
+
+
 class TestAffineReflect:
+    """The reference affine reflection that the alcove walls are checked against."""
+
     def test_k_zero_is_linear(self):
         rs = build("G2")
         rng = random.Random(7)
         for _ in range(20):
             x = (Q(rng.randint(-9, 9), 3), Q(rng.randint(-9, 9), 3))
             for alpha in rs.positive_roots:
-                assert rs.affine_reflect(alpha, Q(0), x) == rs.reflect(alpha, x)
+                assert reference_affine_reflect(rs, alpha, Q(0), x) == rs.reflect(alpha, x)
 
     def test_a1_translation_to_coroot(self):
         rs = build("A1")
-        assert rs.affine_reflect(rs.simple_roots[0], Q(1), (Q(0),)) == (Q(1),)
+        assert reference_affine_reflect(rs, rs.simple_roots[0], Q(1), (Q(0),)) == (Q(1),)
 
     def test_involution(self):
         rng = random.Random(11)
@@ -155,7 +202,7 @@ class TestAffineReflect:
                 x = tuple(Q(rng.randint(-20, 20), rng.randint(1, 4)) for _ in range(rs.rank))
                 alpha = rs.positive_roots[rng.randrange(len(rs.positive_roots))]
                 k = Q(rng.randint(-5, 5), rng.randint(1, 3))
-                assert rs.affine_reflect(alpha, k, rs.affine_reflect(alpha, k, x)) == x
+                assert reference_affine_reflect(rs, alpha, k, reference_affine_reflect(rs, alpha, k, x)) == x
 
     def test_fixed_locus(self):
         rs = build("B2")
@@ -165,7 +212,7 @@ class TestAffineReflect:
         nn = rs.norm_sq(alpha)
         x = tuple(c * k / nn for c in alpha)
         assert rs.root_level(x, alpha) == k
-        assert rs.affine_reflect(alpha, k, x) == x
+        assert reference_affine_reflect(rs, alpha, k, x) == x
 
 
 class TestOrbitsAndDominance:
@@ -179,7 +226,7 @@ class TestOrbitsAndDominance:
 
     def test_coweight_orbit_size(self):
         rs = build("A2")
-        assert len(rs.weyl_orbit(rs.fundamental_coweight(0))) == 3
+        assert len(rs.weyl_orbit(rs.fundamental_coweights()[0])) == 3
 
     def test_orbit_size_divides_group_order(self):
         rng = random.Random(3)
@@ -234,7 +281,7 @@ def reference_walk(rs, x):
 
 
 _small_q = st.fractions(min_value=-6, max_value=6, max_denominator=4)
-_WALK_LABELS = ("A1", "A2", "A3", "B2", "C2", "G2", "F4", "I2(5)", "I2(8)")
+_WALK_LABELS = ("A1", "A2", "A3", "B2", "C2", "G2", "F4", "B3", "C3", "D4", "I2(5)", "I2(8)")
 
 
 class TestDominantWalk:
@@ -310,7 +357,9 @@ def outcome(f, *args):
         return type(exc)
 
 
-KERNEL_LABELS = ("A1", "A2", "A3", "B2", "C2", "G2", "F4", "I2(5)", "I2(8)")
+# D4 is simply laced like A3, so its root levels are its co-root pairings; it
+# is left out of these drawn tests to keep their cost down
+KERNEL_LABELS = ("A1", "A2", "A3", "B2", "C2", "G2", "F4", "B3", "C3", "I2(5)", "I2(8)")
 # q: rationals; lex: lex pairs; image: a translated Weyl image of a rational
 # point (NFElem coordinates in I2(n)); lex-image: a Weyl image of a lex point;
 # quad: Z[sqrt 2] (the per-term fallback); foreign: NFElem of another field
@@ -344,7 +393,7 @@ class TestLinearFormKernel:
     def test_forms_match_the_per_term_loop(self, label, data):
         rs = build(label)
         x = draw_point(data, rs, data.draw(st.sampled_from(POINT_KINDS)))
-        for alpha in rs.all_roots():
+        for alpha in all_roots(rs):
             assert outcome(rs.pairing, x, alpha) == outcome(reference_pairing, rs, x, alpha)
             assert outcome(rs.root_level, x, alpha) == outcome(reference_root_level, rs, x, alpha)
         for cw in rs.fundamental_coweights():
@@ -365,17 +414,17 @@ class TestLinearFormKernel:
 class TestCoweights:
     def test_a1(self):
         rs = build("A1")
-        assert rs.fundamental_coweight(0) == (Q(1, 2),)
+        assert rs.fundamental_coweights()[0] == (Q(1, 2),)
 
     def test_a2(self):
         rs = build("A2")
-        assert rs.fundamental_coweight(0) == (Q(2, 3), Q(1, 3))
+        assert rs.fundamental_coweights()[0] == (Q(2, 3), Q(1, 3))
 
     def test_defining_property_everywhere(self):
         for label in ("A1", "A2", "B2", "C2", "G2", "F4", "I2(8)"):
             rs = build(label)
             for i in range(rs.rank):
-                cw = rs.fundamental_coweight(i)
+                cw = rs.fundamental_coweights()[i]
                 for j in range(rs.rank):
                     val = reference_bilinear(rs, rs.simple_roots[j], cw)
                     assert sign(val - rs._f(1 if i == j else 0)) == 0
@@ -393,7 +442,7 @@ class TestLattices:
 
     def test_coweight_not_in_coroot_lattice(self):
         rs = build("A2")
-        assert not rs.coroot_lattice_member(rs.fundamental_coweight(0))
+        assert not rs.coroot_lattice_member(rs.fundamental_coweights()[0])
 
     def test_non_crystallographic_rejected(self):
         with pytest.raises(RootSystemError):
@@ -477,7 +526,7 @@ def reference_product(A, B):
 
 def reference_group(rs):
     """The Weyl group BFS by exact F-matrix products, keyed on the matrices."""
-    ident = rs.identity_element()
+    ident = rs.element(())
     seen = {ident.matrix: ident}
     frontier = [ident]
     while frontier:
@@ -491,6 +540,11 @@ def reference_group(rs):
                     nxt.append(cand)
         frontier = nxt
     return sorted(seen.values(), key=lambda w: (len(w.word), w.word))
+
+
+def reference_length_by_inversions(rs, w):
+    """The number of positive roots that w sends to negative ones."""
+    return sum(all(sign(c) <= 0 for c in w.apply(beta)) for beta in rs.positive_roots)
 
 
 class TestWeylGroup:
@@ -511,17 +565,17 @@ class TestWeylGroup:
 
     @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "G2", "I2(5)"])
     def test_elements_from_words_match_the_matrix_products(self, label):
-        # element and multiply build matrices by row updates, one per letter,
+        # element builds matrices by row updates, one per letter,
         # and the reversed word is the inverse; the reference multiplies F-matrices
         rs = build(label)
         group = reference_group(rs)
-        ident = typed(rs.identity_element().matrix)
+        ident = typed(rs.element(()).matrix)
         rng = random.Random(label)
         for w in group:
             assert typed(rs.element(w.word).matrix) == typed(w.matrix)
             assert typed(reference_product(rs.element(reversed(w.word)).matrix, w.matrix)) == ident
             v = rng.choice(group)
-            uv = rs.multiply(w, v)
+            uv = rs.element(w.word + v.word)
             assert uv.word == w.word + v.word
             assert typed(uv.matrix) == typed(reference_product(w.matrix, v.matrix))
 
@@ -541,7 +595,7 @@ class TestWeylGroup:
         for label in ("A1", "A2", "B2", "G2"):
             rs = build(label)
             for w in rs.weyl_group():
-                assert len(w.word) == rs.length_by_inversions(w)
+                assert len(w.word) == reference_length_by_inversions(rs, w)
 
     @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
     def test_product_length_is_the_reduced_length(self, label):
@@ -551,18 +605,18 @@ class TestWeylGroup:
         group = rs.weyl_group()
         rng = random.Random(label)
         for _ in range(40):
-            uv = rs.multiply(rng.choice(group), rng.choice(group))
+            uv = rs.element(rng.choice(group).word + rng.choice(group).word)
             u = next(u for u in group if u == uv)
-            assert rs.length_by_inversions(uv) == len(u.word)
+            assert reference_length_by_inversions(rs, uv) == len(u.word)
         s0 = rs.simple_reflection(0)
-        assert rs.length_by_inversions(rs.multiply(s0, s0)) == 0
+        assert reference_length_by_inversions(rs, rs.element(s0.word + s0.word)) == 0
 
     def test_length_equals_inversions_f4_sampled(self):
         rs = build("F4")
         group = rs.weyl_group()
         rng = random.Random(1)
         for w in rng.sample(group, 80):
-            assert len(w.word) == rs.length_by_inversions(w)
+            assert len(w.word) == reference_length_by_inversions(rs, w)
 
     def test_longest_element_reverses_dominance(self):
         rng = random.Random(2)
@@ -621,7 +675,7 @@ class TestWallTransport:
             assert rs.root_level(moved, alpha) == rs.root_level(x, alpha) + shift
 
 
-_LEVEL_LABELS = ("A1", "A2", "A3", "B2", "C2", "G2", "F4")
+_LEVEL_LABELS = ("A1", "A2", "A3", "B2", "C2", "G2", "F4", "B3", "C3", "D4")
 
 
 class TestLevelCoordinates:
@@ -662,7 +716,7 @@ class TestLevelCoordinates:
                 (lv,), den = rs.to_levels([x])
                 t = sum(b * e for b, e in zip(wall_beta, lv)) - wall_k * den
                 moved = rs.from_levels(tuple(e - t * ce for e, ce in zip(lv, c)), den)
-                assert moved == rs.affine_reflect(beta, k, x)
+                assert moved == reference_affine_reflect(rs, beta, k, x)
 
     @pytest.mark.parametrize("label", _LEVEL_LABELS)
     def test_simple_reflections_use_the_integer_cartan_rows(self, label):

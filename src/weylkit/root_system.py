@@ -397,7 +397,8 @@ class RootSystem:
                 raise RootSystemError(f"unsupported label: {label}")
             diag, bonds, degrees = dynkin
             self.crystallographic = True
-            g = [[_Q(diag[i] if i == j else 0) for j in range(len(diag))] for i in range(len(diag))]
+            n = len(diag)
+            g = [[_Q(diag[i] if i == j else 0) for j in range(n)] for i in range(n)]
             for i, j in bonds:
                 g[i][j] = g[j][i] = _Q(-max(diag[i], diag[j]), 2)
             self.gram = tuple(map(tuple, g))

@@ -90,7 +90,9 @@ def _point_json(pt) -> list:
 
 
 def _parse_point(rs: RootSystem, text: str) -> tuple:
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
+    if not all(p.strip() for p in parts):
+        raise ValueError(f"empty coordinate in point {text!r}")
     if len(parts) != rs.rank:
         raise ValueError(f"expected {rs.rank} coordinates, got {len(parts)}")
     return tuple(parse_rational(p) for p in parts)
@@ -223,14 +225,16 @@ def cmd_tree(args) -> int:
     if not isinstance(data.get("values"), dict):
         raise ValueError("tree input needs a 'values' object")
     ends = tuple(ends)
-    entries = {}
+    entries, parsed = {}, {}  # a table repeats few strings: each is parsed once
     for key, val in data["values"].items():
         quad = tuple(k.strip() for k in key.split(","))
         if len(quad) != 4:
             raise ValueError(f"bad quadruple key {key!r}")
         if not isinstance(val, str):
             raise ValueError(f"value of {key!r} must be a string, got {val!r}")
-        entries[quad] = parse_scalar(val)
+        if val not in parsed:
+            parsed[val] = parse_scalar(val)
+        entries[quad] = parsed[val]
     pv = lt.valuation_from_entries(ends, entries)
     pv_report = lt.check_pv(pv)
     # the base labels follow the spacing rule of the keys

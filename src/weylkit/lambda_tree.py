@@ -3,11 +3,14 @@
 An end-set with a quadruple table (the projective valuation) determines a
 tree; the tree returns a canonical valuation; the two must agree exactly.
 Everything here is finite and exhaustively checkable, with values in any
-ordered abelian group from :mod:`weylkit.scalars`.
+ordered abelian group from :mod:`weylkit.scalars`.  Each check runs one
+algorithm over one view of its values (:func:`_view`): their integer codes
+where :func:`_encode` covers them, the values themselves otherwise.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -46,7 +49,7 @@ def _encode(values: list) -> Optional[list]:
 
     Returns None when the values are not all Fractions or not all lex pairs
     of Fractions (ints, QuadInt, number-field, infinite or mixed values);
-    callers then work on the values themselves.
+    the view of such values is the values themselves.
     """
     lex = bool(values) and all(type(v) is LexPair for v in values)
     flat = [v.hi for v in values] + [v.lo for v in values] if lex else values
@@ -60,28 +63,25 @@ def _encode(values: list) -> Optional[list]:
     return [h * m + lo for h, lo in zip(his, los)]
 
 
-def _encoded(ends: tuple, *lookups: tuple) -> Optional[list]:
-    """One ``{key: code}`` per ``(mapping, keys)``, all values encoded together.
+def _view(ends: tuple, *lookups: tuple) -> tuple:
+    """``(getters, cmp, sgn)``: one view of the values of each ``(mapping, keys, get)``.
 
-    None when an end repeats, a key is missing or the values are outside the
-    encoding; callers then run their loops on the values.
+    Where the ends are pairwise distinct, every key is in its mapping and
+    :func:`_encode` covers all the values together, each getter returns the
+    code of a key's value, ``cmp`` is ``operator.sub`` (the difference of two
+    codes orders them) and ``sgn`` is ``operator.pos`` (a code is its own
+    sign).  Otherwise the getters are the ``get`` functions, on the values,
+    with :func:`compare` and :func:`sign`; a missing key then raises there,
+    as the checks' loops on the values do.
     """
-    if len(set(ends)) != len(ends):
-        return None
-    values = []
-    for mapping, keys in lookups:
-        try:
-            values += [mapping[k] for k in keys]
-        except KeyError:
-            return None
-    codes = _encode(values)
-    if codes is None:
-        return None
-    out, start = [], 0
-    for _, keys in lookups:
-        out.append(dict(zip(keys, codes[start : start + len(keys)])))
-        start += len(keys)
-    return out
+    try:
+        codes = _encode([mapping[k] for mapping, keys, _ in lookups for k in keys])
+    except KeyError:
+        codes = None
+    if codes is None or len(set(ends)) != len(ends):
+        return [get for _, _, get in lookups], compare, sign
+    it = iter(codes)  # zip stops on the keys, so each mapping takes exactly its own codes
+    return [dict(zip(keys, it)).__getitem__ for _, keys, _ in lookups], operator.sub, operator.pos
 
 
 # --------------------------------------------------------------------------
@@ -96,55 +96,34 @@ def _pv1_orbit(quad: tuple) -> tuple:
 
 
 def complete_pv1(entries: Dict[tuple, object]) -> tuple[Dict[tuple, object], list]:
-    """Close a partial quadruple table under the symmetry axiom; report conflicts."""
-    codes = _encode(list(entries.values()))
-    table = None if codes is None else _complete_encoded(entries, codes)
-    if table is not None:
-        return table, []
-    table = {}
-    conflicts = []
-    for quad, val in entries.items():
-        plus, minus = _pv1_orbit(quad)
-        for q in plus:
-            if q in table and compare(table[q], val) != 0:
-                conflicts.append(("PV1", q, f"{table[q]!r} vs {val!r}"))
-            table[q] = val
-        neg = -val
-        for q in minus:
-            if q in table and compare(table[q], neg) != 0:
-                conflicts.append(("PV1", q, f"{table[q]!r} vs {neg!r}"))
-            table[q] = neg
-    return table, conflicts
+    """Close a partial quadruple table under the symmetry axiom; report conflicts.
 
-
-def _complete_encoded(entries: Dict[tuple, object], codes: list) -> Optional[dict]:
-    """complete_pv1's table from the entries' codes; None where it would report a conflict.
-
-    The first entry of each symmetry orbit writes the whole orbit, in the
-    order complete_pv1's loop does; a later entry of that orbit only has its
-    code compared with the one written at its quadruple.  The loop reports a
-    conflict exactly when such a pair differs.  Without conflicts this table
-    holds each orbit's first entry where the loop's holds its last: equal
-    values of one type, so the same reprs.
+    Each entry writes its symmetry orbit in turn, and a conflict is a stored
+    value that differs from the one written over it, compared in one view:
+    the values' codes where :func:`_encode` covers them, the values
+    otherwise.  An entry whose quadruple already holds an equal code, or an
+    equal value of the same type, is skipped unless its orbit's two halves
+    meet (a == b or c == d): the last write of the orbit left every position
+    consistent with it, so rewriting would store equal values of one type
+    and report nothing.
     """
-    table, coded = {}, {}
-    for (quad, val), code in zip(entries.items(), codes):
-        if quad in coded:
-            if coded[quad] != code:
-                return None
-            continue
+    values = list(entries.values())
+    codes = _encode(values)
+    keys, cmp = (values, compare) if codes is None else (codes, operator.sub)
+    table, conflicts = {}, []
+    seen = table if codes is None else {}  # quadruple -> key; on values, the table itself
+    for (quad, val), key in zip(entries.items(), keys):
         a, b, c, d = quad
-        if a == b or c == d:  # the orbit's two halves meet: its value must be its own negative
-            return None
+        if a != b and c != d and quad in seen and seen[quad] == key and type(table[quad]) is type(val):
+            continue
         plus, minus = _pv1_orbit(quad)
-        neg = -val
-        for q in plus:
-            table[q] = val
-            coded[q] = code
-        for q in minus:
-            table[q] = neg
-            coded[q] = -code
-    return table
+        for orbit, v, k in ((plus, val, key), (minus, -val, -key)):
+            for q in orbit:
+                if q in seen and cmp(seen[q], k) != 0:
+                    conflicts.append(("PV1", q, f"{table[q]!r} vs {v!r}"))
+                table[q] = v
+                seen[q] = k
+    return table, conflicts
 
 
 @dataclass(frozen=True)
@@ -212,19 +191,14 @@ class PVReport:
 def check_pv(pv: ProjectiveValuation) -> PVReport:
     """Verify the three valuation axioms; violations are data.
 
-    PV1 and PV2 are checked on every quadruple.  On a table the integer
-    encoding covers, PV3 is first decided in O(n^4) (:func:`_cocycle_holds`);
-    the O(n^5) enumeration of 5-tuples runs only when that decision fails,
-    to list the violations.  Other tables run the same loops on the values.
+    PV1 and PV2 are checked on every quadruple.  PV3 is first decided in
+    O(n^4) (:func:`_cocycle_holds`); the O(n^5) enumeration of 5-tuples runs
+    only when that decision fails, to list the violations, or when the
+    values lie in more than one group.  All of it runs on the view of the
+    table that :func:`_view` picks.
     """
     quads = list(pv.quadruples())
-    encoded = _encoded(pv.ends, (pv.table, quads))
-    if encoded is None:
-        code, value, cmp, sgn = None, (lambda q: pv.value(*q)), compare, sign
-    else:
-        # on codes the difference orders, and a code is its own sign
-        (code,) = encoded
-        value, cmp, sgn = code.__getitem__, operator.sub, operator.pos
+    (value,), cmp, sgn = _view(pv.ends, (pv.table, quads, lambda q: pv.value(*q)))
     out = []
     for q in quads:
         a, b, c, d = q
@@ -238,36 +212,42 @@ def check_pv(pv: ProjectiveValuation) -> PVReport:
                 out.append(("PV2", q, "exchange of b and d changed a positive value"))
             if sgn(value((a, c, b, d))) != 0:
                 out.append(("PV2", q, "companion quadruple is not zero"))
-    if code is None or not _cocycle_holds(pv.ends, code):
+    # the decision needs the values in one group; where domains mix, the
+    # enumeration runs instead and raises what its loop raises
+    mixed = cmp is compare and len({zero_like(value(q)) for q in quads}) > 1
+    if mixed or not _cocycle_holds(pv.ends, value, cmp):
         for a, b, c, d, e in itertools.permutations(pv.ends, 5):
-            lhs = value((a, b, d, e)) + value((b, c, d, e))
-            if cmp(lhs, value((a, c, d, e))) != 0:
+            if cmp(value((a, b, d, e)) + value((b, c, d, e)), value((a, c, d, e))) != 0:
                 out.append(("PV3", (a, b, c, d, e), "cocycle sum failed"))
     return PVReport(tuple(out))
 
 
-def _cocycle_holds(ends: tuple, code: dict) -> bool:
-    """PV3 on an encoded table of pairwise distinct ends, decided in O(n^4).
+def _cocycle_holds(ends: tuple, value: Callable, cmp: Callable) -> bool:
+    """PV3 decided in O(n^4) from a getter of the table and a comparison.
 
-    Fix d, e and write g(a, b) = omega(a, b, d, e) on the other ends S.  The
-    cocycle g(a, b) + g(b, c) = g(a, c) on distinct a, b, c of S holds
-    exactly when g(a, b) = f(a) - f(b) for all distinct a, b of S, where
-    f(x) = g(x, r) and f(r) = 0 for one end r of S.  If g has that form the
-    sum telescopes.  Conversely, take the cocycle and |S| >= 3: adding it at
-    (a, b, c) and (b, a, c) for a third end c gives g(a, b) = -g(b, a), so
-    g(a, r) = f(a) - f(r), g(r, b) = -f(b) = f(r) - f(b), and for a, b != r
-    g(a, b) = g(a, r) + g(r, b) = f(a) - f(b).  |S| >= 3 needs five ends;
-    with fewer there is no 5-tuple and PV3 holds vacuously.
+    Fix d, e and write g(a, b) = value((a, b, d, e)) on the other ends S,
+    taken by position as ``itertools.permutations`` takes them.  Pick r in S
+    and set f(x) = g(x, r), f(r) = 0.  The cocycle g(a, b) + g(b, c) = g(a, c)
+    on distinct a, b, c of S holds exactly when g(r, b) = -f(b) and
+    g(a, b) = f(a) - f(b) for all distinct a, b != r.  If so, g(a, b) =
+    f(a) - f(b) on every pair and the sum telescopes.  Conversely the
+    cocycle at (a, b, r) is the second condition, and adding it at (r, b, c)
+    and (b, r, c) for a third end c gives the first.  The proof uses only
+    the group law, so it holds on codes and on values of one group.
+    |S| >= 3 needs five ends; with fewer there is no 5-tuple and PV3 holds
+    vacuously.
     """
     if len(ends) < 5:
         return True
-    for d, e in itertools.permutations(ends, 2):
-        rest = [x for x in ends if x != d and x != e]
-        r = rest[0]
-        f = {x: code[(x, r, d, e)] for x in rest[1:]}
-        f[r] = 0
-        for a, b in itertools.permutations(rest, 2):
-            if code[(a, b, d, e)] != f[a] - f[b]:
+    for i, j in itertools.permutations(range(len(ends)), 2):
+        d, e = ends[i], ends[j]
+        r, *rest = [x for k, x in enumerate(ends) if k != i and k != j]
+        f = [value((x, r, d, e)) for x in rest]
+        for b, fb in zip(rest, f):
+            if cmp(value((r, b, d, e)), -fb) != 0:
+                return False
+        for (a, fa), (b, fb) in itertools.permutations(zip(rest, f), 2):
+            if cmp(value((a, b, d, e)), fa - fb) != 0:
                 return False
     return True
 
@@ -376,23 +356,19 @@ def build_datum(pv: ProjectiveValuation, base_triple: Sequence[str]) -> RootedTr
 
 
 def datum_axiom_violations(datum: RootedTreeDatum) -> tuple:
-    """(RT0), (RT1), (RT2) checked exhaustively, on the wedges' codes where the encoding covers them."""
-    encoded = _encoded(datum.ends, (datum._wedge, list(itertools.permutations(datum.ends, 2))))
-    if encoded is None:
-        wedge, cmp, sgn = datum.wedge, compare, sign
-    else:
-        (code,) = encoded
-        wedge, cmp, sgn = (lambda a, b: code[(a, b)]), operator.sub, operator.pos
+    """(RT0), (RT1), (RT2) checked exhaustively, on the view of the wedges that :func:`_view` picks."""
+    pairs = list(itertools.permutations(datum.ends, 2))
+    (wedge,), cmp, sgn = _view(datum.ends, (datum._wedge, pairs, lambda k: datum.wedge(*k)))
     out = []
     for a, b in itertools.combinations(datum.ends, 2):
-        w = wedge(a, b)
+        w = wedge((a, b))
         if not isinstance(w, Infinity) and sgn(w) < 0:
             out.append(("RT0", (a, b)))
-        if cmp(wedge(a, b), wedge(b, a)) != 0:
+        if cmp(wedge((a, b)), wedge((b, a))) != 0:
             out.append(("RT1", (a, b)))
     for a, b, c in itertools.permutations(datum.ends, 3):
-        lhs = wedge(a, c)
-        rhs = min(wedge(a, b), wedge(b, c))
+        lhs = wedge((a, c))
+        rhs = min(wedge((a, b)), wedge((b, c)))
         if cmp(lhs, rhs) < 0:
             out.append(("RT2", (a, b, c)))
     return tuple(out)
@@ -442,8 +418,11 @@ def branch_point(datum: RootedTreeDatum, a: str, b: str, c: str) -> TreePoint:
 
 
 def _kappa_coord_on_line(wedge: Callable, cmp: Callable, a: str, b: str, c: str):
-    """Signed coordinate of the median of (a, b, c) on the line [ab], b-direction positive."""
-    wab, wac, wbc = wedge(a, b), wedge(a, c), wedge(b, c)
+    """Signed coordinate of the median of (a, b, c) on the line [ab], b-direction positive.
+
+    ``wedge`` takes a pair of ends.
+    """
+    wab, wac, wbc = wedge((a, b)), wedge((a, c)), wedge((b, c))
     if cmp(wbc, wac) > 0:
         return wbc - (wab + wab)
     return -(wab if cmp(wab, wac) >= 0 else wac)
@@ -453,9 +432,11 @@ def canonical_valuation(datum: RootedTreeDatum, a: str, b: str, c: str, d: str):
     """Signed distance along [ab] between the medians of (a,b,c) and (a,b,d)."""
     if len({a, b, c, d}) != 4:
         raise TreeError("ends must be pairwise distinct")
-    return _kappa_coord_on_line(datum.wedge, compare, a, b, d) - _kappa_coord_on_line(
-        datum.wedge, compare, a, b, c
-    )
+
+    def wedge(pair):
+        return datum.wedge(*pair)
+
+    return _kappa_coord_on_line(wedge, compare, a, b, d) - _kappa_coord_on_line(wedge, compare, a, b, c)
 
 
 @dataclass(frozen=True)
@@ -472,23 +453,18 @@ def roundtrip_check(pv: ProjectiveValuation, datum: RootedTreeDatum) -> Roundtri
 
     pv is not validated here: a caller that wants the check builds the datum
     with :func:`datum_from_valuation`, which runs one :func:`check_pv`.
-    Where the integer encoding covers pv's values and the datum's wedges
-    together (both enter the comparisons), the canonical valuation is
-    computed on their codes, and ``(q, want, got)`` is rebuilt from the
-    values only for a mismatch.
+    pv's values and the datum's wedges (both enter the comparisons) are read
+    in the one view :func:`_view` picks for them together.  Each median
+    coordinate is computed once, and ``(q, want, got)`` is rebuilt from the
+    values, by :func:`canonical_valuation`, only for a mismatch.
     """
     quads = list(pv.quadruples())
     pairs = list(itertools.permutations(pv.ends, 2))
-    encoded = _encoded(pv.ends, (pv.table, quads), (datum._wedge, pairs))
-    if encoded is None:
-        bad = [q for q in quads if compare(canonical_valuation(datum, *q), pv.value(*q)) != 0]
-    else:
-        code, wedge = encoded
-        coord = {
-            (a, b, c): _kappa_coord_on_line(lambda x, y: wedge[(x, y)], operator.sub, a, b, c)
-            for a, b, c in itertools.permutations(pv.ends, 3)
-        }
-        bad = [q for q in quads if coord[(q[0], q[1], q[3])] - coord[q[:3]] != code[q]]
+    (value, wedge), cmp, _ = _view(
+        pv.ends, (pv.table, quads, lambda q: pv.value(*q)), (datum._wedge, pairs, lambda k: datum.wedge(*k))
+    )
+    coord = functools.cache(functools.partial(_kappa_coord_on_line, wedge, cmp))
+    bad = [q for q in quads if cmp(coord(q[0], q[1], q[3]) - coord(*q[:3]), value(q)) != 0]
     return RoundtripReport(tuple((q, pv.value(*q), canonical_valuation(datum, *q)) for q in bad))
 
 

@@ -252,8 +252,10 @@ def positive_fold_closure(rs: RootSystem, path: PLPath, cap: int = DEFAULT_CAP) 
 
 
 def _validate_w0_word(rs: RootSystem, word=None) -> tuple:
-    """The given reduced word for w0, checked; w0's own word when None."""
-    word = tuple(word if word is not None else rs.longest_element().word)
+    """The given reduced word for w0, checked; w0's own word, which needs no check, when None."""
+    if word is None:
+        return rs.longest_element().word
+    word = tuple(word)
     if not all(0 <= i < rs.rank for i in word):
         raise PathModelError(f"w0 word letters must lie in 0..{rs.rank - 1}")
     if rs.element(word).matrix != rs.longest_element().matrix or len(word) != len(rs.positive_roots):

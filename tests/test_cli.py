@@ -242,6 +242,20 @@ class TestFold:
             assert code == EXIT_OK and len(checks) == 1
             assert images == [build(argv[0]).longest_element().word]
 
+    def test_default_word_is_not_rebuilt(self, capsys, monkeypatch):
+        # w0's own word needs no check: a default job, run a second time so that
+        # w0 exists, builds no Weyl element (it built w0 again to compare matrices)
+        from weylkit.root_system import RootSystem
+
+        words, element = [], RootSystem.element
+        monkeypatch.setattr(RootSystem, "element", lambda rs, word: words.append(word) or element(rs, word))
+        for argv in (["A2", "3,3", "2,2"], ["B2", "2,2", "1,0"], ["G2", "2,1", "0,0"]):
+            first = run_cli(capsys, "fold", "--type", argv[0], "--point", argv[1], "--target", argv[2])
+            words.clear()
+            second = run_cli(capsys, "fold", "--type", argv[0], "--point", argv[1], "--target", argv[2])
+            assert first == second and first[0] == EXIT_OK
+            assert words == []
+
 
 class TestVerifyConvexity:
     def test_a1_passes(self, capsys):
@@ -650,6 +664,12 @@ class TestExitCodes:
             (["verify-convexity", "--type", "A2", "--point", "(1;0),1"], "(1;0)"),
             # nothing may follow the radical of an exponent
             (["sr", "norm", "--case", "B", "--args", "x^{1r7},x^1"], "malformed exponent"),
+            # an empty coordinate is an error, not a coordinate left out
+            (["hull", "--type", "A2", "--point=1,,1"], "weylkit: empty coordinate in point '1,,1'"),
+            (["hull", "--type", "A2", "--point=1,1,"], "weylkit: empty coordinate in point '1,1,'"),
+            (["fold", "--type", "A2", "--point=1,,1", "--target=0,0"], "weylkit: empty coordinate in point '1,,1'"),
+            (["fold", "--type", "A2", "--point=1,1", "--target=1, ,0"], "weylkit: empty coordinate in point '1, ,0'"),
+            (["verify-convexity", "--type", "A2", "--point=1,,1"], "weylkit: empty coordinate in point '1,,1'"),
         ],
     )
     def test_malformed_input(self, capsys, argv, message):

@@ -522,10 +522,29 @@ class TestEncodedAgainstValues:
     @settings(max_examples=4, deadline=None)
     def test_cocycle_decision(self, kind, case):
         pv = _table_for(*case, kind)
-        encoded = lt._encoded(pv.ends, (pv.table, list(pv.quadruples())))
-        if encoded is not None:
-            pv3 = any(axiom == "PV3" for axiom, _, _ in reference_check_pv(pv).violations)
-            assert lt._cocycle_holds(pv.ends, encoded[0]) is not pv3
+        (value,), cmp, _ = lt._view(pv.ends, (pv.table, list(pv.quadruples()), lambda q: pv.value(*q)))
+        pv3 = any(axiom == "PV3" for axiom, _, _ in reference_check_pv(pv).violations)
+        assert lt._cocycle_holds(pv.ends, value, cmp) is not pv3
+
+    @pytest.mark.parametrize("other", [QuadInt(0, 0, 2), lex(0, 0)], ids=["quadint", "lex"])
+    def test_mixed_domains_raise_as_the_loops(self, other):
+        # one zero orbit of another domain passes PV1 and PV2 unnoticed; the
+        # cocycle decision may then meet it before the enumeration would
+        for seed in range(12):
+            pv = _table_for(seed, 5 + seed % 3, ("Z", "Z2lex")[seed % 2], "none")
+            table = dict(pv.table)
+            _set_orbit(table, random.Random(seed).choice(sorted(table)), other)
+            pv = lt.ProjectiveValuation(pv.ends, table)
+            assert _outcome(lt.check_pv, pv) == _outcome(reference_check_pv, pv)
+
+    def test_ints_between_two_domains_raise_as_the_loops(self):
+        # ints meet Z[sqrt 2] and Q alike, yet those two do not meet: only the enumeration adds them
+        table = {q: 0 for q in itertools.permutations("abcdef", 4)}
+        _set_orbit(table, tuple("bcef"), QuadInt(0, 0, 2))
+        _set_orbit(table, tuple("cdef"), Q(0))
+        pv = lt.ProjectiveValuation(tuple("abcdef"), table)
+        assert _outcome(lt.check_pv, pv) == _outcome(reference_check_pv, pv)
+        assert _outcome(lt.check_pv, pv)[0] == "ScalarDomainError"
 
     @pytest.mark.parametrize("kind", KINDS + ("star",))
     @pytest.mark.parametrize("off_table", [False, True])
@@ -569,3 +588,36 @@ class TestEncodedAgainstValues:
         for val in (Q(0), Q(2)):
             entries = {("a", "a", "b", "c"): val, ("a", "b", "c", "d"): Q(1)}
             assert lt.complete_pv1(entries) == reference_complete_pv1(entries)
+
+    def test_meeting_halves_are_rewritten(self):
+        # (a, a, c, b) holds -2 after the first write, yet rewriting its orbit reports four conflicts
+        entries = {("a", "a", "b", "c"): Q(2), ("a", "a", "c", "b"): Q(-2)}
+        table, conflicts = lt.complete_pv1(entries)
+        want_table, want_conflicts = reference_complete_pv1(entries)
+        assert len(conflicts) == 8 and conflicts == want_conflicts
+        assert repr(table) == repr(want_table)
+
+    def test_equal_values_of_two_types_are_rewritten(self):
+        # 2 and Fraction(2) compare equal but print differently: the later entry's orbit is rewritten
+        for later in (2, Q(2)):
+            entries = {("a", "b", "c", "d"): Q(2), ("c", "d", "a", "b"): later}
+            table, conflicts = lt.complete_pv1(entries)
+            assert (repr(table), conflicts) == (repr(reference_complete_pv1(entries)[0]), [])
+
+
+class TestWorkCounts:
+    """A valid Z[sqrt 2] table is outside the integer encoding; its checks still take
+    the O(n^4) cocycle decision, and its round trip computes each median coordinate once."""
+
+    def test_no_five_tuples_and_no_per_quadruple_rebuild(self, monkeypatch):
+        _, valid = lt.tree_generator(5, 8, "Z")
+        pv = lt.ProjectiveValuation(valid.ends, {q: QuadInt(int(v), int(v), 2) for q, v in valid.table.items()})
+        datum = lt.build_datum(pv, pv.ends[:3])
+        lengths, rebuilt = [], []
+        permutations, canonical = itertools.permutations, lt.canonical_valuation
+        monkeypatch.setattr(lt.itertools, "permutations", lambda xs, r=None: lengths.append(r) or permutations(xs, r))
+        monkeypatch.setattr(lt, "canonical_valuation", lambda *a: rebuilt.append(a) or canonical(*a))
+        assert lt.check_pv(pv).ok
+        assert 5 not in lengths  # no pass over the 6,720 5-tuples
+        assert lt.roundtrip_check(pv, datum).ok
+        assert rebuilt == []  # a round trip per quadruple made 8*7*6*5 = 1,680 calls

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import ceil, floor, prod
+from math import prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .root_system import RootSystem
-from .scalars import compare, sign
+from .scalars import ScalarDomainError, _clear_denominators, compare, sign
 
 
 DEFAULT_CAP = 1_000_000
@@ -65,18 +66,33 @@ def segment_contains(rs: RootSystem, x, y, z) -> bool:
     return compare(distance(rs, x, y), distance(rs, x, z) + distance(rs, z, y)) == 0
 
 
-def _coroot_coset_box(rs: RootSystem, x, points) -> list:
-    """Per coordinate j, the values of x + (co-root lattice) in the range of ``points``.
+def _rational_parts(values) -> tuple:
+    """(nums, den): rational ``values`` over their least common denominator."""
+    parts = _clear_denominators(values)
+    if parts is None:
+        raise ScalarDomainError("lattice points need rational coordinates")
+    return parts
+
+
+def coroot_numerators(rs: RootSystem, *vectors) -> tuple:
+    """(vectors, steps, den): rational vectors and the simple co-root steps as integers over one den.
 
     The simple co-root alpha_j^ is 2/(alpha_j, alpha_j) times the unit vector
-    e_j, so the lattice moves each coordinate by its own step.
+    e_j, so the co-root lattice moves numerator j by its own step, steps[j].
     """
+    n = rs.rank
+    nums, den = _rational_parts([c for v in vectors for c in v] + [Fraction(2) / rs.gram[j][j] for j in range(n)])
+    rows = [tuple(nums[k : k + n]) for k in range(0, len(nums), n)]
+    return rows[:-1], rows[-1], den
+
+
+def _coroot_coset_box(rs: RootSystem, x, points) -> list:
+    """Per coordinate j, the values of x + (co-root lattice) in the range of ``points``."""
+    (xn, *pn), steps, den = coroot_numerators(rs, x, *points)
     ranges = []
-    for j in range(rs.rank):
-        step = Fraction(2) / rs.gram[j][j]
-        kmin = ceil(Fraction(min(p[j] for p in points) - x[j]) / step)
-        kmax = floor(Fraction(max(p[j] for p in points) - x[j]) / step)
-        ranges.append([x[j] + k * step for k in range(kmin, kmax + 1)])
+    for j, (a, s) in enumerate(zip(xn, steps)):
+        lo = min(p[j] for p in pn)
+        ranges.append([Fraction(v, den) for v in range(lo + (a - lo) % s, max(p[j] for p in pn) + 1, s)])
     return ranges
 
 
@@ -105,9 +121,11 @@ def in_AQ(rs: RootSystem, y, x_plus) -> bool:
     ``x_plus`` is the dominant image of the orbit generator x, so this is
     membership in conv(W.x) with every translation allowed, which is the
     whole hull test on a non-crystallographic system.  Whether y lies in the
-    co-root coset of x is the caller's job: box points and descent steps lie
-    in it by construction, and a point from outside is tested once with
-    :meth:`RootSystem.coroot_coset_member`.
+    co-root coset of x is the caller's job.  It tests one point at a time:
+    the target of a descent, whose coset is then tested once with
+    :meth:`RootSystem.coroot_coset_member`, and the rows of
+    :func:`aq_triple_characterizations`.  The enumeration and the descent
+    steps test dominance on integer numerators.
     """
     yp, _ = rs.dominant_rep(y)
     return all(compare(a, b) >= 0 for a, b in zip(x_plus, yp))
@@ -132,12 +150,129 @@ def hull_candidates(rs: RootSystem, x, cap: int = DEFAULT_CAP) -> tuple:
     return tuple(itertools.product(*ranges))
 
 
+def _coset_words(rs: RootSystem, xn, steps) -> dict:
+    """The co-root cosets met by the orbit of x = xn / den: residues -> a word taking x's coset onto it.
+
+    W maps the co-root lattice onto itself, so s_k maps each coset onto a
+    coset, and it acts on a residue vector r as on a point:
+    r_k <- r_k - <r, alpha_k^>.  A word lists its letters in the order
+    they are applied.
+    """
+    words = {tuple(a % s for a, s in zip(xn, steps)): ()}
+    queue = list(words)
+    for r in queue:  # grows while it is read
+        for k, row in enumerate(rs.integer_cartan):
+            img = r[:k] + ((r[k] - sum(map(mul, row, r))) % steps[k],) + r[k + 1 :]
+            if img not in words:
+                words[img] = words[r] + (k,)
+                queue.append(img)
+    return words
+
+
+def _coset_reflections(rs: RootSystem, xn, steps) -> list:
+    """(alpha, row) for the positive roots whose reflection keeps the coset of x = xn / den.
+
+    row holds the pairing <., alpha^>, so s_alpha moves y by -<y, alpha^> alpha.
+    These reflections generate the stabilizer of the coset in W: it is the
+    image of the stabilizer of x in the affine Weyl group, which the
+    reflections fixing x generate (Bourbaki, *Lie Groups and Lie Algebras*
+    V.3.3).
+    """
+    out = []
+    for alpha, row in zip(rs.positive_roots, rs.coroot_forms.rows):
+        alpha, row = tuple(map(int, alpha)), tuple(map(int, row))
+        p = sum(map(mul, row, xn))
+        if all(p * a % s == 0 for a, s in zip(alpha, steps)):
+            out.append((alpha, row))
+    return out
+
+
+def _reflection_orbit(y: tuple, reflections, limit: int) -> list:
+    """The orbit of y under the group that ``reflections`` generate.
+
+    The walk stops at a point past the first ``limit``, so it never holds
+    more than max(limit + 1, 1) points.
+    """
+    orbit = [y]
+    seen = {y}
+    for y in orbit:  # grows while it is read
+        for alpha, row in reflections:
+            p = sum(map(mul, row, y))
+            if p:
+                z = tuple(c - p * a for c, a in zip(y, alpha))
+                if z not in seen:
+                    if len(orbit) > limit:
+                        return orbit
+                    seen.add(z)
+                    orbit.append(z)
+    return orbit
+
+
+def _dominant_candidates(rs: RootSystem, residues, steps, top):
+    """The dominant mu = ``residues`` mod ``steps`` with 0 <= mu <= ``top``.
+
+    Coordinates are chosen in order, each pairing p_i = <mu, alpha_i^> kept
+    as the sum over the coordinates chosen so far.  A Cartan matrix has 2 on
+    its diagonal and no positive entry off it, so a later coordinate can
+    only lower p_i: coordinate k starts where it makes p_k non-negative and
+    stops where it would make an earlier p_i negative.  Every point yielded
+    is dominant, and no dominant point of the box is missed.
+    """
+    n = rs.rank
+    columns = tuple(zip(*rs.integer_cartan))
+    stack = [((), (0,) * n)]
+    while stack:
+        mu, pairs = stack.pop()
+        k = len(mu)
+        if k == n:
+            yield mu
+            continue
+        column = columns[k]
+        lo = -(pairs[k] // 2)
+        lo += (residues[k] - lo) % steps[k]
+        hi = min([top[k]] + [pairs[i] // -column[i] for i in range(k) if column[i]])
+        for v in range(lo, hi + 1, steps[k]):
+            stack.append((mu + (v,), tuple(p + c * v for p, c in zip(pairs, column))))
+
+
 def enumerate_AQ(rs: RootSystem, x, cap: int = DEFAULT_CAP) -> tuple:
-    """All lattice points of dconv(W.x) in the coset of x, canonically sorted."""
+    """All lattice points of dconv(W.x) in the coset of x, canonically sorted.
+
+    The dominant image y+ of a hull point y lies in a coset w.x + Q^ of the
+    co-root lattice Q^, for some w in W, and a dominant mu <= x+ has
+    0 <= mu_j <= x+_j (Stembridge, *The partial order of dominant weights*,
+    1998).  So the candidates are the dominant points of the cosets met by
+    W.x in the box [0, x+], and the hull points are the points of their
+    orbits in the coset of x; each candidate has at least one.  A word of
+    the candidate's coset moves mu into the coset of x, and the reflections
+    that keep that coset give the rest.  It all runs on integer numerators
+    over one denominator, which also clears the co-root steps.  ``cap``
+    bounds the candidates plus the hull points, checked at every point.
+    """
+    if not rs.crystallographic:
+        raise ModelSpaceError("hull enumeration needs a crystallographic system")
     xp, _ = rs.dominant_rep(x)
-    # box points are x + sum k_j alpha_j^, so each lies in the coset of x
-    out = [z for z in hull_candidates(rs, x, cap) if in_AQ(rs, z, xp)]
-    return tuple(sorted(out))
+    (xn, xpn), steps, den = coroot_numerators(rs, x, xp)
+    reflections = _coset_reflections(rs, xn, steps)
+    cartan = rs.integer_cartan
+    out = []
+    states = 0
+    for residues, word in _coset_words(rs, xn, steps).items():
+        for mu in _dominant_candidates(rs, residues, steps, xpn):
+            states += 1
+            # the inverse of the coset's word moves mu into the coset of x
+            y = list(mu)
+            for k in reversed(word):
+                y[k] -= sum(map(mul, cartan[k], y))
+            out += _reflection_orbit(tuple(y), reflections, cap - states - len(out))
+            if states + len(out) > cap:
+                raise CapExceeded(
+                    f"hull enumeration exceeded {cap} states "
+                    f"({states} dominant candidates and {len(out)} hull points so far)"
+                )
+    out.sort()
+    value = {c: Fraction(c, den) for c in {c for y in out for c in y}}
+    return tuple(tuple(value[c] for c in y) for y in out)
 
 
 # --------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .model_space import (
-    DEFAULT_CAP, CapExceeded, gallery_distance, in_AQ, is_special_vertex, point_sub,
+    DEFAULT_CAP, CapExceeded, coroot_numerators, gallery_distance, in_AQ, is_special_vertex, point_sub,
 )
 from .root_system import RootSystem, WeylElement
 
@@ -264,28 +264,34 @@ def _validate_w0_word(rs: RootSystem, word=None) -> tuple:
 
 
 def parkinson_ram_chain(rs: RootSystem, x, y, w0_word=None) -> tuple[list, list]:
-    """The greedy co-root descent y = y_0, ..., y_n; the last point is w0.x."""
-    x = tuple(Fraction(c) for c in x)
-    y = tuple(Fraction(c) for c in y)
+    """The greedy co-root descent y = y_0, ..., y_n; the last point is w0.x.
+
+    Step k moves y_{k-1} by the largest multiple m_k of the simple co-root of
+    letter k that keeps it in the hull.  The steps run on the numerators of
+    y and x+ over one denominator that clears the co-root steps too: each
+    candidate is one integer dominance walk, compared with x+.
+    """
     xp, _ = rs.dominant_rep(x)
+    (cur, xpn), steps, den = coroot_numerators(rs, y, xp)
     if not (in_AQ(rs, y, xp) and rs.coroot_coset_member(x, y)):
         raise PathModelError("target point is outside the orbit hull")
     word = _validate_w0_word(rs, w0_word)
-    ys = [y]
+    chain = [cur]
     ms = []
     for i_k in word:
-        coroot = rs.coroot_of(rs.simple_roots[i_k])
+        # y - m alpha^ stays in the coset of y, which was tested above
+        cand = list(chain[-1])
         m = 0
-        cur = ys[-1]
         while True:
-            cand = tuple(c - (m + 1) * s for c, s in zip(ys[-1], coroot))
-            # y - m alpha^ stays in the coset of y, which was tested above
-            if not in_AQ(rs, cand, xp):
+            cand[i_k] -= steps[i_k]
+            if any(a < b for a, b in zip(xpn, rs.dominant_numerators(cand)[0])):
                 break
             m += 1
-            cur = cand
-        ys.append(cur)
+        cand[i_k] += steps[i_k]
+        chain.append(tuple(cand))
         ms.append(m)
+    value = {c: Fraction(c, den) for c in {c for v in chain for c in v}}
+    ys = [tuple(value[c] for c in v) for v in chain]
     if ys[-1] != rs.longest_element().apply(x):
         raise PathModelError("descent chain did not reach the opposite extreme point")
     return ys, ms
@@ -293,10 +299,8 @@ def parkinson_ram_chain(rs: RootSystem, x, y, w0_word=None) -> tuple[list, list]
 
 def parkinson_ram_unfold(rs: RootSystem, x, y, w0_word=None) -> tuple[list, list, PLPath]:
     """The descent chain (ys, multiplicities) and the path unfolded from it."""
-    x = tuple(Fraction(c) for c in x)
     if not rs.is_dominant(x):
         raise PathModelError("the orbit generator must be dominant")
-    y = tuple(Fraction(c) for c in y)
     try:
         ys, ms = parkinson_ram_chain(rs, x, y, w0_word)
     except PathModelError:
@@ -313,7 +317,7 @@ def parkinson_ram_unfold(rs: RootSystem, x, y, w0_word=None) -> tuple[list, list
                     "root operator unexpectedly inapplicable during the unfold"
                 )
     pi = _path_of(rs, *path, rs.rank)
-    if pi.endpoint() != y:
+    if pi.endpoint() != ys[0]:
         raise PathModelError("folded path missed its target")  # pragma: no cover
     return ys, ms, pi
 

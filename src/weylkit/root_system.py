@@ -550,24 +550,40 @@ class RootSystem:
         entry: p_j <- p_j - <alpha_k, alpha_j^> p_k.  So the pairings are
         computed once, not once per step, and no Weyl matrix is built.  A
         rational point of a rational system walks on the integer numerators
-        over one common denominator, with the integer Cartan columns; field
-        and lex points walk on their own scalars.
+        over one common denominator (``dominant_numerators``); field and lex
+        points walk on their own scalars.
         """
         parts = _clear_denominators(x) if self.field is None else None
-        if parts is None:
-            cur, columns, times = list(x), self._cartan_columns, scalar_mul
-            pairs = list(self.simple_coroot_forms.apply(cur))
-        else:
-            (cur, den), columns, times = parts, self._integer_cartan_columns, mul
-            pairs = [sum(map(mul, row, cur)) for row in self.integer_cartan]
+        if parts is not None:
+            nums, den = parts
+            cur, word = self.dominant_numerators(nums)
+            return tuple(Fraction(n, den) for n in cur), word
+        cur = list(x)
+        word = self._walk(cur, list(self.simple_coroot_forms.apply(cur)), self._cartan_columns, scalar_mul)
+        return tuple(cur), word
+
+    def dominant_numerators(self, nums) -> tuple:
+        """(numerators of x_plus, word) for the rational point x = nums / den.
+
+        The walk of ``dominant_rep`` on integers, with the integer Cartan
+        columns: each step subtracts an integer pairing from one numerator,
+        so x_plus keeps the denominator of x.
+        """
+        cur = list(nums)
+        pairs = [sum(map(mul, row, cur)) for row in self.integer_cartan]
+        return cur, self._walk(cur, pairs, self._integer_cartan_columns, mul)
+
+    def _walk(self, cur: list, pairs: list, columns, times) -> tuple:
+        """Walk ``cur`` into the dominant chamber in place; the word, last letter applied first.
+
+        ``pairs`` holds the pairings <cur, alpha_i^> and moves with it.
+        """
         word: list[int] = []
         for _ in range(len(self.positive_roots) + 1):
             k = next((i for i, p in enumerate(pairs) if sign(p) < 0), None)
             if k is None:
                 word.reverse()
-                if parts is not None:
-                    cur = [Fraction(n, den) for n in cur]
-                return tuple(cur), tuple(word)
+                return tuple(word)
             pk = pairs[k]
             cur[k] = cur[k] - pk
             for j, c in columns[k]:

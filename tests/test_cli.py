@@ -136,24 +136,24 @@ class TestHull:
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".weylkit-")]
 
     def test_cap_flag(self, capsys):
-        # the box around the orbit of (20, 20) holds 1681 candidates
+        # the hull of (20, 20) holds 1261 points, walked from 221 dominant candidates: 1482 states
         argv = ["hull", "--type", "A2", "--point", "20,20"]
-        assert main(argv + ["--cap", "10"]) == EXIT_CAP
+        assert main(argv + ["--cap", "1481"]) == EXIT_CAP
         captured = capsys.readouterr()
         assert captured.out == "" and "cap exceeded" in captured.err
-        code, obj = run_json(capsys, *argv, "--cap", "1681")
+        code, obj = run_json(capsys, *argv, "--cap", "1482")
         assert code == EXIT_OK and obj["count"] == 1261
 
-    def test_one_candidate_box_per_job(self, capsys, monkeypatch):
+    def test_no_candidate_box_per_job(self, capsys, monkeypatch):
         from weylkit import model_space as ms
 
         calls = []
         real = ms.hull_candidates
         monkeypatch.setattr(ms, "hull_candidates", lambda *a, **k: calls.append(a) or real(*a, **k))
         for argv in (["A2", "3,3"], ["G2", "2,1"], ["B2", "2,2"]):
-            calls.clear()
             code, _ = run_cli(capsys, "hull", "--type", argv[0], "--point", argv[1])
-            assert code == EXIT_OK and len(calls) == 1
+            assert code == EXIT_OK
+        assert calls == []
 
     def test_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("WEYLKIT_CAP", "10")
@@ -161,6 +161,12 @@ class TestHull:
         assert capsys.readouterr().out == ""
         monkeypatch.setenv("WEYLKIT_CAP", "0")
         assert main(["hull", "--type", "A1", "--point", "2"]) == EXIT_CAP
+        monkeypatch.setenv("WEYLKIT_CAP", "1481")
+        assert main(["hull", "--type", "A2", "--point", "20,20"]) == EXIT_CAP
+        assert capsys.readouterr().out == ""
+        monkeypatch.setenv("WEYLKIT_CAP", "1482")
+        code, obj = run_json(capsys, "hull", "--type", "A2", "--point", "20,20")
+        assert code == EXIT_OK and obj["count"] == 1261
 
 
 class TestFold:
@@ -313,11 +319,17 @@ class TestVerifyConvexity:
         assert code == EXIT_CAP
 
     def test_cap_bounds_the_hull_box(self, capsys):
-        # 1681 candidates, one more than the cap: the hull box is refused before it is built
-        code = main(["verify-convexity", "--type", "A2", "--point", "20,20", "--cap", "1680"])
+        # 221 dominant candidates and 1261 hull points: one state more than the cap refuses the hull
+        argv = ["verify-convexity", "--type", "A2", "--point", "20,20"]
+        code = main(argv + ["--cap", "1481"])
         captured = capsys.readouterr()
         assert code == EXIT_CAP and captured.out == ""
-        assert "hull enumeration exceeded 1680 candidates (1681 in the box)" in captured.err
+        assert "hull enumeration exceeded 1481 states (221 dominant candidates and 1261 hull points so far)" in captured.err
+        # at the exact count the hull passes, and the path closure is what the cap stops
+        code = main(argv + ["--cap", "1482"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CAP and captured.out == ""
+        assert "hull enumeration" not in captured.err and "positive fold closure exceeded 1482 paths" in captured.err
 
     @pytest.mark.parametrize(
         "argv, message",

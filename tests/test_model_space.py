@@ -2,11 +2,12 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction as Q
 from math import ceil, floor, prod
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from test_root_system import (
     KERNEL_LABELS,
@@ -21,7 +22,7 @@ from test_root_system import (
 from weylkit import model_space as ms
 from weylkit import path_model as pm
 from weylkit.root_system import build, solve_linear
-from weylkit.scalars import QuadInt, compare, lex, scalar_mul, sign, zero_like
+from weylkit.scalars import QuadInt, ScalarDomainError, compare, lex, scalar_mul, sign, zero_like
 
 
 def rational_point(rng, rank, span=8, den=3):
@@ -286,8 +287,9 @@ class TestHull:
         real = type(rs).dominant_rep
         monkeypatch.setattr(type(rs), "dominant_rep", lambda self, p: walks.append(p) or real(self, p))
         points = ms.enumerate_AQ(rs, x)
-        # one walk per candidate, one for x_plus and one for the box
-        assert len(walks) == len(ms.hull_candidates(rs, x)) + 2
+        # x's own walk is the only one: candidates are dominant by their
+        # pairings, and their orbits are walked on integers
+        assert walks == [x]
         assert points == ms.enumerate_AQ(rs, (Q(3), Q(3)))
         assert rs.dominant_rep(x)[0] == (Q(3), Q(3))
 
@@ -318,13 +320,31 @@ class TestHull:
         for p in rs.weyl_orbit(x):
             assert p in aq
 
-    def test_cap_is_checked_before_the_box_is_built(self):
+    def test_cap_counts_candidates_and_hull_points(self):
         rs = build("A2")
-        x = (Q(3), Q(3))  # 49 candidates in the box, 37 in the hull
-        with pytest.raises(ms.CapExceeded, match=r"exceeded 10 candidates \(49 in the box\)"):
-            ms.enumerate_AQ(rs, x, cap=10)
-        assert len(ms.hull_candidates(rs, x, cap=49)) == 49
-        assert len(ms.enumerate_AQ(rs, x, cap=49)) == 37
+        x = (Q(3), Q(3))  # 8 dominant candidates, 37 hull points
+        with pytest.raises(ms.CapExceeded, match=r"exceeded 44 states \(8 dominant candidates and 37 hull points so far\)"):
+            ms.enumerate_AQ(rs, x, cap=44)
+        assert len(ms.enumerate_AQ(rs, x, cap=45)) == 37
+
+    @pytest.mark.parametrize("cap", [0, 1, 10])
+    def test_cap_stops_an_orbit_at_its_point(self, cap, monkeypatch):
+        # a regular point: the first dominant candidate is x itself, whose
+        # orbit holds all 10! elements of W(A9)
+        rs = build("A9")
+        x = (9, 16, 21, 24, 25, 24, 21, 16, 9)
+        produced = []
+        real = ms._reflection_orbit
+
+        def counted(*args):
+            orbit = real(*args)
+            produced.append(len(orbit))
+            return orbit
+
+        monkeypatch.setattr(ms, "_reflection_orbit", counted)
+        with pytest.raises(ms.CapExceeded, match=rf"exceeded {cap} states \(1 dominant candidates and \d+ hull points"):
+            ms.enumerate_AQ(rs, x, cap=cap)
+        assert len(produced) == 1 and produced[0] <= cap + 1
 
     @pytest.mark.parametrize("label,x", [("A2", (3, 3)), ("B2", (1, -2)), ("G2", (2, 1)), ("A3", (1, 0, 1))])
     def test_enumeration_walks_no_orbit(self, label, x, monkeypatch):
@@ -337,7 +357,7 @@ class TestHull:
 
     @pytest.mark.parametrize("label,x", [("A2", (3, 3)), ("B2", (1, -2)), ("G2", (2, 1)), ("A3", (1, 0, 1))])
     def test_enumeration_tests_no_coset(self, label, x, monkeypatch):
-        # box points are x + sum k_j alpha_j^: in the coset of x by construction
+        # the coset of x is tested on integer residues, never by coroot_coset_member
         rs = build(label)
         calls = []
         real = type(rs).coroot_coset_member
@@ -445,6 +465,83 @@ class TestHullCoset:
         bounds = ms.dual_bounds(rs, rs.weyl_orbit(x))
         want = tuple(z for z in box if ms.within_dual_bounds(bounds, z) and rs.coroot_coset_member(x, z))
         assert ms.enumerate_AQ(rs, x) == tuple(sorted(want))
+
+
+def reference_box_hull(rs, x, cap):
+    """The hull as the box computed it, or None past ``cap`` box points.
+
+    Every coset point in the coordinate range of the orbit whose dominant
+    image x+ dominates.
+    """
+    ranges = reference_hull_box(rs, x)
+    if prod(map(len, ranges)) > cap:
+        return None
+    xp, _ = rs.dominant_rep(x)
+    # a product of ascending ranges comes out sorted
+    return tuple(
+        z for z in itertools.product(*ranges) if all(compare(a, b) >= 0 for a, b in zip(xp, rs.dominant_rep(z)[0]))
+    )
+
+
+_HULL_LABELS = ("A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3", "D4", "F4")
+
+
+class TestHullAgainstTheBox:
+    """The hull walked from the dominant chamber is the hull filtered out of the box."""
+
+    @staticmethod
+    def _check(rs, x):
+        want = reference_box_hull(rs, x, _BOX_CAP)
+        if want is None:
+            reject()
+        assert ms.enumerate_AQ(rs, x) == want
+
+    @pytest.mark.parametrize("label", _HULL_LABELS)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_points_off_the_coweight_lattice(self, label, data):
+        # denominators up to 3: the orbit of a point that is no special vertex meets several co-root cosets
+        rs = build(label)
+        span = 1 if rs.rank > 3 else 2
+        coord = st.fractions(min_value=-span, max_value=span, max_denominator=3)
+        x = tuple(data.draw(coord) for _ in range(rs.rank))
+        assume(not rs.coweight_lattice_member(x))
+        self._check(rs, x)
+
+    @pytest.mark.parametrize("label", _HULL_LABELS)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_special_vertices(self, label, data):
+        # integer combinations of the fundamental co-weights, in every chamber
+        rs = build(label)
+        top = 1 if rs.rank > 3 else 2
+        coeffs = [data.draw(st.integers(-top, top)) for _ in range(rs.rank)]
+        cw = rs.fundamental_coweights()
+        self._check(rs, tuple(sum(c * v[j] for c, v in zip(coeffs, cw)) for j in range(rs.rank)))
+
+    def test_large_f4_vertex(self):
+        # 15,145 points: the box took about 20 s for them
+        rs = build("F4")
+        x = (Q(-11), Q(-21), Q(-30), Q(-16))
+        rs.weyl_group()
+        start = time.perf_counter()
+        hull = ms.enumerate_AQ(rs, x)
+        elapsed = time.perf_counter() - start
+        xp = rs.dominant_rep(x)[0]
+        assert len(hull) == len(set(hull)) == 15145
+        assert hull[0] == rs.longest_element().apply(xp) and hull[-1] == xp
+        assert list(hull) == sorted(hull)
+        assert elapsed < 2
+
+
+@pytest.mark.parametrize("point", ["lex", "field"])
+@pytest.mark.parametrize("hull", [ms.enumerate_AQ, ms.hull_candidates])
+def test_hull_needs_rational_points(hull, point):
+    rs = build("A2")
+    one = build("I2(5)").field.one()
+    x = (lex(1, 2), lex(-3, 1)) if point == "lex" else (one, one * 2)
+    with pytest.raises(ScalarDomainError, match="rational coordinates"):
+        hull(rs, x)
 
 
 class TestNonCrystallographicHull:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from weylkit import model_space as ms
 from weylkit import path_model as pm
 from weylkit.root_system import RootSystem, build
+from weylkit.scalars import ScalarDomainError, lex
 
 
 def random_lattice_path(rs, rng, max_steps=5):
@@ -456,6 +457,62 @@ class TestParkinsonRam:
             ys, _ = pm.parkinson_ram_chain(rs, x, y)
             assert calls == [(x, y)]
             assert ys[-1] == rs.longest_element().apply(x)
+
+
+def reference_descent(rs, x, y):
+    """(ys, ms) of the descent as a Fraction loop: each step tested by ``in_AQ`` against x+."""
+    x = tuple(Q(c) for c in x)
+    y = tuple(Q(c) for c in y)
+    xp, _ = rs.dominant_rep(x)
+    if not (ms.in_AQ(rs, y, xp) and rs.coroot_coset_member(x, y)):
+        raise pm.PathModelError("target point is outside the orbit hull")
+    ys, mults = [y], []
+    for i_k in rs.longest_element().word:
+        coroot = rs.coroot_of(rs.simple_roots[i_k])
+        m = 0
+        while ms.in_AQ(rs, tuple(c - (m + 1) * s for c, s in zip(ys[-1], coroot)), xp):
+            m += 1
+        ys.append(tuple(c - m * s for c, s in zip(ys[-1], coroot)))
+        mults.append(m)
+    if ys[-1] != rs.longest_element().apply(x):
+        raise pm.PathModelError("descent chain did not reach the opposite extreme point")
+    return ys, mults
+
+
+def outcome_of(f, *args):
+    try:
+        return f(*args)
+    except pm.PathModelError as exc:
+        return str(exc)
+
+
+class TestDescentOnNumerators:
+    """The integer descent takes the steps of the Fraction loop."""
+
+    @pytest.mark.parametrize(
+        "label,x",
+        [
+            ("A2", "3,3"), ("A2", "2,1"), ("A2", "-1,2"), ("A2", "4/3,2/3"), ("A2", "1/2,1"),
+            ("B2", "3,4"), ("B2", "1,1"), ("B2", "1/2,3/2"),
+            ("G2", "3,2"), ("G2", "2,1"), ("G2", "1,2/3"), ("G2", "1/3,1"),
+            ("A3", "1,2,1"), ("A3", "1,1,1"), ("A3", "3/4,3/2,5/4"),
+        ],
+    )
+    def test_every_hull_point(self, label, x):
+        # from a point off the co-weight lattice the descent misses w0.x, and both refuse at the end
+        rs = build(label)
+        x = tuple(Q(c) for c in x.split(","))
+        for y in ms.enumerate_AQ(rs, x):
+            assert outcome_of(pm.parkinson_ram_chain, rs, x, y) == outcome_of(reference_descent, rs, x, y)
+
+    @pytest.mark.parametrize("point", ["lex", "field"])
+    @pytest.mark.parametrize("descend", [pm.parkinson_ram_chain, pm.parkinson_ram_unfold])
+    def test_needs_rational_points(self, descend, point):
+        rs = build("A2")
+        one = build("I2(5)").field.one()
+        y = (lex(1, 2), lex(-3, 1)) if point == "lex" else (one, one * 2)
+        with pytest.raises(ScalarDomainError, match="rational coordinates"):
+            descend(rs, (Q(3), Q(3)), y)
 
 
 class TestGalleries:

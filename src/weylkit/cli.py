@@ -227,7 +227,7 @@ def cmd_tree(args) -> int:
     ends = tuple(ends)
     entries, parsed = {}, {}  # a table repeats few strings: each is parsed once
     for key, val in data["values"].items():
-        quad = tuple(k.strip() for k in key.split(","))
+        quad = tuple(map(str.strip, key.split(",")))
         if len(quad) != 4:
             raise ValueError(f"bad quadruple key {key!r}")
         if not isinstance(val, str):
@@ -238,7 +238,7 @@ def cmd_tree(args) -> int:
     pv = lt.valuation_from_entries(ends, entries)
     pv_report = lt.check_pv(pv)
     # the base labels follow the spacing rule of the keys
-    base = tuple(k.strip() for k in args.base.split(",")) if args.base else ends[:3]
+    base = tuple(map(str.strip, args.base.split(","))) if args.base else ends[:3]
     obj = {
         "ends": list(ends),
         "pv_ok": pv_report.ok,

@@ -4,8 +4,10 @@ An end-set with a quadruple table (the projective valuation) determines a
 tree; the tree returns a canonical valuation; the two must agree exactly.
 Everything here is finite and exhaustively checkable, with values in any
 ordered abelian group from :mod:`weylkit.scalars`.  Each check runs one
-algorithm over one view of its values (:func:`_view`): their integer codes
-where :func:`_encode` covers them, the values themselves otherwise.
+algorithm over one view of its values: their integer codes where
+:func:`_encode` covers them, the values themselves otherwise.  A valuation
+carries its codes, and so does the datum built from it, so a job encodes
+its table once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import functools
 import itertools
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -63,25 +65,40 @@ def _encode(values: list) -> Optional[list]:
     return [h * m + lo for h, lo in zip(his, los)]
 
 
-def _view(ends: tuple, *lookups: tuple) -> tuple:
-    """``(getters, cmp, sgn)``: one view of the values of each ``(mapping, keys, get)``.
+def _codes(ends: tuple, *lookups: tuple) -> list:
+    """One dict of integer codes per ``(mapping, keys)``, or one None per lookup: the values' view.
 
-    Where the ends are pairwise distinct, every key is in its mapping and
-    :func:`_encode` covers all the values together, each getter returns the
-    code of a key's value, ``cmp`` is ``operator.sub`` (the difference of two
-    codes orders them) and ``sgn`` is ``operator.pos`` (a code is its own
-    sign).  Otherwise the getters are the ``get`` functions, on the values,
-    with :func:`compare` and :func:`sign`; a missing key then raises there,
-    as the checks' loops on the values do.
+    The codes exist where the ends are pairwise distinct, every key is in its
+    mapping and :func:`_encode` covers all the values together; they are
+    encoded together, so every dict is on one scale.
     """
     try:
-        codes = _encode([mapping[k] for mapping, keys, _ in lookups for k in keys])
+        codes = _encode([mapping[k] for mapping, keys in lookups for k in keys])
     except KeyError:
         codes = None
     if codes is None or len(set(ends)) != len(ends):
-        return [get for _, _, get in lookups], compare, sign
+        return [None] * len(lookups)
     it = iter(codes)  # zip stops on the keys, so each mapping takes exactly its own codes
-    return [dict(zip(keys, it)).__getitem__ for _, keys, _ in lookups], operator.sub, operator.pos
+    return [dict(zip(keys, it)) for _, keys in lookups]
+
+
+def _getters(gets: list, *codes) -> tuple:
+    """``(getters, cmp, sgn)``: the code dicts' lookups, or the ``gets`` on the values if any is None.
+
+    On codes ``cmp`` is ``operator.sub`` (the difference of two codes orders
+    them) and ``sgn`` is ``operator.pos`` (a code is its own sign).  On values
+    they are :func:`compare` and :func:`sign`, and a missing key raises in
+    its ``get``, as the checks' loops on the values do.
+    """
+    if None in codes:
+        return gets, compare, sign
+    return [c.__getitem__ for c in codes], operator.sub, operator.pos
+
+
+def _view(ends: tuple, *lookups: tuple) -> tuple:
+    """:func:`_getters` over the codes :func:`_codes` gives each ``(mapping, keys, get)`` together."""
+    codes = _codes(ends, *((mapping, keys) for mapping, keys, _ in lookups))
+    return _getters([get for _, _, get in lookups], *codes)
 
 
 # --------------------------------------------------------------------------
@@ -107,6 +124,11 @@ def complete_pv1(entries: Dict[tuple, object]) -> tuple[Dict[tuple, object], lis
     consistent with it, so rewriting would store equal values of one type
     and report nothing.
     """
+    return _complete_pv1(entries)[:2]
+
+
+def _complete_pv1(entries: Dict[tuple, object]) -> tuple:
+    """:func:`complete_pv1`'s ``(table, conflicts)`` and the table's codes (None on values)."""
     values = list(entries.values())
     codes = _encode(values)
     keys, cmp = (values, compare) if codes is None else (codes, operator.sub)
@@ -123,15 +145,30 @@ def complete_pv1(entries: Dict[tuple, object]) -> tuple[Dict[tuple, object], lis
                     conflicts.append(("PV1", q, f"{table[q]!r} vs {v!r}"))
                 table[q] = v
                 seen[q] = k
-    return table, conflicts
+    return table, conflicts, None if codes is None else seen
 
 
 @dataclass(frozen=True)
 class ProjectiveValuation:
-    """A complete table of values on ordered quadruples of pairwise distinct ends."""
+    """A complete table of values on ordered quadruples of pairwise distinct ends.
+
+    The table is not changed once the valuation is built: its codes are
+    derived from it on first use.
+    """
 
     ends: Tuple[str, ...]
     table: Dict[tuple, object]
+
+    @functools.cached_property
+    def codes(self) -> Optional[Dict[tuple, int]]:
+        """Quadruple -> integer code of its value (:func:`_encode`), or None: the view of the values.
+
+        Computed on first use and published by one assignment; not a
+        dataclass field, so it takes no part in eq, hash or repr.
+        :func:`valuation_from_entries` publishes the codes its completion
+        made, so such a table is encoded once.
+        """
+        return _codes(self.ends, (self.table, list(self.quadruples())))[0]
 
     def value(self, a, b, c, d):
         try:
@@ -159,7 +196,7 @@ def valuation_from_entries(ends: Sequence[str], entries: Dict[tuple, object]) ->
     for i, e in enumerate(ends):
         if e in ends[:i]:
             raise TreeError(f"end {e!r} is listed twice")
-    table, conflicts = complete_pv1(entries)
+    table, conflicts, codes = _complete_pv1(entries)
     quads = list(itertools.permutations(ends, 4))
     missing = [q for q in quads if q not in table]
     # every key lands in the table, so a table holding exactly the quadruples
@@ -176,7 +213,11 @@ def valuation_from_entries(ends: Sequence[str], entries: Dict[tuple, object]) ->
         raise TreeError(f"inconsistent table under the symmetry axiom: {conflicts[:3]}")
     if missing:
         raise TreeError(f"incomplete table, e.g. {missing[0]}")
-    return ProjectiveValuation(ends, table)
+    pv = ProjectiveValuation(ends, table)
+    # the ends are distinct and the table holds exactly their quadruples, whose
+    # values are the entries' and their negatives: the codes the view would make
+    vars(pv)["codes"] = codes
+    return pv
 
 
 @dataclass(frozen=True)
@@ -194,11 +235,11 @@ def check_pv(pv: ProjectiveValuation) -> PVReport:
     PV1 and PV2 are checked on every quadruple.  PV3 is first decided in
     O(n^4) (:func:`_cocycle_holds`); the O(n^5) enumeration of 5-tuples runs
     only when that decision fails, to list the violations, or when the
-    values lie in more than one group.  All of it runs on the view of the
-    table that :func:`_view` picks.
+    values lie in more than one group.  All of it runs on pv's codes, or on
+    its values where it has none.
     """
     quads = list(pv.quadruples())
-    (value,), cmp, sgn = _view(pv.ends, (pv.table, quads, lambda q: pv.value(*q)))
+    (value,), cmp, sgn = _getters([lambda q: pv.value(*q)], pv.codes)
     out = []
     for q in quads:
         a, b, c, d = q
@@ -282,6 +323,18 @@ class RootedTreeDatum:
     ends: Tuple[str, ...]
     base_triple: Tuple[str, str, str]
     _wedge: Dict[tuple, object]
+    # the valuation whose codes the wedge codes share (set by build_datum)
+    _codes_of: Optional[ProjectiveValuation] = field(default=None, compare=False, repr=False)
+
+    @functools.cached_property
+    def codes(self) -> Optional[Dict[tuple, int]]:
+        """Ordered pair -> integer code of its wedge, or None: the view of the values.
+
+        Computed on first use, on the wedges' own scale, and published by one
+        assignment.  :func:`build_datum` publishes codes on its valuation's
+        scale instead.
+        """
+        return _codes(self.ends, (self._wedge, list(itertools.permutations(self.ends, 2))))[0]
 
     def wedge(self, a, b):
         if a == b:
@@ -292,13 +345,13 @@ class RootedTreeDatum:
         return [self.wedge(a, b) for a, b in itertools.combinations(self.ends, 2)]
 
 
-def _argmax_even_perm(pv: ProjectiveValuation, base, a) -> tuple:
+def _argmax_even_perm(value: Callable, cmp: Callable, base, a) -> tuple:
     best = None
     best_val = None
     for perm in _EVEN_PERMS:
         i, j, k = perm
-        v = pv.value(base[i - 1], a, base[j - 1], base[k - 1])
-        if best_val is None or compare(v, best_val) > 0:
+        v = value((base[i - 1], a, base[j - 1], base[k - 1]))
+        if best_val is None or cmp(v, best_val) > 0:
             best, best_val = perm, v
     return best
 
@@ -325,7 +378,12 @@ def datum_from_valuation(pv: ProjectiveValuation, base_triple: Sequence[str]) ->
 
 def build_datum(pv: ProjectiveValuation, base_triple: Sequence[str]) -> RootedTreeDatum:
     """The wedge table of :func:`datum_from_valuation` for a pv already known to pass
-    :func:`check_pv`; only the base triple is validated here."""
+    :func:`check_pv`; only the base triple is validated here.
+
+    Every wedge is pv's value at a quadruple, or zero.  So its code is pv's
+    code there, or 0, and the datum carries those codes (None where pv has
+    none): on pv's scale, decided on pv's view.
+    """
     base = _base_of(pv, base_triple)
     zero = None
     for q in pv.quadruples():
@@ -333,32 +391,41 @@ def build_datum(pv: ProjectiveValuation, base_triple: Sequence[str]) -> RootedTr
         break
     if zero is None:
         zero = Fraction(0)
+    codes = pv.codes
+    (value,), cmp, _ = _getters([lambda q: pv.value(*q)], codes)
+    floor = zero if codes is None else 0  # zero in pv's view
 
-    perms = {a: _argmax_even_perm(pv, base, a) for a in pv.ends if a not in base}
+    perms = {a: _argmax_even_perm(value, cmp, base, a) for a in pv.ends if a not in base}
 
-    def wedge_pair(a, b):
+    def wedge_quad(a, b):
+        """The quadruple whose value is the wedge of (a, b), or None where the wedge is zero."""
         # both outside the base triple, or b inside but off a's distinguished pair
         i, j, _ = perms[a]
         if b in (base[i - 1], base[j - 1]):
-            return zero
-        v = pv.value(base[i - 1], a, base[j - 1], b)
-        return v if compare(v, zero) > 0 else zero
+            return None
+        q = (base[i - 1], a, base[j - 1], b)
+        return q if cmp(value(q), floor) > 0 else None
 
     table: Dict[tuple, object] = {}
+    wedge_codes: Optional[Dict[tuple, int]] = None if codes is None else {}
     for a, b in itertools.permutations(pv.ends, 2):
         if a in base and b in base:
-            table[(a, b)] = zero
+            q = None
         elif a not in base:
-            table[(a, b)] = wedge_pair(a, b)
+            q = wedge_quad(a, b)
         else:
-            table[(a, b)] = wedge_pair(b, a)
-    return RootedTreeDatum(pv.ends, base, table)
+            q = wedge_quad(b, a)
+        table[(a, b)] = zero if q is None else pv.table[q]
+        if codes is not None:
+            wedge_codes[(a, b)] = 0 if q is None else codes[q]
+    datum = RootedTreeDatum(pv.ends, base, table, pv)
+    vars(datum)["codes"] = wedge_codes
+    return datum
 
 
 def datum_axiom_violations(datum: RootedTreeDatum) -> tuple:
-    """(RT0), (RT1), (RT2) checked exhaustively, on the view of the wedges that :func:`_view` picks."""
-    pairs = list(itertools.permutations(datum.ends, 2))
-    (wedge,), cmp, sgn = _view(datum.ends, (datum._wedge, pairs, lambda k: datum.wedge(*k)))
+    """(RT0), (RT1), (RT2) checked exhaustively, on the datum's codes or, where it has none, its wedges."""
+    (wedge,), cmp, sgn = _getters([lambda k: datum.wedge(*k)], datum.codes)
     out = []
     for a, b in itertools.combinations(datum.ends, 2):
         w = wedge((a, b))
@@ -453,16 +520,20 @@ def roundtrip_check(pv: ProjectiveValuation, datum: RootedTreeDatum) -> Roundtri
 
     pv is not validated here: a caller that wants the check builds the datum
     with :func:`datum_from_valuation`, which runs one :func:`check_pv`.
-    pv's values and the datum's wedges (both enter the comparisons) are read
-    in the one view :func:`_view` picks for them together.  Each median
+    pv's values and the datum's wedges both enter the comparisons, so they
+    are read on one scale: pv's codes and the datum's when the datum was
+    built from this pv, and otherwise the view :func:`_view` picks for the
+    two together (two tables may have different denominators).  Each median
     coordinate is computed once, and ``(q, want, got)`` is rebuilt from the
     values, by :func:`canonical_valuation`, only for a mismatch.
     """
     quads = list(pv.quadruples())
-    pairs = list(itertools.permutations(pv.ends, 2))
-    (value, wedge), cmp, _ = _view(
-        pv.ends, (pv.table, quads, lambda q: pv.value(*q)), (datum._wedge, pairs, lambda k: datum.wedge(*k))
-    )
+    gets = [lambda q: pv.value(*q), lambda k: datum.wedge(*k)]
+    if datum._codes_of is pv:
+        (value, wedge), cmp, _ = _getters(gets, pv.codes, datum.codes)
+    else:
+        pairs = list(itertools.permutations(pv.ends, 2))
+        (value, wedge), cmp, _ = _view(pv.ends, (pv.table, quads, gets[0]), (datum._wedge, pairs, gets[1]))
     coord = functools.cache(functools.partial(_kappa_coord_on_line, wedge, cmp))
     bad = [q for q in quads if cmp(coord(q[0], q[1], q[3]) - coord(*q[:3]), value(q)) != 0]
     return RoundtripReport(tuple((q, pv.value(*q), canonical_valuation(datum, *q)) for q in bad))

@@ -269,10 +269,14 @@ def parkinson_ram_chain(rs: RootSystem, x, y, w0_word=None) -> tuple[list, list]
     Step k moves y_{k-1} by the largest multiple m_k of the simple co-root of
     letter k that keeps it in the hull.  The steps run on the numerators of
     y and x+ over one denominator that clears the co-root steps too: each
-    candidate is one integer dominance walk, compared with x+.
+    candidate is one integer dominance walk, compared with x+.  x must be a
+    special vertex: off the co-weight lattice w0.x is not in the co-root
+    coset of x, so no descent reaches it.
     """
     xp, _ = rs.dominant_rep(x)
     (cur, xpn), steps, den = coroot_numerators(rs, y, xp)
+    if not is_special_vertex(rs, x):
+        raise PathModelError("the orbit generator must be a special vertex (a co-weight lattice point)")
     if not (in_AQ(rs, y, xp) and rs.coroot_coset_member(x, y)):
         raise PathModelError("target point is outside the orbit hull")
     word = _validate_w0_word(rs, w0_word)

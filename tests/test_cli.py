@@ -214,6 +214,14 @@ class TestFold:
         code, _ = run_cli(capsys, "fold", "--type", "A2", "--point", "3,3", "--target", "4,2")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("point", ["1/2,1", "1/2,1/2"])
+    def test_point_off_the_coweight_lattice(self, capsys, point):
+        # w0.x is not in the co-root coset of x there, so the descent is refused before it starts
+        assert main(["fold", "--type", "A2", f"--point={point}", f"--target={point}"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "weylkit: the orbit generator must be a special vertex (a co-weight lattice point)\n"
+
     def test_origin_folds_onto_itself(self, capsys):
         code, obj = run_json(capsys, "fold", "--type", "A2", "--point", "0,0", "--target", "0,0")
         assert code == EXIT_OK
@@ -352,6 +360,43 @@ class TestVerifyConvexity:
         capsys.readouterr()
 
 
+def pinned_tree_table(name, perturbed):
+    """(ends, table) of a byte-pinned ``tree`` job: a value view no benchmark table reaches.
+
+    ``perturbed`` moves one quadruple's symmetry orbit up by one, as the
+    benchmark's rejected tables are moved.
+    """
+    from test_lambda_tree import bumped_orbit, fractional_tree
+
+    from weylkit import lambda_tree as lt
+    from weylkit.scalars import LexPair, QuadInt
+
+    if name == "quadint":  # Z[sqrt 2]: the values themselves are the view
+        pv = lt.tree_generator(2, 6, "Z")[1]
+        table = {q: QuadInt(int(w), int(w), 2) for q, w in pv.table.items()}
+    elif name == "lex-thirds":  # lex pairs whose lo parts have denominator 3
+        pv = lt.tree_generator(12, 6, "Z2lex")[1]
+        table = {q: LexPair(w.hi, w.lo / 3) for q, w in pv.table.items()}
+    else:  # rationals of denominators 2, 3 and 6
+        pv = fractional_tree()
+        table = dict(pv.table)
+    if perturbed:
+        table = bumped_orbit(table, sorted(table)[len(table) // 3])
+    return pv.ends, table
+
+
+# (exit code, sha256 of stdout) of `tree --input` on pinned_tree_table(name, perturbed).
+# The rational tables print their branch heights as Fraction reprs.
+TREE_PINS = {
+    ("quadint", False): (0, "3447a5b205f408c3366f074f46fec9d5f541ab9a5f28e25652f19586ad14da80"),
+    ("quadint", True): (1, "e002d857a2297ec6b72ad67e9cb347fff5a8b5ada5e7972e5c875d85ff12cbcf"),
+    ("lex-thirds", False): (0, "6696b0095c549c438e77652b08015bbbea92c8ccbed10ced28a74fb6d1b22cba"),
+    ("lex-thirds", True): (1, "6a9c613d8157c6e63a279867d2dd7602aac4db558c952e4a962e87ab559c5230"),
+    ("halves-thirds", False): (0, "c053dd09db2a8e8c1cb4638ac58fe2256accf8d061b85428f90f0ca269df3118"),
+    ("halves-thirds", True): (1, "e002d857a2297ec6b72ad67e9cb347fff5a8b5ada5e7972e5c875d85ff12cbcf"),
+}
+
+
 class TestTree:
     def _write_star(self, tmp_path):
         ends = ["a", "b", "c", "d"]
@@ -430,6 +475,17 @@ class TestTree:
         path = tmp_path / "table.json"
         path.write_text(json.dumps({"ends": list(pv.ends), "values": values}))
         return path
+
+    @pytest.mark.parametrize("name, perturbed", sorted(TREE_PINS))
+    def test_value_views_pinned(self, capsys, tmp_path, name, perturbed):
+        from weylkit.scalars import format_scalar
+
+        ends, table = pinned_tree_table(name, perturbed)
+        path = tmp_path / "table.json"
+        values = {",".join(q): format_scalar(v) for q, v in table.items()}
+        path.write_text(json.dumps({"ends": list(ends), "values": values}))
+        code, out = run_cli(capsys, "tree", "--input", str(path))
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == TREE_PINS[name, perturbed]
 
     def test_one_axiom_check_per_job(self, capsys, tmp_path, monkeypatch):
         from weylkit import lambda_tree as lt

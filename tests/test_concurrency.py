@@ -13,6 +13,7 @@ import threading
 from fractions import Fraction as Q
 
 import pytest
+from test_lambda_tree import bumped_orbit
 from test_root_system import typed
 
 from weylkit import cli
@@ -168,6 +169,35 @@ def test_cli_jobs_in_threads_match_a_serial_run(tmp_path, fast_switching):
     want = run("serial")
     assert all(code == 0 for code, _ in want)
     assert run_threads(lambda k: run(f"thread{k}")) == [want] * THREADS
+
+
+def test_shared_valuations_match_a_serial_run(fast_switching):
+    # one valuation carries the codes its completion made; a hand-built one
+    # computes them on first use, which the threads race on
+    def valuations():
+        z = lt.tree_generator(11, 7, "Z")[1]
+        lexpv = lt.tree_generator(12, 6, "Z2lex")[1]
+        # one orbit moved, so that the reports hold violations
+        bumped = bumped_orbit(lexpv.table, sorted(lexpv.table)[len(lexpv.table) // 3])
+        return [
+            lt.valuation_from_entries(z.ends, dict(z.table)),
+            lt.ProjectiveValuation(lexpv.ends, dict(lexpv.table)),
+            lt.ProjectiveValuation(lexpv.ends, bumped),
+        ]
+
+    def job(pvs, k=0):
+        out = []
+        for pv in pvs[k % len(pvs) :] + pvs[: k % len(pvs)]:
+            datum = lt.build_datum(pv, pv.ends[-3:])
+            out.append((pv.ends, lt.check_pv(pv), repr(datum._wedge), lt.roundtrip_check(pv, datum)))
+        return sorted(out, key=repr)
+
+    want = job(valuations())
+    assert [report.ok for _, report, _, _ in want].count(False) == 1
+    for _ in range(3):
+        pvs = valuations()
+        assert "codes" not in vars(pvs[1]) and "codes" not in vars(pvs[2])
+        assert run_threads(lambda k: job(pvs, k)) == [want] * THREADS
 
 
 def test_build_hands_every_thread_one_system(fast_switching):

@@ -621,3 +621,133 @@ class TestWorkCounts:
         assert 5 not in lengths  # no pass over the 6,720 5-tuples
         assert lt.roundtrip_check(pv, datum).ok
         assert rebuilt == []  # a round trip per quadruple made 8*7*6*5 = 1,680 calls
+
+
+# --------------------------------------------------------------------------
+# the codes a valuation and its datum carry against codes computed on first use
+
+
+def bumped_orbit(table, quad):
+    """The table with quad's symmetry orbit moved up by one, as the benchmark's rejected jobs are."""
+    table = dict(table)
+    v = table[quad]
+    _set_orbit(table, quad, LexPair(v.hi, v.lo + 1) if isinstance(v, LexPair) else v + 1)
+    return table
+
+
+def fractional_tree():
+    """A valid 6-end table with edge lengths of denominators 2 and 3 (values 3/2, 2/3 and 13/6)."""
+    t = lt.ExplicitTree()
+    t.attach_end("a", 0, Q(1, 2))
+    t.attach_end("b", 0, Q(1, 3))
+    n1 = t.add_node(0, Q(3, 2))
+    t.attach_end("c", n1, Q(1))
+    n2 = t.add_node(n1, Q(2, 3))
+    t.attach_end("d", n2, Q(1, 2))
+    t.attach_end("e", n2, Q(1, 3))
+    t.attach_end("f", n1, Q(5, 2))
+    return t.valuation()
+
+
+def _carried_tables():
+    """(name, ends, table): valid tables of each kind the view meets, with mixed-domain ones."""
+    out = []
+    for seed, n, lam in ((1, 5, "Z"), (2, 6, "Z2lex"), (3, 7, "Z"), (4, 8, "Z2lex"), (5, 9, "Z")):
+        pv = lt.tree_generator(seed, n, lam)[1]
+        out.append((f"{lam}-{n}", pv.ends, pv.table))
+    for bar, arm in ((Q(3, 2), Q(1, 3)), (Q(5, 3), Q(1, 2))):
+        pv = lt.h_tree(bar, arm).valuation()
+        out.append((f"h-{bar}-{arm}", pv.ends, pv.table))
+    pv = lt.h_tree(QuadInt(1, 1, 2), QuadInt(2, 0, 2)).valuation()
+    out.append(("h-quadint", pv.ends, pv.table))
+    pv = fractional_tree()
+    out.append(("halves-thirds", pv.ends, pv.table))
+    pv = lt.tree_generator(2, 6, "Z")[1]
+    out.append(("quadint-6", pv.ends, _map_values(pv.table, lambda w: QuadInt(int(w), int(w), 2))))
+    pv = lt.tree_generator(12, 7, "Z2lex")[1]
+    out.append(("lex-thirds-7", pv.ends, _map_values(pv.table, lambda w: LexPair(w.hi, w.lo / 3))))
+    # mixed domains: one zero orbit in another domain, or as a plain int
+    for name, seed, lam, other in (
+        ("mixed-quadint", 8, "Z", QuadInt(0, 0, 2)),
+        ("mixed-int", 9, "Z", 0),
+        ("mixed-lex", 10, "Z", lex(0, 0)),
+        ("mixed-q", 11, "Z2lex", Q(0)),
+    ):
+        pv = lt.tree_generator(seed, 6, lam)[1]
+        table = dict(pv.table)
+        zero = sorted(q for q, w in table.items() if sign(w) == 0)[0]
+        _set_orbit(table, zero, other)
+        out.append((name, pv.ends, table))
+    return out
+
+
+def _orbit_entries(table):
+    """One entry per symmetry orbit: the partial tables the CLI reads in its "orbit" style."""
+    return {q: v for q, v in table.items() if q == min(itertools.chain(*lt._pv1_orbit(q)))}
+
+
+def _jobs(pv, base):
+    """check_pv, build_datum, datum_axiom_violations and roundtrip_check on pv, each result or what it raised."""
+    datum = _outcome(lt.build_datum, pv, base)
+    if not isinstance(datum, lt.RootedTreeDatum):
+        return _outcome(lt.check_pv, pv), datum
+    return (
+        _outcome(lt.check_pv, pv),
+        repr(datum._wedge),
+        _outcome(lt.datum_axiom_violations, datum),
+        repr(_outcome(lt.roundtrip_check, pv, datum)),
+    )
+
+
+CARRIED = _carried_tables()
+
+
+class TestCarriedCodes:
+    """A valuation from entries and the datum built from it carry their codes; every
+    report equals the one on a fresh valuation of the same table, order included."""
+
+    @pytest.mark.parametrize("name, ends, table", CARRIED, ids=[c[0] for c in CARRIED])
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["valid", "perturbed"])
+    @pytest.mark.parametrize("style", ["full", "orbit"])
+    def test_entries_against_a_fresh_valuation(self, name, ends, table, perturbed, style):
+        rng = random.Random(name)
+        if perturbed:
+            table = bumped_orbit(table, rng.choice(sorted(table)))
+        entries = dict(table) if style == "full" else _orbit_entries(table)
+        pv = lt.valuation_from_entries(ends, entries)
+        fresh = lt.ProjectiveValuation(ends, dict(pv.table))
+        for base in (ends[:3], tuple(rng.sample(ends, 3))):
+            assert _jobs(pv, base) == _jobs(fresh, base)
+        if name.startswith("mixed"):
+            return
+        report = lt.check_pv(pv)
+        assert report.ok is not perturbed
+        assert report == reference_check_pv(pv)
+
+    def test_datum_of_another_valuation(self):
+        # pv1 has denominator 2 and pv2 denominator 3, so their own codes are equal
+        # integers, yet the round trip of pv2 against pv1's tree must see every mismatch
+        tree = lt.tree_generator(3, 7, "Z")[1]
+        pv1, pv2 = (lt.valuation_from_entries(tree.ends, _map_values(tree.table, lambda w: w / k)) for k in (2, 3))
+        datum = lt.build_datum(pv1, tree.ends[:3])
+        got = lt.roundtrip_check(pv2, datum)
+        assert not got.ok
+        assert repr(got) == repr(reference_roundtrip_check(pv2, datum))
+        assert lt.roundtrip_check(pv1, datum).ok
+
+    def test_one_encoding_per_job(self, monkeypatch):
+        # the completion's codes serve check_pv, build_datum, datum_axiom_violations and the round trip
+        calls, encode = [], lt._encode
+        monkeypatch.setattr(lt, "_encode", lambda values: calls.append(len(values)) or encode(values))
+        for lam in ("Z", "Z2lex"):
+            tree = lt.tree_generator(4, 7, lam)[1]
+            calls.clear()
+            pv = lt.valuation_from_entries(tree.ends, _orbit_entries(tree.table))
+            datum = lt.build_datum(pv, pv.ends[:3])
+            assert lt.check_pv(pv).ok and lt.roundtrip_check(pv, datum).ok
+            assert lt.datum_axiom_violations(datum) == ()
+            assert len(calls) == 1
+            # a hand-built valuation encodes its table once, on first use, to the same codes
+            fresh = lt.ProjectiveValuation(pv.ends, dict(pv.table))
+            assert "codes" not in vars(fresh)
+            assert fresh.codes == pv.codes and lt.check_pv(fresh).ok and len(calls) == 2

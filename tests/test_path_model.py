@@ -433,6 +433,31 @@ class TestParkinsonRam:
         with pytest.raises(pm.PathModelError, match="0..1"):
             pm.parkinson_ram_fold(rs, x, (Q(0), Q(0)), w0_word=(0, 5, 0))
 
+    @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C2", "G2"])
+    def test_only_special_vertices_descend(self, label):
+        # x = sum c_i w_i^ unfolds onto itself exactly when every c_i is an
+        # integer; any other x is refused before the descent, with its cause
+        rs = build(label)
+        cw = rs.fundamental_coweights()
+        steps = (Q(0), Q(1, 4), Q(1, 3), Q(1, 2), Q(1), Q(3, 2), Q(2)) if rs.rank < 3 else (Q(0), Q(1, 2), Q(1))
+        for coeffs in itertools.product(steps, repeat=rs.rank):
+            x = tuple(sum(c * v[j] for c, v in zip(coeffs, cw)) for j in range(rs.rank))
+            if all(c.denominator == 1 for c in coeffs):
+                assert rs.coweight_lattice_member(x)
+                assert pm.parkinson_ram_unfold(rs, x, x)[2].endpoint() == x
+            else:
+                assert outcome_of(pm.parkinson_ram_unfold, rs, x, x) == OFF_LATTICE
+
+    def test_off_lattice_refusals_keep_the_unfold_order(self):
+        # not dominant first, then a bad w0 word, then the lattice
+        rs = build("A2")
+        with pytest.raises(pm.PathModelError, match="dominant"):
+            pm.parkinson_ram_unfold(rs, (Q(-1, 2), Q(1)), (Q(1, 2), Q(1)), w0_word=(0, 1))
+        with pytest.raises(pm.PathModelError, match="reduced word"):
+            pm.parkinson_ram_unfold(rs, (Q(1, 2), Q(1)), (Q(1, 2), Q(1)), w0_word=(0, 1))
+        with pytest.raises(pm.PathModelError, match="special vertex"):
+            pm.parkinson_ram_unfold(rs, (Q(1, 2), Q(1)), (Q(9), Q(9)), w0_word=(1, 0, 1))
+
     def test_alternative_reduced_word(self):
         rs = build("A2")
         x = (Q(2), Q(2))
@@ -479,6 +504,9 @@ def reference_descent(rs, x, y):
     return ys, mults
 
 
+OFF_LATTICE = "the orbit generator must be a special vertex (a co-weight lattice point)"
+
+
 def outcome_of(f, *args):
     try:
         return f(*args)
@@ -499,11 +527,14 @@ class TestDescentOnNumerators:
         ],
     )
     def test_every_hull_point(self, label, x):
-        # from a point off the co-weight lattice the descent misses w0.x, and both refuse at the end
+        # from a point off the co-weight lattice the descent misses w0.x, so the chain refuses it up front
         rs = build(label)
         x = tuple(Q(c) for c in x.split(","))
         for y in ms.enumerate_AQ(rs, x):
-            assert outcome_of(pm.parkinson_ram_chain, rs, x, y) == outcome_of(reference_descent, rs, x, y)
+            if rs.coweight_lattice_member(x):
+                assert outcome_of(pm.parkinson_ram_chain, rs, x, y) == outcome_of(reference_descent, rs, x, y)
+            else:
+                assert outcome_of(pm.parkinson_ram_chain, rs, x, y) == OFF_LATTICE
 
     @pytest.mark.parametrize("point", ["lex", "field"])
     @pytest.mark.parametrize("descend", [pm.parkinson_ram_chain, pm.parkinson_ram_unfold])

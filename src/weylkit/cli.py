@@ -195,7 +195,7 @@ def cmd_verify_convexity(args) -> int:
 
     w0 = rs.longest_element()
     x_plus = rs.dominant_rep(x)[0]
-    _, endpoints = pm.positive_fold_closure(rs, pm.straight_path_to(w0.apply(x_plus)), cap=cap)
+    _, endpoints = pm.positive_fold_closure(rs, pm.straight_path_to(w0.apply(x_plus)), cap=cap, paths=False)
     report.counts["path_endpoints"] = len(endpoints)
     if endpoints != aq:
         report.fail(against_hull("path closure vs hull", endpoints))

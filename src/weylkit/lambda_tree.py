@@ -158,6 +158,9 @@ class ProjectiveValuation:
 
     ends: Tuple[str, ...]
     table: Dict[tuple, object]
+    # set on an instance, as its codes are, by valuation_from_entries: the table
+    # was closed under PV1 without a conflict, so PV1 holds on every quadruple
+    _closed_under_pv1 = False
 
     @functools.cached_property
     def codes(self) -> Optional[Dict[tuple, int]]:
@@ -217,6 +220,7 @@ def valuation_from_entries(ends: Sequence[str], entries: Dict[tuple, object]) ->
     # the ends are distinct and the table holds exactly their quadruples, whose
     # values are the entries' and their negatives: the codes the view would make
     vars(pv)["codes"] = codes
+    vars(pv)["_closed_under_pv1"] = True
     return pv
 
 
@@ -236,17 +240,19 @@ def check_pv(pv: ProjectiveValuation) -> PVReport:
     O(n^4) (:func:`_cocycle_holds`); the O(n^5) enumeration of 5-tuples runs
     only when that decision fails, to list the violations, or when the
     values lie in more than one group.  All of it runs on pv's codes, or on
-    its values where it has none.
+    its values where it has none.  PV1 is not checked on a table that
+    :func:`valuation_from_entries` closed under it.
     """
     quads = list(pv.quadruples())
     (value,), cmp, sgn = _getters([lambda q: pv.value(*q)], pv.codes)
+    pv1 = not pv._closed_under_pv1
     out = []
     for q in quads:
         a, b, c, d = q
         v = value(q)
-        if cmp(v, value((c, d, a, b))) != 0:
+        if pv1 and cmp(v, value((c, d, a, b))) != 0:
             out.append(("PV1", q, "pair swap changed the value"))
-        if cmp(v, -value((a, b, d, c))) != 0:
+        if pv1 and cmp(v, -value((a, b, d, c))) != 0:
             out.append(("PV1", q, "flip of the second pair did not negate"))
         if sgn(v) > 0:
             if cmp(value((a, d, c, b)), v) != 0:

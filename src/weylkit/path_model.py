@@ -30,7 +30,7 @@ direction.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -228,8 +228,12 @@ def root_operator_e(rs: RootSystem, path: PLPath, i: int) -> Optional[PLPath]:
 # positive folds of paths
 
 
-def positive_fold_closure(rs: RootSystem, path: PLPath, cap: int = DEFAULT_CAP) -> tuple:
-    """The least e-closed set of paths containing ``path``; returns (paths, endpoints)."""
+def positive_fold_closure(rs: RootSystem, path: PLPath, cap: int = DEFAULT_CAP, *, paths: bool = True) -> tuple:
+    """The least e-closed set of paths containing ``path``; returns (paths, endpoints).
+
+    With ``paths=False`` the first element is the set of explored states,
+    (level steps, den) pairs, and no ``PLPath`` is built.
+    """
     _require_lattice(rs)
     start = _levels_of(rs, path)
     seen = {start}
@@ -243,12 +247,9 @@ def positive_fold_closure(rs: RootSystem, path: PLPath, cap: int = DEFAULT_CAP) 
                 if len(seen) > cap:
                     raise CapExceeded(f"positive fold closure exceeded {cap} paths")
                 queue.append(nxt)
-    ends = set()
-    for steps, den in seen:
-        end = tuple(map(sum, zip(*steps)))  # () for the empty path: the origin
-        g = gcd(den, *end)
-        ends.add((tuple(c // g for c in end), den // g))
-    return _sorted_paths(rs, seen, path.rank), tuple(sorted(rs.from_levels(end, den) for end, den in ends))
+    # () for the empty path: the origin
+    endpoints = rs.sorted_from_levels((tuple(map(sum, zip(*steps))), den) for steps, den in seen)
+    return (_sorted_paths(rs, seen, path.rank) if paths else seen), endpoints
 
 
 def _validate_w0_word(rs: RootSystem, word=None) -> tuple:
@@ -349,14 +350,6 @@ def _reflect_levels(walls, word, y, den: int) -> tuple:
     return y
 
 
-def interior_alcove_point(rs: RootSystem) -> tuple:
-    """A rational point inside the fundamental alcove: the co-weight sum, scaled below the far wall."""
-    d = rs.interior_dominant_f()
-    p0 = tuple(c / (rs.root_level(d, rs.highest_root()) + 1) for c in d)
-    assert all(0 < rs.root_level(p0, a) < 1 for a in rs.positive_roots)
-    return p0
-
-
 @dataclass(frozen=True)
 class FoldedGallery:
     """An alcove walk of fixed type: a start, a type word and a fold mask, with its weight.
@@ -365,7 +358,8 @@ class FoldedGallery:
     fundamental alcove; step i crosses the panel of type ``gallery_type[i]``,
     or folds at it when ``fold_mask[i]`` is set.  These three fix every alcove
     of the walk.  The weight is ``target_in_frame`` reflected in the walls of
-    the crossed letters, last first, and then moved by w.
+    the crossed letters, last first, and then moved by w; ``weight_levels``
+    is the same point as (level vector, den) (``RootSystem.to_levels``).
     """
 
     gallery_type: Tuple[int, ...]
@@ -373,6 +367,7 @@ class FoldedGallery:
     start: WeylElement
     target_in_frame: Tuple[Fraction, ...]
     weight: Tuple[Fraction, ...]
+    weight_levels: tuple = field(compare=False, repr=False)
 
     def __len__(self):
         return len(self.gallery_type)
@@ -391,7 +386,7 @@ def _dominant_gallery_data(rs: RootSystem, xp) -> tuple:
     """
     walls = rs.alcove_walls
     e = 1 / (2 + rs.root_level(xp, rs.highest_root()))
-    q = tuple(a + e * (b - a) for a, b in zip(xp, interior_alcove_point(rs)))
+    q = tuple(a + e * (b - a) for a, b in zip(xp, rs.interior_alcove_point))
     (q, x), den = rs.to_levels((q, xp))
     word: list[int] = []
     while True:
@@ -413,8 +408,11 @@ def minimal_gallery(rs: RootSystem, x) -> FoldedGallery:
     xp, to_dominant = rs.dominant_rep(x)
     winv = rs.element(reversed(to_dominant))
     word, x0 = _dominant_gallery_data(rs, xp)
+    walls = rs.alcove_walls
     (y,), den = rs.to_levels((x0,))
-    if winv.apply(rs.from_levels(_reflect_levels(rs.alcove_walls, reversed(word), y, den), den)) != x:
+    y = _reflect_levels(walls, reversed(word), y, den)
+    y = _reflect_levels(walls, (i + 1 for i in reversed(winv.word)), y, den)
+    if rs.from_levels(y, den) != x:
         raise PathModelError("gallery construction lost its target")  # pragma: no cover
     expected = gallery_distance(rs, rs.zero_point(), x) - 1
     if len(word) != expected:
@@ -425,6 +423,7 @@ def minimal_gallery(rs: RootSystem, x) -> FoldedGallery:
         start=winv,
         target_in_frame=tuple(x0),
         weight=x,
+        weight_levels=(y, den),
     )
 
 
@@ -461,7 +460,9 @@ def folded_galleries(
             weight = weights.get(y)
             if weight is None:
                 weight = weights[y] = rs.from_levels(y, den)
-            yield FoldedGallery(gallery_type=word, fold_mask=mask, start=w, target_in_frame=x0, weight=weight)
+            yield FoldedGallery(
+                gallery_type=word, fold_mask=mask, start=w, target_in_frame=x0, weight=weight, weight_levels=(y, den)
+            )
             return
         j = word[idx]
         # cross
@@ -484,5 +485,5 @@ def folded_galleries(
 
 
 def folded_gallery_endpoints(rs: RootSystem, minimal: FoldedGallery, cap: int = DEFAULT_CAP) -> tuple:
-    """The set of weights of all positively folded walks of the given type."""
-    return tuple(sorted({g.weight for g in folded_galleries(rs, minimal, cap)}))
+    """The set of weights of all positively folded walks of the given type, sorted."""
+    return rs.sorted_from_levels(g.weight_levels for g in folded_galleries(rs, minimal, cap))

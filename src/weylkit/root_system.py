@@ -367,9 +367,10 @@ class RootSystem:
     """A finite root system and the data derived from its Cartan data.
 
     The system is immutable once built.  Derived data that not every caller
-    needs (co-weights, the Weyl group, w0, the fundamental alcove, the height
-    forms) is a ``cached_property``: computed on first use, at most once per
-    instance, and published by one assignment of an immutable value.
+    needs (co-weights, the Weyl group, w0, the highest root, the fundamental
+    alcove, the height forms) is a ``cached_property``: computed on first use,
+    at most once per instance, and published by one assignment of an
+    immutable value.
     """
 
     def __init__(self, label: str):
@@ -516,6 +517,10 @@ class RootSystem:
         return tuple(sorted(b for b in roots if all(sign(c) >= 0 for c in b)))
 
     def highest_root(self):
+        return self._highest_root
+
+    @cached_property
+    def _highest_root(self) -> tuple:
         if not self.crystallographic:
             raise RootSystemError("highest root needs a crystallographic system")
         return max(filter(self.is_dominant, self.positive_roots), key=sum)
@@ -689,6 +694,14 @@ class RootSystem:
         return LinearForms(rows)
 
     @cached_property
+    def interior_alcove_point(self) -> tuple:
+        """A rational point inside the fundamental alcove: the co-weight sum, scaled below the far wall."""
+        d = self.interior_dominant_f()
+        p0 = tuple(c / (self.root_level(d, self.highest_root()) + 1) for c in d)
+        assert all(0 < self.root_level(p0, a) < 1 for a in self.positive_roots)
+        return p0
+
+    @cached_property
     def alcove_walls(self) -> tuple:
         """Walls of the fundamental alcove in level coordinates, as integer (beta, k, c).
 
@@ -742,6 +755,21 @@ class RootSystem:
         _, _, k_rows, f = self._level_maps
         den *= f
         return tuple(Fraction(sum(map(mul, row, levels)), den) for row in k_rows)
+
+    def sorted_from_levels(self, pairs) -> tuple:
+        """The distinct rational vectors of the (levels, den) ``pairs``, sorted, as ``from_levels`` gives them.
+
+        Each is written as integer simple-root numerators over one common
+        denominator D > 0, so the numerator tuples dedupe and sort as the
+        Fraction tuples would; each distinct numerator becomes one Fraction.
+        """
+        pairs = set(pairs)
+        _, _, k_rows, f = self._level_maps
+        d = math.lcm(*{den for _, den in pairs})
+        nums = {tuple(sum(map(mul, row, levels)) * (d // den) for row in k_rows) for levels, den in pairs}
+        d *= f
+        value = {c: Fraction(c, d) for c in {c for v in nums for c in v}}
+        return tuple(tuple(value[c] for c in v) for v in sorted(nums))
 
     def _require_rational_point(self, x):
         if _clear_denominators(x) is None:

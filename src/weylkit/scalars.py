@@ -476,11 +476,17 @@ class LexPair(Ordered):
             raise ScalarDomainError("lex pair added to non lex pair")
         return LexPair(self.hi + other.hi, self.lo + other.lo)
 
+    # a left operand that is no lex pair reaches the reflected forms and is refused by __add__
+    __radd__ = __add__
+
     def __neg__(self):
         return LexPair(-self.hi, -self.lo)
 
     def __sub__(self, other):
         return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def _cmp(self, other) -> int:
         if isinstance(other, Infinity):

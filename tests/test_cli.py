@@ -624,6 +624,20 @@ class TestTree:
         self._pinned(capsys, path, EXIT_USAGE, None, f"weylkit: {message}\n")
 
     @pytest.mark.parametrize("style", ["full", "orbit"])
+    def test_rational_plus_lex_pair_exits_2(self, capsys, tmp_path, style):
+        # an all-zero table with one lex orbit passes PV1 and PV2; the PV3
+        # enumeration then adds a rational to a lex pair, which is refused
+        import itertools
+
+        from weylkit.scalars import LexPair
+
+        ends = tuple("abcde")
+        zeros = {q: Q(0) for q in itertools.permutations(ends, 4)}
+        table = self._with_orbit(zeros, tuple("bcde"), LexPair(Q(0), Q(0)))
+        path = self._write_styled(tmp_path, ends, table, style)
+        self._pinned(capsys, path, EXIT_USAGE, None, "weylkit: lex pair added to non lex pair\n")
+
+    @pytest.mark.parametrize("style", ["full", "orbit"])
     def test_denominators_pinned(self, capsys, tmp_path, style):
         from weylkit import lambda_tree as lt
 

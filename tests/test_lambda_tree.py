@@ -724,6 +724,23 @@ class TestCarriedCodes:
         assert report.ok is not perturbed
         assert report == reference_check_pv(pv)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(case=cases)
+    @settings(max_examples=4, deadline=None)
+    def test_closed_table_skips_the_pv1_check(self, kind, case):
+        # a table closed under PV1 without a conflict cannot fail it: the reports of the
+        # marked valuation and of an unmarked copy are equal, where the completion accepts
+        pv = _table_for(*case, kind)
+        try:
+            closed = lt.valuation_from_entries(pv.ends, dict(pv.table))
+        except lt.TreeError as exc:
+            assert "symmetry axiom" in str(exc)
+            assert any(axiom == "PV1" for axiom, _, _ in lt.check_pv(pv).violations)
+            return
+        fresh = lt.ProjectiveValuation(pv.ends, dict(closed.table))
+        assert closed._closed_under_pv1 and not fresh._closed_under_pv1
+        assert _outcome(lt.check_pv, closed) == _outcome(lt.check_pv, fresh)
+
     def test_datum_of_another_valuation(self):
         # pv1 has denominator 2 and pv2 denominator 3, so their own codes are equal
         # integers, yet the round trip of pv2 against pv1's tree must see every mismatch

@@ -170,6 +170,11 @@ def ref_galleries(rs, minimal):
     return out
 
 
+def reference_gallery_endpoints(rs, minimal, cap=ms.DEFAULT_CAP):
+    """The gallery endpoints as a set of Fraction weights, sorted as Fraction tuples."""
+    return tuple(sorted({g.weight for g in pm.folded_galleries(rs, minimal, cap)}))
+
+
 def special_vertex(rs, coeffs):
     cw = rs.fundamental_coweights()
     return tuple(sum(c * Q(v[j]) for c, v in zip(coeffs, cw)) for j in range(rs.rank))
@@ -317,6 +322,17 @@ class TestKernelGrid:
         path = pm.straight_path_to(rs.longest_element().apply(x))
         assert pm.positive_fold_closure(rs, path) == ref_closure(rs, path)
 
+    @pytest.mark.parametrize("label,coeffs", [c for c in _GRID_CASES if c[0] != "F4"], ids=str)
+    def test_closure_without_paths(self, label, coeffs):
+        # the same BFS: its state set has one entry per path, and the endpoints are equal
+        rs = build(label)
+        path = pm.straight_path_to(rs.longest_element().apply(special_vertex(rs, coeffs)))
+        paths, endpoints = pm.positive_fold_closure(rs, path)
+        states, ends = pm.positive_fold_closure(rs, path, paths=False)
+        assert ends == endpoints
+        assert len(states) == len(paths)
+        assert {pm._path_of(rs, *state, rs.rank) for state in states} == set(paths)
+
     @pytest.mark.parametrize("label,coeffs", _GRID_CASES, ids=str)
     def test_unfold(self, label, coeffs):
         rs = build(label)
@@ -334,6 +350,9 @@ class TestKernelGrid:
         got = [(g.start.word, g.fold_mask, g.weight) for g in pm.folded_galleries(rs, minimal)]
         assert got == want
         assert pm.folded_gallery_endpoints(rs, minimal) == tuple(sorted({weight for _, _, weight in want}))
+        assert pm.folded_gallery_endpoints(rs, minimal) == reference_gallery_endpoints(rs, minimal)
+        for g in itertools.chain([minimal], pm.folded_galleries(rs, minimal)):
+            assert rs.from_levels(*g.weight_levels) == g.weight
 
 
 def reference_height_minimum(rs, path, i):
@@ -375,8 +394,30 @@ class TestClosure:
     def test_cap(self):
         rs = build("A2")
         w0 = rs.longest_element()
-        with pytest.raises(pm.CapExceeded):
-            pm.positive_fold_closure(rs, pm.straight_path_to(w0.apply((Q(3), Q(3)))), cap=5)
+        for paths in (True, False):
+            with pytest.raises(pm.CapExceeded):
+                pm.positive_fold_closure(rs, pm.straight_path_to(w0.apply((Q(3), Q(3)))), cap=5, paths=paths)
+
+    def test_endpoints_sort_as_fraction_tuples(self):
+        # G2 (2, 3) in co-weights: the paths' level steps lie over many denominators
+        # and the endpoints have denominators 1 and 3; the integer order is the
+        # order of the Fraction tuples
+        rs = build("G2")
+        x = special_vertex(rs, (2, 3))
+        paths, endpoints = pm.positive_fold_closure(rs, pm.straight_path_to(rs.longest_element().apply(x)))
+        assert len({den for _, den in (pm._levels_of(rs, p) for p in paths)}) > 1
+        assert {c.denominator for p in endpoints for c in p} == {1, 3}
+        assert endpoints == tuple(sorted({p.endpoint() for p in paths}))
+
+    def test_sorted_from_levels_against_fraction_sort(self):
+        # one point at several denominators, and points whose order the numerators alone would invert
+        rs = build("B2")
+        rng = random.Random(5)
+        pairs = [(tuple(rng.randint(-9, 9) for _ in range(2)), rng.choice((1, 2, 3, 4, 6))) for _ in range(200)]
+        pairs += [((2 * k, -4 * k), 2 * k) for k in range(1, 4)] + [((1, 0), 3), ((1, 0), 2)]
+        want = tuple(sorted({rs.from_levels(v, den) for v, den in pairs}))
+        assert rs.sorted_from_levels(pairs) == want
+        assert rs.sorted_from_levels(iter(pairs)) == want
 
 
 class TestParkinsonRam:

@@ -639,6 +639,20 @@ class TestWeylGroup:
         assert build("A2").highest_root() == (Q(1), Q(1))
         assert build("G2").highest_root() == (Q(3), Q(2))
 
+    @pytest.mark.parametrize("label", ["A1", "B2", "G2", "F4"])
+    def test_gallery_constants_are_built_once(self, label):
+        rs = RootSystem(label)
+        assert rs.highest_root() is rs.highest_root()
+        p0 = rs.interior_alcove_point
+        assert rs.interior_alcove_point is p0
+        assert all(0 < rs.root_level(p0, a) < 1 for a in rs.positive_roots)
+
+    def test_no_highest_root_without_a_lattice(self):
+        rs = build("I2(5)")
+        for _ in range(2):  # a refusal is not cached
+            with pytest.raises(RootSystemError, match="crystallographic"):
+                rs.highest_root()
+
 
 class TestWallTransport:
     def _random_wall_point(self, rs, alpha, k, rng):

@@ -69,6 +69,15 @@ class TestCompare:
         with pytest.raises(ScalarDomainError):
             compare(QuadInt(1, 0, 2), QuadInt(1, 0, 3))
 
+    @pytest.mark.parametrize("other", [Q(1), 1], ids=repr)
+    def test_lex_pair_on_the_right_is_refused(self, other):
+        # the reflected operators refuse a non-lex left operand as __add__ refuses a right one
+        with pytest.raises(ScalarDomainError, match="lex pair added to non lex pair"):
+            other + lex(0, 0)
+        with pytest.raises(ScalarDomainError, match="lex pair added to non lex pair"):
+            other - lex(0, 0)
+        assert lex(1, 2) - lex(0, 3) == lex(1, -1)
+
     def test_infinity(self):
         assert compare(INF, Q(10**9)) == 1
         assert compare(QuadInt(5, 5, 3), INF) == -1

@@ -289,10 +289,14 @@ def gallery_distance(rs: RootSystem, x, y) -> int:
         raise ModelSpaceError("gallery distance needs a crystallographic system")
     if not (is_special_vertex(rs, x) and is_special_vertex(rs, y)):
         raise ModelSpaceError("gallery distance is defined between special vertices")
+    # (alpha, x - y) = sum_j a_j (L_j(x) - L_j(y)) / den for alpha = sum_j a_j alpha_j,
+    # an integer at special vertices
+    (lx, ly), den = rs.to_levels((x, y))
+    diff = tuple(a - b for a, b in zip(lx, ly))
     walls = 0
-    for alpha in rs.positive_roots:
-        walls += max(0, abs(rs.root_level(x, alpha) - rs.root_level(y, alpha)) - 1)
-    return 1 + int(walls)
+    for alpha in rs.integer_positive_roots:
+        walls += max(0, abs(sum(map(mul, alpha, diff))) // den - 1)
+    return 1 + walls
 
 
 # --------------------------------------------------------------------------

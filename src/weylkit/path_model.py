@@ -41,6 +41,7 @@ from .model_space import (
     DEFAULT_CAP, CapExceeded, coroot_numerators, gallery_distance, in_AQ, is_special_vertex, point_sub,
 )
 from .root_system import RootSystem, WeylElement
+from .scalars import ScalarDomainError
 
 
 class PathModelError(ValueError):
@@ -68,13 +69,23 @@ def _canonical_steps(steps: Iterable[tuple]) -> tuple:
     """Exact steps in normal form: zero steps dropped, positively parallel neighbours merged."""
     out: list[tuple] = []
     for v in steps:
-        if all(c == 0 for c in v):
+        if not any(v):
             continue
         if out and _is_positive_multiple(out[-1], v):
             out[-1] = tuple(a + b for a, b in zip(out[-1], v))
         else:
             out.append(v)
     return tuple(out)
+
+
+def _joined(prefix: tuple, middle: Sequence, suffix: tuple) -> tuple:
+    """``_canonical_steps(prefix + middle + suffix)`` for canonical ``prefix`` and ``suffix``.
+
+    Only the middle and the two steps that meet it can merge: a step merged
+    into prefix[-1] or suffix[0] keeps its direction, which differs from that
+    of its other canonical neighbour.
+    """
+    return prefix[:-1] + _canonical_steps((*prefix[-1:], *middle, *suffix[:1])) + suffix[1:]
 
 
 @dataclass(frozen=True)
@@ -104,9 +115,17 @@ class PLPath:
         return len(self.steps)
 
 
+def _exact(v) -> tuple:
+    """The coordinates of v as Fractions; ``ScalarDomainError`` for a lex or number-field value."""
+    try:
+        return tuple(Fraction(c) for c in v)
+    except TypeError:
+        raise ScalarDomainError("paths and galleries need rational coordinates") from None
+
+
 def path_from_steps(steps: Iterable[Sequence], rank: Optional[int] = None) -> PLPath:
     """The path of the given steps, made exact here; ``rank`` is needed only when there are none."""
-    steps = tuple(tuple(Fraction(c) for c in v) for v in steps)
+    steps = tuple(map(_exact, steps))
     if steps:
         rank = len(steps[0])
     if rank is None:
@@ -159,7 +178,7 @@ def _sorted_paths(rs: RootSystem, paths, rank: int) -> tuple:
 
 
 def _raise(rs: RootSystem, i: int, steps: tuple, den: int) -> Optional[tuple]:
-    """e_i on (level steps, den), reduced; None when it does not apply.
+    """e_i on the canonical (level steps, den), reduced; None when it does not apply.
 
     Heights are component i of the partial sums, integers over den.  A step
     split at height fraction a / b is kept as the piece (v, a, b), the vector
@@ -214,7 +233,7 @@ def _raise(rs: RootSystem, i: int, steps: tuple, den: int) -> Optional[tuple]:
     prefix, suffix = steps[:s], steps[idx1:]
     if m != 1:
         prefix, suffix = (tuple(tuple(c * m for c in v) for v in part) for part in (prefix, suffix))
-    return _reduced(_canonical_steps(prefix + tuple(out) + suffix), den * m)
+    return _reduced(_joined(prefix, out, suffix), den * m)
 
 
 def root_operator_e(rs: RootSystem, path: PLPath, i: int) -> Optional[PLPath]:
@@ -402,7 +421,7 @@ def minimal_gallery(rs: RootSystem, x) -> FoldedGallery:
     """A fold-free minimal walk from an alcove at the origin to an alcove at x."""
     if not rs.crystallographic:
         raise PathModelError("galleries need a crystallographic system")
-    x = tuple(Fraction(c) for c in x)
+    x = _exact(x)
     if not is_special_vertex(rs, x):
         raise PathModelError("gallery targets must be special vertices")
     xp, to_dominant = rs.dominant_rep(x)
@@ -434,54 +453,62 @@ def folded_galleries(
 
     The source alcove ranges over the spherical orbit of the base alcove (the
     type pins panels, not the first alcove); every fold must put the retained
-    alcove on the non-antidominant side of its wall.
+    alcove on the non-antidominant side of its wall.  Each start w is walked
+    depth first, crossing before folding; every node of the walk tree costs
+    one state of ``cap``.
     """
     walls = rs.alcove_walls
     word = minimal.gallery_type
     x0 = minimal.target_in_frame
     (target,), den = rs.to_levels((x0,))
-    budget = [cap]
     weights: dict = {}  # level vector -> the weight in simple-root coordinates
+    # crossed letters c -> the target reflected in them, c[-1] first: each
+    # distinct suffix costs one reflection
+    inner = {(): target}
 
-    # rec carries v = (linear part of u^-1) . d_int as levels, for u the affine
-    # map from the fundamental alcove to the current one and d_int the
-    # regular dominant vector with every level 1: the one thing it reads of u
-    # on the way.  Crossing wall j moves v by the linear part of that wall's
-    # reflection; the weight is computed at the leaf from the crossed letters
-    # and moved by the start element w.
-    def rec(idx: int, w, v: tuple, mask: tuple, crossed: tuple):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise CapExceeded(f"gallery enumeration exceeded {cap} states")
-        if idx == len(word):
-            y = _reflect_levels(walls, reversed(crossed), target, den)
-            # w = s_word[0] ... s_word[-1] acts last letter first
-            y = _reflect_levels(walls, (i + 1 for i in reversed(w.word)), y, den)
-            weight = weights.get(y)
-            if weight is None:
-                weight = weights[y] = rs.from_levels(y, den)
-            yield FoldedGallery(
-                gallery_type=word, fold_mask=mask, start=w, target_in_frame=x0, weight=weight, weight_levels=(y, den)
-            )
-            return
-        j = word[idx]
-        # cross
-        yield from rec(idx + 1, w, _reflect_levels(walls, (j,), v, 0), mask + (False,), crossed + (j,))
-        # fold, kept only when positive: (beta, v) > 0 for the oriented wall.
-        # v is a Weyl image of the regular vector d_int, so (beta, v) is never 0
-        if sum(map(mul, walls[j][0], v)) > 0:
-            yield from rec(idx + 1, w, v, mask + (True,), crossed)
+    def reflected(crossed: tuple) -> tuple:
+        y = inner.get(crossed)
+        if y is None:
+            y = inner[crossed] = _reflect_levels(walls, crossed[:1], reflected(crossed[1:]), den)
+        return y
 
     # every start costs a state: past the cap, the Weyl group is not built
     if rs.weyl_order > cap:
         raise CapExceeded(f"gallery enumeration exceeded {cap} states")
-    # w^-1 . d_int for w = (prefix) s_i is s_i applied to the prefix's vector:
-    # the BFS words of weyl_group() are prefix-closed, so the prefix came first
-    starts = {(): (1,) * rs.rank}
-    for w in rs.weyl_group():
-        if w.word:
-            starts[w.word] = _reflect_levels(walls, (w.word[-1] + 1,), starts[w.word[:-1]], 0)
-        yield from rec(0, w, starts[w.word], (), ())
+    budget = cap
+    n = len(word)
+    # a node is (idx, v, mask, crossed); v = (linear part of u^-1) . d as
+    # levels, for u the affine map from the fundamental alcove to the current
+    # one and d the regular dominant vector with every level 1: the one thing
+    # the walk reads of u.  Crossing wall j moves v by the linear part of that
+    # wall's reflection.  The weight of a leaf is M_w applied to the target
+    # reflected in its crossed letters.
+    for w, start, m_w in rs.alcove_walk_starts:
+        stack = [(0, start, (), ())]
+        while stack:
+            idx, v, mask, crossed = stack.pop()
+            budget -= 1
+            if budget < 0:
+                raise CapExceeded(f"gallery enumeration exceeded {cap} states")
+            if idx == n:
+                z = reflected(crossed)
+                y = tuple([sum(map(mul, row, z)) for row in m_w])
+                weight = weights.get(y)
+                if weight is None:
+                    weight = weights[y] = rs.from_levels(y, den)
+                yield FoldedGallery(
+                    gallery_type=word, fold_mask=mask, start=w, target_in_frame=x0, weight=weight, weight_levels=(y, den)
+                )
+                continue
+            j = word[idx]
+            beta, _, c = walls[j]
+            t = sum(map(mul, beta, v))
+            # fold, kept only when positive: (beta, v) > 0 for the oriented
+            # wall.  v is a Weyl image of d, so (beta, v) is never 0
+            if t > 0:
+                stack.append((idx + 1, v, mask + (True,), crossed))
+            # cross, pushed last so that it is walked first
+            stack.append((idx + 1, tuple([a - t * e for a, e in zip(v, c)]), mask + (False,), crossed + (j,)))
 
 
 def folded_gallery_endpoints(rs: RootSystem, minimal: FoldedGallery, cap: int = DEFAULT_CAP) -> tuple:

@@ -719,7 +719,45 @@ class RootSystem:
             (tuple(int(c) for c in beta), k, tuple(int(c) for c in self.coroot_vec(beta))) for beta, k in walls
         )
 
+    @cached_property
+    def alcove_walk_starts(self) -> tuple:
+        """Per Weyl element w, in ``weyl_group()`` order: (w, w^-1 . d, M_w), all on integer level vectors.
+
+        d is the regular dominant vector with every level 1, and M_w is the
+        matrix of w on level vectors: y -> tuple((row, y) for row in M_w).
+        The simple reflection s_i moves a level vector y by y - y[i] * row i
+        of ``integer_cartan``.  The BFS words of ``weyl_group()`` are
+        prefix-closed, so w = p s_i finds p's entry built: w^-1 . d is s_i of
+        p's vector, and M_w = M_p S_i changes only column i of M_p.  Equal
+        rows are stored once.  Built on the first gallery walk, not with the
+        group.
+        """
+        cartan = self.integer_cartan
+        n = self.rank
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        built = {(): ((1,) * n, ident)}
+        rows = {row: row for row in ident}
+        out = []
+        for w in self.weyl_group():
+            if w.word:
+                v, m = built[w.word[:-1]]
+                i = w.word[-1]
+                c = cartan[i]
+                v = tuple(a - v[i] * b for a, b in zip(v, c))
+                m = tuple(
+                    rows.setdefault(row, row)
+                    for row in (row[:i] + (row[i] - sum(map(mul, row, c)),) + row[i + 1 :] for row in m)
+                )
+                built[w.word] = v, m
+            out.append((w, *built[w.word]))
+        return tuple(out)
+
     # -- level coordinates (rational systems) ----------------------------------
+
+    @cached_property
+    def integer_positive_roots(self) -> tuple:
+        """The positive roots over the integers, in simple-root coordinates."""
+        return tuple(tuple(int(c) for c in alpha) for alpha in self.positive_roots)
 
     @cached_property
     def integer_cartan(self) -> tuple:

@@ -339,6 +339,15 @@ class TestVerifyConvexity:
         assert code == EXIT_CAP and captured.out == ""
         assert "hull enumeration" not in captured.err and "positive fold closure exceeded 1482 paths" in captured.err
 
+    def test_cap_bounds_the_gallery_walk_tree(self, capsys):
+        # the A2 (3,3) walks of the 9-letter type have 311 walk-tree states, its 6 starts included
+        argv = ["verify-convexity", "--type", "A2", "--point=3,3", "--gallery-max-length=12"]
+        code, obj = run_json(capsys, *argv, "--cap", "311")
+        assert code == EXIT_OK and obj["counts"]["gallery_endpoints"] == obj["counts"]["hull_points"]
+        assert main(argv + ["--cap", "310"]) == EXIT_CAP
+        captured = capsys.readouterr()
+        assert captured.out == "" and "gallery enumeration exceeded 310 states" in captured.err
+
     @pytest.mark.parametrize(
         "argv, message",
         [

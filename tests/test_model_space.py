@@ -567,7 +567,55 @@ class TestNonCrystallographicHull:
             ms.enumerate_AQ(rs, (one, one))
 
 
+def reference_gallery_distance(rs, x, y):
+    """1 + the number of affine walls strictly between x and y, one root_level per positive root."""
+    if not rs.crystallographic:
+        raise ms.ModelSpaceError("gallery distance needs a crystallographic system")
+    if not (ms.is_special_vertex(rs, x) and ms.is_special_vertex(rs, y)):
+        raise ms.ModelSpaceError("gallery distance is defined between special vertices")
+    walls = 0
+    for alpha in rs.positive_roots:
+        walls += max(0, abs(rs.root_level(x, alpha) - rs.root_level(y, alpha)) - 1)
+    return 1 + int(walls)
+
+
+def distance_outcome(f, *args):
+    """f(*args) with its type, or the type and message of the error it raises."""
+    try:
+        value = f(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+GALLERY_DISTANCE_LABELS = ("A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3", "D4", "F4")
+
+
 class TestGalleryDistance:
+    @pytest.mark.parametrize("label", GALLERY_DISTANCE_LABELS)
+    def test_integer_levels_match_the_root_levels(self, label):
+        rs = build(label)
+        rng = random.Random(label)
+        cw = rs.fundamental_coweights()
+
+        def vertex():
+            coeffs = [rng.randint(-4, 4) for _ in cw]
+            return tuple(sum(c * Q(v[j]) for c, v in zip(coeffs, cw)) for j in range(rs.rank))
+
+        off = tuple(Q(1, 2) if j == 0 else Q(0) for j in range(rs.rank))
+        pairs = [(vertex(), vertex()) for _ in range(40)]
+        pairs += [(rs.zero_point(), vertex()), (vertex(), off), (off, vertex())]
+        pairs += [(vertex(), tuple(lex(1, c) for c in vertex())), (off, tuple(lex(1, 0) for _ in cw))]
+        for x, y in pairs:
+            assert distance_outcome(ms.gallery_distance, rs, x, y) == distance_outcome(reference_gallery_distance, rs, x, y)
+
+    def test_needs_a_crystallographic_system(self):
+        rs = build("I2(5)")
+        one = rs.field.one()
+        want = distance_outcome(reference_gallery_distance, rs, (one, one), rs.zero_point())
+        assert distance_outcome(ms.gallery_distance, rs, (one, one), rs.zero_point()) == want
+        assert want[0] is ms.ModelSpaceError
+
     def test_reflexive_convention(self):
         rs = build("A2")
         assert ms.gallery_distance(rs, rs.zero_point(), rs.zero_point()) == 1

@@ -170,6 +170,40 @@ def ref_galleries(rs, minimal):
     return out
 
 
+def reference_folded_galleries(rs, minimal, cap=ms.DEFAULT_CAP):
+    """(start word, fold mask, level weight) of every walk, by the recursive walk with a leaf replay.
+
+    Each leaf reflects the target in its crossed letters, last first, and
+    then in the letters of its start w, last first; every node costs one
+    state of ``cap``.
+    """
+    walls = rs.alcove_walls
+    word = minimal.gallery_type
+    (target,), den = rs.to_levels((minimal.target_in_frame,))
+    budget = [cap]
+
+    def rec(idx, w, v, mask, crossed):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise pm.CapExceeded(f"gallery enumeration exceeded {cap} states")
+        if idx == len(word):
+            y = pm._reflect_levels(walls, reversed(crossed), target, den)
+            yield w.word, mask, pm._reflect_levels(walls, (i + 1 for i in reversed(w.word)), y, den)
+            return
+        j = word[idx]
+        yield from rec(idx + 1, w, pm._reflect_levels(walls, (j,), v, 0), mask + (False,), crossed + (j,))
+        if sum(b * c for b, c in zip(walls[j][0], v)) > 0:
+            yield from rec(idx + 1, w, v, mask + (True,), crossed)
+
+    if rs.weyl_order > cap:
+        raise pm.CapExceeded(f"gallery enumeration exceeded {cap} states")
+    for w in rs.weyl_group():
+        v = (1,) * rs.rank  # w^-1 . d, d with every level 1
+        for i in w.word:
+            v = pm._reflect_levels(walls, (i + 1,), v, 0)
+        yield from rec(0, w, v, (), ())
+
+
 def reference_gallery_endpoints(rs, minimal, cap=ms.DEFAULT_CAP):
     """The gallery endpoints as a set of Fraction weights, sorted as Fraction tuples."""
     return tuple(sorted({g.weight for g in pm.folded_galleries(rs, minimal, cap)}))
@@ -199,6 +233,25 @@ class TestPaths:
             joined = pm.path_from_steps(p1.steps + p2.steps, 2)
             want = tuple(a + b for a, b in zip(p1.endpoint(), p2.endpoint()))
             assert joined.endpoint() == want
+
+
+@st.composite
+def step_runs(draw):
+    """(prefix, middle, suffix): canonical prefix and suffix, any middle, of small integer steps."""
+    rank = draw(st.integers(1, 3))
+    steps = st.lists(st.tuples(*[st.integers(-2, 2)] * rank), max_size=5)
+    return pm._canonical_steps(draw(steps)), tuple(draw(steps)), pm._canonical_steps(draw(steps))
+
+
+class TestJoinedSteps:
+    @settings(max_examples=400, deadline=None)
+    @given(step_runs())
+    @example(((), (), ()))
+    @example((((1, 0),), (), ((2, 0),)))  # the two ends meet when the middle is empty
+    @example((((1, 0),), ((0, 0), (3, 0)), ((2, 0), (0, 1))))
+    def test_matches_the_full_pass(self, case):
+        prefix, middle, suffix = case
+        assert pm._joined(prefix, middle, suffix) == pm._canonical_steps(prefix + middle + suffix)
 
 
 class TestRootOperator:
@@ -353,6 +406,29 @@ class TestKernelGrid:
         assert pm.folded_gallery_endpoints(rs, minimal) == reference_gallery_endpoints(rs, minimal)
         for g in itertools.chain([minimal], pm.folded_galleries(rs, minimal)):
             assert rs.from_levels(*g.weight_levels) == g.weight
+
+    # the level weights, and the F4 vertex the Fraction reference skips
+    @pytest.mark.parametrize("label,coeffs", _GRID_CASES, ids=str)
+    def test_gallery_walks_against_the_leaf_replay(self, label, coeffs):
+        rs = build(label)
+        minimal = pm.minimal_gallery(rs, special_vertex(rs, coeffs))
+        _, den = rs.to_levels((minimal.target_in_frame,))
+        got = list(pm.folded_galleries(rs, minimal))
+        assert [(g.start.word, g.fold_mask, g.weight_levels) for g in got] == [
+            (w, mask, (y, den)) for w, mask, y in reference_folded_galleries(rs, minimal)
+        ]
+        assert {(g.gallery_type, g.target_in_frame) for g in got} == {(minimal.gallery_type, minimal.target_in_frame)}
+
+
+def outcome_of_walk(walk, *args):
+    """(walks yielded, the cap message or None) of a walk run to its end or to its cap."""
+    n = 0
+    try:
+        for _ in walk(*args):
+            n += 1
+    except pm.CapExceeded as e:
+        return n, str(e)
+    return n, None
 
 
 def reference_height_minimum(rs, path, i):
@@ -644,6 +720,14 @@ class TestGalleries:
         with pytest.raises(pm.CapExceeded):
             pm.folded_gallery_endpoints(rs, g, cap=10)
 
+    def test_cap_stops_the_walk_where_the_leaf_replay_stopped(self):
+        # 311 walk-tree states, the 6 starts included; each state costs one unit of cap
+        rs = build("A2")
+        minimal = pm.minimal_gallery(rs, (Q(3), Q(3)))
+        outcomes = [outcome_of_walk(pm.folded_galleries, rs, minimal, cap) for cap in range(313)]
+        assert outcomes == [outcome_of_walk(reference_folded_galleries, rs, minimal, cap) for cap in range(313)]
+        assert outcomes[310][1] == "gallery enumeration exceeded 310 states" and outcomes[311][1] is None
+
     def test_cap_holds_before_the_weyl_group(self):
         # every start costs a state: A7's 40,320 starts spend cap 10 before the group is built
         rs = RootSystem("A7")
@@ -663,6 +747,51 @@ class TestGalleries:
         endpoints = pm.folded_gallery_endpoints(rs, minimal)
         assert elements == []
         assert endpoints == ms.enumerate_AQ(rs, x)
+
+    def test_start_table_is_built_once_on_the_first_walk(self, monkeypatch):
+        rs = RootSystem("B2")
+        rs.weyl_group()
+        assert "alcove_walk_starts" not in vars(rs)
+        calls = []
+        real = type(rs).weyl_group
+        monkeypatch.setattr(type(rs), "weyl_group", lambda self: calls.append(self) or real(self))
+        pm.folded_gallery_endpoints(rs, pm.minimal_gallery(rs, (Q(1), Q(2))))
+        table = vars(rs)["alcove_walk_starts"]
+        pm.folded_gallery_endpoints(rs, pm.minimal_gallery(rs, (Q(2), Q(2))))
+        assert vars(rs)["alcove_walk_starts"] is table and calls == [rs]
+
+    @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "C3", "F4"])
+    def test_start_table_entries(self, label):
+        # (w, w^-1 . d, M_w): d has every level 1, and M_w is w on level vectors
+        rs = build(label)
+        table = rs.alcove_walk_starts
+        assert [w for w, _, _ in table] == list(rs.weyl_group())
+        d = rs.interior_dominant_f()
+        x = tuple(Q(k + 1, 3) for k in range(rs.rank))
+        (lx,), den = rs.to_levels((x,))
+        for w, v, m in table[:: max(1, len(table) // 60)]:
+            assert rs.from_levels(v, 1) == tuple(rs.element(reversed(w.word)).apply(d))
+            assert rs.from_levels(tuple(sum(a * b for a, b in zip(row, lx)) for row in m), den) == tuple(w.apply(x))
+        # equal rows are one object
+        rows = [row for _, _, m in table for row in m]
+        assert len({id(row) for row in rows}) == len(set(rows))
+
+    @pytest.mark.parametrize("point", ["lex", "field"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rs, y: pm.minimal_gallery(rs, y),
+            lambda rs, y: pm.path_from_steps([y]),
+            lambda rs, y: pm.straight_path_to(y),
+        ],
+        ids=["minimal_gallery", "path_from_steps", "straight_path_to"],
+    )
+    def test_needs_rational_points(self, make, point):
+        rs = build("A2")
+        one = build("I2(5)").field.one()
+        y = (lex(1, 2), lex(-3, 1)) if point == "lex" else (one, one * 2)
+        with pytest.raises(ScalarDomainError, match="rational coordinates"):
+            make(rs, y)
 
     def test_track_consistency(self):
         rs = build("A2")

@@ -236,9 +236,10 @@ def cmd_tree(args) -> int:
             parsed[val] = parse_scalar(val)
         entries[quad] = parsed[val]
     pv = lt.valuation_from_entries(ends, entries)
+    # the base labels follow the spacing rule of the keys; a base that names
+    # no three distinct ends is refused before the table is checked
+    base = lt._base_of(pv, map(str.strip, args.base.split(",")) if args.base else ends[:3])
     pv_report = lt.check_pv(pv)
-    # the base labels follow the spacing rule of the keys
-    base = tuple(map(str.strip, args.base.split(","))) if args.base else ends[:3]
     obj = {
         "ends": list(ends),
         "pv_ok": pv_report.ok,

@@ -65,23 +65,6 @@ def _encode(values: list) -> Optional[list]:
     return [h * m + lo for h, lo in zip(his, los)]
 
 
-def _codes(ends: tuple, *lookups: tuple) -> list:
-    """One dict of integer codes per ``(mapping, keys)``, or one None per lookup: the values' view.
-
-    The codes exist where the ends are pairwise distinct, every key is in its
-    mapping and :func:`_encode` covers all the values together; they are
-    encoded together, so every dict is on one scale.
-    """
-    try:
-        codes = _encode([mapping[k] for mapping, keys in lookups for k in keys])
-    except KeyError:
-        codes = None
-    if codes is None or len(set(ends)) != len(ends):
-        return [None] * len(lookups)
-    it = iter(codes)  # zip stops on the keys, so each mapping takes exactly its own codes
-    return [dict(zip(keys, it)) for _, keys in lookups]
-
-
 def _getters(gets: list, *codes) -> tuple:
     """``(getters, cmp, sgn)``: the code dicts' lookups, or the ``gets`` on the values if any is None.
 
@@ -93,12 +76,6 @@ def _getters(gets: list, *codes) -> tuple:
     if None in codes:
         return gets, compare, sign
     return [c.__getitem__ for c in codes], operator.sub, operator.pos
-
-
-def _view(ends: tuple, *lookups: tuple) -> tuple:
-    """:func:`_getters` over the codes :func:`_codes` gives each ``(mapping, keys, get)`` together."""
-    codes = _codes(ends, *((mapping, keys) for mapping, keys, _ in lookups))
-    return _getters([get for _, _, get in lookups], *codes)
 
 
 # --------------------------------------------------------------------------
@@ -166,12 +143,21 @@ class ProjectiveValuation:
     def codes(self) -> Optional[Dict[tuple, int]]:
         """Quadruple -> integer code of its value (:func:`_encode`), or None: the view of the values.
 
+        The codes exist where the ends are pairwise distinct, every
+        quadruple is in the table and :func:`_encode` covers the values.
         Computed on first use and published by one assignment; not a
         dataclass field, so it takes no part in eq, hash or repr.
         :func:`valuation_from_entries` publishes the codes its completion
         made, so such a table is encoded once.
         """
-        return _codes(self.ends, (self.table, list(self.quadruples())))[0]
+        quads = list(self.quadruples())
+        try:
+            codes = _encode([self.table[q] for q in quads])
+        except KeyError:
+            return None
+        if codes is None or len(set(self.ends)) != len(self.ends):
+            return None
+        return dict(zip(quads, codes))
 
     def value(self, a, b, c, d):
         try:
@@ -331,16 +317,9 @@ class RootedTreeDatum:
     _wedge: Dict[tuple, object]
     # the valuation whose codes the wedge codes share (set by build_datum)
     _codes_of: Optional[ProjectiveValuation] = field(default=None, compare=False, repr=False)
-
-    @functools.cached_property
-    def codes(self) -> Optional[Dict[tuple, int]]:
-        """Ordered pair -> integer code of its wedge, or None: the view of the values.
-
-        Computed on first use, on the wedges' own scale, and published by one
-        assignment.  :func:`build_datum` publishes codes on its valuation's
-        scale instead.
-        """
-        return _codes(self.ends, (self._wedge, list(itertools.permutations(self.ends, 2))))[0]
+    # ordered pair -> integer code of its wedge on _codes_of's scale (set by
+    # build_datum where that valuation has codes); None: the view of the values
+    codes: Optional[Dict[tuple, int]] = field(default=None, compare=False, repr=False)
 
     def wedge(self, a, b):
         if a == b:
@@ -424,9 +403,7 @@ def build_datum(pv: ProjectiveValuation, base_triple: Sequence[str]) -> RootedTr
         table[(a, b)] = zero if q is None else pv.table[q]
         if codes is not None:
             wedge_codes[(a, b)] = 0 if q is None else codes[q]
-    datum = RootedTreeDatum(pv.ends, base, table, pv)
-    vars(datum)["codes"] = wedge_codes
-    return datum
+    return RootedTreeDatum(pv.ends, base, table, pv, wedge_codes)
 
 
 def datum_axiom_violations(datum: RootedTreeDatum) -> tuple:
@@ -528,18 +505,15 @@ def roundtrip_check(pv: ProjectiveValuation, datum: RootedTreeDatum) -> Roundtri
     with :func:`datum_from_valuation`, which runs one :func:`check_pv`.
     pv's values and the datum's wedges both enter the comparisons, so they
     are read on one scale: pv's codes and the datum's when the datum was
-    built from this pv, and otherwise the view :func:`_view` picks for the
-    two together (two tables may have different denominators).  Each median
-    coordinate is computed once, and ``(q, want, got)`` is rebuilt from the
-    values, by :func:`canonical_valuation`, only for a mismatch.
+    built from this pv, and the values otherwise (two tables may have
+    different denominators).  Each median coordinate is computed once, and
+    ``(q, want, got)`` is rebuilt from the values, by
+    :func:`canonical_valuation`, only for a mismatch.
     """
     quads = list(pv.quadruples())
     gets = [lambda q: pv.value(*q), lambda k: datum.wedge(*k)]
-    if datum._codes_of is pv:
-        (value, wedge), cmp, _ = _getters(gets, pv.codes, datum.codes)
-    else:
-        pairs = list(itertools.permutations(pv.ends, 2))
-        (value, wedge), cmp, _ = _view(pv.ends, (pv.table, quads, gets[0]), (datum._wedge, pairs, gets[1]))
+    codes = (pv.codes, datum.codes) if datum._codes_of is pv else (None,)
+    (value, wedge), cmp, _ = _getters(gets, *codes)
     coord = functools.cache(functools.partial(_kappa_coord_on_line, wedge, cmp))
     bad = [q for q in quads if cmp(coord(q[0], q[1], q[3]) - coord(*q[:3]), value(q)) != 0]
     return RoundtripReport(tuple((q, pv.value(*q), canonical_valuation(datum, *q)) for q in bad))

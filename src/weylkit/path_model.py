@@ -404,15 +404,17 @@ def _dominant_gallery_data(rs: RootSystem, xp) -> tuple:
     so the letters are a reduced word, and the type of a minimal walk.
     """
     walls = rs.alcove_walls
-    e = 1 / (2 + rs.root_level(xp, rs.highest_root()))
+    (x,), x_den = rs.to_levels((xp,))
+    # wall 0 is (-theta, x) = -1, so (theta, xp) = -(beta_0 . x) / x_den
+    e = Fraction(x_den, 2 * x_den - sum(map(mul, walls[0][0], x)))
     q = tuple(a + e * (b - a) for a, b in zip(xp, rs.interior_alcove_point))
-    (q, x), den = rs.to_levels((q, xp))
+    (q,), den = rs.to_levels((q,))
     word: list[int] = []
     while True:
         # reflections permute the walls, so q stays on none: no level equals k
         j = next((j for j, (beta, k, _) in enumerate(walls) if sum(map(mul, beta, q)) < k * den), None)
         if j is None:
-            return tuple(word), rs.from_levels(_reflect_levels(walls, word, x, den), den)
+            return tuple(word), rs.from_levels(_reflect_levels(walls, word, x, x_den), x_den)
         q = _reflect_levels(walls, (j,), q, den)
         word.append(j)
 

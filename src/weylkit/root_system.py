@@ -2,8 +2,7 @@
 
 Roots are stored in simple-root coordinates over the base field F (rationals
 for the crystallographic types, a real cyclotomic field for the dihedral
-ones).  Co-roots enter through the pairing ``<x, a^> = 2 (x, a) / (a, a)``;
-``pairing`` keeps one co-root per root it has met.
+ones).  Co-roots enter through the pairing ``<x, a^> = 2 (x, a) / (a, a)``.
 
 Every crystallographic system -- A_n, B_n, C_n, D_n, E6, F4 and G2 -- is
 built by one table (``_dynkin``) of its Gram diagonal, its bonds and the
@@ -334,6 +333,10 @@ def _times_simple_reflection(m, i: int, cartan_row):
 
 _LABEL_RE = re.compile(r"^([A-G])(\d+)$")
 _I2_RE = re.compile(r"^I2\((\d+)\)$")
+# a system is built by closing orbits and pairing every positive root, so
+# its build time grows with its size: the bounds keep a build near a second
+_MAX_RANK = 16
+_MAX_I2_ORDER = 48
 
 
 def _dynkin(letter: str, n: int):
@@ -349,6 +352,8 @@ def _dynkin(letter: str, n: int):
     """
     if not {"A": n >= 1, "B": n >= 2, "C": n >= 2, "D": n >= 4, "E": n == 6, "F": n == 4, "G": n == 2}[letter]:
         return None
+    if n > _MAX_RANK:
+        raise RootSystemError(f"{letter}{n}: ranks above {_MAX_RANK} are not supported")
     chain = [(i, i + 1) for i in range(n - 1)]
     evens = range(2, 2 * n + 1, 2)
     diag, bonds, degrees = {
@@ -381,6 +386,8 @@ class RootSystem:
             n = int(m_i2.group(1))
             if n < 3:
                 raise RootSystemError(f"I2(n) needs n >= 3, got {n}")
+            if n > _MAX_I2_ORDER:
+                raise RootSystemError(f"I2(n) needs n <= {_MAX_I2_ORDER}, got {n}")
             # A2, B2 and G2 are the crystallographic forms of I2(3), I2(4) and
             # I2(6); this equal-length realisation has number-field Cartan
             # entries, which the lattice code paths cannot take
@@ -408,9 +415,6 @@ class RootSystem:
         self._expected_positives = sum(d - 1 for d in degrees)
 
         self._gram_forms = LinearForms(self.gram)
-        # one-row forms (x, y) per F-vector y: the pairing with alpha reads the
-        # entry of its co-root, which is alpha itself when (alpha, alpha) = 2
-        self._bilinear_forms: Dict[tuple, LinearForms] = {}
         self.simple_roots = tuple(
             tuple(self._f(1 if i == j else 0) for j in range(self.rank)) for i in range(self.rank)
         )
@@ -456,11 +460,7 @@ class RootSystem:
 
     def bilinear(self, x, y_f):
         """(x, y) for a Lambda-vector x against an F-vector y."""
-        key = tuple(y_f)
-        forms = self._bilinear_forms.get(key)
-        if forms is None:
-            forms = self._bilinear_forms[key] = self.bilinear_forms([key])
-        return forms.apply(x)[0]
+        return self.bilinear_forms([y_f]).apply(x)[0]
 
     def norm_sq(self, alpha):
         return self.bilinear(alpha, alpha)
@@ -469,18 +469,9 @@ class RootSystem:
         """Coefficients c with <x, alpha^> = sum_j c_j x_j."""
         return self._gram_forms.apply(self.coroot_of(alpha))
 
-    @cached_property
-    def _coroots(self) -> Dict[tuple, tuple]:
-        """alpha -> its co-root, for ``pairing``: each entry added by one assignment on first use."""
-        return {}
-
     def pairing(self, x, alpha):
         """<x, alpha^> for a Lambda-point x (linear extension of co-root evaluation)."""
-        key = tuple(alpha)
-        coroot = self._coroots.get(key)
-        if coroot is None:
-            coroot = self._coroots[key] = self.coroot_of(key)
-        return self.bilinear(x, coroot)
+        return self.bilinear(x, self.coroot_of(alpha))
 
     def root_level(self, x, alpha):
         """(alpha, x) for a Lambda-point x; indexes the affine wall family."""

@@ -81,6 +81,21 @@ class TestRootsys:
         code, out = run_cli(capsys, "hull", "--type", f"I2({n})", "--point", "1,1")
         assert code == EXIT_USAGE and out == ""
 
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ("A17", "A17: ranks above 16 are not supported"),
+            ("D17", "D17: ranks above 16 are not supported"),
+            ("A1000", "A1000: ranks above 16 are not supported"),
+            ("I2(49)", "I2(n) needs n <= 48, got 49"),
+            ("I2(1000)", "I2(n) needs n <= 48, got 1000"),
+        ],
+        ids=["A17", "D17", "A1000", "I2(49)", "I2(1000)"],
+    )
+    def test_label_bounds(self, capsys, label, message):
+        assert main(["rootsys", "--type", label]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"weylkit: {message}\n")
+
     def test_parser_state_does_not_leak_between_calls(self, capsys, monkeypatch):
         from weylkit import cli
 
@@ -534,7 +549,7 @@ class TestTree:
         assert obj["violations"] == []
         assert obj["rendering"][0] == "root (base triple g, d, b)"
 
-    @pytest.mark.parametrize("base", [None, "a,a,b", "a,b,zz"])
+    @pytest.mark.parametrize("base", [None, "d,c,b"])
     def test_non_valuation_reported_whatever_the_base(self, capsys, tmp_path, base):
         from weylkit import lambda_tree as lt
 
@@ -544,6 +559,15 @@ class TestTree:
         assert code == 1
         assert obj["pv_ok"] is False and obj["violations"]
         assert "rt_ok" not in obj and "rendering" not in obj
+
+    @pytest.mark.parametrize("base", ["a,a,b", "a,b,zz", "a,b"])
+    def test_bad_base_refused_before_the_axiom_check(self, capsys, tmp_path, base):
+        # a table that fails PV2 gets the refusal a valid table gets
+        from weylkit import lambda_tree as lt
+
+        path = self._write_table(tmp_path, lt.h_tree(Q(3), Q(1)).valuation(), bump=("a", "c", "b", "d"))
+        assert main(["tree", "--input", str(path), "--base", base]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "weylkit: base triple must be three distinct ends\n")
 
 
     @staticmethod

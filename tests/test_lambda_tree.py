@@ -522,7 +522,7 @@ class TestEncodedAgainstValues:
     @settings(max_examples=4, deadline=None)
     def test_cocycle_decision(self, kind, case):
         pv = _table_for(*case, kind)
-        (value,), cmp, _ = lt._view(pv.ends, (pv.table, list(pv.quadruples()), lambda q: pv.value(*q)))
+        (value,), cmp, _ = lt._getters([lambda q: pv.value(*q)], pv.codes)
         pv3 = any(axiom == "PV3" for axiom, _, _ in reference_check_pv(pv).violations)
         assert lt._cocycle_holds(pv.ends, value, cmp) is not pv3
 

@@ -841,3 +841,16 @@ class TestThreeOracles:
         assert len(g) == ms.gallery_distance(rs, rs.zero_point(), x) - 1
         if len(g) <= GALLERY_MAX:
             assert pm.folded_gallery_endpoints(rs, g) == hull
+
+    # E6's galleries start from all 51,840 Weyl elements, so E6 checks hull = closure only
+    @pytest.mark.parametrize(
+        "label,i", [(label, i) for label, rank in (("B4", 4), ("C4", 4), ("E6", 6)) for i in range(rank)], ids=str
+    )
+    def test_at_every_fundamental_coweight(self, label, i):
+        rs = build(label)
+        x = special_vertex(rs, [int(j == i) for j in range(rs.rank)])
+        hull = ms.enumerate_AQ(rs, x)
+        _, closure = pm.positive_fold_closure(rs, pm.straight_path_to(rs.longest_element().apply(x)), paths=False)
+        assert closure == hull
+        if label != "E6":
+            assert pm.folded_gallery_endpoints(rs, pm.minimal_gallery(rs, x)) == hull

@@ -58,10 +58,17 @@ class Report:
 
 
 def _cap(args) -> int:
-    if getattr(args, "cap", None) is not None:
-        return int(args.cap)
-    env = os.environ.get("WEYLKIT_CAP")
-    return int(env) if env else ms.DEFAULT_CAP
+    """``--cap``, else ``WEYLKIT_CAP``, else the default; a cap that is no integer >= 0 is refused."""
+    name, cap = "--cap", getattr(args, "cap", None)
+    if cap is None:
+        name, cap = "WEYLKIT_CAP", os.environ.get("WEYLKIT_CAP") or ms.DEFAULT_CAP
+    try:
+        value = int(cap)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {cap!r}")
+    return value
 
 
 def _write_atomic(path: str, data: str):

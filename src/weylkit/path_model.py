@@ -17,20 +17,19 @@ with their simple-root ``Fraction`` steps, are built only for what a public
 function returns: ``root_operator_e`` converts its path in, applies the one
 kernel and converts the result back.
 
-Galleries are alcove walks.  A walk is a start Weyl element ``w``, a type
-word and a fold mask: step ``i`` either crosses the panel of type
-``word[i]`` or folds at it, and these three fix every alcove of the walk.  A
-point moves through a walk by the reflections in the walls of the
-fundamental alcove, each an integer map of level vectors
-(``RootSystem.alcove_walls``); no affine maps are composed.  A fold is
-positive when the wall separates the retained alcove from the antidominant
-direction.
+Galleries are alcove walks.  A walk is a start word ``w``, a type word and
+a fold mask: step ``i`` either crosses the panel of type ``word[i]`` or
+folds at it, and these three fix every alcove of the walk.  A point moves
+through a walk by the reflections in the walls of the fundamental alcove,
+each an integer map of level vectors (``RootSystem.alcove_walls``); no
+affine maps are composed.  A fold is positive when the wall separates the
+retained alcove from the antidominant direction.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -40,7 +39,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 from .model_space import (
     DEFAULT_CAP, CapExceeded, coroot_numerators, gallery_distance, in_AQ, is_special_vertex, point_sub,
 )
-from .root_system import RootSystem, WeylElement
+from .root_system import RootSystem
 from .scalars import ScalarDomainError
 
 
@@ -373,27 +372,26 @@ def _reflect_levels(walls, word, y, den: int) -> tuple:
 class FoldedGallery:
     """An alcove walk of fixed type: a start, a type word and a fold mask, with its weight.
 
-    The walk begins at the alcove w A_0, for w = ``start`` and A_0 the
-    fundamental alcove; step i crosses the panel of type ``gallery_type[i]``,
-    or folds at it when ``fold_mask[i]`` is set.  These three fix every alcove
-    of the walk.  The weight is ``target_in_frame`` reflected in the walls of
-    the crossed letters, last first, and then moved by w; ``weight_levels``
-    is the same point as (level vector, den) (``RootSystem.to_levels``).
+    The walk begins at the alcove w A_0, for w the element of the word
+    ``start`` and A_0 the fundamental alcove; step i crosses the panel of type
+    ``gallery_type[i]``, or folds at it when ``fold_mask[i]`` is set.  The
+    ``target`` (in the frame of the last alcove) and the ``weight``, which is
+    the target reflected in the crossed walls, last first, and moved by w,
+    are (integer level vector, den) pairs (``RootSystem.to_levels``).
     """
 
     gallery_type: Tuple[int, ...]
     fold_mask: Tuple[bool, ...]
-    start: WeylElement
-    target_in_frame: Tuple[Fraction, ...]
-    weight: Tuple[Fraction, ...]
-    weight_levels: tuple = field(compare=False, repr=False)
+    start: Tuple[int, ...]
+    target: tuple
+    weight: tuple
 
     def __len__(self):
         return len(self.gallery_type)
 
 
 def _dominant_gallery_data(rs: RootSystem, xp) -> tuple:
-    """(type word, xp in the frame of the last alcove) of a minimal walk from the base alcove to xp.
+    """(type word, (levels, den) of xp in the frame of the last alcove) of a minimal walk from the base alcove to xp.
 
     The walk starts at q = xp + e (p0 - xp), for p0 inside the fundamental
     alcove and 0 < e < 1 / (1 + (theta, xp)); (theta, xp) is the largest
@@ -414,7 +412,7 @@ def _dominant_gallery_data(rs: RootSystem, xp) -> tuple:
         # reflections permute the walls, so q stays on none: no level equals k
         j = next((j for j, (beta, k, _) in enumerate(walls) if sum(map(mul, beta, q)) < k * den), None)
         if j is None:
-            return tuple(word), rs.from_levels(_reflect_levels(walls, word, x, x_den), x_den)
+            return tuple(word), (_reflect_levels(walls, word, x, x_den), x_den)
         q = _reflect_levels(walls, (j,), q, den)
         word.append(j)
 
@@ -427,12 +425,10 @@ def minimal_gallery(rs: RootSystem, x) -> FoldedGallery:
     if not is_special_vertex(rs, x):
         raise PathModelError("gallery targets must be special vertices")
     xp, to_dominant = rs.dominant_rep(x)
-    winv = rs.element(reversed(to_dominant))
-    word, x0 = _dominant_gallery_data(rs, xp)
-    walls = rs.alcove_walls
-    (y,), den = rs.to_levels((x0,))
-    y = _reflect_levels(walls, reversed(word), y, den)
-    y = _reflect_levels(walls, (i + 1 for i in reversed(winv.word)), y, den)
+    word, target = _dominant_gallery_data(rs, xp)
+    # the target reflected in every letter, last first, then moved by the start, the inverse of to_dominant
+    y, den = target
+    y = _reflect_levels(rs.alcove_walls, (*reversed(word), *(i + 1 for i in to_dominant)), y, den)
     if rs.from_levels(y, den) != x:
         raise PathModelError("gallery construction lost its target")  # pragma: no cover
     expected = gallery_distance(rs, rs.zero_point(), x) - 1
@@ -441,10 +437,9 @@ def minimal_gallery(rs: RootSystem, x) -> FoldedGallery:
     return FoldedGallery(
         gallery_type=word,
         fold_mask=tuple(False for _ in word),
-        start=winv,
-        target_in_frame=tuple(x0),
-        weight=x,
-        weight_levels=(y, den),
+        start=tuple(reversed(to_dominant)),
+        target=target,
+        weight=(y, den),
     )
 
 
@@ -461,9 +456,7 @@ def folded_galleries(
     """
     walls = rs.alcove_walls
     word = minimal.gallery_type
-    x0 = minimal.target_in_frame
-    (target,), den = rs.to_levels((x0,))
-    weights: dict = {}  # level vector -> the weight in simple-root coordinates
+    target, den = minimal.target
     # crossed letters c -> the target reflected in them, c[-1] first: each
     # distinct suffix costs one reflection
     inner = {(): target}
@@ -495,11 +488,8 @@ def folded_galleries(
             if idx == n:
                 z = reflected(crossed)
                 y = tuple([sum(map(mul, row, z)) for row in m_w])
-                weight = weights.get(y)
-                if weight is None:
-                    weight = weights[y] = rs.from_levels(y, den)
                 yield FoldedGallery(
-                    gallery_type=word, fold_mask=mask, start=w, target_in_frame=x0, weight=weight, weight_levels=(y, den)
+                    gallery_type=word, fold_mask=mask, start=w, target=minimal.target, weight=(y, den)
                 )
                 continue
             j = word[idx]
@@ -515,4 +505,4 @@ def folded_galleries(
 
 def folded_gallery_endpoints(rs: RootSystem, minimal: FoldedGallery, cap: int = DEFAULT_CAP) -> tuple:
     """The set of weights of all positively folded walks of the given type, sorted."""
-    return rs.sorted_from_levels(g.weight_levels for g in folded_galleries(rs, minimal, cap))
+    return rs.sorted_from_levels(g.weight for g in folded_galleries(rs, minimal, cap))

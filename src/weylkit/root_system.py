@@ -424,21 +424,19 @@ class RootSystem:
             c.denominator == 1 for row in self.cartan for c in row
         ):
             raise RootSystemError(f"non-integral Cartan data for {label}")  # pragma: no cover
-        # column k without its zero entries: (j, <alpha_k, alpha_j^>)
+        # column k without its zero entries: (j, <alpha_k, alpha_j^>), as ints when crystallographic
+        cartan = self.integer_cartan if self.crystallographic else self.cartan
         self._cartan_columns = tuple(
-            tuple((j, row[k]) for j, row in enumerate(self.cartan) if not _f_is_zero(row[k]))
-            for k in range(self.rank)
+            tuple((j, row[k]) for j, row in enumerate(cartan) if not _f_is_zero(row[k])) for k in range(self.rank)
         )
-        #: s_i for the simple roots, in order
-        self.reflection_forms = tuple(self.simple_reflection(i).forms for i in range(self.rank))
+        #: <x, alpha^> for the simple roots, in order
+        self.simple_coroot_forms = LinearForms(self.cartan)
         self.positive_roots = self._positive_closure()
         if len(self.positive_roots) != self._expected_positives:
             raise RootSystemError(
                 f"{label}: got {len(self.positive_roots)} positive roots, "
                 f"expected {self._expected_positives}"
             )  # pragma: no cover
-        #: <x, alpha^> for the simple roots, in order
-        self.simple_coroot_forms = LinearForms(self.cartan)
         #: the heights x^alpha = 1/2 <x, alpha^> over the simple roots
         self.height_forms = LinearForms(self.cartan, scale=Fraction(1, 2))
         #: <x, alpha^> for the positive roots, in order: the rows of the metric
@@ -524,17 +522,16 @@ class RootSystem:
     # -- orbits and dominance ---------------------------------------------
 
     def weyl_orbit(self, x) -> tuple:
-        seen = {tuple(x)}
-        frontier = [tuple(x)]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for forms in self.reflection_forms:
-                    img = forms.apply(p)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
+        """The orbit of x lifted into F, sorted: s_i moves only coordinate i, by the pairing <p, alpha_i^>."""
+        x = tuple(scalar_mul(self._f(1), c) for c in x)
+        seen = {x}
+        queue = [x]  # the loop reaches the points appended to it
+        for p in queue:
+            for i, c in enumerate(self.simple_coroot_forms.apply(p)):
+                img = (*p[:i], p[i] - c, *p[i + 1 :])
+                if img not in seen:
+                    seen.add(img)
+                    queue.append(img)
         return tuple(sorted(seen))
 
     def dominant_rep(self, x) -> tuple:
@@ -567,7 +564,7 @@ class RootSystem:
         """
         cur = list(nums)
         pairs = [sum(map(mul, row, cur)) for row in self.integer_cartan]
-        return cur, self._walk(cur, pairs, self._integer_cartan_columns, mul)
+        return cur, self._walk(cur, pairs, self._cartan_columns, mul)
 
     def _walk(self, cur: list, pairs: list, columns, times) -> tuple:
         """Walk ``cur`` into the dominant chamber in place; the word, last letter applied first.
@@ -712,7 +709,7 @@ class RootSystem:
 
     @cached_property
     def alcove_walk_starts(self) -> tuple:
-        """Per Weyl element w, in ``weyl_group()`` order: (w, w^-1 . d, M_w), all on integer level vectors.
+        """Per Weyl element w, in ``weyl_group()`` order: (word of w, w^-1 . d, M_w), on integer level vectors.
 
         d is the regular dominant vector with every level 1, and M_w is the
         matrix of w on level vectors: y -> tuple((row, y) for row in M_w).
@@ -740,7 +737,7 @@ class RootSystem:
                     for row in (row[:i] + (row[i] - sum(map(mul, row, c)),) + row[i + 1 :] for row in m)
                 )
                 built[w.word] = v, m
-            out.append((w, *built[w.word]))
+            out.append((w.word, *built[w.word]))
         return tuple(out)
 
     # -- level coordinates (rational systems) ----------------------------------
@@ -754,13 +751,6 @@ class RootSystem:
     def integer_cartan(self) -> tuple:
         """The Cartan matrix over the integers: row i holds the levels of alpha_i^."""
         return tuple(tuple(int(c) for c in row) for row in self.cartan)
-
-    @cached_property
-    def _integer_cartan_columns(self) -> tuple:
-        """Column k of ``integer_cartan`` without its zero entries, as (j, entry)."""
-        return tuple(
-            tuple((j, row[k]) for j, row in enumerate(self.integer_cartan) if row[k]) for k in range(self.rank)
-        )
 
     @cached_property
     def _level_maps(self) -> tuple:

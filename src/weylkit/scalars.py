@@ -355,7 +355,8 @@ class NFElem(Ordered):
         return NFElem(self.field, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        return NFElem(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -418,7 +419,8 @@ class NFElem(Ordered):
         return self.coeffs == o.coeffs
 
     def __hash__(self):
-        return hash((self.field.name, self.coeffs))
+        # equality coerces rationals, so a rational element hashes as that rational
+        return hash((self.field.name, self.coeffs) if any(self.coeffs[1:]) else self.coeffs[0])
 
     def to_float(self) -> float:
         a, den = _clear_denominators(self.coeffs)

@@ -327,10 +327,8 @@ class V1Report:
         return not self.failures
 
 
-def random_laurent(
-    rng: random.Random, p: int, lo: int = -3, hi: int = 3, max_terms: int = 3, allow_zero: bool = True
-) -> LaurentElement:
-    n = rng.randint(0 if allow_zero else 1, max_terms)
+def random_laurent(rng: random.Random, p: int, lo: int = -3, hi: int = 3) -> LaurentElement:
+    n = rng.randint(0, 3)
     d: Dict[QuadInt, int] = {}
     for _ in range(n):
         d[QuadInt(rng.randint(lo, hi), rng.randint(lo, hi), p)] = rng.randint(1, p - 1)

@@ -383,6 +383,23 @@ class TestVerifyConvexity:
         assert main(argv) == EXIT_CAP
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["hull", "verify-convexity"])
+    @pytest.mark.parametrize(
+        "flag, env, message",
+        [
+            (["--cap", "-1"], None, "--cap must be an integer >= 0, got -1"),
+            ([], "-1", "WEYLKIT_CAP must be an integer >= 0, got '-1'"),
+            ([], "abc", "WEYLKIT_CAP must be an integer >= 0, got 'abc'"),
+        ],
+        ids=["flag-negative", "env-negative", "env-not-an-integer"],
+    )
+    def test_bad_cap_refused(self, capsys, monkeypatch, command, flag, env, message):
+        monkeypatch.delenv("WEYLKIT_CAP", raising=False)
+        if env is not None:
+            monkeypatch.setenv("WEYLKIT_CAP", env)
+        assert main([command, "--type", "A2", "--point", "3,3", *flag]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"weylkit: {message}\n")
+
 
 def pinned_tree_table(name, perturbed):
     """(ends, table) of a byte-pinned ``tree`` job: a value view no benchmark table reaches.

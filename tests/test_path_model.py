@@ -1,5 +1,6 @@
 """Root operators, positive folds, the descent algorithm and alcove walks."""
 
+import dataclasses
 import itertools
 import random
 from collections import deque
@@ -93,7 +94,7 @@ def ref_root_operator_e(rs, path, i):
         v = middle.popleft()
         inc = rs.root_level(v, alpha)
         if inc < 0:
-            out.append(rs.reflection_forms[i].apply(v))
+            out.append(rs.simple_reflection(i).apply(v))
         elif inc == 0:
             out.append(v)
         else:
@@ -148,7 +149,7 @@ def ref_galleries(rs, minimal):
         t = rs.root_level(y, beta) - k
         return tuple(a - t * c for a, c in zip(y, rs.coroot_of(beta)))
 
-    word, x0, out = minimal.gallery_type, minimal.target_in_frame, []
+    word, x0, out = minimal.gallery_type, rs.from_levels(*minimal.target), []
 
     def rec(idx, w, v, mask, crossed):
         if idx == len(word):
@@ -179,7 +180,7 @@ def reference_folded_galleries(rs, minimal, cap=ms.DEFAULT_CAP):
     """
     walls = rs.alcove_walls
     word = minimal.gallery_type
-    (target,), den = rs.to_levels((minimal.target_in_frame,))
+    target, den = minimal.target
     budget = [cap]
 
     def rec(idx, w, v, mask, crossed):
@@ -206,7 +207,7 @@ def reference_folded_galleries(rs, minimal, cap=ms.DEFAULT_CAP):
 
 def reference_gallery_endpoints(rs, minimal, cap=ms.DEFAULT_CAP):
     """The gallery endpoints as a set of Fraction weights, sorted as Fraction tuples."""
-    return tuple(sorted({g.weight for g in pm.folded_galleries(rs, minimal, cap)}))
+    return tuple(sorted({rs.from_levels(*g.weight) for g in pm.folded_galleries(rs, minimal, cap)}))
 
 
 def special_vertex(rs, coeffs):
@@ -400,24 +401,22 @@ class TestKernelGrid:
         rs = build(label)
         minimal = pm.minimal_gallery(rs, special_vertex(rs, coeffs))
         want = ref_galleries(rs, minimal)
-        got = [(g.start.word, g.fold_mask, g.weight) for g in pm.folded_galleries(rs, minimal)]
+        got = [(g.start, g.fold_mask, rs.from_levels(*g.weight)) for g in pm.folded_galleries(rs, minimal)]
         assert got == want
         assert pm.folded_gallery_endpoints(rs, minimal) == tuple(sorted({weight for _, _, weight in want}))
         assert pm.folded_gallery_endpoints(rs, minimal) == reference_gallery_endpoints(rs, minimal)
-        for g in itertools.chain([minimal], pm.folded_galleries(rs, minimal)):
-            assert rs.from_levels(*g.weight_levels) == g.weight
 
     # the level weights, and the F4 vertex the Fraction reference skips
     @pytest.mark.parametrize("label,coeffs", _GRID_CASES, ids=str)
     def test_gallery_walks_against_the_leaf_replay(self, label, coeffs):
         rs = build(label)
         minimal = pm.minimal_gallery(rs, special_vertex(rs, coeffs))
-        _, den = rs.to_levels((minimal.target_in_frame,))
+        _, den = minimal.target
         got = list(pm.folded_galleries(rs, minimal))
-        assert [(g.start.word, g.fold_mask, g.weight_levels) for g in got] == [
+        assert [(g.start, g.fold_mask, g.weight) for g in got] == [
             (w, mask, (y, den)) for w, mask, y in reference_folded_galleries(rs, minimal)
         ]
-        assert {(g.gallery_type, g.target_in_frame) for g in got} == {(minimal.gallery_type, minimal.target_in_frame)}
+        assert {(g.gallery_type, g.target) for g in got} == {(minimal.gallery_type, minimal.target)}
 
 
 def outcome_of_walk(walk, *args):
@@ -703,7 +702,8 @@ class TestGalleries:
         x = (Q(2), Q(1))
         xp = rs.dominant_rep(x)[0]
         for gallery in pm.folded_galleries(rs, pm.minimal_gallery(rs, x)):
-            assert ms.in_AQ(rs, gallery.weight, xp) and rs.coroot_coset_member(x, gallery.weight)
+            weight = rs.from_levels(*gallery.weight)
+            assert ms.in_AQ(rs, weight, xp) and rs.coroot_coset_member(x, weight)
 
     def test_both_entry_points_agree(self):
         # the type of a minimal walk to x+ and of one to w0.x fold to the same set
@@ -748,6 +748,25 @@ class TestGalleries:
         assert elements == []
         assert endpoints == ms.enumerate_AQ(rs, x)
 
+    @pytest.mark.parametrize("label,x", [("A2", (2, 2)), ("B2", (1, 2)), ("G2", (2, 1))])
+    def test_walks_hold_integer_data_only(self, label, x, monkeypatch):
+        # a walk holds its start word and its level vectors: it builds no Fraction weight and no Weyl element
+        rs = build(label)
+        minimal = pm.minimal_gallery(rs, tuple(map(Q, x)))
+        calls = []
+        for name in ("from_levels", "element"):
+            real = getattr(type(rs), name)
+            spy = lambda self, *a, real=real, name=name: calls.append(name) or real(self, *a)
+            monkeypatch.setattr(type(rs), name, spy)
+        walks = list(pm.folded_galleries(rs, minimal))
+        assert walks and calls == []
+
+        def ints(v):
+            return all(map(ints, v)) if isinstance(v, tuple) else type(v) in (int, bool)
+
+        for g in [minimal, *walks]:
+            assert all(ints(getattr(g, f.name)) for f in dataclasses.fields(g))
+
     def test_start_table_is_built_once_on_the_first_walk(self, monkeypatch):
         rs = RootSystem("B2")
         rs.weyl_group()
@@ -762,16 +781,17 @@ class TestGalleries:
 
     @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "C3", "F4"])
     def test_start_table_entries(self, label):
-        # (w, w^-1 . d, M_w): d has every level 1, and M_w is w on level vectors
+        # (word of w, w^-1 . d, M_w): d has every level 1, and M_w is w on level vectors
         rs = build(label)
         table = rs.alcove_walk_starts
-        assert [w for w, _, _ in table] == list(rs.weyl_group())
+        assert [w for w, _, _ in table] == [w.word for w in rs.weyl_group()]
         d = rs.interior_dominant_f()
         x = tuple(Q(k + 1, 3) for k in range(rs.rank))
         (lx,), den = rs.to_levels((x,))
         for w, v, m in table[:: max(1, len(table) // 60)]:
-            assert rs.from_levels(v, 1) == tuple(rs.element(reversed(w.word)).apply(d))
-            assert rs.from_levels(tuple(sum(a * b for a, b in zip(row, lx)) for row in m), den) == tuple(w.apply(x))
+            assert rs.from_levels(v, 1) == tuple(rs.element(reversed(w)).apply(d))
+            wx = tuple(rs.element(w).apply(x))
+            assert rs.from_levels(tuple(sum(a * b for a, b in zip(row, lx)) for row in m), den) == wx
         # equal rows are one object
         rows = [row for _, _, m in table for row in m]
         assert len({id(row) for row in rows}) == len(set(rows))

@@ -90,7 +90,7 @@ class TestBuild:
             want = [reference_bilinear(rs, aj, ai) * 2 / reference_bilinear(rs, ai, ai) for aj in rs.simple_roots]
             assert typed(rs.cartan[i]) == typed(tuple(want))
             for b in all_roots(rs):
-                assert typed(rs.reflection_forms[i].apply(b)) == typed(rs.reflect(ai, b))
+                assert typed(rs.simple_reflection(i).apply(b)) == typed(rs.reflect(ai, b))
 
     @pytest.mark.parametrize("n, same_group", [(3, "A2"), (4, "B2"), (6, "G2")])
     def test_dihedral_forms_of_crystallographic_types(self, n, same_group):
@@ -305,6 +305,50 @@ class TestDominantWalk:
         rs = build(label)
         hi = st.integers(-2, 2)
         self._check(rs, tuple(lex(data.draw(hi), data.draw(_small_q)) for _ in range(rs.rank)))
+
+
+def per_letter_orbit(rs, x):
+    """The Weyl orbit closed by one full reflection matrix per letter: the orbit before the pairing rule."""
+    forms = [rs.simple_reflection(i).forms for i in range(rs.rank)]
+    seen = {tuple(x)}
+    frontier = [tuple(x)]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for f in forms:
+                img = f.apply(p)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+_ORBIT_LABELS = ("A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3", "D4", "F4", "I2(5)", "I2(8)")
+
+
+class TestWeylOrbit:
+    """The orbit by one pairing per point against the orbit by one reflection matrix per letter."""
+
+    @pytest.mark.parametrize("label", _ORBIT_LABELS)
+    def test_against_the_per_letter_orbit(self, label):
+        rs = build(label)
+        rng = random.Random(label)
+        points = [tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rs.rank)) for _ in range(3)]
+        points += [tuple(lex(rng.randint(-2, 2), Q(rng.randint(-4, 4), 2)) for _ in range(rs.rank)) for _ in range(2)]
+        points += rs.fundamental_coweights()
+        for x in points:
+            got, want = rs.weyl_orbit(x), per_letter_orbit(rs, x)
+            assert got == want and len(got) == len(want)
+            if rs.crystallographic:
+                assert typed(got) == typed(want)
+
+    @pytest.mark.parametrize("label,x,size", [("I2(5)", (1, 0), 10), ("I2(8)", (1, 0), 8), ("I2(8)", (3, 4), 16)])
+    def test_dihedral_orbit_sizes(self, label, x, size):
+        # a rational point and its field images are one point each: none is listed twice
+        orbit = build(label).weyl_orbit(tuple(map(Q, x)))
+        assert len(orbit) == len(set(orbit)) == size
+        assert all(len({type(c) for c in p}) == 1 for p in orbit)
 
 
 def reference_apply(M, v):

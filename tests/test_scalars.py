@@ -150,6 +150,16 @@ class TestNumberField:
         with pytest.raises(ValueError):
             NumberField("bad", [-2, 0, 1], (Q(-2), Q(2)))  # two roots inside
 
+    @pytest.mark.parametrize("value", [0, 1, -3, Q(1, 2), Q(-7, 3)])
+    @pytest.mark.parametrize("field", [SQRT2_FIELD, SQRT_2P2_FIELD], ids=lambda f: f.name)
+    def test_rational_elements_hash_as_their_value(self, field, value):
+        # equality coerces rationals, so the hash must agree with it
+        elem = field.elem([value])
+        assert elem == value == Q(value)
+        assert hash(elem) == hash(value) == hash(Q(value))
+        assert len({elem, value, Q(value)}) == 1
+        assert len({field.gen(), field.gen() + 0}) == 1 and field.gen() not in {1, Q(1)}
+
     def test_order_against_rational_probes(self):
         z = SQRT2_FIELD.gen()
         assert compare(z, Q(141421, 100000)) == 1

@@ -58,7 +58,11 @@ class Report:
 
 
 def _cap(args) -> int:
-    """``--cap``, else ``WEYLKIT_CAP``, else the default; a cap that is no integer >= 0 is refused."""
+    """``--cap``, else ``WEYLKIT_CAP``, else the default; a cap that is no integer >= 0 is refused.
+
+    :func:`main` calls it once for every subcommand, so each refuses a bad
+    cap; ``hull`` and ``verify-convexity`` spend it, the others only check it.
+    """
     name, cap = "--cap", getattr(args, "cap", None)
     if cap is None:
         name, cap = "WEYLKIT_CAP", os.environ.get("WEYLKIT_CAP") or ms.DEFAULT_CAP
@@ -127,9 +131,8 @@ def cmd_rootsys(args) -> int:
 def cmd_hull(args) -> int:
     rs = build(args.type)
     x = _parse_point(rs, args.point)
-    cap = _cap(args)
     t0 = time.perf_counter()
-    points = ms.enumerate_AQ(rs, x, cap)
+    points = ms.enumerate_AQ(rs, x, args.cap)
     elapsed = time.perf_counter() - t0
     obj = {
         "query": {"type": rs.label, "point": _point_json(x)},
@@ -185,7 +188,7 @@ def cmd_fold(args) -> int:
 def cmd_verify_convexity(args) -> int:
     rs = build(args.type)
     x = _parse_point(rs, args.point)
-    cap = _cap(args)
+    cap = args.cap
     report = Report()
     t0 = time.perf_counter()
     # built first: a point that is no special vertex is refused before any enumeration
@@ -414,6 +417,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        args.cap = _cap(args)
         # the cached parser holds the command functions it was built with;
         # look the command up by name so that a later rebinding (a test's
         # monkeypatch, the perfbench tracer's wrapper) takes effect

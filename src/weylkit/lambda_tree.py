@@ -3,11 +3,11 @@
 An end-set with a quadruple table (the projective valuation) determines a
 tree; the tree returns a canonical valuation; the two must agree exactly.
 Everything here is finite and exhaustively checkable, with values in any
-ordered abelian group from :mod:`weylkit.scalars`.  Each check runs one
-algorithm over one view of its values: their integer codes where
-:func:`_encode` covers them, the values themselves otherwise.  A valuation
-carries its codes, and so does the datum built from it, so a job encodes
-its table once.
+ordered abelian group from :mod:`weylkit.scalars`.  A check reads one view of
+a table, a list in ``permutations(ends, 4)`` order of the values' integer
+codes (:func:`_encode`) or of the values, through the layout of its number
+of ends (:func:`_layout`).  It decides with ``map`` over ``itemgetter``s and
+loops over the quadruples only to list what a failed decision found.
 """
 
 from __future__ import annotations
@@ -18,44 +18,38 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
-from .scalars import INF, Infinity, LexPair, _clear_denominators, compare, sign, zero_like
+from .scalars import INF, Infinity, LexPair, ScalarDomainError, _clear_denominators, compare, sign, zero_like
 
 
 class TreeError(ValueError):
     pass
 
 
-_EVEN_PERMS = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+_EVEN_PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # of a base triple
+_PARTNERS = ((2, 3, 0, 1), (0, 1, 3, 2), (0, 3, 2, 1), (0, 2, 1, 3))
 
 
 # --------------------------------------------------------------------------
-# tables on cleared integers
+# tables on cleared integers, read through positions
 
 
 def _encode(values: list) -> Optional[list]:
     """Integer codes that order sums of the values exactly as the values do.
 
     Fractions are scaled by the lcm L of their denominators.  A lex pair of
-    Fractions (hi, lo) becomes H*M + Lo, where H = hi*L, Lo = lo*L, L is
-    the lcm over every hi and lo, and M = 16*max|Lo| + 1.  Take values v_i,
-    integer coefficients c_i with sum |c_i| <= 16, H = sum c_i*H_i and
-    Lo = sum c_i*Lo_i.  Then sum c_i*code_i = H*M + Lo with
-    |Lo| <= 16*max|Lo| < M, so it is zero exactly when H = Lo = 0, and
-    otherwise has the sign of H if H != 0 and of Lo if not: the lex sign of
-    sum c_i*v_i.  Comparing two such sums compares their difference, and the
-    largest difference compared in this module is the round trip's
-    kappa(a,b,d) - kappa(a,b,c) - omega(q), with coefficients summing to at
-    most 7.
-
-    Returns None when the values are not all Fractions or not all lex pairs
-    of Fractions (ints, QuadInt, number-field, infinite or mixed values);
-    the view of such values is the values themselves.
+    Fractions (hi, lo) becomes H*M + Lo, where H = hi*L, Lo = lo*L, L is the
+    lcm over every hi and lo, and M = 16*max|Lo| + 1.  For integers c_i with
+    sum |c_i| <= 16, sum c_i*code_i = H*M + Lo with H = sum c_i*H_i and
+    |Lo| = |sum c_i*Lo_i| < M: zero exactly when H = Lo = 0, else of the
+    lex sign of sum c_i*v_i.  The largest sum compared here, the round
+    trip's kappa(a,b,d) - kappa(a,b,c) - omega(q), has sum |c_i| <= 7.
+    None unless all values are Fractions or all lex pairs of Fractions.
     """
-    lex = bool(values) and all(type(v) is LexPair for v in values)
+    lex = bool(values) and set(map(type, values)) == {LexPair}
     flat = [v.hi for v in values] + [v.lo for v in values] if lex else values
-    if not all(type(x) is Fraction for x in flat):
+    if not set(map(type, flat)) <= {Fraction}:
         return None
     codes = _clear_denominators(flat)[0]
     if not lex:
@@ -65,17 +59,70 @@ def _encode(values: list) -> Optional[list]:
     return [h * m + lo for h, lo in zip(his, los)]
 
 
-def _getters(gets: list, *codes) -> tuple:
-    """``(getters, cmp, sgn)``: the code dicts' lookups, or the ``gets`` on the values if any is None.
+def _getter(positions) -> Callable:
+    """``operator.itemgetter(*positions)``, returning a tuple however few the positions."""
+    positions = tuple(positions)
+    return operator.itemgetter(*positions) if len(positions) > 1 else lambda items: tuple(items[p] for p in positions)
 
-    On codes ``cmp`` is ``operator.sub`` (the difference of two codes orders
-    them) and ``sgn`` is ``operator.pos`` (a code is its own sign).  On values
-    they are :func:`compare` and :func:`sign`, and a missing key raises in
-    its ``get``, as the checks' loops on the values do.
-    """
-    if None in codes:
-        return gets, compare, sign
-    return [c.__getitem__ for c in codes], operator.sub, operator.pos
+
+class _Layout(NamedTuple):
+    """Positions for n ends, and getters of them; quadruples, pairs, triples in permutations(range(n), k) order."""
+
+    partners: Tuple[Callable, ...]  # quadruple (a, b, c, d) -> (c, d, a, b), (a, b, d, c), (a, d, c, b), (a, c, b, d)
+    slot: Tuple[int, ...]  # quadruple -> 2*orbit + 1 on the half of its PV1 orbit's first quadruple, else 2*orbit
+    at: Tuple[int, ...]  # ((a*n + b)*n + c)*n + d -> position of (a, b, c, d), -1 where two are equal
+    cocycle: Tuple[Callable, ...]  # (a, b, d, e), (a, r, d, e) and (b, r, d, e) of each check of _cocycle_holds
+    medians: Tuple[Callable, ...]  # quadruple (a, b, c, d) -> triples (a, b, d) and (a, b, c)
+    wedges: Tuple[Callable, ...]  # triple (a, b, c) -> pairs (a, b), (a, c) and (b, c)
+    blocks: Callable  # the quadruples (a, b, d, e), a != b, of each block (d, e) of _cocycle_failures
+    block_triples: Tuple[tuple, ...]  # permutations(range(n - 2), 3), a block's triples of ends by rank
+    block_sums: Tuple[Callable, ...]  # block triple (i, j, k) -> block pairs (i, j), (i, k) and (j, k)
+
+
+@functools.cache
+def _layout(n: int) -> _Layout:
+    """The layout of n ends, built on first use: a pure function of n."""
+    quads, pairs, triples, block, block_triples = (
+        list(itertools.permutations(range(m), k)) for m, k in ((n, 4), (n, 2), (n, 3), (n - 2, 2), (n - 2, 3))
+    )
+    where, tri, pair, blk = ({k: i for i, k in enumerate(keys)} for keys in (quads, triples, pairs, block))
+    at, slot, orbits = [-1] * n**4, [None] * len(quads), 0
+
+    def pick(items, index, *order):  # a getter of the position in index of each item's entries, taken in order
+        return _getter(map(index.__getitem__, map(operator.itemgetter(*order), items)))
+
+    for (a, b, c, d), p in where.items():
+        at[((a * n + b) * n + c) * n + d] = p
+        if slot[p] is None:
+            for half, members in zip((1, 0), _pv1_orbit((a, b, c, d))):
+                for q in members:
+                    slot[where[q]] = 2 * orbits + half
+            orbits += 1
+    checks, blocks, sides = [], [], ((0, 1), (0, 2), (1, 2))
+    for d, e in pairs:
+        rest = [x for x in range(n) if x != d and x != e]
+        blocks += [where[rest[i], rest[j], d, e] for i, j in block]
+        checks += [
+            (where[a, b, d, e], where[a, rest[0], d, e] if a != rest[0] else len(quads), where[b, rest[0], d, e])
+            for a, b in itertools.permutations(rest, 2)
+            if n >= 5 and b != rest[0]
+        ]
+    return _Layout(
+        partners=tuple(pick(quads, where, *order) for order in _PARTNERS),
+        slot=tuple(slot),
+        at=tuple(at),
+        cocycle=tuple(map(_getter, zip(*checks))),
+        medians=tuple(pick(quads, tri, 0, 1, k) for k in (3, 2)),
+        wedges=tuple(pick(triples, pair, i, j) for i, j in sides),
+        blocks=_getter(blocks),
+        block_triples=tuple(block_triples),
+        block_sums=tuple(pick(block_triples, blk, i, j) for i, j in sides),
+    )
+
+
+def _view(pv: "ProjectiveValuation") -> tuple:
+    """``(list, cmp, sgn)``: pv's codes with ``operator.sub`` and ``operator.pos``, or its values."""
+    return (pv._values, compare, sign) if pv.codes is None else (pv.codes, operator.sub, operator.pos)
 
 
 # --------------------------------------------------------------------------
@@ -84,80 +131,79 @@ def _getters(gets: list, *codes) -> tuple:
 
 def _pv1_orbit(quad: tuple) -> tuple:
     a, b, c, d = quad
-    plus = [(a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a)]
-    minus = [(a, b, d, c), (b, a, c, d), (d, c, a, b), (c, d, b, a)]
-    return tuple(plus), tuple(minus)
+    plus = ((a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a))
+    return plus, ((a, b, d, c), (b, a, c, d), (d, c, a, b), (c, d, b, a))
 
 
 def complete_pv1(entries: Dict[tuple, object]) -> tuple[Dict[tuple, object], list]:
-    """Close a partial quadruple table under the symmetry axiom; report conflicts.
-
-    Each entry writes its symmetry orbit in turn, and a conflict is a stored
-    value that differs from the one written over it, compared in one view:
-    the values' codes where :func:`_encode` covers them, the values
-    otherwise.  An entry whose quadruple already holds an equal code, or an
-    equal value of the same type, is skipped unless its orbit's two halves
-    meet (a == b or c == d): the last write of the orbit left every position
-    consistent with it, so rewriting would store equal values of one type
-    and report nothing.
-    """
-    return _complete_pv1(entries)[:2]
-
-
-def _complete_pv1(entries: Dict[tuple, object]) -> tuple:
-    """:func:`complete_pv1`'s ``(table, conflicts)`` and the table's codes (None on values)."""
-    values = list(entries.values())
-    codes = _encode(values)
-    keys, cmp = (values, compare) if codes is None else (codes, operator.sub)
+    """Close a partial quadruple table under the symmetry axiom, writing each entry's orbit in turn;
+    a conflict is a stored value that compares unequal to the one written over it."""
     table, conflicts = {}, []
-    seen = table if codes is None else {}  # quadruple -> key; on values, the table itself
-    for (quad, val), key in zip(entries.items(), keys):
-        a, b, c, d = quad
-        if a != b and c != d and quad in seen and seen[quad] == key and type(table[quad]) is type(val):
-            continue
+    for quad, val in entries.items():
         plus, minus = _pv1_orbit(quad)
-        for orbit, v, k in ((plus, val, key), (minus, -val, -key)):
+        for orbit, v in ((plus, val), (minus, -val)):
             for q in orbit:
-                if q in seen and cmp(seen[q], k) != 0:
+                if q in table and compare(table[q], v) != 0:
                     conflicts.append(("PV1", q, f"{table[q]!r} vs {v!r}"))
                 table[q] = v
-                seen[q] = k
-    return table, conflicts, None if codes is None else seen
+    return table, conflicts
+
+
+def _close(ends: tuple, entries: Dict[tuple, object]) -> Optional[tuple]:
+    """``(table, values, codes)`` of the entries closed under PV1, orbit by orbit on the layout.
+
+    Each orbit takes the values its last entry writes, as in :func:`complete_pv1`; None
+    where that loop finds a conflict or raises, or a key or an orbit is missing.
+    """
+    lay, quads = _layout(len(ends)), list(itertools.permutations(ends, 4))
+    positions = list(map(dict(zip(quads, range(len(quads)))).get, entries))
+    slots = [] if None in positions else list(map(lay.slot.__getitem__, positions))
+    last = dict(zip(map(operator.rshift, slots, itertools.repeat(1)), range(len(slots))))  # orbit -> entry
+    if len(slots) != len(positions) or 8 * len(last) != len(quads):
+        return None
+    vals = list(entries.values())
+    codes = _encode(vals)
+    keys, cmp = (vals, compare) if codes is None else (codes, operator.sub)
+    by_slot, key_by_slot = [None] * (len(quads) // 4), [None] * (len(quads) // 4)
+    try:
+        for i in last.values():
+            s = slots[i]
+            by_slot[s], by_slot[s ^ 1], key_by_slot[s], key_by_slot[s ^ 1] = vals[i], -vals[i], keys[i], -keys[i]
+        if any(map(cmp, keys, map(key_by_slot.__getitem__, slots))):
+            return None
+    except TypeError:
+        return None
+    values = list(map(by_slot.__getitem__, lay.slot))
+    return dict(zip(quads, values)), values, codes and list(map(key_by_slot.__getitem__, lay.slot))
 
 
 @dataclass(frozen=True)
 class ProjectiveValuation:
-    """A complete table of values on ordered quadruples of pairwise distinct ends.
-
-    The table is not changed once the valuation is built: its codes are
-    derived from it on first use.
-    """
+    """A complete table of values on ordered quadruples of pairwise distinct ends; its view is derived on first use."""
 
     ends: Tuple[str, ...]
     table: Dict[tuple, object]
-    # set on an instance, as its codes are, by valuation_from_entries: the table
+    # set on an instance, as its view is, by valuation_from_entries: the table
     # was closed under PV1 without a conflict, so PV1 holds on every quadruple
     _closed_under_pv1 = False
 
     @functools.cached_property
-    def codes(self) -> Optional[Dict[tuple, int]]:
-        """Quadruple -> integer code of its value (:func:`_encode`), or None: the view of the values.
-
-        The codes exist where the ends are pairwise distinct, every
-        quadruple is in the table and :func:`_encode` covers the values.
-        Computed on first use and published by one assignment; not a
-        dataclass field, so it takes no part in eq, hash or repr.
-        :func:`valuation_from_entries` publishes the codes its completion
-        made, so such a table is encoded once.
-        """
-        quads = list(self.quadruples())
+    def _values(self) -> list:
+        """The table's values in ``quadruples()`` order; a missing quadruple raises TreeError."""
         try:
-            codes = _encode([self.table[q] for q in quads])
-        except KeyError:
+            return list(map(self.table.__getitem__, self.quadruples()))
+        except KeyError as exc:
+            raise TreeError(f"missing quadruple {exc.args[0]}") from None
+
+    @functools.cached_property
+    def codes(self) -> Optional[list]:
+        """Codes of the values (:func:`_encode`) in ``quadruples()`` order, or None: the view of the values.
+
+        None unless the ends are distinct and the table complete; no part of eq, hash or repr."""
+        try:
+            return _encode(self._values) if len(set(self.ends)) == len(self.ends) else None
+        except TreeError:
             return None
-        if codes is None or len(set(self.ends)) != len(self.ends):
-            return None
-        return dict(zip(quads, codes))
 
     def value(self, a, b, c, d):
         try:
@@ -169,23 +215,28 @@ class ProjectiveValuation:
         return itertools.permutations(self.ends, 4)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ProjectiveValuation)
-            and self.ends == other.ends
-            and self.table == other.table
-        )
+        return isinstance(other, ProjectiveValuation) and self.ends == other.ends and self.table == other.table
 
     def __hash__(self):  # tables are dicts; identity hash is enough here
         return hash(self.ends)
 
 
 def valuation_from_entries(ends: Sequence[str], entries: Dict[tuple, object]) -> ProjectiveValuation:
-    """The valuation a partial table determines; a bad end list, key or table raises TreeError."""
+    """The valuation a partial table determines; a bad end list, key or table raises TreeError.
+
+    :func:`_close` closes the table; where it cannot, :func:`complete_pv1`
+    does, and its report names what is wrong.
+    """
     ends = tuple(ends)
     for i, e in enumerate(ends):
         if e in ends[:i]:
             raise TreeError(f"end {e!r} is listed twice")
-    table, conflicts, codes = _complete_pv1(entries)
+    closed = _close(ends, entries)
+    if closed is not None:
+        pv = ProjectiveValuation(ends, closed[0])
+        vars(pv).update(_values=closed[1], codes=closed[2], _closed_under_pv1=True)
+        return pv
+    table, conflicts = complete_pv1(entries)
     quads = list(itertools.permutations(ends, 4))
     missing = [q for q in quads if q not in table]
     # every key lands in the table, so a table holding exactly the quadruples
@@ -203,9 +254,6 @@ def valuation_from_entries(ends: Sequence[str], entries: Dict[tuple, object]) ->
     if missing:
         raise TreeError(f"incomplete table, e.g. {missing[0]}")
     pv = ProjectiveValuation(ends, table)
-    # the ends are distinct and the table holds exactly their quadruples, whose
-    # values are the entries' and their negatives: the codes the view would make
-    vars(pv)["codes"] = codes
     vars(pv)["_closed_under_pv1"] = True
     return pv
 
@@ -222,67 +270,82 @@ class PVReport:
 def check_pv(pv: ProjectiveValuation) -> PVReport:
     """Verify the three valuation axioms; violations are data.
 
-    PV1 and PV2 are checked on every quadruple.  PV3 is first decided in
-    O(n^4) (:func:`_cocycle_holds`); the O(n^5) enumeration of 5-tuples runs
-    only when that decision fails, to list the violations, or when the
-    values lie in more than one group.  All of it runs on pv's codes, or on
-    its values where it has none.  PV1 is not checked on a table that
-    :func:`valuation_from_entries` closed under it.
+    PV1 and PV2 are decided against the view's partners, PV3 by :func:`_cocycle_holds`;
+    a failed decision is listed, PV1 and PV2 by a loop over the quadruples, PV3
+    by :func:`_cocycle_failures`.  PV1 is not checked on a table that
+    :func:`valuation_from_entries` closed.
     """
-    quads = list(pv.quadruples())
-    (value,), cmp, sgn = _getters([lambda q: pv.value(*q)], pv.codes)
-    pv1 = not pv._closed_under_pv1
+    n, (view, cmp, sgn), pv1 = len(pv.ends), _view(pv), not pv._closed_under_pv1
+    partners = [get(view) for get in _layout(n).partners]
+    try:  # values in two groups, or in none, skip the decisions: the listings raise as the loops do
+        decide = cmp is not compare or len(set(map(zero_like, view))) < 2
+    except ScalarDomainError:
+        decide = False
+    pv12 = pv3 = False
+    if decide:
+        swapped, flipped, exchanged, companions = partners
+        positive = _getter(itertools.compress(range(len(view)), map((0).__lt__, map(sgn, view))))
+        pv12 = not (
+            pv1 and (any(map(cmp, view, swapped)) or any(map(cmp, view, map(operator.neg, flipped))))
+            or any(map(cmp, positive(exchanged), positive(view)))
+            or any(map(sgn, positive(companions)))
+        )
+        pv3 = _cocycle_holds(n, view, cmp)
     out = []
-    for q in quads:
-        a, b, c, d = q
-        v = value(q)
-        if pv1 and cmp(v, value((c, d, a, b))) != 0:
+    for q, v, s, f, x, c in zip(pv.quadruples(), view, *partners) if not pv12 else ():
+        if pv1 and cmp(v, s) != 0:
             out.append(("PV1", q, "pair swap changed the value"))
-        if pv1 and cmp(v, -value((a, b, d, c))) != 0:
+        if pv1 and cmp(v, -f) != 0:
             out.append(("PV1", q, "flip of the second pair did not negate"))
         if sgn(v) > 0:
-            if cmp(value((a, d, c, b)), v) != 0:
+            if cmp(x, v) != 0:
                 out.append(("PV2", q, "exchange of b and d changed a positive value"))
-            if sgn(value((a, c, b, d))) != 0:
+            if sgn(c) != 0:
                 out.append(("PV2", q, "companion quadruple is not zero"))
-    # the decision needs the values in one group; where domains mix, the
-    # enumeration runs instead and raises what its loop raises
-    mixed = cmp is compare and len({zero_like(value(q)) for q in quads}) > 1
-    if mixed or not _cocycle_holds(pv.ends, value, cmp):
-        for a, b, c, d, e in itertools.permutations(pv.ends, 5):
-            if cmp(value((a, b, d, e)) + value((b, c, d, e)), value((a, c, d, e))) != 0:
-                out.append(("PV3", (a, b, c, d, e), "cocycle sum failed"))
+    if not pv3:
+        out += [("PV3", tuple(pv.ends[i] for i in t), "cocycle sum failed") for t in _cocycle_failures(n, view, cmp)]
     return PVReport(tuple(out))
 
 
-def _cocycle_holds(ends: tuple, value: Callable, cmp: Callable) -> bool:
-    """PV3 decided in O(n^4) from a getter of the table and a comparison.
+def _cocycle_holds(n: int, view: list, cmp: Callable) -> bool:
+    """PV3 decided in O(n^4) on the view of n ends and its comparison.
 
-    Fix d, e and write g(a, b) = value((a, b, d, e)) on the other ends S,
-    taken by position as ``itertools.permutations`` takes them.  Pick r in S
-    and set f(x) = g(x, r), f(r) = 0.  The cocycle g(a, b) + g(b, c) = g(a, c)
-    on distinct a, b, c of S holds exactly when g(r, b) = -f(b) and
-    g(a, b) = f(a) - f(b) for all distinct a, b != r.  If so, g(a, b) =
-    f(a) - f(b) on every pair and the sum telescopes.  Conversely the
-    cocycle at (a, b, r) is the second condition, and adding it at (r, b, c)
-    and (b, r, c) for a third end c gives the first.  The proof uses only
-    the group law, so it holds on codes and on values of one group.
-    |S| >= 3 needs five ends; with fewer there is no 5-tuple and PV3 holds
-    vacuously.
+    Fix d, e, write g(a, b) = omega(a, b, d, e) on the other ends S, let r
+    be the first of S and f(x) = g(x, r), f(r) = 0 (read past the view's
+    end).  The cocycle g(a, b) + g(b, c) = g(a, c) on S holds exactly when
+    g(a, b) + g(b, r) = f(a) for distinct a, b of S, b != r: then g(a, b) =
+    f(a) - f(b) and sums telescope; conversely this is the cocycle at
+    (a, b, r), or for a = r the sum of those at (r, b, c) and (b, r, c).
+    Only the group law is used, so codes and values of one group qualify.
+    With fewer than five ends there is no 5-tuple.
     """
-    if len(ends) < 5:
+    if n < 5:
         return True
-    for i, j in itertools.permutations(range(len(ends)), 2):
-        d, e = ends[i], ends[j]
-        r, *rest = [x for k, x in enumerate(ends) if k != i and k != j]
-        f = [value((x, r, d, e)) for x in rest]
-        for b, fb in zip(rest, f):
-            if cmp(value((r, b, d, e)), -fb) != 0:
-                return False
-        for (a, fa), (b, fb) in itertools.permutations(zip(rest, f), 2):
-            if cmp(value((a, b, d, e)), fa - fb) != 0:
-                return False
-    return True
+    q, x, y = _layout(n).cocycle
+    view = [*view, view[0] - view[0]]
+    return not any(map(cmp, map(operator.add, q(view), y(view)), x(view)))
+
+
+def _cocycle_failures(n: int, view: list, cmp: Callable) -> list:
+    """The 5-tuples of end indices where PV3 fails, in ``permutations(range(n), 5)`` order.
+
+    Each block (d, e), the values at (a, b, d, e), sums all its triples
+    (a, b, c) at once.  Where two groups meet, the error of the first 5-tuple
+    that raises is raised, as the loop over the 5-tuples raises it.
+    """
+    lay, size = _layout(n), (n - 2) * (n - 3)
+    ij, ik, jk = lay.block_sums
+    blocks, out, raised = lay.blocks(view), [], []
+    for k, (d, e) in enumerate(itertools.permutations(range(n), 2)):
+        block, rest, sums = blocks[k * size : (k + 1) * size], [x for x in range(n) if x != d and x != e], []
+        try:
+            sums.extend(map(cmp, map(operator.add, ij(block), jk(block)), ik(block)))
+        except TypeError as exc:
+            raised.append(((*(rest[i] for i in lay.block_triples[len(sums)]), d, e), exc))
+        out += [(rest[i], rest[j], rest[c], d, e) for i, j, c in itertools.compress(lay.block_triples, sums)]
+    if raised:
+        raise min(raised, key=operator.itemgetter(0))[1]
+    return sorted(out)
 
 
 def three_point_case(pv: ProjectiveValuation, a, a1, a2, a3) -> int:
@@ -290,19 +353,12 @@ def three_point_case(pv: ProjectiveValuation, a, a1, a2, a3) -> int:
     if len({a, a1, a2, a3}) != 4:
         raise TreeError("ends must be pairwise distinct")
     base = (a1, a2, a3)
-    positives = []
-    for idx, (i, j, k) in enumerate(_EVEN_PERMS, start=1):
-        if sign(pv.value(base[i - 1], a, base[j - 1], base[k - 1])) > 0:
-            positives.append(idx)
+    value = lambda i, j, k: pv.value(base[i], a, base[j], base[k])
+    positives = [idx for idx, perm in enumerate(_EVEN_PERMS, start=1) if sign(value(*perm)) > 0]
     if len(positives) == 1:
         return positives[0]
-    if not positives:
-        all_zero = all(
-            sign(pv.value(base[i - 1], a, base[j - 1], base[k - 1])) == 0
-            for i, j, k in itertools.permutations((1, 2, 3))
-        )
-        if all_zero:
-            return 4
+    if not positives and all(sign(value(*perm)) == 0 for perm in itertools.permutations(range(3))):
+        return 4
     raise TreeError(f"trichotomy violated at {a} vs {base}; the table is not a valuation")
 
 
@@ -315,11 +371,10 @@ class RootedTreeDatum:
     ends: Tuple[str, ...]
     base_triple: Tuple[str, str, str]
     _wedge: Dict[tuple, object]
-    # the valuation whose codes the wedge codes share (set by build_datum)
+    # set by build_datum: the valuation it read, and where that has codes, the wedges'
+    # codes on its scale in permutations(ends, 2) order; None: the view of the values
     _codes_of: Optional[ProjectiveValuation] = field(default=None, compare=False, repr=False)
-    # ordered pair -> integer code of its wedge on _codes_of's scale (set by
-    # build_datum where that valuation has codes); None: the view of the values
-    codes: Optional[Dict[tuple, int]] = field(default=None, compare=False, repr=False)
+    codes: Optional[list] = field(default=None, compare=False, repr=False)
 
     def wedge(self, a, b):
         if a == b:
@@ -328,17 +383,6 @@ class RootedTreeDatum:
 
     def finite_wedges(self) -> list:
         return [self.wedge(a, b) for a, b in itertools.combinations(self.ends, 2)]
-
-
-def _argmax_even_perm(value: Callable, cmp: Callable, base, a) -> tuple:
-    best = None
-    best_val = None
-    for perm in _EVEN_PERMS:
-        i, j, k = perm
-        v = value((base[i - 1], a, base[j - 1], base[k - 1]))
-        if best_val is None or cmp(v, best_val) > 0:
-            best, best_val = perm, v
-    return best
 
 
 def _base_of(pv: ProjectiveValuation, base_triple: Sequence[str]) -> tuple:
@@ -354,8 +398,7 @@ def datum_from_valuation(pv: ProjectiveValuation, base_triple: Sequence[str]) ->
     Validates its input: the base triple first, then pv with one
     :func:`check_pv`; a non-valuation raises :class:`TreeError`.
     """
-    base = _base_of(pv, base_triple)
-    report = check_pv(pv)
+    base, report = _base_of(pv, base_triple), check_pv(pv)
     if not report.ok:
         raise TreeError(f"not a projective valuation: {report.violations[0]}")
     return build_datum(pv, base)
@@ -365,62 +408,51 @@ def build_datum(pv: ProjectiveValuation, base_triple: Sequence[str]) -> RootedTr
     """The wedge table of :func:`datum_from_valuation` for a pv already known to pass
     :func:`check_pv`; only the base triple is validated here.
 
-    Every wedge is pv's value at a quadruple, or zero.  So its code is pv's
-    code there, or 0, and the datum carries those codes (None where pv has
-    none): on pv's scale, decided on pv's view.
+    Every wedge is pv's value at a quadruple, or zero, put past the end of
+    pv's view: so the datum carries its codes on pv's scale where pv has them.
     """
     base = _base_of(pv, base_triple)
-    zero = None
-    for q in pv.quadruples():
-        zero = zero_like(pv.value(*q))
-        break
-    if zero is None:
-        zero = Fraction(0)
-    codes = pv.codes
-    (value,), cmp, _ = _getters([lambda q: pv.value(*q)], codes)
-    floor = zero if codes is None else 0  # zero in pv's view
+    ends, values, (view, cmp, _) = pv.ends, pv._values, _view(pv)
+    n, at, zero = len(ends), _layout(len(ends)).at, zero_like(values[0]) if values else Fraction(0)
+    floor, rows, order = zero if cmp is compare else 0, {}, functools.cmp_to_key(cmp)
+    for a in (a for a, e in enumerate(ends) if e not in base):
+        # a's distinguished pair: x, y of the even permutation (x, y, z) of the base whose (x, a, y, z) is largest
+        x, y, _ = max(
+            ([ends.index(base[i]) for i in perm] for perm in _EVEN_PERMS),
+            key=lambda t: order(view[at[((t[0] * n + a) * n + t[1]) * n + t[2]]]),
+        )
+        start = ((x * n + a) * n + y) * n
+        rows[a] = ends[x], ends[y], at[start : start + n]  # (x, a, y, c) over c
 
-    perms = {a: _argmax_even_perm(value, cmp, base, a) for a in pv.ends if a not in base}
+    def spot(a, c):  # a outside the base: the wedge's position, past the view where it is zero
+        x, y, row = rows[a]
+        return len(view) if ends[c] in (x, y) or cmp(view[row[c]], floor) <= 0 else row[c]
 
-    def wedge_quad(a, b):
-        """The quadruple whose value is the wedge of (a, b), or None where the wedge is zero."""
-        # both outside the base triple, or b inside but off a's distinguished pair
-        i, j, _ = perms[a]
-        if b in (base[i - 1], base[j - 1]):
-            return None
-        q = (base[i - 1], a, base[j - 1], b)
-        return q if cmp(value(q), floor) > 0 else None
-
-    table: Dict[tuple, object] = {}
-    wedge_codes: Optional[Dict[tuple, int]] = None if codes is None else {}
-    for a, b in itertools.permutations(pv.ends, 2):
-        if a in base and b in base:
-            q = None
-        elif a not in base:
-            q = wedge_quad(a, b)
-        else:
-            q = wedge_quad(b, a)
-        table[(a, b)] = zero if q is None else pv.table[q]
-        if codes is not None:
-            wedge_codes[(a, b)] = 0 if q is None else codes[q]
-    return RootedTreeDatum(pv.ends, base, table, pv, wedge_codes)
+    inside = [e in base for e in ends]
+    spots = [
+        len(view) if inside[a] and inside[c] else spot(c, a) if inside[a] else spot(a, c)
+        for a, c in itertools.permutations(range(n), 2)
+    ]
+    table = dict(zip(itertools.permutations(ends, 2), map([*values, zero].__getitem__, spots)))
+    return RootedTreeDatum(ends, base, table, pv, None if cmp is compare else list(map([*view, 0].__getitem__, spots)))
 
 
 def datum_axiom_violations(datum: RootedTreeDatum) -> tuple:
     """(RT0), (RT1), (RT2) checked exhaustively, on the datum's codes or, where it has none, its wedges."""
-    (wedge,), cmp, sgn = _getters([lambda k: datum.wedge(*k)], datum.codes)
-    out = []
-    for a, b in itertools.combinations(datum.ends, 2):
-        w = wedge((a, b))
-        if not isinstance(w, Infinity) and sgn(w) < 0:
-            out.append(("RT0", (a, b)))
-        if cmp(wedge((a, b)), wedge((b, a))) != 0:
-            out.append(("RT1", (a, b)))
-    for a, b, c in itertools.permutations(datum.ends, 3):
-        lhs = wedge((a, c))
-        rhs = min(wedge((a, b)), wedge((b, c)))
-        if cmp(lhs, rhs) < 0:
-            out.append(("RT2", (a, b, c)))
+    ends, n = datum.ends, len(datum.ends)
+    wedges, cmp, sgn = (datum.codes, operator.sub, operator.pos) if datum.codes is not None else (
+        [datum.wedge(*p) for p in itertools.permutations(ends, 2)], compare, sign)
+    out, wedge = [], lambda a, b: wedges[a * (n - 1) + b - (b > a)]  # the pair (a, b) by position
+    for a, b in itertools.combinations(range(n), 2):
+        if not isinstance(wedge(a, b), Infinity) and sgn(wedge(a, b)) < 0:
+            out.append(("RT0", (ends[a], ends[b])))
+        if cmp(wedge(a, b), wedge(b, a)) != 0:
+            out.append(("RT1", (ends[a], ends[b])))
+    ab, ac, bc = (get(wedges) for get in _layout(n).wedges)
+    rt2 = datum.codes is not None and min(map(cmp, ac, map(min, ab, bc)), default=0) >= 0  # decided on codes
+    for (a, b, c), wab, wac, wbc in zip(itertools.permutations(range(n), 3), ab, ac, bc) if not rt2 else ():
+        if cmp(wac, min(wab, wbc)) < 0:
+            out.append(("RT2", (ends[a], ends[b], ends[c])))
     return tuple(out)
 
 
@@ -467,26 +499,23 @@ def branch_point(datum: RootedTreeDatum, a: str, b: str, c: str) -> TreePoint:
     return canonical_point(datum, a, h)
 
 
-def _kappa_coord_on_line(wedge: Callable, cmp: Callable, a: str, b: str, c: str):
-    """Signed coordinate of the median of (a, b, c) on the line [ab], b-direction positive.
-
-    ``wedge`` takes a pair of ends.
-    """
-    wab, wac, wbc = wedge((a, b)), wedge((a, c)), wedge((b, c))
+def _kappa(cmp: Callable, wab, wac, wbc):
+    """Signed coordinate of the median of (a, b, c) on the line [ab], b-direction positive,
+    from the wedges of (a, b), (a, c) and (b, c)."""
     if cmp(wbc, wac) > 0:
         return wbc - (wab + wab)
     return -(wab if cmp(wab, wac) >= 0 else wac)
+
+
+def _median_coord(datum: RootedTreeDatum, a: str, b: str, c: str):
+    return _kappa(compare, datum.wedge(a, b), datum.wedge(a, c), datum.wedge(b, c))
 
 
 def canonical_valuation(datum: RootedTreeDatum, a: str, b: str, c: str, d: str):
     """Signed distance along [ab] between the medians of (a,b,c) and (a,b,d)."""
     if len({a, b, c, d}) != 4:
         raise TreeError("ends must be pairwise distinct")
-
-    def wedge(pair):
-        return datum.wedge(*pair)
-
-    return _kappa_coord_on_line(wedge, compare, a, b, d) - _kappa_coord_on_line(wedge, compare, a, b, c)
+    return _median_coord(datum, a, b, d) - _median_coord(datum, a, b, c)
 
 
 @dataclass(frozen=True)
@@ -501,22 +530,27 @@ class RoundtripReport:
 def roundtrip_check(pv: ProjectiveValuation, datum: RootedTreeDatum) -> RoundtripReport:
     """Compare the canonical valuation of an already built datum with pv, exactly.
 
-    pv is not validated here: a caller that wants the check builds the datum
-    with :func:`datum_from_valuation`, which runs one :func:`check_pv`.
-    pv's values and the datum's wedges both enter the comparisons, so they
-    are read on one scale: pv's codes and the datum's when the datum was
-    built from this pv, and the values otherwise (two tables may have
-    different denominators).  Each median coordinate is computed once, and
-    ``(q, want, got)`` is rebuilt from the values, by
-    :func:`canonical_valuation`, only for a mismatch.
+    pv is not validated here: :func:`datum_from_valuation` runs one :func:`check_pv`.
+    pv and the datum are read on one scale: their codes when the datum was
+    built from this pv, their values otherwise (denominators may differ).
+    Each median coordinate is computed once and all quadruples decided at
+    once; a failed decision loops over the quadruples on the values, and
+    :func:`canonical_valuation` rebuilds each mismatch ``(q, want, got)``.
     """
-    quads = list(pv.quadruples())
-    gets = [lambda q: pv.value(*q), lambda k: datum.wedge(*k)]
-    codes = (pv.codes, datum.codes) if datum._codes_of is pv else (None,)
-    (value, wedge), cmp, _ = _getters(gets, *codes)
-    coord = functools.cache(functools.partial(_kappa_coord_on_line, wedge, cmp))
-    bad = [q for q in quads if cmp(coord(q[0], q[1], q[3]) - coord(*q[:3]), value(q)) != 0]
-    return RoundtripReport(tuple((q, pv.value(*q), canonical_valuation(datum, *q)) for q in bad))
+    if datum._codes_of is pv and datum.codes is not None:
+        view, wedges, cmp = pv.codes, datum.codes, operator.sub
+    else:
+        view, wedges, cmp = pv._values, [datum.wedge(*p) for p in itertools.permutations(pv.ends, 2)], compare
+    lay = _layout(len(pv.ends))
+    try:
+        coords = list(map(functools.partial(_kappa, cmp), *(get(wedges) for get in lay.wedges)))
+        if not any(map(cmp, map(operator.sub, *(get(coords) for get in lay.medians)), view)):
+            return RoundtripReport(())
+    except TypeError:
+        pass
+    coord = functools.cache(functools.partial(_median_coord, datum))
+    bad = [(q, v) for q, v in zip(pv.quadruples(), pv._values) if compare(coord(*q[:2], q[3]) - coord(*q[:3]), v) != 0]
+    return RoundtripReport(tuple((q, v, canonical_valuation(datum, *q)) for q, v in bad))
 
 
 # --------------------------------------------------------------------------
@@ -535,9 +569,7 @@ def lex_first_projection(value):
 def base_change(datum: RootedTreeDatum, e: Callable) -> RootedTreeDatum:
     """Push the wedge table through an order-preserving homomorphism."""
 
-    def image(v):
-        return INF if isinstance(v, Infinity) else e(v)
-
+    image = lambda v: INF if isinstance(v, Infinity) else e(v)
     finite = sorted(set(datum.finite_wedges()))
     for u, v in zip(finite, finite[1:]):
         if compare(image(u), image(v)) > 0:
@@ -568,10 +600,8 @@ class ExplicitTree:
         self._next = 1
 
     def add_node(self, parent: int, length) -> int:
-        node = self._next
-        self._next += 1
-        self.parent[node] = parent
-        self.edge_len[node] = length
+        node, self._next = self._next, self._next + 1
+        self.parent[node], self.edge_len[node] = parent, length
         self.children.setdefault(parent, []).append(node)
         self.children[node] = []
         return node
@@ -584,8 +614,7 @@ class ExplicitTree:
         parent = self.parent[node]
         mid = self.add_node(parent, head_len)
         self.children[parent].remove(node)
-        self.parent[node] = mid
-        self.edge_len[node] = tail_len
+        self.parent[node], self.edge_len[node] = mid, tail_len
         self.children[mid].append(node)
         return mid
 
@@ -597,49 +626,32 @@ class ExplicitTree:
 
     def node_path(self, a: str, b: str) -> tuple[list, list]:
         """Nodes from leaf a to leaf b plus cumulative positions from a."""
-        pa = self._path_to_root(self.leaf_of[a])
-        pb = self._path_to_root(self.leaf_of[b])
-        sa, sb = set(pa), set(pb)
-        meet = next(n for n in pa if n in sb)
-        up = pa[: pa.index(meet) + 1]
-        down = pb[: pb.index(meet)]
-        nodes = up + list(reversed(down))
-        pos = [None] * len(nodes)
-        zero = zero_like(self.edge_len[nodes[0]])
-        pos[0] = zero
-        for i in range(1, len(nodes)):
-            prev, cur = nodes[i - 1], nodes[i]
-            step = self.edge_len[cur] if self.parent.get(cur) == prev else self.edge_len[prev]
-            pos[i] = pos[i - 1] + step
+        pa, pb = self._path_to_root(self.leaf_of[a]), self._path_to_root(self.leaf_of[b])
+        meet = next(n for n in pa if n in pb)
+        nodes = pa[: pa.index(meet) + 1] + pb[: pb.index(meet)][::-1]
+        pos = [zero_like(self.edge_len[nodes[0]])]
+        for prev, cur in zip(nodes, nodes[1:]):
+            pos.append(pos[-1] + (self.edge_len[cur] if self.parent.get(cur) == prev else self.edge_len[prev]))
         return nodes, pos
 
     def valuation(self) -> ProjectiveValuation:
         ends = tuple(sorted(self.leaf_of))
         paths = {(a, b): self.node_path(a, b) for a, b in itertools.permutations(ends, 2)}
-
-        def path(a, b):
-            return paths[(a, b)]
-
-        table = {q: _omega_on_paths(path, *q) for q in itertools.permutations(ends, 4)}
+        table = {q: _omega_on_paths(paths, *q) for q in itertools.permutations(ends, 4)}
         return ProjectiveValuation(ends, table)
 
 
 def _common_prefix_end(nodes_ab: list, nodes_ac: list) -> int:
     """The last node two paths from the same leaf share: the median of their three leaves."""
-    common = None
-    for u, v in zip(nodes_ab, nodes_ac):
-        if u == v:
-            common = u
-        else:
-            break
-    return common
+    shared = [u for u, v in itertools.takewhile(lambda uv: uv[0] == uv[1], zip(nodes_ab, nodes_ac))]
+    return shared[-1] if shared else None
 
 
-def _omega_on_paths(path: Callable, a: str, b: str, c: str, d: str):
-    """omega(a, b, c, d) of an explicit tree, from its leaf-to-leaf paths ``path(x, y)``."""
-    nodes, pos = path(a, b)
-    x = _common_prefix_end(nodes, path(a, c)[0])
-    y = _common_prefix_end(nodes, path(a, d)[0])
+def _omega_on_paths(paths: dict, a: str, b: str, c: str, d: str):
+    """omega(a, b, c, d) of an explicit tree, from its leaf-to-leaf paths ``paths[x, y]``."""
+    nodes, pos = paths[a, b]
+    x = _common_prefix_end(nodes, paths[a, c][0])
+    y = _common_prefix_end(nodes, paths[a, d][0])
     return pos[nodes.index(y)] - pos[nodes.index(x)]
 
 
@@ -675,20 +687,15 @@ def _random_length(rng: random.Random, lam: str):
 
 
 def _split_length(rng: random.Random, L):
-    if isinstance(L, Fraction):
-        if L < 2:
-            return None
+    if isinstance(L, Fraction) and L >= 2:
         head = Fraction(rng.randint(1, int(L) - 1))
-        return head, L - head
-    if isinstance(L, LexPair):
-        if L.hi >= 2:
-            head = LexPair(Fraction(1), Fraction(0))
-            return head, L - head
-        if L.hi == 0 and L.lo >= 2:
-            head = LexPair(Fraction(0), Fraction(rng.randint(1, int(L.lo) - 1)))
-            return head, L - head
+    elif isinstance(L, LexPair) and L.hi >= 2:
+        head = LexPair(Fraction(1), Fraction(0))
+    elif isinstance(L, LexPair) and L.hi == 0 and L.lo >= 2:
+        head = LexPair(Fraction(0), Fraction(rng.randint(1, int(L.lo) - 1)))
+    else:
         return None
-    return None
+    return head, L - head
 
 
 def tree_generator(seed: int, n_ends: int, lam: str = "Z") -> tuple[ExplicitTree, ProjectiveValuation]:
@@ -702,7 +709,7 @@ def tree_generator(seed: int, n_ends: int, lam: str = "Z") -> tuple[ExplicitTree
     for i in range(2, n_ends):
         label = _END_LABELS[i]
         if rng.random() < 0.5:
-            nodes = [0] + [n for n in t.parent if not _is_leaf(t, n)]
+            nodes = [0] + [n for n in t.parent if t.children.get(n)]
             t.attach_end(label, rng.choice(sorted(nodes)), _random_length(rng, lam))
         else:
             candidates = sorted(t.parent)
@@ -710,16 +717,11 @@ def tree_generator(seed: int, n_ends: int, lam: str = "Z") -> tuple[ExplicitTree
             for node in candidates:
                 split = _split_length(rng, t.edge_len[node])
                 if split is not None:
-                    mid = t.subdivide(node, split[0], split[1])
-                    t.attach_end(label, mid, _random_length(rng, lam))
+                    t.attach_end(label, t.subdivide(node, *split), _random_length(rng, lam))
                     break
             else:
                 t.attach_end(label, 0, _random_length(rng, lam))
     return t, t.valuation()
-
-
-def _is_leaf(t: ExplicitTree, node: int) -> bool:
-    return not t.children.get(node)
 
 
 # --------------------------------------------------------------------------
@@ -733,13 +735,11 @@ def render_datum_text(datum: RootedTreeDatum) -> str:
     def clusters(ends: list, level) -> list[list]:
         groups: list[list] = []
         for e in ends:
-            placed = False
             for g in groups:
                 if compare(datum.wedge(e, g[0]), level) > 0:
                     g.append(e)
-                    placed = True
                     break
-            if not placed:
+            else:
                 groups.append([e])
         return groups
 

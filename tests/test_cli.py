@@ -809,6 +809,36 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, flag, env",
+        [
+            (["rootsys", "--type", "A2"], "-1", None),
+            (["fold", "--type", "A2", "--point", "1,1", "--target", "0,0"], "-5", None),
+            (["tree", "--input", "TABLE"], None, "-1"),
+            (["sr", "norm", "--case", "B", "--args", "x^1,x^1"], None, "-1"),
+        ],
+        ids=["rootsys", "fold", "tree", "sr-norm"],
+    )
+    def test_bad_cap_refused_by_every_subcommand(self, capsys, monkeypatch, tmp_path, argv, flag, env):
+        # hull and verify-convexity spend the cap; the other subcommands only check it
+        from weylkit import lambda_tree as lt
+        from weylkit.scalars import format_scalar
+
+        pv = lt.h_tree(Q(3), Q(1)).valuation()
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"ends": list(pv.ends), "values": {",".join(q): format_scalar(v) for q, v in pv.table.items()}}))
+        argv = [str(table) if a == "TABLE" else a for a in argv]
+        monkeypatch.delenv("WEYLKIT_CAP", raising=False)
+        assert main(argv) == EXIT_OK  # the job itself is valid
+        capsys.readouterr()
+        if flag is not None:
+            argv, message = argv + ["--cap", flag], f"--cap must be an integer >= 0, got {flag}"
+        else:
+            monkeypatch.setenv("WEYLKIT_CAP", env)
+            message = f"WEYLKIT_CAP must be an integer >= 0, got {env!r}"
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"weylkit: {message}\n")
+
     def test_zero_denominator_in_tree_table(self, capsys, tmp_path):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"ends": ["a", "b", "c", "d"], "values": {"a,b,c,d": "1/0"}}))

@@ -22,7 +22,7 @@ from weylkit import model_space as ms
 from weylkit import path_model as pm
 from weylkit import root_system
 from weylkit.root_system import RootSystem, build, dihedral_cosine_field
-from weylkit.scalars import format_scalar
+from weylkit.scalars import QuadInt, format_scalar
 
 THREADS = 8
 LABELS = ("A2", "B2", "G2", "A3", "I2(8)")
@@ -198,6 +198,35 @@ def test_shared_valuations_match_a_serial_run(fast_switching):
         pvs = valuations()
         assert "codes" not in vars(pvs[1]) and "codes" not in vars(pvs[2])
         assert run_threads(lambda k: job(pvs, k)) == [want] * THREADS
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 8])
+def test_one_layout_built_by_many_threads(n, fast_switching):
+    # a tree job reads its table through the layout of its number of ends, built
+    # on first use; threads that all ask for one n's layout at once, sharing
+    # fresh valuations, get the serial reports
+    lam = ("Z", "Z2lex")[n % 2]
+
+    def valuations():
+        pv = lt.tree_generator(n, n, lam)[1]
+        out = [pv, lt.ProjectiveValuation(pv.ends, bumped_orbit(pv.table, sorted(pv.table)[len(pv.table) // 2]))]
+        if lam == "Z":  # the view of the values
+            out.append(lt.ProjectiveValuation(pv.ends, {q: QuadInt(int(v), int(v), 2) for q, v in pv.table.items()}))
+        return out
+
+    def job(pvs):
+        out = []
+        for pv in pvs:
+            datum = lt.build_datum(pv, pv.ends[:3])
+            out.append((lt.check_pv(pv), lt.roundtrip_check(pv, datum), lt.datum_axiom_violations(datum)))
+        return out
+
+    want = job(valuations())
+    assert want[0][0].ok and not want[1][0].ok
+    for _ in range(3):
+        pvs = valuations()
+        lt._layout.cache_clear()
+        assert run_threads(lambda k: job(pvs)) == [want] * THREADS
 
 
 def test_build_hands_every_thread_one_system(fast_switching):

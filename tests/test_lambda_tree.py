@@ -1,11 +1,12 @@
 """Projective valuations, rooted tree data, canonical valuations, base change."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylkit import lambda_tree as lt
@@ -503,6 +504,15 @@ cases = st.tuples(
     st.integers(4, 9),
     st.sampled_from(("Z", "Z2lex")),
 )
+# the smallest layouts, where a getter of one position still returns a tuple
+SMALL = [(1, 4, "Z"), (2, 5, "Z2lex")]
+
+
+def _z_sqrt2(pv):
+    """pv's rational table in Z[sqrt 2]: each value v, scaled to an integer by the lcm L
+    of the denominators, becomes Lv + Lv*sqrt 2, as in TestWorkCounts."""
+    den = math.lcm(*(Q(v).denominator for v in pv.table.values()))
+    return lt.ProjectiveValuation(pv.ends, {q: QuadInt(int(v * den), int(v * den), 2) for q, v in pv.table.items()})
 
 
 class TestEncodedAgainstValues:
@@ -512,6 +522,8 @@ class TestEncodedAgainstValues:
 
     @pytest.mark.parametrize("kind", KINDS + ("star",))
     @given(case=cases)
+    @example(case=SMALL[0])
+    @example(case=SMALL[1])
     @settings(max_examples=6, deadline=None)
     def test_check_pv(self, kind, case):
         pv = _table_for(*case, kind)
@@ -519,12 +531,14 @@ class TestEncodedAgainstValues:
 
     @pytest.mark.parametrize("kind", KINDS + ("star",))
     @given(case=cases)
+    @example(case=SMALL[0])
+    @example(case=SMALL[1])
     @settings(max_examples=4, deadline=None)
     def test_cocycle_decision(self, kind, case):
         pv = _table_for(*case, kind)
-        (value,), cmp, _ = lt._getters([lambda q: pv.value(*q)], pv.codes)
+        view, cmp, _ = lt._view(pv)
         pv3 = any(axiom == "PV3" for axiom, _, _ in reference_check_pv(pv).violations)
-        assert lt._cocycle_holds(pv.ends, value, cmp) is not pv3
+        assert lt._cocycle_holds(len(pv.ends), view, cmp) is not pv3
 
     @pytest.mark.parametrize("other", [QuadInt(0, 0, 2), lex(0, 0)], ids=["quadint", "lex"])
     def test_mixed_domains_raise_as_the_loops(self, other):
@@ -549,6 +563,8 @@ class TestEncodedAgainstValues:
     @pytest.mark.parametrize("kind", KINDS + ("star",))
     @pytest.mark.parametrize("off_table", [False, True])
     @given(case=cases)
+    @example(case=SMALL[0])
+    @example(case=SMALL[1])
     @settings(max_examples=4, deadline=None)
     def test_roundtrip_report(self, kind, off_table, case):
         seed, n_ends, lam = case
@@ -566,6 +582,8 @@ class TestEncodedAgainstValues:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("style", ["full", "orbit", "shuffled"])
     @given(case=cases)
+    @example(case=SMALL[0])
+    @example(case=SMALL[1])
     @settings(max_examples=3, deadline=None)
     def test_complete_pv1(self, kind, style, case):
         pv = _table_for(*case, kind)
@@ -582,6 +600,31 @@ class TestEncodedAgainstValues:
         assert conflicts == want_conflicts
         assert list(table) == list(want_table)
         assert repr(table) == repr(want_table)
+
+    @pytest.mark.parametrize("kind", tuple(k for k in KINDS if k != "quadint") + ("star",))
+    @given(case=st.tuples(st.integers(0, 2**31), st.integers(4, 9), st.just("Z")))
+    @example(case=(1, 4, "Z"))
+    @example(case=(2, 5, "Z"))
+    @settings(max_examples=4, deadline=None)
+    def test_z_sqrt2_view(self, kind, case):
+        # a Z table moved into Z[sqrt 2] has no codes: every check reads its values
+        seed, n_ends, lam = case
+        pv = _z_sqrt2(_table_for(*case, kind))
+        assert pv.codes is None
+        assert _outcome(lt.check_pv, pv) == _outcome(reference_check_pv, pv)
+        view, cmp, _ = lt._view(pv)
+        pv3 = any(axiom == "PV3" for axiom, _, _ in reference_check_pv(pv).violations)
+        assert lt._cocycle_holds(n_ends, view, cmp) is not pv3
+        valid = _z_sqrt2(lt.tree_generator(seed, n_ends, lam)[1])
+        datum = lt.build_datum(valid, random.Random(seed).sample(valid.ends, 3))
+        for other in (pv, valid):  # read against another valuation's datum, and its own
+            got, want = _outcome(lt.roundtrip_check, other, datum), _outcome(reference_roundtrip_check, other, datum)
+            assert repr(got) == repr(want)
+        assert lt.datum_axiom_violations(datum) == reference_datum_axiom_violations(datum) == ()
+        entries = _orbit_entries(pv.table) if seed % 2 else dict(pv.table)
+        table, conflicts = lt.complete_pv1(entries)
+        want_table, want_conflicts = reference_complete_pv1(entries)
+        assert conflicts == want_conflicts and repr(table) == repr(want_table)
 
     def test_degenerate_keys_take_the_loop(self):
         # a key repeating an end inside a pair is an orbit whose two halves meet
@@ -621,6 +664,21 @@ class TestWorkCounts:
         assert 5 not in lengths  # no pass over the 6,720 5-tuples
         assert lt.roundtrip_check(pv, datum).ok
         assert rebuilt == []  # a round trip per quadruple made 8*7*6*5 = 1,680 calls
+
+    @pytest.mark.parametrize("lam", ["Z", "Z2lex", "quadint"])
+    def test_valid_tables_are_decided_without_listing(self, lam, monkeypatch):
+        # on codes and on values, a valid table passes every decision: no listing
+        # runs, and the round trip computes each of the 8*7*6 median coordinates once
+        _, pv = lt.tree_generator(5, 8, "Z" if lam == "quadint" else lam)
+        if lam == "quadint":
+            pv = lt.ProjectiveValuation(pv.ends, {q: QuadInt(int(v), int(v), 2) for q, v in pv.table.items()})
+        datum = lt.build_datum(pv, pv.ends[:3])
+        listed, kappas, kappa = [], [], lt._kappa
+        monkeypatch.setattr(lt, "_cocycle_failures", lambda *a: listed.append("PV3") or [])
+        monkeypatch.setattr(lt, "_median_coord", lambda *a: listed.append("roundtrip"))
+        monkeypatch.setattr(lt, "_kappa", lambda *a: kappas.append(a) or kappa(*a))
+        assert lt.check_pv(pv).ok and lt.roundtrip_check(pv, datum).ok
+        assert listed == [] and len(kappas) == 8 * 7 * 6
 
 
 # --------------------------------------------------------------------------

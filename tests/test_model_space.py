@@ -346,6 +346,25 @@ class TestHull:
             ms.enumerate_AQ(rs, x, cap=cap)
         assert len(produced) == 1 and produced[0] <= cap + 1
 
+    @pytest.mark.parametrize("cap", [12, 30, 40])
+    def test_cap_crossed_in_a_later_orbit(self, cap, monkeypatch):
+        # A2 (3,3) has 8 dominant candidates with 37 hull points between them:
+        # these caps are crossed inside the orbit of a later candidate, whose
+        # walk must stop one point past the cap as the first orbit's does
+        rs = build("A2")
+        produced = []
+        real = ms._reflection_orbit
+
+        def counted(*args):
+            orbit = real(*args)
+            produced.append(len(orbit))
+            return orbit
+
+        monkeypatch.setattr(ms, "_reflection_orbit", counted)
+        with pytest.raises(ms.CapExceeded):
+            ms.enumerate_AQ(rs, (Q(3), Q(3)), cap=cap)
+        assert len(produced) > 1 and len(produced) + sum(produced) <= cap + 1
+
     @pytest.mark.parametrize("label,x", [("A2", (3, 3)), ("B2", (1, -2)), ("G2", (2, 1)), ("A3", (1, 0, 1))])
     def test_enumeration_walks_no_orbit(self, label, x, monkeypatch):
         rs = build(label)

@@ -326,6 +326,8 @@ class TestRootOperatorKernel:
     @example(("A2", pm.path_from_steps([(Q(-1), Q(-2, 3))])))
     @example(("A2", pm.path_from_steps([(Q(-1, 2), Q(-2)), (Q(3, 2), Q(2)), (Q(4, 3), Q(1, 2))])))
     @example(("A1", pm.path_from_points([(Q(0),), (Q(-1, 4),), (Q(1),), (Q(-1),)])))
+    # a rise above the running minimum that the next step crosses back: denominators past the strategy's 6
+    @example(("A1", pm.path_from_steps([(Q(-3, 10),), (Q(1, 10),), (Q(-4, 10),)])))
     def test_matches_the_fraction_operator(self, case):
         label, path = case
         rs = build(label)
@@ -343,6 +345,15 @@ class TestRootOperatorKernel:
         raised = pm.root_operator_e(rs, path, 0)
         assert raised == ref_root_operator_e(rs, path, 0)
         assert rs.to_levels(raised.steps)[1] > den
+
+    def test_excursion_above_the_running_minimum(self):
+        # the rise of 1/10 between the two descents is kept up to its return,
+        # which splits the last step
+        rs = build("A1")
+        path = pm.path_from_steps([(Q(-3, 10),), (Q(1, 10),), (Q(-4, 10),)])
+        raised = pm.root_operator_e(rs, path, 0)
+        assert raised == ref_root_operator_e(rs, path, 0)
+        assert raised.endpoint() == (Q(2, 5),)
 
     def test_needs_a_crystallographic_system(self):
         rs = build("I2(5)")

@@ -16,14 +16,15 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 
-from . import lambda_tree as lt
+# only the layers every subcommand runs are imported here; ``tree``, ``sr``
+# and ``--svg`` import theirs when they run, so a job compiles no module it
+# does not use
 from . import model_space as ms
 from . import path_model as pm
-from . import twisted_algebra as tw
-from .root_system import RootSystem, RootSystemError, build
+from .root_system import RootSystem, build
 from .scalars import QuadInt, ScalarDomainError, format_scalar, parse_rational, parse_scalar, scalar_to_json
-from .svg import Scene, emit_svg
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -143,6 +144,8 @@ def cmd_hull(args) -> int:
         obj["timings"] = {"enumerate_s": round(elapsed, 6)}
     _emit(args, obj)
     if args.svg:
+        from .svg import Scene, emit_svg
+
         orbit = rs.weyl_orbit(x)
         scene = Scene(
             orbit=list(orbit),
@@ -174,6 +177,8 @@ def cmd_fold(args) -> int:
     }
     _emit(args, obj)
     if args.svg:
+        from .svg import Scene, emit_svg
+
         orbit = rs.weyl_orbit(x)
         scene = Scene(
             orbit=list(orbit),
@@ -226,7 +231,29 @@ def cmd_verify_convexity(args) -> int:
     return EXIT_OK if report.status == "pass" else 1
 
 
+def _tree_entries(values: dict) -> dict:
+    """The table's {quadruple of end labels: scalar}.
+
+    The keys are split in one pass over their join, and each distinct value
+    string is parsed once.  A table with a bad key or value is read entry by
+    entry, so that the first bad one is named.
+    """
+    keys, vals = list(values), list(values.values())
+    if set(map(str.count, keys, repeat(","))) != {3} or set(map(type, vals)) != {str}:
+        for key, val in values.items():
+            if key.count(",") != 3:
+                raise ValueError(f"bad quadruple key {key!r}")
+            if not isinstance(val, str):
+                raise ValueError(f"value of {key!r} must be a string, got {val!r}")
+            parse_scalar(val)  # an unparseable value before the bad entry is named first
+    names = map(str.strip, ",".join(keys).split(","))
+    parsed = {val: parse_scalar(val) for val in dict.fromkeys(vals)}
+    return dict(zip(zip(*[names] * 4), map(parsed.__getitem__, vals)))
+
+
 def cmd_tree(args) -> int:
+    from . import lambda_tree as lt
+
     with open(args.input) as fh:
         data = json.load(fh)
     ends = data.get("ends") if isinstance(data, dict) else None
@@ -235,17 +262,7 @@ def cmd_tree(args) -> int:
     if not isinstance(data.get("values"), dict):
         raise ValueError("tree input needs a 'values' object")
     ends = tuple(ends)
-    entries, parsed = {}, {}  # a table repeats few strings: each is parsed once
-    for key, val in data["values"].items():
-        quad = tuple(map(str.strip, key.split(",")))
-        if len(quad) != 4:
-            raise ValueError(f"bad quadruple key {key!r}")
-        if not isinstance(val, str):
-            raise ValueError(f"value of {key!r} must be a string, got {val!r}")
-        if val not in parsed:
-            parsed[val] = parse_scalar(val)
-        entries[quad] = parsed[val]
-    pv = lt.valuation_from_entries(ends, entries)
+    pv = lt.valuation_from_entries(ends, _tree_entries(data["values"]))
     # the base labels follow the spacing rule of the keys; a base that names
     # no three distinct ends is refused before the table is checked
     base = lt._base_of(pv, map(str.strip, args.base.split(",")) if args.base else ends[:3])
@@ -277,6 +294,8 @@ def cmd_tree(args) -> int:
 
 
 def _sr_parse_args(case: str, text: str):
+    from . import twisted_algebra as tw
+
     p = 2 if case in ("B", "F") else 3
     parts = text.split(",")
     want = 2 if p == 2 else 3
@@ -286,6 +305,8 @@ def _sr_parse_args(case: str, text: str):
 
 
 def cmd_sr_norm(args) -> int:
+    from . import twisted_algebra as tw
+
     vals = _sr_parse_args(args.case, args.args)
     if args.case in ("B", "F"):
         norm = tw.norm_R(*vals)
@@ -307,6 +328,8 @@ def cmd_sr_norm(args) -> int:
 
 def cmd_sr_check(args) -> int:
     import random
+
+    from . import twisted_algebra as tw
 
     rng = random.Random(args.seed)
     p = 2 if args.case in ("B", "F") else 3
@@ -422,20 +445,11 @@ def main(argv=None) -> int:
         # look the command up by name so that a later rebinding (a test's
         # monkeypatch, the perfbench tracer's wrapper) takes effect
         return globals()[args.func.__name__](args)
-    except pm.CapExceeded as exc:
+    except ms.CapExceeded as exc:
         print(f"weylkit: enumeration cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (
-        RootSystemError,
-        ms.ModelSpaceError,
-        pm.PathModelError,
-        lt.TreeError,
-        tw.TwistedAlgebraError,
-        ScalarDomainError,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    # every layer's error class, and json.JSONDecodeError, subclasses ValueError
+    except (ScalarDomainError, ValueError, OSError) as exc:
         print(f"weylkit: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -322,9 +322,10 @@ def _times_simple_reflection(m, i: int, cartan_row):
     """M s_i, over any field or over the integers.
 
     In simple-root coordinates s_i = I - e_i c_i with c_i row i of the Cartan
-    matrix, so M s_i subtracts M[r][i] * c_i from each row r of M.
+    matrix, so M s_i subtracts M[r][i] * c_i from each row r of M; a row with
+    M[r][i] = 0 is kept as it is.
     """
-    return tuple(tuple(v - row[i] * c for v, c in zip(row, cartan_row)) for row in m)
+    return tuple([row if row[i] == 0 else tuple([v - row[i] * c for v, c in zip(row, cartan_row)]) for row in m])
 
 
 # --------------------------------------------------------------------------
@@ -606,41 +607,61 @@ class RootSystem:
         return self._group
 
     @cached_property
-    def _group(self) -> tuple[WeylElement, ...]:
-        """The BFS by ``_times_simple_reflection``; keyed on the matrices, first-found words kept.
+    def _weyl_bfs(self) -> tuple:
+        """The Weyl group by breadth-first search on v_w = w^-1 . d: per element, (word, v_w, parent index).
 
-        Systems over the rationals search on integer matrices, and each
-        Fraction matrix is built once at the end.
+        d is the regular vector with every level 1.  W acts simply
+        transitively on the orbit of a regular vector, so v_w names w, and
+        w = p s_i has v_w = s_i v_p = v_p - v_p[i] * row i of the Cartan
+        matrix (integer rows over the rationals, field rows for I2(n)): a
+        search on rank-length vectors, with no matrix hashed.  Each element
+        keeps its first-found word, its parent's word + (i,), and records
+        its parent's index.  The queue is in (length, word) order: each
+        length is found from the one before, in that order, letter by
+        letter.  The identity has parent index -1.
+        """
+        if self.field is None:
+            cartan, one = self.integer_cartan, 1
+        else:
+            cartan, one = self.cartan, self._f(1)
+        start = (one,) * self.rank
+        seen = {start}
+        queue = [((), start, -1)]
+        for k, (word, v, _) in enumerate(queue):
+            for i, c in enumerate(cartan):
+                vi = v[i]
+                if vi < 0:
+                    continue  # (w alpha_i, d) < 0: w s_i is shorter than w, so found already
+                u = tuple([a - vi * b for a, b in zip(v, c)])
+                if u not in seen:
+                    seen.add(u)
+                    queue.append((word + (i,), u, k))
+        if len(queue) != self.weyl_order:
+            raise RootSystemError("Weyl group enumeration mismatch")  # pragma: no cover
+        return tuple(queue)
+
+    @cached_property
+    def _group(self) -> tuple[WeylElement, ...]:
+        """Each element's matrix built once, from its parent's: M_{p s_i} = M_p s_i.
+
+        Systems over the rationals update integer matrices, and each distinct
+        integer row becomes one Fraction row, shared by every matrix holding
+        it (F4's 4,608 matrix rows hold 240 distinct rows).
         """
         n = self.rank
         if self.field is None:
-            cartan = self.integer_cartan
-            one, zero = 1, 0
+            cartan, one, zero = self.integer_cartan, 1, 0
         else:
-            cartan = self.cartan
-            one, zero = self._f(1), self._f(0)
-        ident = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        words: Dict[tuple, tuple] = {ident: ()}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for i, ci in enumerate(cartan):
-                    cand = _times_simple_reflection(m, i, ci)
-                    if cand not in words:
-                        words[cand] = words[m] + (i,)
-                        nxt.append(cand)
-            frontier = nxt
-        rows = {row: row for m in words for row in m}
+            cartan, one, zero = self.cartan, self._f(1), self._f(0)
+        bfs = self._weyl_bfs
+        mats = [tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))]
+        for word, _, parent in bfs[1:]:
+            mats.append(_times_simple_reflection(mats[parent], word[-1], cartan[word[-1]]))
+        rows = {row: row for m in mats for row in m}
         if self.field is None:
-            # F4's 4,608 matrix rows hold 240 distinct rows of a few
-            # distinct integers: each Fraction row is built once and shared
             as_q = {v: _Q(v) for row in rows for v in row}
             rows = {row: tuple(as_q[v] for v in row) for row in rows}
-        group = [WeylElement(word, tuple(rows[row] for row in m)) for m, word in words.items()]
-        if len(group) != self.weyl_order:
-            raise RootSystemError("Weyl group enumeration mismatch")  # pragma: no cover
-        return tuple(sorted(group, key=lambda w: (len(w.word), w.word)))
+        return tuple(WeylElement(word, tuple(rows[row] for row in m)) for (word, _, _), m in zip(bfs, mats))
 
     # -- lattices -----------------------------------------------------------
 
@@ -713,32 +734,27 @@ class RootSystem:
 
         d is the regular dominant vector with every level 1, and M_w is the
         matrix of w on level vectors: y -> tuple((row, y) for row in M_w).
-        The simple reflection s_i moves a level vector y by y - y[i] * row i
-        of ``integer_cartan``.  The BFS words of ``weyl_group()`` are
-        prefix-closed, so w = p s_i finds p's entry built: w^-1 . d is s_i of
-        p's vector, and M_w = M_p S_i changes only column i of M_p.  Equal
-        rows are stored once.  Built on the first gallery walk, not with the
-        group.
+        Words and vectors are those of the group's search; each M_w is
+        built from its parent's, w = p s_i, as M_w = M_p S_i, which changes
+        only column i of M_p.  Equal rows are stored once.  Built on the
+        first gallery walk, without the group's matrices.
         """
         cartan = self.integer_cartan
         n = self.rank
         ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        built = {(): ((1,) * n, ident)}
         rows = {row: row for row in ident}
-        out = []
-        for w in self.weyl_group():
-            if w.word:
-                v, m = built[w.word[:-1]]
-                i = w.word[-1]
-                c = cartan[i]
-                v = tuple(a - v[i] * b for a, b in zip(v, c))
-                m = tuple(
+        bfs = self._weyl_bfs
+        mats = [ident]
+        for word, _, parent in bfs[1:]:
+            i = word[-1]
+            c = cartan[i]
+            mats.append(
+                tuple(
                     rows.setdefault(row, row)
-                    for row in (row[:i] + (row[i] - sum(map(mul, row, c)),) + row[i + 1 :] for row in m)
+                    for row in (row[:i] + (row[i] - sum(map(mul, row, c)),) + row[i + 1 :] for row in mats[parent])
                 )
-                built[w.word] = v, m
-            out.append((w.word, *built[w.word]))
-        return tuple(out)
+            )
+        return tuple((word, v, m) for (word, v, _), m in zip(bfs, mats))
 
     # -- level coordinates (rational systems) ----------------------------------
 

@@ -13,7 +13,15 @@ from pathlib import Path
 
 import pytest
 
-import weylkit.cli  # noqa: F401  (imports every layer module)
+# every layer module, imported by name: the CLI imports lambda_tree and
+# twisted_algebra only when a subcommand needs them
+import weylkit.cli  # noqa: F401
+import weylkit.lambda_tree  # noqa: F401
+import weylkit.model_space  # noqa: F401
+import weylkit.path_model  # noqa: F401
+import weylkit.root_system  # noqa: F401
+import weylkit.scalars  # noqa: F401
+import weylkit.twisted_algebra  # noqa: F401
 
 TRACER_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 

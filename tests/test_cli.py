@@ -3,7 +3,11 @@
 import hashlib
 import json
 import os
+import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from fractions import Fraction as Q
 
 import pytest
@@ -861,6 +865,88 @@ class TestExitCodes:
         assert main(["tree", "--input", str(path)]) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("weylkit: ") and message in err and "Traceback" not in err
+
+
+class TestLazyLayers:
+    # the CLI imports the layers every subcommand runs; tree, sr and --svg
+    # import theirs when they run
+    def test_cli_import_loads_no_tree_twisted_or_svg_module(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import json, sys, weylkit.cli; "
+            "print(json.dumps([m for m in sys.modules if m.startswith('weylkit.')]))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+        loaded = set(json.loads(out))
+        assert "weylkit.path_model" in loaded  # the benchmark tracer reads it from sys.modules
+        assert not loaded & {"weylkit.lambda_tree", "weylkit.twisted_algebra", "weylkit.svg"}
+
+    def test_error_classes_main_reports_are_value_errors(self):
+        # main catches (ScalarDomainError, ValueError, OSError): every layer's
+        # error class must stay a ValueError to exit 2
+        from weylkit import lambda_tree, model_space, path_model, root_system, svg, twisted_algebra
+
+        for cls in (
+            root_system.RootSystemError,
+            model_space.ModelSpaceError,
+            path_model.PathModelError,
+            lambda_tree.TreeError,
+            twisted_algebra.TwistedAlgebraError,
+            svg.SvgError,
+            json.JSONDecodeError,
+        ):
+            assert issubclass(cls, ValueError), cls
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"a,b,c": "0"}, "bad quadruple key 'a,b,c'"),
+            ({"a,b,c,d,e": "0"}, "bad quadruple key 'a,b,c,d,e'"),
+            # a short key and a long one hold four labels each on average
+            ({"a,b,c": "0", "a,b,c,d,e": "1"}, "bad quadruple key 'a,b,c'"),
+            ({"a,b,c,d": 3}, "value of 'a,b,c,d' must be a string, got 3"),
+            ({"a,b,c,d": None}, "value of 'a,b,c,d' must be a string, got None"),
+            # the first bad entry is named, whether its key or its value is bad
+            ({"a,b,c,d": "1/0", "x,y": "1"}, "zero denominator: '1/0'"),
+            ({"x,y": "1", "a,b,c,d": "1/0"}, "bad quadruple key 'x,y'"),
+            ({"a,b,c,d": "1/0", "a,b,d,c": 2}, "zero denominator: '1/0'"),
+        ],
+        ids=["short-key", "long-key", "short-and-long", "number", "null", "value-first", "key-first", "parse-first"],
+    )
+    def test_bad_tree_table_exits_2(self, capsys, tmp_path, values, message):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"ends": list("abcd"), "values": values}))
+        assert main(["tree", "--input", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"weylkit: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--case", "B", "--args", "x^{1r7},x^1"], "malformed exponent in 'x^{1r7}': unexpected '7' after the radical"),
+            (["--case", "F", "--args", "x^1"], "case F takes 2 comma-separated series"),
+        ],
+    )
+    def test_bad_sr_norm_literal_exits_2(self, capsys, argv, message):
+        assert main(["sr", "norm", *argv]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"weylkit: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hull", "--type", "A2", "--point", "1,1"],
+            ["fold", "--type", "A2", "--point", "1,1", "--target", "0,0"],
+        ],
+        ids=["hull", "fold"],
+    )
+    def test_unwritable_svg_path_exits_2(self, capsys, tmp_path, argv):
+        # the JSON is written first; the figure's temporary file cannot be made
+        missing = tmp_path / "missing" / "figure.svg"
+        assert main([*argv, "--svg", str(missing)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert json.loads(out)
+        pattern = rf"weylkit: \[Errno 2\] No such file or directory: '{re.escape(str(missing.parent))}/\.weylkit-[^']+'\n"
+        assert re.fullmatch(pattern, err), err
 
 
 class TestSvgModule:

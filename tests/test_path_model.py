@@ -744,7 +744,7 @@ class TestGalleries:
         rs = RootSystem("A7")
         with pytest.raises(pm.CapExceeded, match="exceeded 10 states"):
             pm.folded_gallery_endpoints(rs, pm.minimal_gallery(rs, rs.zero_point()), cap=10)
-        assert "_group" not in vars(rs)
+        assert "_group" not in vars(rs) and "_weyl_bfs" not in vars(rs)
 
     @pytest.mark.parametrize("label,x", [("A2", (2, 2)), ("B2", (1, 2)), ("G2", (2, 1))])
     def test_walks_start_without_inverse_matrices(self, label, x, monkeypatch):
@@ -779,16 +779,18 @@ class TestGalleries:
             assert all(ints(getattr(g, f.name)) for f in dataclasses.fields(g))
 
     def test_start_table_is_built_once_on_the_first_walk(self, monkeypatch):
+        # the group's matrices and the start table are built on the same search, each only when asked for
         rs = RootSystem("B2")
         rs.weyl_group()
         assert "alcove_walk_starts" not in vars(rs)
+        rs = RootSystem("B2")
         calls = []
         real = type(rs).weyl_group
         monkeypatch.setattr(type(rs), "weyl_group", lambda self: calls.append(self) or real(self))
         pm.folded_gallery_endpoints(rs, pm.minimal_gallery(rs, (Q(1), Q(2))))
         table = vars(rs)["alcove_walk_starts"]
         pm.folded_gallery_endpoints(rs, pm.minimal_gallery(rs, (Q(2), Q(2))))
-        assert vars(rs)["alcove_walk_starts"] is table and calls == [rs]
+        assert vars(rs)["alcove_walk_starts"] is table and calls == [] and "_group" not in vars(rs)
 
     @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "C3", "F4"])
     def test_start_table_entries(self, label):

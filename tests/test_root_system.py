@@ -592,15 +592,28 @@ class TestWeylGroup:
         assert len(build(label).weyl_group()) == order
 
     @pytest.mark.parametrize(
-        "label", ["A1", "A2", "A3", "B2", "C2", "G2", "F4", "I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(8)"]
+        "label",
+        ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "G2", "F4", "I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(8)"],
     )
     def test_same_words_and_matrices_as_the_matrix_bfs(self, label):
-        # the row-update search (on integer matrices over the rationals, on
-        # field matrices for I2(n)) must give the order, the first-found words
-        # and the F-matrices of the search by matrix products
+        # the search on w^-1 . d (integer levels over the rationals, field
+        # levels for I2(n)) must give the order, the first-found words and
+        # the F-matrices of the search by matrix products
         rs = build(label)
         got = [(w.word, typed(w.matrix)) for w in rs.weyl_group()]
         assert got == [(w.word, typed(w.matrix)) for w in reference_group(rs)]
+
+    def test_e6_group_order_words_and_sampled_matrices(self):
+        # too large for the reference search: its order, its (length, word)
+        # order and a sample of matrices, each against the word's row updates
+        rs = build("E6")
+        group = rs.weyl_group()
+        assert len(group) == rs.weyl_order == 51840
+        keys = [(len(w.word), w.word) for w in group]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert len(group[-1].word) == len(rs.positive_roots) == 36
+        for w in random.Random(6).sample(group, 60):
+            assert typed(w.matrix) == typed(rs.element(w.word).matrix)
 
     @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "G2", "I2(5)"])
     def test_elements_from_words_match_the_matrix_products(self, label):

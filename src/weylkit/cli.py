@@ -231,12 +231,12 @@ def cmd_verify_convexity(args) -> int:
     return EXIT_OK if report.status == "pass" else 1
 
 
-def _tree_entries(values: dict) -> dict:
-    """The table's {quadruple of end labels: scalar}.
+def _tree_entries(values: dict) -> tuple:
+    """The table's end labels, four per key, and its scalars, one per key.
 
     The keys are split in one pass over their join, and each distinct value
-    string is parsed once.  A table with a bad key or value is read entry by
-    entry, so that the first bad one is named.
+    string is parsed once, to one object.  A table with a bad key or value is
+    read entry by entry, so that the first bad one is named.
     """
     keys, vals = list(values), list(values.values())
     if set(map(str.count, keys, repeat(","))) != {3} or set(map(type, vals)) != {str}:
@@ -246,9 +246,9 @@ def _tree_entries(values: dict) -> dict:
             if not isinstance(val, str):
                 raise ValueError(f"value of {key!r} must be a string, got {val!r}")
             parse_scalar(val)  # an unparseable value before the bad entry is named first
-    names = map(str.strip, ",".join(keys).split(","))
+    names = list(map(str.strip, ",".join(keys).split(","))) if keys else []
     parsed = {val: parse_scalar(val) for val in dict.fromkeys(vals)}
-    return dict(zip(zip(*[names] * 4), map(parsed.__getitem__, vals)))
+    return names, list(map(parsed.__getitem__, vals))
 
 
 def cmd_tree(args) -> int:
@@ -262,7 +262,7 @@ def cmd_tree(args) -> int:
     if not isinstance(data.get("values"), dict):
         raise ValueError("tree input needs a 'values' object")
     ends = tuple(ends)
-    pv = lt.valuation_from_entries(ends, _tree_entries(data["values"]))
+    pv = lt.valuation_from_lists(ends, *_tree_entries(data["values"]))
     # the base labels follow the spacing rule of the keys; a base that names
     # no three distinct ends is refused before the table is checked
     base = lt._base_of(pv, map(str.strip, args.base.split(",")) if args.base else ends[:3])

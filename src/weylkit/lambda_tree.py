@@ -8,6 +8,13 @@ a table, a list in ``permutations(ends, 4)`` order of the values' integer
 codes (:func:`_encode`) or of the values, through the layout of its number
 of ends (:func:`_layout`).  It decides with ``map`` over ``itemgetter``s and
 loops over the quadruples only to list what a failed decision found.
+
+A partial table, as the ``tree`` command or :func:`valuation_from_entries`
+gives it, is read in one pass (:func:`valuation_from_lists`): the end labels
+of its keys become positions through the layout, each distinct value object
+is encoded and negated once, and the view is closed orbit by orbit.  No dict
+keyed by quadruples of end labels is built; ``ProjectiveValuation.table`` is
+derived from the view when it is first read.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import functools
 import itertools
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
@@ -59,6 +66,14 @@ def _encode(values: list) -> Optional[list]:
     return [h * m + lo for h, lo in zip(his, los)]
 
 
+def _distinct(values: list) -> tuple:
+    """``(distinct, which)``: the distinct objects among the values, in order of first
+    use, and for each value its index in them."""
+    ids = list(map(id, values))
+    by_id = dict(zip(ids, values))
+    return list(by_id.values()), _getter(ids)(dict(zip(by_id, itertools.count())))
+
+
 def _getter(positions) -> Callable:
     """``operator.itemgetter(*positions)``, returning a tuple however few the positions."""
     positions = tuple(positions)
@@ -70,7 +85,7 @@ class _Layout(NamedTuple):
 
     partners: Tuple[Callable, ...]  # quadruple (a, b, c, d) -> (c, d, a, b), (a, b, d, c), (a, d, c, b), (a, c, b, d)
     slot: Tuple[int, ...]  # quadruple -> 2*orbit + 1 on the half of its PV1 orbit's first quadruple, else 2*orbit
-    at: Tuple[int, ...]  # ((a*n + b)*n + c)*n + d -> position of (a, b, c, d), -1 where two are equal
+    where: Dict[tuple, int]  # quadruple (a, b, c, d) of end indices -> its position
     cocycle: Tuple[Callable, ...]  # (a, b, d, e), (a, r, d, e) and (b, r, d, e) of each check of _cocycle_holds
     medians: Tuple[Callable, ...]  # quadruple (a, b, c, d) -> triples (a, b, d) and (a, b, c)
     wedges: Tuple[Callable, ...]  # triple (a, b, c) -> pairs (a, b), (a, c) and (b, c)
@@ -86,15 +101,14 @@ def _layout(n: int) -> _Layout:
         list(itertools.permutations(range(m), k)) for m, k in ((n, 4), (n, 2), (n, 3), (n - 2, 2), (n - 2, 3))
     )
     where, tri, pair, blk = ({k: i for i, k in enumerate(keys)} for keys in (quads, triples, pairs, block))
-    at, slot, orbits = [-1] * n**4, [None] * len(quads), 0
+    slot, orbits = [None] * len(quads), 0
 
     def pick(items, index, *order):  # a getter of the position in index of each item's entries, taken in order
         return _getter(map(index.__getitem__, map(operator.itemgetter(*order), items)))
 
-    for (a, b, c, d), p in where.items():
-        at[((a * n + b) * n + c) * n + d] = p
+    for quad, p in where.items():
         if slot[p] is None:
-            for half, members in zip((1, 0), _pv1_orbit((a, b, c, d))):
+            for half, members in zip((1, 0), _pv1_orbit(quad)):
                 for q in members:
                     slot[where[q]] = 2 * orbits + half
             orbits += 1
@@ -110,7 +124,7 @@ def _layout(n: int) -> _Layout:
     return _Layout(
         partners=tuple(pick(quads, where, *order) for order in _PARTNERS),
         slot=tuple(slot),
-        at=tuple(at),
+        where=where,
         cocycle=tuple(map(_getter, zip(*checks))),
         medians=tuple(pick(quads, tri, 0, 1, k) for k in (3, 2)),
         wedges=tuple(pick(triples, pair, i, j) for i, j in sides),
@@ -149,43 +163,75 @@ def complete_pv1(entries: Dict[tuple, object]) -> tuple[Dict[tuple, object], lis
     return table, conflicts
 
 
-def _close(ends: tuple, entries: Dict[tuple, object]) -> Optional[tuple]:
-    """``(table, values, codes)`` of the entries closed under PV1, orbit by orbit on the layout.
+def _close(ends: tuple, names: list, values: list) -> Optional[tuple]:
+    """``(values, codes)`` of a partial table closed under PV1, orbit by orbit on the layout.
 
-    Each orbit takes the values its last entry writes, as in :func:`complete_pv1`; None
-    where that loop finds a conflict or raises, or a key or an orbit is missing.
+    Entry i is the quadruple ``names[4i : 4i + 4]`` with the value ``values[i]``.
+    Each orbit takes the values its last entry writes, as in :func:`complete_pv1`,
+    and each distinct value object is encoded, negated and compared once.  None
+    where an end is listed twice, a name is not an end, a key repeats an end,
+    two keys name one quadruple or an orbit is missing, or where that loop
+    finds a conflict or raises.
     """
-    lay, quads = _layout(len(ends)), list(itertools.permutations(ends, 4))
-    positions = list(map(dict(zip(quads, range(len(quads)))).get, entries))
-    slots = [] if None in positions else list(map(lay.slot.__getitem__, positions))
-    last = dict(zip(map(operator.rshift, slots, itertools.repeat(1)), range(len(slots))))  # orbit -> entry
-    if len(slots) != len(positions) or 8 * len(last) != len(quads):
+    lay, index = _layout(len(ends)), dict(zip(ends, itertools.count()))
+    if len(index) < len(ends):
         return None
-    vals = list(entries.values())
-    codes = _encode(vals)
-    keys, cmp = (vals, compare) if codes is None else (codes, operator.sub)
-    by_slot, key_by_slot = [None] * (len(quads) // 4), [None] * (len(quads) // 4)
     try:
-        for i in last.values():
-            s = slots[i]
-            by_slot[s], by_slot[s ^ 1], key_by_slot[s], key_by_slot[s ^ 1] = vals[i], -vals[i], keys[i], -keys[i]
-        if any(map(cmp, keys, map(key_by_slot.__getitem__, slots))):
+        positions = list(map(lay.where.__getitem__, zip(*[iter(_getter(names)(index))] * 4)))
+    except KeyError:  # a name that is no end, or a key that repeats one
+        return None
+    slots = _getter(positions)(lay.slot)
+    last = dict(zip(map(operator.rshift, slots, itertools.repeat(1)), itertools.count()))  # orbit -> its last entry
+    if len(set(positions)) < len(positions) or 8 * len(last) != len(lay.slot):
+        return None
+    distinct, which = _distinct(values)
+    codes = _encode(distinct)
+    # slot -> the index in signed of the value it takes: its orbit's last entry's, or that negated
+    lasts = _getter(last.values())
+    ref = dict(zip(lasts(slots), lasts(which)))
+    ref.update([(s ^ 1, k + len(distinct)) for s, k in ref.items()])
+    try:
+        signed = distinct + list(map(operator.neg, distinct))
+        keys, cmp = (signed, compare) if codes is None else (codes + list(map(operator.neg, codes)), operator.sub)
+        if any(map(cmp, _getter(which)(keys), _getter(_getter(slots)(ref))(keys))):
             return None
     except TypeError:
         return None
-    values = list(map(by_slot.__getitem__, lay.slot))
-    return dict(zip(quads, values)), values, codes and list(map(key_by_slot.__getitem__, lay.slot))
+    closed = _getter(lay.slot)(ref)
+    return list(map(signed.__getitem__, closed)), codes and list(map(keys.__getitem__, closed))
 
 
-@dataclass(frozen=True)
 class ProjectiveValuation:
-    """A complete table of values on ordered quadruples of pairwise distinct ends; its view is derived on first use."""
+    """A complete table of values on ordered quadruples of pairwise distinct ends; its view is derived on first use.
 
-    ends: Tuple[str, ...]
-    table: Dict[tuple, object]
-    # set on an instance, as its view is, by valuation_from_entries: the table
-    # was closed under PV1 without a conflict, so PV1 holds on every quadruple
+    A valuation read from entries (:func:`valuation_from_lists`) holds its view
+    and no table; its table is derived from the view on first read.
+    """
+
+    # set on an instance, as its view is, when it is read from entries: the
+    # table was closed under PV1 without a conflict, so PV1 holds on every quadruple
     _closed_under_pv1 = False
+
+    def __init__(self, ends: Tuple[str, ...], table: Dict[tuple, object]):
+        vars(self).update(ends=ends, table=table)
+
+    @classmethod
+    def _closed(cls, ends: Tuple[str, ...], values: list, codes: Optional[list]) -> "ProjectiveValuation":
+        """The valuation of a table closed under PV1 without a conflict, given by its view."""
+        pv = cls.__new__(cls)
+        vars(pv).update(ends=ends, _values=values, codes=codes, _closed_under_pv1=True)
+        return pv
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @functools.cached_property
+    def table(self) -> Dict[tuple, object]:
+        """{quadruple: value} in ``quadruples()`` order, for a valuation built without one."""
+        return dict(zip(self.quadruples(), self._values))
 
     @functools.cached_property
     def _values(self) -> list:
@@ -220,22 +266,45 @@ class ProjectiveValuation:
     def __hash__(self):  # tables are dicts; identity hash is enough here
         return hash(self.ends)
 
+    def __repr__(self):
+        return f"ProjectiveValuation(ends={self.ends!r}, table={self.table!r})"
+
 
 def valuation_from_entries(ends: Sequence[str], entries: Dict[tuple, object]) -> ProjectiveValuation:
     """The valuation a partial table determines; a bad end list, key or table raises TreeError.
 
-    :func:`_close` closes the table; where it cannot, :func:`complete_pv1`
-    does, and its report names what is wrong.
+    A dict whose keys are all tuples of four end labels is read as
+    :func:`valuation_from_lists` reads its two lists; other keys go straight
+    to :func:`_completed`, whose report names them.
+    """
+    if set(map(type, entries)) <= {tuple} and set(map(len, entries)) <= {4}:
+        return valuation_from_lists(ends, list(itertools.chain.from_iterable(entries)), list(entries.values()))
+    return _completed(tuple(ends), entries)
+
+
+def valuation_from_lists(ends: Sequence[str], names: list, values: list) -> ProjectiveValuation:
+    """The valuation of the entries ``names[4i : 4i + 4]`` -> ``values[i]``, read in one pass.
+
+    :func:`_close` closes the table.  Where it cannot, the entries go, as a
+    dict in which a later key wins, to :func:`_completed`, whose report names
+    what is wrong.
     """
     ends = tuple(ends)
+    closed = _close(ends, names, values)
+    if closed is not None:
+        return ProjectiveValuation._closed(ends, *closed)
+    entries = dict(zip(zip(*[iter(names)] * 4), values))
+    if len(entries) < len(values):  # two keys named one quadruple: read the dict
+        return valuation_from_entries(ends, entries)
+    return _completed(ends, entries)
+
+
+def _completed(ends: tuple, entries: Dict[tuple, object]) -> ProjectiveValuation:
+    """The valuation of the entries closed by :func:`complete_pv1`; a repeated end, a bad
+    key, a conflict or a missing quadruple raises TreeError."""
     for i, e in enumerate(ends):
         if e in ends[:i]:
             raise TreeError(f"end {e!r} is listed twice")
-    closed = _close(ends, entries)
-    if closed is not None:
-        pv = ProjectiveValuation(ends, closed[0])
-        vars(pv).update(_values=closed[1], codes=closed[2], _closed_under_pv1=True)
-        return pv
     table, conflicts = complete_pv1(entries)
     quads = list(itertools.permutations(ends, 4))
     missing = [q for q in quads if q not in table]
@@ -273,7 +342,7 @@ def check_pv(pv: ProjectiveValuation) -> PVReport:
     PV1 and PV2 are decided against the view's partners, PV3 by :func:`_cocycle_holds`;
     a failed decision is listed, PV1 and PV2 by a loop over the quadruples, PV3
     by :func:`_cocycle_failures`.  PV1 is not checked on a table that
-    :func:`valuation_from_entries` closed.
+    :func:`valuation_from_lists` or :func:`valuation_from_entries` closed.
     """
     n, (view, cmp, sgn), pv1 = len(pv.ends), _view(pv), not pv._closed_under_pv1
     partners = [get(view) for get in _layout(n).partners]
@@ -413,16 +482,15 @@ def build_datum(pv: ProjectiveValuation, base_triple: Sequence[str]) -> RootedTr
     """
     base = _base_of(pv, base_triple)
     ends, values, (view, cmp, _) = pv.ends, pv._values, _view(pv)
-    n, at, zero = len(ends), _layout(len(ends)).at, zero_like(values[0]) if values else Fraction(0)
+    n, where, zero = len(ends), _layout(len(ends)).where, zero_like(values[0]) if values else Fraction(0)
     floor, rows, order = zero if cmp is compare else 0, {}, functools.cmp_to_key(cmp)
     for a in (a for a, e in enumerate(ends) if e not in base):
         # a's distinguished pair: x, y of the even permutation (x, y, z) of the base whose (x, a, y, z) is largest
         x, y, _ = max(
             ([ends.index(base[i]) for i in perm] for perm in _EVEN_PERMS),
-            key=lambda t: order(view[at[((t[0] * n + a) * n + t[1]) * n + t[2]]]),
+            key=lambda t: order(view[where[t[0], a, t[1], t[2]]]),
         )
-        start = ((x * n + a) * n + y) * n
-        rows[a] = ends[x], ends[y], at[start : start + n]  # (x, a, y, c) over c
+        rows[a] = ends[x], ends[y], [where.get((x, a, y, c)) for c in range(n)]  # (x, a, y, c) over c
 
     def spot(a, c):  # a outside the base: the wedge's position, past the view where it is zero
         x, y, row = rows[a]

@@ -544,6 +544,22 @@ class TestTree:
             code, _ = run_cli(capsys, "tree", "--input", str(path), *argv)
             assert code == EXIT_OK and len(calls) == 1
 
+    def test_one_pass_read_builds_no_name_table(self, capsys, tmp_path, monkeypatch):
+        # a job reads its table on positions: the valuation it checks holds no dict
+        # keyed by name quadruples, and each distinct value is cleared of denominators once
+        from weylkit import lambda_tree as lt
+
+        path = self._write_table(tmp_path, lt.tree_generator(3, 9, "Z")[1])
+        strings = set(json.loads(path.read_text())["values"].values())
+        checked, cleared = [], []
+        check, clear = lt.check_pv, lt._clear_denominators
+        monkeypatch.setattr(lt, "check_pv", lambda pv: checked.append(pv) or check(pv))
+        monkeypatch.setattr(lt, "_clear_denominators", lambda values: cleared.append(len(values)) or clear(values))
+        code, _ = run_cli(capsys, "tree", "--input", str(path))
+        assert code == EXIT_OK and len(checked) == 1
+        assert "table" not in vars(checked[0])
+        assert 0 < sum(cleared) <= len(strings) < 30
+
     @pytest.mark.parametrize("base", ["a,a,b", "a,b,zz", "a,b"])
     def test_bad_base_on_valid_table(self, capsys, tmp_path, base):
         from weylkit import lambda_tree as lt

@@ -200,6 +200,27 @@ def test_shared_valuations_match_a_serial_run(fast_switching):
         assert run_threads(lambda k: job(pvs, k)) == [want] * THREADS
 
 
+def test_table_of_a_cli_read_valuation_derived_by_many_threads(fast_switching):
+    # a valuation the CLI read holds its view and no table; threads that read its
+    # table and its values for the first time, all at once, get the serial table
+    pv = lt.tree_generator(13, 8, "Z2lex")[1]
+    values = {",".join(q): format_scalar(v) for q, v in pv.table.items()}
+    quads = list(pv.table)[::97]
+    want = (list(pv.table.items()), [pv.table[q] for q in quads])
+
+    def job(shared, k):
+        if k % 2:  # value() first, then the table
+            got = [shared.value(*q) for q in quads]
+            return list(shared.table.items()), got
+        table = list(shared.table.items())
+        return table, [shared.value(*q) for q in quads]
+
+    for _ in range(3):
+        shared = lt.valuation_from_lists(pv.ends, *cli._tree_entries(values))
+        assert "table" not in vars(shared)
+        assert run_threads(lambda k: job(shared, k)) == [want] * THREADS
+
+
 @pytest.mark.parametrize("n", [4, 5, 7, 8])
 def test_one_layout_built_by_many_threads(n, fast_switching):
     # a tree job reads its table through the layout of its number of ends, built

@@ -1,16 +1,22 @@
 """Projective valuations, rooted tree data, canonical valuations, base change."""
 
+import contextlib
+import hashlib
+import io
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weylkit import cli
 from weylkit import lambda_tree as lt
-from weylkit.scalars import Infinity, LexPair, QuadInt, compare, lex, sign
+from weylkit.scalars import Infinity, LexPair, QuadInt, compare, format_scalar, lex, sign
 
 
 @pytest.fixture(scope="module")
@@ -826,3 +832,157 @@ class TestCarriedCodes:
             fresh = lt.ProjectiveValuation(pv.ends, dict(pv.table))
             assert "codes" not in vars(fresh)
             assert fresh.codes == pv.codes and lt.check_pv(fresh).ok and len(calls) == 2
+
+
+# --------------------------------------------------------------------------
+# the CLI's one-pass read of a table against a valuation of the full table
+
+
+def _source_table(kind, seed, n_ends):
+    """(ends, full table) of one table source: Z, Q (denominators 2, 3, 6), Z2lex,
+    an H tree over Z[sqrt 2], or a Z or Z2lex table with one zero orbit of another domain."""
+    rng = random.Random(seed)
+    if kind == "h-sqrt2":
+        bar, arm = (QuadInt(rng.randint(0, 4), rng.randint(0, 3), 2) + QuadInt(1, 0, 2) for _ in range(2))
+        pv = lt.h_tree(bar, arm).valuation()
+        return pv.ends, pv.table
+    lam = "Z2lex" if kind in ("Z2lex", "mixed-q") else "Z"
+    pv = lt.tree_generator(seed, n_ends, lam)[1]
+    table = dict(pv.table)
+    if kind.startswith("Q"):
+        table = _map_values(table, lambda w: w / int(kind[1:]))
+    elif kind.startswith("mixed"):
+        other = {"mixed-quadint": QuadInt(0, 0, 2), "mixed-lex": lex(0, 0), "mixed-q": Q(0)}[kind]
+        zeros = sorted(q for q, w in table.items() if sign(w) == 0)
+        if zeros:
+            _set_orbit(table, rng.choice(zeros), other)
+    return pv.ends, table
+
+
+def _cli_values(ends, table, style, rng):
+    """The JSON "values" of a table, in full or one entry per orbit, keys shuffled and some spaced."""
+    quads = list(table) if style == "full" else list(_orbit_entries(table))
+    rng.shuffle(quads)
+    pad = lambda: rng.choice(("", "", " ", "  ", "\t"))
+    return {",".join(pad() + e + pad() for e in q): format_scalar(table[q]) for q in quads}
+
+
+def _write_table(path, ends, values):
+    path.write_text(json.dumps({"ends": list(ends), "values": values}))
+    return path
+
+
+def _tree_job(path, valuation=None):
+    """(exit code, stdout, stderr) of ``tree --input`` on a table file; with ``valuation``,
+    the job checks that valuation in place of the one it reads."""
+    out, err = io.StringIO(), io.StringIO()
+    read = mock.patch.object(lt, "valuation_from_lists", lambda *_: valuation) if valuation else contextlib.nullcontext()
+    with read, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["tree", "--input", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+SOURCES = ("Z", "Q2", "Q3", "Q6", "Z2lex", "h-sqrt2", "mixed-quadint", "mixed-lex", "mixed-q")
+
+
+class TestOnePassRead:
+    """A tree job reads its table in one pass, on positions: every view, report and
+    output equals that of a valuation built from the full table."""
+
+    @pytest.mark.parametrize("kind", SOURCES)
+    @given(seed=st.integers(0, 2**31), n_ends=st.integers(4, 9), style=st.sampled_from(("full", "orbit")),
+           bumped=st.booleans())  # fmt: skip
+    @example(seed=9, n_ends=9, style="full", bumped=False)
+    @example(seed=9, n_ends=9, style="orbit", bumped=False)
+    @settings(max_examples=6, deadline=None)
+    def test_read_against_the_full_table(self, tmp_path_factory, kind, seed, n_ends, style, bumped):
+        ends, table = _source_table(kind, seed, n_ends)
+        rng = random.Random(seed)
+        if bumped:  # a whole orbit moved: PV1 still holds, PV2 or PV3 may not
+            table = bumped_orbit(table, rng.choice(sorted(table)))
+        values = _cli_values(ends, table, style, rng)
+        pv = lt.valuation_from_lists(ends, *cli._tree_entries(values))
+        fresh = lt.ProjectiveValuation(ends, table)
+        assert "table" not in vars(pv)
+        assert repr(pv._values) == repr(fresh._values)
+        assert pv.codes == fresh.codes
+        assert repr(pv.table) == repr(fresh.table) and pv == fresh
+        assert [pv.value(*q) for q in itertools.islice(pv.quadruples(), 0, None, 7)] == [
+            fresh.value(*q) for q in itertools.islice(fresh.quadruples(), 0, None, 7)
+        ]
+        assert _outcome(lt.check_pv, pv) == _outcome(lt.check_pv, fresh)
+        path = _write_table(tmp_path_factory.mktemp("tree") / "table.json", ends, values)
+        assert _tree_job(path) == _tree_job(path, fresh)
+
+    def test_library_entries_take_the_same_read(self):
+        # valuation_from_entries flattens its dict into the two lists the CLI reads
+        ends, table = _source_table("Z2lex", 3, 7)
+        entries = _orbit_entries(table)
+        pv = lt.valuation_from_entries(ends, entries)
+        again = lt.valuation_from_lists(ends, list(itertools.chain(*entries)), list(entries.values()))
+        assert "table" not in vars(pv) and repr(pv._values) == repr(again._values) and pv.codes == again.codes
+
+    def test_one_code_per_distinct_value(self, monkeypatch):
+        # the parse gives equal strings one object, and each object is encoded once
+        ends, table = _source_table("Q6", 4, 9)
+        values = _cli_values(ends, table, "full", random.Random(4))
+        cleared, clear = [], lt._clear_denominators
+        monkeypatch.setattr(lt, "_clear_denominators", lambda vals: cleared.append(len(vals)) or clear(vals))
+        pv = lt.valuation_from_lists(ends, *cli._tree_entries(values))
+        assert cleared == [len(set(values.values()))]
+        assert pv.codes == lt.ProjectiveValuation(ends, table).codes
+
+    # a key that names the quadruple of an earlier key once stripped: the later
+    # value is used, at the earlier key's place, as in a dict of stripped keys
+    H_FULL_SHA = "2201975ce24291f77bc0efb5e15c2d6b038ab4e7501bf06620c409bbf2010485"
+    DUPLICATES = {
+        "full-same": (0, H_FULL_SHA, ""),
+        "full-other": (
+            2,
+            hashlib.sha256(b"").hexdigest(),
+            "weylkit: inconsistent table under the symmetry axiom: [('PV1', ('a', 'b', 'd', 'c'), 'Fraction(-5, 1) vs "
+            "Fraction(0, 1)'), ('PV1', ('b', 'a', 'c', 'd'), 'Fraction(-5, 1) vs Fraction(0, 1)'), ('PV1', ('d', 'c', "
+            "'a', 'b'), 'Fraction(-5, 1) vs Fraction(0, 1)')]\n",
+        ),
+        "orbit-other-later": (1, "df3f494e2708f5931add4d7554e164acf30491764f05b331ac631b0e05ea41c7", ""),
+        "orbit-other-first": (0, H_FULL_SHA, ""),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DUPLICATES))
+    def test_two_keys_naming_one_quadruple_pinned(self, tmp_path, case):
+        pv = lt.h_tree(Q(3), Q(1)).valuation()
+        table = pv.table if case.startswith("full") else _orbit_entries(pv.table)
+        items = [(",".join(q), format_scalar(v)) for q, v in table.items()]
+        assert items[0] == ("a,b,c,d", "0")
+        twin = ("a, b,c,d", "0" if case == "full-same" else "5")
+        items = [twin, *items] if case.endswith("first") else [*items, twin]
+        path = tmp_path / "table.json"
+        # written by hand: a JSON object may hold two keys a dict cannot
+        path.write_text('{"ends": ["a", "b", "c", "d"], "values": {%s}}' % ", ".join(f'"{k}": "{v}"' for k, v in items))
+        code, out, err = _tree_job(path)
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == self.DUPLICATES[case]
+
+    @pytest.mark.parametrize(
+        "ends, values, code, err",
+        [
+            ("", {}, 2, "weylkit: base triple must be three distinct ends\n"),
+            ("", {"a,b,c,d": "0"}, 2, "weylkit: bad quadruple key ('a', 'b', 'c', 'd'): 'a' is not an end\n"),
+            ("a", {}, 2, "weylkit: base triple must be three distinct ends\n"),
+            ("ab", {"a,b,a,b": "0"}, 2, "weylkit: bad quadruple key ('a', 'b', 'a', 'b'): it must name four distinct ends\n"),
+            ("abc", {}, 0, ""),
+            ("abc", {"a,b,c,a": "0"}, 2, "weylkit: bad quadruple key ('a', 'b', 'c', 'a'): it must name four distinct ends\n"),
+        ],
+    )  # fmt: skip
+    def test_few_ends_and_bad_keys_pinned(self, tmp_path, ends, values, code, err):
+        # with four ends or more, TestTree.test_bad_quadruple_keys_rejected pins these refusals
+        out = {  # three ends: no quadruple, and a tree of three ends
+            "ends": ["a", "b", "c"],
+            "pv_ok": True,
+            "rendering": ["root (base triple a, b, c)", "  end a", "  end b", "  end c"],
+            "roundtrip_ok": True,
+            "rt_ok": True,
+            "violations": [],
+        }
+        out = json.dumps(out, sort_keys=True, indent=2) + "\n" if code == 0 else ""
+        assert _tree_job(_write_table(tmp_path / "table.json", ends, values)) == (code, out, err)
+

@@ -265,7 +265,7 @@ def cmd_tree(args) -> int:
     pv = lt.valuation_from_lists(ends, *_tree_entries(data["values"]))
     # the base labels follow the spacing rule of the keys; a base that names
     # no three distinct ends is refused before the table is checked
-    base = lt._base_of(pv, map(str.strip, args.base.split(",")) if args.base else ends[:3])
+    base = lt.checked_base(pv, map(str.strip, args.base.split(",")) if args.base else ends[:3])
     pv_report = lt.check_pv(pv)
     obj = {
         "ends": list(ends),

@@ -10,11 +10,14 @@ of ends (:func:`_layout`).  It decides with ``map`` over ``itemgetter``s and
 loops over the quadruples only to list what a failed decision found.
 
 A partial table, as the ``tree`` command or :func:`valuation_from_entries`
-gives it, is read in one pass (:func:`valuation_from_lists`): the end labels
-of its keys become positions through the layout, each distinct value object
-is encoded and negated once, and the view is closed orbit by orbit.  No dict
-keyed by quadruples of end labels is built; ``ProjectiveValuation.table`` is
-derived from the view when it is first read.
+gives it, has one reader, :func:`valuation_from_lists`, which reads it in one
+pass: the end labels of its keys become positions through the layout, each
+distinct value object is encoded and negated once, and the view is closed
+orbit by orbit.  No dict keyed by quadruples of end labels is built;
+``ProjectiveValuation.table`` is derived from the view when it is first read.
+A table it cannot close is refused by one loop over the entries
+(:func:`_refuse`), which names the first of: an end listed twice, a value
+whose negation or comparison raises, a bad key, a conflict, a missing quadruple.
 """
 
 from __future__ import annotations
@@ -149,56 +152,47 @@ def _pv1_orbit(quad: tuple) -> tuple:
     return plus, ((a, b, d, c), (b, a, c, d), (d, c, a, b), (c, d, b, a))
 
 
-def complete_pv1(entries: Dict[tuple, object]) -> tuple[Dict[tuple, object], list]:
-    """Close a partial quadruple table under the symmetry axiom, writing each entry's orbit in turn;
-    a conflict is a stored value that compares unequal to the one written over it."""
-    table, conflicts = {}, []
-    for quad, val in entries.items():
-        plus, minus = _pv1_orbit(quad)
-        for orbit, v in ((plus, val), (minus, -val)):
-            for q in orbit:
-                if q in table and compare(table[q], v) != 0:
-                    conflicts.append(("PV1", q, f"{table[q]!r} vs {v!r}"))
-                table[q] = v
-    return table, conflicts
+def _refuse(ends: tuple, names: list, values: list) -> None:
+    """Raise what the entries of :func:`valuation_from_lists` break first; return where they break nothing.
 
-
-def _close(ends: tuple, names: list, values: list) -> Optional[tuple]:
-    """``(values, codes)`` of a partial table closed under PV1, orbit by orbit on the layout.
-
-    Entry i is the quadruple ``names[4i : 4i + 4]`` with the value ``values[i]``.
-    Each orbit takes the values its last entry writes, as in :func:`complete_pv1`,
-    and each distinct value object is encoded, negated and compared once.  None
-    where an end is listed twice, a name is not an end, a key repeats an end,
-    two keys name one quadruple or an orbit is missing, or where that loop
-    finds a conflict or raises.
+    Of two entries that name one quadruple, the later value is read at the
+    earlier entry's place.  Each entry is compared, half by half, with what its
+    PV1 orbit's previous entry wrote there: the value, or where the halves of
+    the two entries are swapped, its negation.  The first of these raises: an
+    end listed twice; the first entry whose negation or comparison raises; the
+    first key with a name that is no end (then one that repeats an end); the
+    first three quadruples whose value a later entry contradicts, each as
+    "written vs new"; the first missing quadruple in ``permutations(ends, 4)``.
     """
-    lay, index = _layout(len(ends)), dict(zip(ends, itertools.count()))
-    if len(index) < len(ends):
-        return None
-    try:
-        positions = list(map(lay.where.__getitem__, zip(*[iter(_getter(names)(index))] * 4)))
-    except KeyError:  # a name that is no end, or a key that repeats one
-        return None
-    slots = _getter(positions)(lay.slot)
-    last = dict(zip(map(operator.rshift, slots, itertools.repeat(1)), itertools.count()))  # orbit -> its last entry
-    if len(set(positions)) < len(positions) or 8 * len(last) != len(lay.slot):
-        return None
-    distinct, which = _distinct(values)
-    codes = _encode(distinct)
-    # slot -> the index in signed of the value it takes: its orbit's last entry's, or that negated
-    lasts = _getter(last.values())
-    ref = dict(zip(lasts(slots), lasts(which)))
-    ref.update([(s ^ 1, k + len(distinct)) for s, k in ref.items()])
-    try:
-        signed = distinct + list(map(operator.neg, distinct))
-        keys, cmp = (signed, compare) if codes is None else (codes + list(map(operator.neg, codes)), operator.sub)
-        if any(map(cmp, _getter(which)(keys), _getter(_getter(slots)(ref))(keys))):
-            return None
-    except TypeError:
-        return None
-    closed = _getter(lay.slot)(ref)
-    return list(map(signed.__getitem__, closed)), codes and list(map(keys.__getitem__, closed))
+    for i, e in enumerate(ends):
+        if e in ends[:i]:
+            raise TreeError(f"end {e!r} is listed twice")
+    # previous: orbit -> the minus half, value and negation of the orbit's latest entry
+    entries, previous, conflicts = dict(zip(zip(*[iter(names)] * 4), values)), {}, []
+    for quad, val in entries.items():
+        neg, (plus, minus) = -val, _pv1_orbit(quad)
+        orbit = frozenset(plus + minus)
+        if orbit in previous:
+            p_minus, p_val, p_neg = previous[orbit]
+            swapped = quad in p_minus
+            for half, old, new in ((plus, p_neg if swapped else p_val, val), (minus, p_val if swapped else p_neg, neg)):
+                if compare(old, new) != 0:
+                    conflicts += [("PV1", q, f"{old!r} vs {new!r}") for q in half]
+        elif len(orbit) < 8:  # a key that repeats an end writes a quadruple twice: the two values are compared
+            compare(val, neg)
+        previous[orbit] = minus, val, neg
+    known = set(ends)
+    for quad in entries:
+        outside = [e for e in quad if e not in known]
+        if outside:
+            raise TreeError(f"bad quadruple key {quad}: {outside[0]!r} is not an end")
+        if len(set(quad)) != 4:
+            raise TreeError(f"bad quadruple key {quad}: it must name four distinct ends")
+    if conflicts:
+        raise TreeError(f"inconsistent table under the symmetry axiom: {conflicts[:3]}")
+    for quad in itertools.permutations(ends, 4):
+        if frozenset(itertools.chain(*_pv1_orbit(quad))) not in previous:
+            raise TreeError(f"incomplete table, e.g. {quad}")
 
 
 class ProjectiveValuation:
@@ -271,60 +265,61 @@ class ProjectiveValuation:
 
 
 def valuation_from_entries(ends: Sequence[str], entries: Dict[tuple, object]) -> ProjectiveValuation:
-    """The valuation a partial table determines; a bad end list, key or table raises TreeError.
+    """The valuation of a partial table, read as :func:`valuation_from_lists` reads its keys' names and values.
 
-    A dict whose keys are all tuples of four end labels is read as
-    :func:`valuation_from_lists` reads its two lists; other keys go straight
-    to :func:`_completed`, whose report names them.
+    A key that is not a tuple of four names raises TreeError.
     """
-    if set(map(type, entries)) <= {tuple} and set(map(len, entries)) <= {4}:
-        return valuation_from_lists(ends, list(itertools.chain.from_iterable(entries)), list(entries.values()))
-    return _completed(tuple(ends), entries)
+    for key in entries:
+        if not isinstance(key, tuple) or len(key) != 4:
+            raise TreeError(f"bad quadruple key {key!r}: it must be a tuple of four ends")
+    return valuation_from_lists(ends, list(itertools.chain.from_iterable(entries)), list(entries.values()))
 
 
 def valuation_from_lists(ends: Sequence[str], names: list, values: list) -> ProjectiveValuation:
-    """The valuation of the entries ``names[4i : 4i + 4]`` -> ``values[i]``, read in one pass.
+    """The valuation of the entries ``names[4i : 4i + 4]`` -> ``values[i]``, closed under PV1 in one pass.
 
-    :func:`_close` closes the table.  Where it cannot, the entries go, as a
-    dict in which a later key wins, to :func:`_completed`, whose report names
-    what is wrong.
+    Of two entries that name one quadruple, the later value is read at the
+    earlier entry's place.  Each orbit takes the values its last entry writes,
+    and each distinct value object is encoded, negated and compared once.
+    Each entry must equal its orbit's previous entry; on codes, or on values
+    of one group, that holds exactly when it equals the orbit's last entry.
+    Where that decision fails or cannot be made, :func:`_refuse` decides.
     """
     ends = tuple(ends)
-    closed = _close(ends, names, values)
-    if closed is not None:
-        return ProjectiveValuation._closed(ends, *closed)
-    entries = dict(zip(zip(*[iter(names)] * 4), values))
-    if len(entries) < len(values):  # two keys named one quadruple: read the dict
-        return valuation_from_entries(ends, entries)
-    return _completed(ends, entries)
-
-
-def _completed(ends: tuple, entries: Dict[tuple, object]) -> ProjectiveValuation:
-    """The valuation of the entries closed by :func:`complete_pv1`; a repeated end, a bad
-    key, a conflict or a missing quadruple raises TreeError."""
-    for i, e in enumerate(ends):
-        if e in ends[:i]:
-            raise TreeError(f"end {e!r} is listed twice")
-    table, conflicts = complete_pv1(entries)
-    quads = list(itertools.permutations(ends, 4))
-    missing = [q for q in quads if q not in table]
-    # every key lands in the table, so a table holding exactly the quadruples
-    # of the ends has no bad key; look at the keys only when it does not
-    if conflicts or missing or len(table) != len(quads):
-        known = set(ends)
-        for quad in entries:
-            outside = [e for e in quad if e not in known]
-            if outside:
-                raise TreeError(f"bad quadruple key {quad}: {outside[0]!r} is not an end")
-            if len(set(quad)) != 4:
-                raise TreeError(f"bad quadruple key {quad}: it must name four distinct ends")
-    if conflicts:
-        raise TreeError(f"inconsistent table under the symmetry axiom: {conflicts[:3]}")
-    if missing:
-        raise TreeError(f"incomplete table, e.g. {missing[0]}")
-    pv = ProjectiveValuation(ends, table)
-    vars(pv)["_closed_under_pv1"] = True
-    return pv
+    lay, index = _layout(len(ends)), dict(zip(ends, itertools.count()))
+    refuse = functools.partial(_refuse, ends, names, values)
+    try:
+        positions = list(map(lay.where.__getitem__, zip(*[iter(_getter(names)(index))] * 4)))
+    except KeyError:  # a name that is no end, or a key that repeats one
+        positions = None
+    if positions is None or len(index) < len(ends):
+        refuse()  # raises: a bad key or an end listed twice
+    if len(set(positions)) < len(positions):
+        kept = dict(zip(positions, values))
+        positions, values = list(kept), list(kept.values())
+    slots = _getter(positions)(lay.slot)
+    last = dict(zip(map(operator.rshift, slots, itertools.repeat(1)), itertools.count()))  # orbit -> its last entry
+    distinct, which = _distinct(values)
+    codes = _encode(distinct)
+    # slot -> the index in signed of the value it takes: its orbit's last entry's, or that negated
+    lasts = _getter(last.values())
+    ref = dict(zip(lasts(slots), lasts(which)))
+    ref.update([(s ^ 1, k + len(distinct)) for s, k in ref.items()])
+    try:
+        signed = distinct + list(map(operator.neg, distinct))
+        keys, cmp = (signed, compare) if codes is None else (codes + list(map(operator.neg, codes)), operator.sub)
+        decided = (
+            8 * len(last) == len(lay.slot)  # every orbit is written
+            and (codes is not None or len(set(map(zero_like, distinct))) < 2)
+            and not any(map(cmp, _getter(which)(keys), _getter(_getter(slots)(ref))(keys)))
+        )
+    except TypeError:  # a value without a negation, a zero or a comparison
+        decided = False
+    if not decided:
+        refuse()
+    closed = _getter(lay.slot)(ref)
+    values, codes = list(map(signed.__getitem__, closed)), codes and list(map(keys.__getitem__, closed))
+    return ProjectiveValuation._closed(ends, values, codes)
 
 
 @dataclass(frozen=True)
@@ -454,7 +449,8 @@ class RootedTreeDatum:
         return [self.wedge(a, b) for a, b in itertools.combinations(self.ends, 2)]
 
 
-def _base_of(pv: ProjectiveValuation, base_triple: Sequence[str]) -> tuple:
+def checked_base(pv: ProjectiveValuation, base_triple: Sequence[str]) -> tuple:
+    """The base triple as a tuple; one that names no three distinct ends of pv raises TreeError."""
     base = tuple(base_triple)
     if len(base) != 3 or len(set(base)) != 3 or any(e not in pv.ends for e in base):
         raise TreeError("base triple must be three distinct ends")
@@ -467,7 +463,7 @@ def datum_from_valuation(pv: ProjectiveValuation, base_triple: Sequence[str]) ->
     Validates its input: the base triple first, then pv with one
     :func:`check_pv`; a non-valuation raises :class:`TreeError`.
     """
-    base, report = _base_of(pv, base_triple), check_pv(pv)
+    base, report = checked_base(pv, base_triple), check_pv(pv)
     if not report.ok:
         raise TreeError(f"not a projective valuation: {report.violations[0]}")
     return build_datum(pv, base)
@@ -480,7 +476,7 @@ def build_datum(pv: ProjectiveValuation, base_triple: Sequence[str]) -> RootedTr
     Every wedge is pv's value at a quadruple, or zero, put past the end of
     pv's view: so the datum carries its codes on pv's scale where pv has them.
     """
-    base = _base_of(pv, base_triple)
+    base = checked_base(pv, base_triple)
     ends, values, (view, cmp, _) = pv.ends, pv._values, _view(pv)
     n, where, zero = len(ends), _layout(len(ends)).where, zero_like(values[0]) if values else Fraction(0)
     floor, rows, order = zero if cmp is compare else 0, {}, functools.cmp_to_key(cmp)

@@ -756,6 +756,51 @@ class TestTree:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"weylkit: {message}\n")
 
+    # Tables with two faults: the refusal names the one that comes first in the
+    # order an end listed twice; a value whose negation or comparison raises;
+    # a bad key; a conflict; a missing quadruple.  Each edit sets a key's value
+    # in place, puts a new entry first or last, or drops a key's symmetry orbit.
+    @pytest.mark.parametrize(
+        "ends, edits, message",
+        [
+            ("abcda", [("last", "a,b,c,z", "0")], "end 'a' is listed twice"),
+            ("abcd", [("set", "a,b,c,d", "+inf"), ("last", "a,b,c,z", "0")], "negative infinity is not modeled"),
+            ("abcd", [("first", "a,b,c,z", "0"), ("set", "a,b,c,d", "+inf")], "negative infinity is not modeled"),
+            ("abcd", [("set", "a,b,c,d", "5"), ("last", "a,b,c,z", "0")],
+             "bad quadruple key ('a', 'b', 'c', 'z'): 'z' is not an end"),
+            ("abcd", [("first", "a,a,b,c", "0"), ("set", "c,d,a,b", "5")],
+             "bad quadruple key ('a', 'a', 'b', 'c'): it must name four distinct ends"),
+            ("abcd", [("drop", "a,c,b,d", None), ("set", "a,b,c,d", "5")],
+             "inconsistent table under the symmetry axiom: [('PV1', ('a', 'b', 'd', 'c'), 'Fraction(-5, 1) vs "
+             "Fraction(0, 1)'), ('PV1', ('b', 'a', 'c', 'd'), 'Fraction(-5, 1) vs Fraction(0, 1)'), ('PV1', ('d', "
+             "'c', 'a', 'b'), 'Fraction(-5, 1) vs Fraction(0, 1)')]"),
+            ("abcd", [("set", "a,b,c,d", "1"), ("set", "c,d,a,b", "1+1√2")], "cannot coerce Fraction into Z[sqrt2]"),
+            ("abcd", [("set", "a,b,c,d", "(1;0)"), ("set", "c,d,a,b", "1")], "lex pair compared with non lex pair"),
+        ],
+        ids=["repeated-end+bad-key", "inf+bad-key", "bad-key+inf", "conflict+bad-key", "bad-key+conflict",
+             "missing+conflict", "rational+sqrt2", "lex+rational"],
+    )  # fmt: skip
+    def test_refusal_precedence_pinned(self, capsys, tmp_path, ends, edits, message):
+        import itertools
+
+        from weylkit import lambda_tree as lt
+        from weylkit.scalars import format_scalar
+
+        pv = lt.h_tree(Q(3), Q(1)).valuation()
+        items = [(",".join(q), format_scalar(v)) for q, v in pv.table.items()]
+        for where, key, val in edits:
+            if where == "set":
+                items = [(k, val if k == key else v) for k, v in items]
+            elif where == "drop":
+                orbit = {",".join(q) for q in itertools.chain(*lt._pv1_orbit(tuple(key.split(","))))}
+                items = [(k, v) for k, v in items if k not in orbit]
+            else:
+                items = [(key, val), *items] if where == "first" else [*items, (key, val)]
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"ends": list(ends), "values": dict(items)}))
+        assert main(["tree", "--input", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"weylkit: {message}\n")
+
 
 class TestSr:
     def test_norm_case_b(self, capsys):

@@ -321,23 +321,35 @@ class TestGenerator:
             lt.tree_generator(0, 3)
 
 
+# one entry on each of the three symmetry orbits of four ends
+ORBITS = {("a", "b", "c", "d"): Q(2), ("a", "c", "b", "d"): Q(0), ("a", "d", "b", "c"): Q(-2)}
+
+
 class TestCompletion:
     def test_orbit_completion(self):
-        table, conflicts = lt.complete_pv1({("a", "b", "c", "d"): Q(2)})
-        assert not conflicts
+        table = lt.valuation_from_entries(tuple("abcd"), ORBITS).table
         assert table[("c", "d", "a", "b")] == Q(2)
         assert table[("a", "b", "d", "c")] == Q(-2)
         assert table[("b", "a", "c", "d")] == Q(-2)
+        assert_read_as_reference(tuple("abcd"), ORBITS)
 
     def test_conflicts_detected(self):
-        _, conflicts = lt.complete_pv1(
-            {("a", "b", "c", "d"): Q(2), ("c", "d", "a", "b"): Q(3)}
-        )
-        assert conflicts
+        entries = {**ORBITS, ("c", "d", "a", "b"): Q(3)}
+        with pytest.raises(lt.TreeError, match="inconsistent table under the symmetry axiom"):
+            lt.valuation_from_entries(tuple("abcd"), entries)
+        assert_read_as_reference(tuple("abcd"), entries)
 
     def test_incomplete_rejected(self):
         with pytest.raises(lt.TreeError):
             lt.valuation_from_entries(("a", "b", "c", "d", "e"), {("a", "b", "c", "d"): Q(0)})
+
+    @pytest.mark.parametrize("key", ["abcd", ("a", "b", "c"), ("a", "b", "c", "d", "a"), 7], ids=["str", "3", "5", "int"])
+    def test_keys_that_are_not_four_tuples_refused(self, key):
+        # a string of four labels was read as the quadruple of its characters
+        star = lt.star_tree(4, Q(1)).valuation().table
+        with pytest.raises(lt.TreeError) as refused:
+            lt.valuation_from_entries(tuple("abcd"), {**star, key: Q(0)})
+        assert str(refused.value) == f"bad quadruple key {key!r}: it must be a tuple of four ends"
 
 
 def test_render_contains_every_end(h_pv):
@@ -408,6 +420,35 @@ def reference_complete_pv1(entries):
                 conflicts.append(("PV1", q, f"{table[q]!r} vs {neg!r}"))
             table[q] = neg
     return table, conflicts
+
+
+def reference_read(ends, entries):
+    """The entries closed by reference_complete_pv1, as a table in quadruples() order; an end listed
+    twice, a raise, a bad key, a conflict or a missing quadruple is refused, in that order."""
+    for i, e in enumerate(ends):
+        if e in ends[:i]:
+            raise lt.TreeError(f"end {e!r} is listed twice")
+    table, conflicts = reference_complete_pv1(entries)
+    for quad in entries:
+        outside = [e for e in quad if e not in ends]
+        if outside:
+            raise lt.TreeError(f"bad quadruple key {quad}: {outside[0]!r} is not an end")
+        if len(set(quad)) != 4:
+            raise lt.TreeError(f"bad quadruple key {quad}: it must name four distinct ends")
+    if conflicts:
+        raise lt.TreeError(f"inconsistent table under the symmetry axiom: {conflicts[:3]}")
+    missing = [q for q in itertools.permutations(ends, 4) if q not in table]
+    if missing:
+        raise lt.TreeError(f"incomplete table, e.g. {missing[0]}")
+    return {q: table[q] for q in itertools.permutations(ends, 4)}
+
+
+def assert_read_as_reference(ends, entries):
+    """valuation_from_entries's table, or what it raised, equals reference_read's; returns it
+    (the table's repr, or the exception's type name and message)."""
+    got = _outcome(lambda: repr(lt.valuation_from_entries(ends, entries).table))
+    assert got == _outcome(lambda: repr(reference_read(ends, entries)))
+    return got
 
 
 def reference_datum_axiom_violations(datum):
@@ -522,7 +563,7 @@ def _z_sqrt2(pv):
 
 
 class TestEncodedAgainstValues:
-    """check_pv, roundtrip_check, complete_pv1 and datum_axiom_violations give the
+    """check_pv, roundtrip_check, the read of entries and datum_axiom_violations give the
     reports of the loops on values, on tables and datums the encoding covers and on
     those it does not."""
 
@@ -601,11 +642,7 @@ class TestEncodedAgainstValues:
             keys = sorted(entries)
             rng.shuffle(keys)
             entries = {q: entries[q] for q in keys[: rng.randint(1, len(keys))]}
-        table, conflicts = lt.complete_pv1(entries)
-        want_table, want_conflicts = reference_complete_pv1(entries)
-        assert conflicts == want_conflicts
-        assert list(table) == list(want_table)
-        assert repr(table) == repr(want_table)
+        assert_read_as_reference(pv.ends, entries)
 
     @pytest.mark.parametrize("kind", tuple(k for k in KINDS if k != "quadint") + ("star",))
     @given(case=st.tuples(st.integers(0, 2**31), st.integers(4, 9), st.just("Z")))
@@ -627,31 +664,37 @@ class TestEncodedAgainstValues:
             got, want = _outcome(lt.roundtrip_check, other, datum), _outcome(reference_roundtrip_check, other, datum)
             assert repr(got) == repr(want)
         assert lt.datum_axiom_violations(datum) == reference_datum_axiom_violations(datum) == ()
-        entries = _orbit_entries(pv.table) if seed % 2 else dict(pv.table)
-        table, conflicts = lt.complete_pv1(entries)
-        want_table, want_conflicts = reference_complete_pv1(entries)
-        assert conflicts == want_conflicts and repr(table) == repr(want_table)
+        assert_read_as_reference(pv.ends, _orbit_entries(pv.table) if seed % 2 else dict(pv.table))
 
     def test_degenerate_keys_take_the_loop(self):
         # a key repeating an end inside a pair is an orbit whose two halves meet
         for val in (Q(0), Q(2)):
-            entries = {("a", "a", "b", "c"): val, ("a", "b", "c", "d"): Q(1)}
-            assert lt.complete_pv1(entries) == reference_complete_pv1(entries)
+            entries = {("a", "a", "b", "c"): val, **ORBITS}
+            assert assert_read_as_reference(tuple("abcd"), entries)[0] == "TreeError"
 
     def test_meeting_halves_are_rewritten(self):
-        # (a, a, c, b) holds -2 after the first write, yet rewriting its orbit reports four conflicts
-        entries = {("a", "a", "b", "c"): Q(2), ("a", "a", "c", "b"): Q(-2)}
-        table, conflicts = lt.complete_pv1(entries)
-        want_table, want_conflicts = reference_complete_pv1(entries)
-        assert len(conflicts) == 8 and conflicts == want_conflicts
-        assert repr(table) == repr(want_table)
+        # (a, a, c, b) holds -2 after the first write, yet rewriting its orbit makes eight
+        # conflicts; the key that repeats an end is named ahead of them
+        entries = {("a", "a", "b", "c"): Q(2), ("a", "a", "c", "b"): Q(-2), **ORBITS}
+        assert len(reference_complete_pv1(entries)[1]) == 8
+        got = assert_read_as_reference(tuple("abcd"), entries)
+        assert got == ("TreeError", "bad quadruple key ('a', 'a', 'b', 'c'): it must name four distinct ends")
 
     def test_equal_values_of_two_types_are_rewritten(self):
         # 2 and Fraction(2) compare equal but print differently: the later entry's orbit is rewritten
         for later in (2, Q(2)):
-            entries = {("a", "b", "c", "d"): Q(2), ("c", "d", "a", "b"): later}
-            table, conflicts = lt.complete_pv1(entries)
-            assert (repr(table), conflicts) == (repr(reference_complete_pv1(entries)[0]), [])
+            entries = {**ORBITS, ("c", "d", "a", "b"): later}
+            assert_read_as_reference(tuple("abcd"), entries)
+            assert type(lt.valuation_from_entries(tuple("abcd"), entries).value("a", "b", "c", "d")) is type(later)
+
+    @pytest.mark.parametrize("order, accepted", [((QuadInt(0, 0, 2), 0, Q(0)), True), ((QuadInt(0, 0, 2), Q(0), 0), False)])
+    def test_each_entry_meets_its_orbits_previous_entry(self, order, accepted):
+        # 0 compares with Z[sqrt 2] and with Q, yet those two do not compare: an orbit written
+        # 0+0√2, 0, Fraction(0) is read, and one written 0+0√2, Fraction(0), 0 is refused
+        entries = dict(zip([("a", "b", "c", "d"), ("b", "a", "d", "c"), ("c", "d", "a", "b")], order))
+        entries.update({("a", "c", "b", "d"): Q(0), ("a", "d", "b", "c"): Q(0)})
+        got = assert_read_as_reference(tuple("abcd"), entries)
+        assert isinstance(got, str) is accepted
 
 
 class TestWorkCounts:

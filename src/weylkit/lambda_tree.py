@@ -286,14 +286,15 @@ def valuation_from_lists(ends: Sequence[str], names: list, values: list) -> Proj
     Where that decision fails or cannot be made, :func:`_refuse` decides.
     """
     ends = tuple(ends)
-    lay, index = _layout(len(ends)), dict(zip(ends, itertools.count()))
+    index = dict(zip(ends, itertools.count()))
     refuse = functools.partial(_refuse, ends, names, values)
+    if len(index) < len(ends):
+        refuse()  # raises: an end listed twice, before a layout is built for them
+    lay = _layout(len(ends))
     try:
         positions = list(map(lay.where.__getitem__, zip(*[iter(_getter(names)(index))] * 4)))
     except KeyError:  # a name that is no end, or a key that repeats one
-        positions = None
-    if positions is None or len(index) < len(ends):
-        refuse()  # raises: a bad key or an end listed twice
+        refuse()  # raises: a bad key
     if len(set(positions)) < len(positions):
         kept = dict(zip(positions, values))
         positions, values = list(kept), list(kept.values())
@@ -342,7 +343,7 @@ def check_pv(pv: ProjectiveValuation) -> PVReport:
     n, (view, cmp, sgn), pv1 = len(pv.ends), _view(pv), not pv._closed_under_pv1
     partners = [get(view) for get in _layout(n).partners]
     try:  # values in two groups, or in none, skip the decisions: the listings raise as the loops do
-        decide = cmp is not compare or len(set(map(zero_like, view))) < 2
+        decide = cmp is not compare or len(set(map(zero_like, dict(zip(map(id, view), view)).values()))) < 2
     except ScalarDomainError:
         decide = False
     pv12 = pv3 = False

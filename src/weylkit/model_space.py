@@ -34,8 +34,8 @@ def point_sub(x, y):
 
 
 def distance(rs: RootSystem, x, y):
-    """d(x, y) = sum over positive roots of |<y - x, alpha^>|."""
-    return rs.coroot_forms.abs_sum(point_sub(y, x))
+    """d(x, y) = sum over positive roots of |<y - x, alpha^>|, on the cleared numerators of y and x."""
+    return rs.coroot_forms.abs_sum(y, x)
 
 
 def hyperplane_coords(rs: RootSystem, x) -> tuple:

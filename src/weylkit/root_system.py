@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Dict, Sequence, Tuple
 
 from .scalars import (
@@ -99,7 +99,9 @@ class LinearForms:
     LexPair gives hi and lo separately -- clears one common denominator D
     of those, takes integer dot products and builds each result once as
     m / (D E), of the same value and type as the per-term sum.  Rows over a
-    number field must have all their entries in that field.
+    number field must have all their entries in that field.  ``abs_sum``
+    takes a difference x - y the same way: x and y are cleared over one D
+    and their integer numerators subtracted.
 
     Any other vector (QuadInt, a foreign field, mixed domains) takes the
     per-term ``scalar_mul`` loop, which defines the result.  ``scale``
@@ -145,40 +147,48 @@ class LinearForms:
         flat, den = _integer_rows([[col[r] for block in row for col in block] for row in blocks for r in range(d)])
         return tuple(flat[i * d : (i + 1) * d] for i in range(len(blocks))), den
 
-    def _images(self, vals):
-        """(integer images, den): row i applied to vals is images[i] / den.
+    def _images(self, vals, minus=None):
+        """(integer images, den): row i applied to vals - minus is images[i] / den.
 
         An image is an int for rational rows and a tuple of coefficients for
-        field rows.  None when vals are not in the rows' domain.
+        field rows.  vals and minus (of the same length) are cleared over one
+        denominator and their integer numerators subtracted, so no difference
+        is built.  None when they are not in the rows' domain.
         """
         if self._int is None:
             return None
-        parts = _clear_denominators(vals)
         field = self.field
-        if parts is not None:
-            nums, den = parts
-            if field is None:
-                return [sum(map(mul, row, nums)) for row in self._int], den * self._den
-            return [tuple(sum(map(mul, r, nums)) for r in rows) for rows in self._int], den * self._den
-        if field is None:
+        both = vals if minus is None else [*vals, *minus]
+        parts = _clear_denominators(both)
+        rows, row_den = self._int, self._den
+        if parts is None and field is not None:
+            flat = self._flat(both)
+            parts = None if flat is None else _clear_denominators(flat)
+            rows, row_den = self._field_rows
+        if parts is None:
             return None
-        pad = (0,) * (field.degree - 1)
+        nums, den = parts
+        if minus is not None:
+            half = len(nums) // 2
+            nums = list(map(sub, nums[:half], nums[half:]))
+        if field is None:
+            return [sum(map(mul, row, nums)) for row in rows], den * row_den
+        return [tuple(sum(map(mul, r, nums)) for r in block) for block in rows], den * row_den
+
+    def _flat(self, vals):
+        """The coefficients of field points, a rational filling the first of its slots; None off the field."""
+        pad = (0,) * (self.field.degree - 1)
         flat = []
         for v in vals:
             t = type(v)
-            if t is NFElem and v.field is field:
+            if t is NFElem and v.field is self.field:
                 flat.extend(v.coeffs)
             elif t is Fraction or t is int:
                 flat.append(v)
                 flat.extend(pad)
             else:
                 return None
-        parts = _clear_denominators(flat)
-        if parts is None:
-            return None
-        nums, den = parts
-        rows, row_den = self._field_rows
-        return [tuple(sum(map(mul, r, nums)) for r in block) for block in rows], den * row_den
+        return flat
 
     def _build(self, m, den):
         if self.field is None:
@@ -190,12 +200,15 @@ class LinearForms:
             return (m > 0) - (m < 0)
         return self.field.int_sign(m)
 
-    def _components(self, x):
-        """[(images, den)] for x, or for the hi and the lo parts of lex pairs; None off the kernel."""
-        if x and all(type(v) is LexPair for v in x):
-            parts = [self._images([v.hi for v in x]), self._images([v.lo for v in x])]
+    def _components(self, x, minus=None):
+        """[(images, den)] for x - minus, or for the hi and the lo parts of lex pairs; None off the kernel."""
+        if minus is not None and len(minus) != len(x):
+            return None  # the coordinate-wise difference truncates, as zip does
+        points = (x,) if minus is None else (x, minus)
+        if x and all(type(v) is LexPair for p in points for v in p):
+            parts = [self._images(*([v.hi for v in p] for p in points)), self._images(*([v.lo for v in p] for p in points))]
         else:
-            parts = [self._images(x)]
+            parts = [self._images(*points)]
         return None if None in parts else parts
 
     def _per_term(self, x) -> tuple:
@@ -216,10 +229,16 @@ class LinearForms:
         values = [[self._build(m, den) for m in images] for images, den in parts]
         return tuple(map(LexPair, *values)) if len(parts) == 2 else tuple(values[0])
 
-    def abs_sum(self, x):
-        """sum_i |row_i . x|, every absolute value decided on the integer images."""
-        parts = self._components(x)
+    def abs_sum(self, x, minus=None):
+        """sum_i |row_i . (x - minus)|, every absolute value decided on the integer images.
+
+        Without ``minus`` the sum is taken on x.  A pair off the kernel takes
+        the difference ``x_i - minus_i`` coordinate by coordinate first.
+        """
+        parts = self._components(x, minus)
         if parts is None:
+            if minus is not None:
+                return self.abs_sum(tuple(a - b for a, b in zip(x, minus)))
             acc = zero_like(x[0]) if x else Fraction(0)
             for v in self._per_term(x):
                 acc = acc + abs(v)

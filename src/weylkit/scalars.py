@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
+from operator import sub
 from typing import Optional, Sequence, Tuple, Union
 
 
@@ -345,7 +346,13 @@ class NFElem(Ordered):
             return self.field.elem([Fraction(other)])
         raise ScalarDomainError(f"cannot coerce {type(other).__name__} into {self.field.name}")
 
+    # A rational operand of + and - moves only the constant coefficient, so it
+    # is not coerced into the field (which reduces by the minimal polynomial).
+
     def __add__(self, other):
+        if type(other) is Fraction or type(other) is int:
+            c = self.coeffs
+            return NFElem(self.field, (c[0] + other, *c[1:]))
         o = self._coerce(other)
         return NFElem(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
 
@@ -355,10 +362,16 @@ class NFElem(Ordered):
         return NFElem(self.field, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
+        if type(other) is Fraction or type(other) is int:
+            c = self.coeffs
+            return NFElem(self.field, (c[0] - other, *c[1:]))
         o = self._coerce(other)
         return NFElem(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
 
     def __rsub__(self, other):
+        if type(other) is Fraction or type(other) is int:
+            c = self.coeffs
+            return NFElem(self.field, (other - c[0], *(-a for a in c[1:])))
         return (-self) + other
 
     def __mul__(self, other):
@@ -410,6 +423,23 @@ class NFElem(Ordered):
 
     def sign(self) -> int:
         return self.field.int_sign(_clear_denominators(self.coeffs)[0])
+
+    def _cmp(self, other) -> int:
+        # the sign of the difference, taken on the integer numerators of both
+        # coefficient tuples over one denominator: no difference is built
+        c = self.coeffs
+        if type(other) is NFElem and other.field is self.field:
+            parts = _clear_denominators(c + other.coeffs)
+            if parts is not None:
+                nums = parts[0]
+                return self.field.int_sign(list(map(sub, nums[: len(c)], nums[len(c) :])))
+        elif type(other) is Fraction or type(other) is int:
+            parts = _clear_denominators((*c, other))  # a rational is its constant coefficient
+            if parts is not None:
+                nums = parts[0]
+                nums[0] -= nums.pop()
+                return self.field.int_sign(nums)
+        return Ordered._cmp(self, other)  # +inf, another domain or field, or a coefficient off Q
 
     def __eq__(self, other):
         try:

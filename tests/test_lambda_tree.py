@@ -1029,3 +1029,23 @@ class TestOnePassRead:
         out = json.dumps(out, sort_keys=True, indent=2) + "\n" if code == 0 else ""
         assert _tree_job(_write_table(tmp_path / "table.json", ends, values)) == (code, out, err)
 
+
+    def test_an_end_listed_twice_builds_no_layout(self):
+        # the refusal comes before the layout of the 17 listed ends is built and cached
+        ends = [*"abcdefghijklmnop", "a"]
+        before = lt._layout.cache_info().currsize
+        with pytest.raises(lt.TreeError, match="^end 'a' is listed twice$"):
+            lt.valuation_from_lists(ends, [], [])
+        assert lt._layout.cache_info().currsize == before
+
+    def test_one_zero_per_distinct_value_object(self, monkeypatch):
+        # a Z[sqrt 2] table read from text shares one object per value string, and
+        # check_pv asks each object once for its zero, not each of the 3,024 quadruples
+        _, pv = lt.tree_generator(5, 9, "Z")
+        table = _map_values(pv.table, lambda w: QuadInt(int(w), int(w), 2))
+        values = _cli_values(pv.ends, table, "full", random.Random(5))
+        pv = lt.valuation_from_lists(pv.ends, *cli._tree_entries(values))
+        zeros, zero_like = [], lt.zero_like
+        monkeypatch.setattr(lt, "zero_like", lambda v: zeros.append(v) or zero_like(v))
+        assert lt.check_pv(pv).ok
+        assert 0 < len(zeros) == len({id(v) for v in pv._values}) < len(pv._values) // 100

@@ -17,6 +17,7 @@ from test_root_system import (
     reference_apply,
     reference_bilinear,
     reference_pairing,
+    typed,
 )
 
 from weylkit import model_space as ms
@@ -183,6 +184,72 @@ class TestLinearFormKernel:
         x = (QuadInt(1, 0, 2), QuadInt(0, 0, 2), QuadInt(1, 0, 2))
         assert ms.hyperplane_coords(rs, x)[1] == QuadInt(-1, 0, 2)
         assert ms.hyperplane_coords(rs, x) == reference_hyperplane_coords(rs, x)
+
+
+def result_or_error(f, *args):
+    """typed(f(*args)), or the type and the message of what it raises."""
+    try:
+        return typed(f(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def draw_mixed_point(data, rs):
+    """Per coordinate, a rational or a coordinate of a translated Weyl image (an NFElem in I2(n))."""
+    q, image = draw_point(data, rs, "q"), draw_point(data, rs, "image")
+    return tuple(data.draw(st.sampled_from(pair)) for pair in zip(q, image))
+
+
+DIFFERENCE_LABELS = ("A2", "B2", "G2", "F4", "I2(5)", "I2(8)")
+
+
+class TestDistanceOnTheDifference:
+    """distance clears x and y over one denominator and subtracts their numerators:
+    its value, type and errors are those of the sum on the difference point."""
+
+    @staticmethod
+    def on_the_difference(rs, x, y):
+        return rs.coroot_forms.abs_sum(ms.point_sub(y, x))
+
+    @pytest.mark.parametrize("label", DIFFERENCE_LABELS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_distance_is_the_sum_on_the_difference(self, label, data):
+        rs = build(label)
+        x, y = (
+            draw_mixed_point(data, rs) if kind == "mixed" else draw_point(data, rs, kind)
+            for kind in (data.draw(st.sampled_from((*POINT_KINDS, "mixed"))) for _ in range(2))
+        )
+        assert result_or_error(ms.distance, rs, x, y) == result_or_error(self.on_the_difference, rs, x, y)
+
+    @pytest.mark.parametrize("label", DIFFERENCE_LABELS)
+    def test_lex_against_rational_raises_as_point_sub(self, label):
+        rs = build(label)
+        q = tuple(Q(k + 1, 2) for k in range(rs.rank))
+        pairs = tuple(lex(k, 1) for k in range(rs.rank))
+        for x, y in ((q, pairs), (pairs, q)):
+            want = result_or_error(ms.point_sub, y, x)
+            assert want == (ScalarDomainError, "lex pair added to non lex pair")
+            assert result_or_error(ms.distance, rs, x, y) == want
+
+    def test_points_of_two_lengths_truncate_as_point_sub(self):
+        rs = build("A2")
+        x, y = (Q(1, 2), Q(3)), (Q(2), Q(-1, 3), Q(5))
+        for a, b in ((x, y), (y, x)):
+            assert result_or_error(ms.distance, rs, a, b) == result_or_error(self.on_the_difference, rs, a, b)
+
+    def test_field_points_take_the_kernel(self, monkeypatch):
+        # I2(8) points with NFElem and Fraction coordinates are split into
+        # coefficients and never reach the per-term loop or a difference
+        rs = build("I2(8)")
+        w = rs.weyl_group()[5]
+        x = w.apply((Q(1, 2), Q(-3)))
+        y = (Q(2, 3), x[1] + Q(1, 5))
+        want = self.on_the_difference(rs, x, y)
+        monkeypatch.setattr(type(rs.coroot_forms), "_per_term", None)
+        monkeypatch.setattr(type(x[0]), "__sub__", None)
+        monkeypatch.setattr(type(x[0]), "__rsub__", None)
+        assert typed(ms.distance(rs, x, y)) == typed(want)
 
 
 def reference_segment_points(rs, x, y):

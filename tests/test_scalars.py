@@ -283,6 +283,94 @@ class TestNumberFieldSign:
             assert (a * b).coeffs == tuple(rem) + (Q(0),) * (field.degree - len(rem))
 
 
+class TestNFElemIntegerPaths:
+    """NFElem compares on the integer numerators of two coefficient tuples, and adds
+    a rational to its constant coefficient: both agree with the arithmetic of the
+    rational coerced through ``field.elem``, which reduces by the minimal polynomial."""
+
+    @pytest.mark.parametrize("field", _sign_fields(), ids=lambda f: f.name)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_order_is_the_sign_of_the_difference(self, field, data):
+        x = data.draw(_field_elems(field))
+        kind = data.draw(st.sampled_from(("elem", "int", "fraction", "near")))
+        if kind == "elem":
+            y = data.draw(_field_elems(field))
+        elif kind == "int":
+            y = data.draw(st.integers(-4, 4))
+        elif kind == "fraction":
+            y = data.draw(_small_rationals())
+        else:  # a rational within 2^-40 of x: its sign needs the enclosures
+            y = Q(round(x.to_float() * 2**40), 2**40)
+        other = y if isinstance(y, NFElem) else field.elem([Q(y)])
+        s = horner_sign(NFElem(field, tuple(a - b for a, b in zip(x.coeffs, other.coeffs))))
+        assert compare(x, y) == s and compare(y, x) == -s
+        assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
+        assert (y < x, y <= x, y > x, y >= x) == (s > 0, s >= 0, s < 0, s <= 0)
+
+    @pytest.mark.parametrize("field", _sign_fields(), ids=lambda f: f.name)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rational_sums_match_the_coerced_ones(self, field, data):
+        x = data.draw(_field_elems(field))
+        q = data.draw(st.one_of(st.integers(-4, 4), _small_rationals(), st.booleans()))
+        c = field.elem([Q(q)])
+        for got, want in ((x + q, x + c), (q + x, c + x), (x - q, x - c), (q - x, c - x)):
+            assert type(got) is NFElem and got.field is field and got == want
+            assert got.coeffs == want.coeffs and all(type(v) is Q for v in got.coeffs)
+            assert hash(got) == hash(want)
+
+    def test_rational_operands_are_not_reduced(self, monkeypatch):
+        import weylkit.scalars as scalars
+
+        x = SQRT_2P2_FIELD.elem([1, Q(1, 2), 0, -3])
+        y = x + SQRT_2P2_FIELD.gen()
+        monkeypatch.setattr(scalars, "poly_divmod", None)  # field.elem can no longer reduce
+        assert [compare(x, q) for q in (-20, Q(-18), 0)] == [1, 1, -1]  # x is about -17.002
+        assert compare(x, y) == -1 and x < y and not y <= x
+        assert (x + Q(1, 3)).coeffs == (Q(4, 3), Q(1, 2), Q(0), Q(-3))
+        assert (2 - x).coeffs == (Q(1), Q(-1, 2), Q(0), Q(3))
+        assert (Q(1, 3) + x - 1 + x).coeffs == (Q(4, 3), Q(1), Q(0), Q(-6))
+
+    @pytest.mark.parametrize("field", _sign_fields(), ids=lambda f: f.name)
+    def test_foreign_operands_keep_their_results_and_errors(self, field):
+        x = field.elem([1, Q(1, 2)])
+        coerce = {name: (ScalarDomainError, f"cannot coerce {name} into {field.name}") for name in ("Infinity", "LexPair", "QuadInt", "float")}
+        lex_cmp = (ScalarDomainError, "lex pair compared with non lex pair")
+        lex_add = (ScalarDomainError, "lex pair added to non lex pair")
+        quad = (ScalarDomainError, "cannot coerce NFElem into Z[sqrt2]")
+        fields = (ScalarDomainError, "elements of different number fields")
+        other_field = SQRT3_FIELD if field is not SQRT3_FIELD else SQRT2_FIELD
+        ops = (
+            lambda o: compare(x, o),
+            lambda o: compare(o, x),
+            lambda o: x < o,
+            lambda o: o < x,
+            lambda o: x + o,
+            lambda o: o + x,
+            lambda o: x - o,
+            lambda o: o - x,
+            lambda o: x == o,
+        )
+        # compare(x, o), compare(o, x), x < o, o < x, x + o, o + x, x - o, o - x, x == o
+        cases = {
+            INF: (-1, 1, True, False, coerce["Infinity"], INF, coerce["Infinity"], coerce["Infinity"], False),
+            lex(1): (coerce["LexPair"], lex_cmp, coerce["LexPair"], lex_cmp, coerce["LexPair"], lex_add, coerce["LexPair"], lex_add, False),
+            LexPair(x, x): (coerce["LexPair"], lex_cmp, coerce["LexPair"], lex_cmp, coerce["LexPair"], lex_add, coerce["LexPair"], lex_add, False),
+            QuadInt(1, 1, 2): (coerce["QuadInt"], quad, coerce["QuadInt"], quad, coerce["QuadInt"], quad, coerce["QuadInt"], quad, False),
+            other_field.gen(): (fields,) * 8 + (False,),
+            1.5: (coerce["float"],) * 8 + (False,),
+        }  # fmt: skip
+        for other, want in cases.items():
+            got = []
+            for op in ops:
+                try:
+                    got.append(op(other))
+                except Exception as exc:
+                    got.append((type(exc), str(exc)))
+            assert tuple(got) == want, other
+
+
 @given(
     st.integers(-50, 50),
     st.integers(-50, 50),

@@ -11,10 +11,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import prod
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence
 
-from .root_system import RootSystem
+from .root_system import RootSystem, _orbit_walk
 from .scalars import ScalarDomainError, _clear_denominators, compare, sign
 
 
@@ -169,43 +169,26 @@ def _coset_words(rs: RootSystem, xn, steps) -> dict:
     return words
 
 
-def _coset_reflections(rs: RootSystem, xn, steps) -> list:
-    """(alpha, row) for the positive roots whose reflection keeps the coset of x = xn / den.
+def _coset_system(rs: RootSystem, xn, steps) -> tuple:
+    """(rows, system): the simple system of the stabilizer of the coset of x = xn / den, and its co-root rows.
 
-    row holds the pairing <., alpha^>, so s_alpha moves y by -<y, alpha^> alpha.
-    These reflections generate the stabilizer of the coset in W: it is the
-    image of the stabilizer of x in the affine Weyl group, which the
-    reflections fixing x generate (Bourbaki, *Lie Groups and Lie Algebras*
-    V.3.3).
+    A positive root alpha keeps the coset when s_alpha moves x by a co-root
+    lattice vector, -<x, alpha^> alpha.  These reflections generate the
+    stabilizer of the coset in W: it is the image of the stabilizer of x in
+    the affine Weyl group, which the reflections fixing x generate
+    (Bourbaki, *Lie Groups and Lie Algebras* V.3.3).  So the stabilizer is a
+    reflection group whose positive roots are the kept ones (M. Dyer,
+    *Reflection subgroups of Coxeter systems*, J. Algebra 1990), and its
+    simple roots are the kept positive roots that are not the sum of two
+    kept positive roots.  rows[k] holds the pairing <., beta_k^> of simple
+    root beta_k; the system is laid out as ``root_system._reflect`` reads it.
     """
-    out = []
-    for alpha, row in zip(rs.positive_roots, rs.coroot_forms.rows):
-        alpha, row = tuple(map(int, alpha)), tuple(map(int, row))
-        p = sum(map(mul, row, xn))
-        if all(p * a % s == 0 for a, s in zip(alpha, steps)):
-            out.append((alpha, row))
-    return out
-
-
-def _reflection_orbit(y: tuple, reflections, limit: int) -> list:
-    """The orbit of y under the group that ``reflections`` generate.
-
-    The walk stops at a point past the first ``limit``, so it never holds
-    more than max(limit + 1, 1) points.
-    """
-    orbit = [y]
-    seen = {y}
-    for y in orbit:  # grows while it is read
-        for alpha, row in reflections:
-            p = sum(map(mul, row, y))
-            if p:
-                z = tuple(c - p * a for c, a in zip(y, alpha))
-                if z not in seen:
-                    if len(orbit) > limit:
-                        return orbit
-                    seen.add(z)
-                    orbit.append(z)
-    return orbit
+    positives = [(alpha, tuple(map(int, row))) for alpha, row in zip(rs.integer_positive_roots, rs.coroot_forms.rows)]
+    kept = [(b, r) for b, r in positives if all(sum(map(mul, r, xn)) * a % s == 0 for a, s in zip(b, steps))]
+    roots = {b for b, _ in kept}
+    simple = [(b, r) for b, r in kept if not any(tuple(map(sub, b, a)) in roots for a in roots)]
+    columns = tuple(tuple((j, c) for j, (_, r) in enumerate(simple) if (c := sum(map(mul, r, b)))) for b, _ in simple)
+    return [r for _, r in simple], (tuple(tuple((m, a) for m, a in enumerate(b) if a) for b, _ in simple), columns)
 
 
 def _dominant_candidates(rs: RootSystem, residues, steps, top):
@@ -244,16 +227,17 @@ def enumerate_AQ(rs: RootSystem, x, cap: int = DEFAULT_CAP) -> tuple:
     1998).  So the candidates are the dominant points of the cosets met by
     W.x in the box [0, x+], and the hull points are the points of their
     orbits in the coset of x; each candidate has at least one.  A word of
-    the candidate's coset moves mu into the coset of x, and the reflections
-    that keep that coset give the rest.  It all runs on integer numerators
-    over one denominator, which also clears the co-root steps.  ``cap``
-    bounds the candidates plus the hull points, checked at every point.
+    the candidate's coset moves mu into the coset of x; there it walks to
+    the dominant chamber of the coset's stabilizer (``_coset_system``), whose
+    orbit of it is the rest.  It all runs on integer numerators over one
+    denominator, which also clears the co-root steps.  ``cap`` bounds the
+    candidates plus the hull points, checked at every point the walk yields.
     """
     if not rs.crystallographic:
         raise ModelSpaceError("hull enumeration needs a crystallographic system")
     xp, _ = rs.dominant_rep(x)
     (xn, xpn), steps, den = coroot_numerators(rs, x, xp)
-    reflections = _coset_reflections(rs, xn, steps)
+    rows, system = _coset_system(rs, xn, steps)
     cartan = rs.integer_cartan
     out = []
     states = 0
@@ -264,12 +248,14 @@ def enumerate_AQ(rs: RootSystem, x, cap: int = DEFAULT_CAP) -> tuple:
             y = list(mu)
             for k in reversed(word):
                 y[k] -= sum(map(mul, cartan[k], y))
-            out += _reflection_orbit(tuple(y), reflections, cap - states - len(out))
-            if states + len(out) > cap:
-                raise CapExceeded(
-                    f"hull enumeration exceeded {cap} states "
-                    f"({states} dominant candidates and {len(out)} hull points so far)"
-                )
+            pairs = [sum(map(mul, row, y)) for row in rows]
+            for z in _orbit_walk(y, pairs, system, mul, len(rs.positive_roots) + 1):
+                out.append(z)
+                if states + len(out) > cap:
+                    raise CapExceeded(
+                        f"hull enumeration exceeded {cap} states "
+                        f"({states} dominant candidates and {len(out)} hull points so far)"
+                    )
     out.sort()
     value = {c: Fraction(c, den) for c in {c for y in out for c in y}}
     return tuple(tuple(value[c] for c in y) for y in out)

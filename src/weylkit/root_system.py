@@ -348,6 +348,70 @@ def _times_simple_reflection(m, i: int, cartan_row):
 
 
 # --------------------------------------------------------------------------
+# walks over a simple system
+
+
+def _reflect(cur: list, pairs: list, k: int, system, times) -> None:
+    """Reflect ``cur`` in the simple root beta_k of ``system`` in place, with its pairings.
+
+    A simple system is (roots, columns): roots[k] lists the nonzero
+    coordinates (m, a) of beta_k, and columns[k] the nonzero Cartan entries
+    (j, <beta_k, beta_j^>).  ``pairs`` holds the pairings <cur, beta_i^>:
+    s_k moves cur by -p_k beta_k and each pairing by
+    p_j <- p_j - <beta_k, beta_j^> p_k, so no pairing is computed twice.
+    ``times`` multiplies a coefficient into a pairing.
+    """
+    roots, columns = system
+    pk = pairs[k]
+    for m, a in roots[k]:
+        cur[m] = cur[m] - (pk if a == 1 else times(a, pk))
+    for j, c in columns[k]:
+        pairs[j] = pairs[j] - times(c, pk)
+
+
+def _dominance_walk(cur: list, pairs: list, system, times, bound: int) -> tuple:
+    """Walk ``cur`` into the dominant chamber of ``system`` in place; the word, last letter applied first.
+
+    Each step reflects in the first simple root with a negative pairing
+    (``_reflect``); ``bound`` exceeds the number of positive roots, the
+    length of the longest walk.
+    """
+    word = ()
+    for _ in range(bound):
+        k = next((i for i, p in enumerate(pairs) if sign(p) < 0), None)
+        if k is None:
+            return word
+        _reflect(cur, pairs, k, system, times)
+        word = (k, *word)
+    raise RootSystemError("dominance walk did not terminate")  # pragma: no cover
+
+
+def _orbit_walk(point, pairs, system, times, bound: int):
+    """Each point of the orbit of ``point`` under ``system`` once, in tree order, from the dominant one.
+
+    The parent of a point off the dominant chamber is the first step of its
+    ``_dominance_walk``: its image in the first beta_k with a negative
+    pairing.  So the children of p are the s_k p with <p, beta_k^> > 0 whose
+    pairings with beta_1^ ... beta_{k-1}^ are all >= 0 (D. M. Snow, *Weyl
+    group orbits*, ACM TOMS 16, 1990), and the walk down this tree reaches
+    each point once, from its parent, with no seen-set.  ``pairs`` holds the
+    pairings of ``point``; the walk is lazy, so a caller may stop it early.
+    """
+    p, pp = list(point), list(pairs)
+    _dominance_walk(p, pp, system, times, bound)
+    stack = [(p, pp)]
+    while stack:
+        p, pp = stack.pop()
+        yield tuple(p)
+        for k, pk in enumerate(pp):
+            if sign(pk) > 0:
+                y, q = p[:], pp[:]
+                _reflect(y, q, k, system, times)
+                if all(sign(v) >= 0 for v in q[:k]):
+                    stack.append((y, q))
+
+
+# --------------------------------------------------------------------------
 # the root system proper
 
 
@@ -444,11 +508,11 @@ class RootSystem:
             c.denominator == 1 for row in self.cartan for c in row
         ):
             raise RootSystemError(f"non-integral Cartan data for {label}")  # pragma: no cover
-        # column k without its zero entries: (j, <alpha_k, alpha_j^>), as ints when crystallographic
+        # the simple system of the walks: root k is the unit vector e_k, and column k holds
+        # (j, <alpha_k, alpha_j^>) without its zero entries, as ints when crystallographic
         cartan = self.integer_cartan if self.crystallographic else self.cartan
-        self._cartan_columns = tuple(
-            tuple((j, row[k]) for j, row in enumerate(cartan) if not _f_is_zero(row[k])) for k in range(self.rank)
-        )
+        columns = tuple(tuple((j, c) for j, c in enumerate(col) if not _f_is_zero(c)) for col in zip(*cartan))
+        self._simple_system = (tuple(((k, 1),) for k in range(self.rank)), columns)
         #: <x, alpha^> for the simple roots, in order
         self.simple_coroot_forms = LinearForms(self.cartan)
         self.positive_roots = self._positive_closure()
@@ -542,17 +606,10 @@ class RootSystem:
     # -- orbits and dominance ---------------------------------------------
 
     def weyl_orbit(self, x) -> tuple:
-        """The orbit of x lifted into F, sorted: s_i moves only coordinate i, by the pairing <p, alpha_i^>."""
-        x = tuple(scalar_mul(self._f(1), c) for c in x)
-        seen = {x}
-        queue = [x]  # the loop reaches the points appended to it
-        for p in queue:
-            for i, c in enumerate(self.simple_coroot_forms.apply(p)):
-                img = (*p[:i], p[i] - c, *p[i + 1 :])
-                if img not in seen:
-                    seen.add(img)
-                    queue.append(img)
-        return tuple(sorted(seen))
+        """The orbit of x lifted into F, sorted, as ``_orbit_walk`` yields it over the simple roots."""
+        x = [scalar_mul(self._f(1), c) for c in x]
+        pairs = self.simple_coroot_forms.apply(x)
+        return tuple(sorted(_orbit_walk(x, pairs, self._simple_system, scalar_mul, self._expected_positives + 1)))
 
     def dominant_rep(self, x) -> tuple:
         """(x_plus, word) with s_word[0] ... s_word[-1] . x = x_plus dominant.
@@ -572,7 +629,8 @@ class RootSystem:
             cur, word = self.dominant_numerators(nums)
             return tuple(Fraction(n, den) for n in cur), word
         cur = list(x)
-        word = self._walk(cur, list(self.simple_coroot_forms.apply(cur)), self._cartan_columns, scalar_mul)
+        pairs = list(self.simple_coroot_forms.apply(cur))
+        word = _dominance_walk(cur, pairs, self._simple_system, scalar_mul, self._expected_positives + 1)
         return tuple(cur), word
 
     def dominant_numerators(self, nums) -> tuple:
@@ -584,25 +642,7 @@ class RootSystem:
         """
         cur = list(nums)
         pairs = [sum(map(mul, row, cur)) for row in self.integer_cartan]
-        return cur, self._walk(cur, pairs, self._cartan_columns, mul)
-
-    def _walk(self, cur: list, pairs: list, columns, times) -> tuple:
-        """Walk ``cur`` into the dominant chamber in place; the word, last letter applied first.
-
-        ``pairs`` holds the pairings <cur, alpha_i^> and moves with it.
-        """
-        word: list[int] = []
-        for _ in range(len(self.positive_roots) + 1):
-            k = next((i for i, p in enumerate(pairs) if sign(p) < 0), None)
-            if k is None:
-                word.reverse()
-                return tuple(word)
-            pk = pairs[k]
-            cur[k] = cur[k] - pk
-            for j, c in columns[k]:
-                pairs[j] = pairs[j] - times(c, pk)
-            word.append(k)
-        raise RootSystemError("dominance walk did not terminate")  # pragma: no cover
+        return cur, _dominance_walk(cur, pairs, self._simple_system, mul, self._expected_positives + 1)
 
     def is_dominant(self, x) -> bool:
         return all(sign(p) >= 0 for p in self.simple_coroot_forms.apply(x))

@@ -379,6 +379,10 @@ class NFElem(Ordered):
             c = Fraction(other)
             return NFElem(self.field, tuple(a * c for a in self.coeffs))
         o = self._coerce(other)
+        if not any(o.coeffs[1:]):  # a rational factor scales each coefficient, with no reduction
+            return self * o.coeffs[0]
+        if not any(self.coeffs[1:]):
+            return o * self.coeffs[0]
         return self.field.elem(poly_mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
@@ -386,6 +390,9 @@ class NFElem(Ordered):
     def inverse(self) -> "NFElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        if not any(self.coeffs[1:]):
+            # a rational element: its inverse is rational too
+            return NFElem(self.field, (1 / self.coeffs[0], *self.coeffs[1:]))
         # extended Euclid in Q[x] against the minimal polynomial
         r0, r1 = self.field.minpoly, poly_trim(self.coeffs)
         s0, s1 = (), (Fraction(1),)

@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction as Q
 from math import ceil, floor, prod
+from operator import add, mul
 
 import pytest
 from hypothesis import assume, given, reject, settings
@@ -394,21 +395,28 @@ class TestHull:
             ms.enumerate_AQ(rs, x, cap=44)
         assert len(ms.enumerate_AQ(rs, x, cap=45)) == 37
 
+    @staticmethod
+    def _count_drawn_points(monkeypatch) -> list:
+        """Per orbit walk that enumerate_AQ starts, the number of points it draws from the lazy walker."""
+        produced = []
+        real = ms._orbit_walk
+
+        def counted(*args):
+            produced.append(0)
+            for point in real(*args):
+                produced[-1] += 1
+                yield point
+
+        monkeypatch.setattr(ms, "_orbit_walk", counted)
+        return produced
+
     @pytest.mark.parametrize("cap", [0, 1, 10])
     def test_cap_stops_an_orbit_at_its_point(self, cap, monkeypatch):
         # a regular point: the first dominant candidate is x itself, whose
         # orbit holds all 10! elements of W(A9)
         rs = build("A9")
         x = (9, 16, 21, 24, 25, 24, 21, 16, 9)
-        produced = []
-        real = ms._reflection_orbit
-
-        def counted(*args):
-            orbit = real(*args)
-            produced.append(len(orbit))
-            return orbit
-
-        monkeypatch.setattr(ms, "_reflection_orbit", counted)
+        produced = self._count_drawn_points(monkeypatch)
         with pytest.raises(ms.CapExceeded, match=rf"exceeded {cap} states \(1 dominant candidates and \d+ hull points"):
             ms.enumerate_AQ(rs, x, cap=cap)
         assert len(produced) == 1 and produced[0] <= cap + 1
@@ -419,15 +427,7 @@ class TestHull:
         # these caps are crossed inside the orbit of a later candidate, whose
         # walk must stop one point past the cap as the first orbit's does
         rs = build("A2")
-        produced = []
-        real = ms._reflection_orbit
-
-        def counted(*args):
-            orbit = real(*args)
-            produced.append(len(orbit))
-            return orbit
-
-        monkeypatch.setattr(ms, "_reflection_orbit", counted)
+        produced = self._count_drawn_points(monkeypatch)
         with pytest.raises(ms.CapExceeded):
             ms.enumerate_AQ(rs, (Q(3), Q(3)), cap=cap)
         assert len(produced) > 1 and len(produced) + sum(produced) <= cap + 1
@@ -618,6 +618,77 @@ class TestHullAgainstTheBox:
         assert hull[0] == rs.longest_element().apply(xp) and hull[-1] == xp
         assert list(hull) == sorted(hull)
         assert elapsed < 2
+
+
+def reference_coset_reflections(rs, xn, steps) -> list:
+    """(alpha, row) for every positive root whose reflection keeps the coset of x = xn / den.
+
+    row holds the pairing <., alpha^>, so s_alpha moves y by -<y, alpha^> alpha.
+    """
+    out = []
+    for alpha, row in zip(rs.positive_roots, rs.coroot_forms.rows):
+        alpha, row = tuple(map(int, alpha)), tuple(map(int, row))
+        p = sum(map(mul, row, xn))
+        if all(p * a % s == 0 for a, s in zip(alpha, steps)):
+            out.append((alpha, row))
+    return out
+
+
+def reference_reflection_orbit(y: tuple, reflections) -> list:
+    """The orbit of y under the group that ``reflections`` generate, closed with a seen-set."""
+    orbit = [y]
+    seen = {y}
+    for y in orbit:  # grows while it is read
+        for alpha, row in reflections:
+            p = sum(map(mul, row, y))
+            if p:
+                z = tuple(c - p * a for c, a in zip(y, alpha))
+                if z not in seen:
+                    seen.add(z)
+                    orbit.append(z)
+    return orbit
+
+
+@st.composite
+def coset_points(draw, label):
+    """A rational point of ``label``, a special vertex or not.
+
+    Most special vertices of E6 are regular, and the stabilizer of their
+    coset is all of W, so E6 draws a multiple of one co-weight or a point
+    with denominators 2 and 3 instead.
+    """
+    if label != "E6":
+        return draw(small_points(label))
+    if draw(st.booleans()):
+        cw = build(label).fundamental_coweights()[draw(st.integers(0, 5))]
+        return tuple(c * draw(st.sampled_from((-2, -1, 1, 2))) for c in cw)
+    return tuple(draw(st.sampled_from((Q(0), Q(1, 2), Q(-1, 2), Q(1, 3), Q(-2, 3)))) for _ in range(6))
+
+
+_STABILIZER_CAP = 3000
+
+
+class TestCosetStabilizerOrbit:
+    """The walk over the simple roots of a coset's stabilizer against the closure under every reflection keeping it."""
+
+    @pytest.mark.parametrize("label", _HULL_LABELS + ("E6",))
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_walk_is_the_closure_under_the_kept_reflections(self, label, data):
+        rs = build(label)
+        x = data.draw(coset_points(label))
+        (xn,), steps, _ = ms.coroot_numerators(rs, x)
+        rows, system = ms._coset_system(rs, xn, steps)
+        # x itself, and a point of its coset a few co-root steps away
+        shift = [data.draw(st.integers(-2, 2)) * s for s in steps]
+        for y in (xn, tuple(map(add, xn, shift))):
+            pairs = [sum(map(mul, row, y)) for row in rows]
+            walk = ms._orbit_walk(y, pairs, system, mul, len(rs.positive_roots) + 1)
+            walk = list(itertools.islice(walk, _STABILIZER_CAP + 1))
+            if len(walk) > _STABILIZER_CAP:
+                reject()
+            assert len(walk) == len(set(walk))
+            assert set(walk) == set(reference_reflection_orbit(tuple(y), reference_coset_reflections(rs, xn, steps)))
 
 
 @pytest.mark.parametrize("point", ["lex", "field"])

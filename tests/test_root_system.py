@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylkit.root_system import LinearForms, RootSystem, RootSystemError, WeylElement, build, dihedral_cosine_field
+from weylkit.root_system import (
+    LinearForms,
+    RootSystem,
+    RootSystemError,
+    WeylElement,
+    _orbit_walk,
+    build,
+    dihedral_cosine_field,
+)
 from weylkit.scalars import SQRT2_FIELD, LexPair, NFElem, QuadInt, ScalarDomainError, lex, scalar_mul, sign
 
 
@@ -324,7 +332,31 @@ def per_letter_orbit(rs, x):
     return tuple(sorted(seen))
 
 
-_ORBIT_LABELS = ("A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3", "D4", "F4", "I2(5)", "I2(8)")
+_ORBIT_LABELS = ("A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3", "D4", "F4", "E6", "I2(5)", "I2(8)")
+
+
+def orbit_points(rs):
+    """Q, lex and field points of ``rs``, the fundamental co-weights among them.
+
+    Random points of E6 are regular, with all 51,840 elements of W in their
+    orbits, so E6 takes co-weights instead: lex pairs of two of them and a
+    multiple by sqrt 2, whose orbits hold at most 1,080 points.
+    """
+    rng = random.Random(rs.label)
+    cw = rs.fundamental_coweights()
+    if rs.label == "E6":
+        return [
+            *cw,
+            tuple(c * Q(-1, 2) for c in cw[3]),
+            tuple(lex(a, b) for a, b in zip(cw[0], cw[5])),
+            tuple(lex(a, -b) for a, b in zip(cw[1], cw[2])),
+            tuple(scalar_mul(c, SQRT2_FIELD.gen()) for c in cw[4]),
+        ]
+    points = [tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rs.rank)) for _ in range(3)]
+    points += [tuple(lex(rng.randint(-2, 2), Q(rng.randint(-4, 4), 2)) for _ in range(rs.rank)) for _ in range(2)]
+    if rs.crystallographic:
+        points.append(tuple(SQRT2_FIELD.elem([rng.randint(-2, 2), rng.randint(-2, 2)]) for _ in range(rs.rank)))
+    return points + list(cw)
 
 
 class TestWeylOrbit:
@@ -333,15 +365,22 @@ class TestWeylOrbit:
     @pytest.mark.parametrize("label", _ORBIT_LABELS)
     def test_against_the_per_letter_orbit(self, label):
         rs = build(label)
-        rng = random.Random(label)
-        points = [tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rs.rank)) for _ in range(3)]
-        points += [tuple(lex(rng.randint(-2, 2), Q(rng.randint(-4, 4), 2)) for _ in range(rs.rank)) for _ in range(2)]
-        points += rs.fundamental_coweights()
-        for x in points:
+        for x in orbit_points(rs):
             got, want = rs.weyl_orbit(x), per_letter_orbit(rs, x)
             assert got == want and len(got) == len(want)
             if rs.crystallographic:
                 assert typed(got) == typed(want)
+
+    @pytest.mark.parametrize("label", _ORBIT_LABELS)
+    def test_the_walk_yields_each_point_once(self, label):
+        # Snow's tree has no seen-set: the unsorted walk itself must hold no repeat
+        rs = build(label)
+        for x in orbit_points(rs):
+            x = [scalar_mul(rs.simple_roots[0][0], c) for c in x]
+            pairs = rs.simple_coroot_forms.apply(x)
+            walk = list(_orbit_walk(x, pairs, rs._simple_system, scalar_mul, len(rs.positive_roots) + 1))
+            assert len(walk) == len(set(walk)) == len(rs.weyl_orbit(x))
+            assert walk[0] == rs.dominant_rep(x)[0] and tuple(x) in walk
 
     @pytest.mark.parametrize("label,x,size", [("I2(5)", (1, 0), 10), ("I2(8)", (1, 0), 8), ("I2(8)", (3, 4), 16)])
     def test_dihedral_orbit_sizes(self, label, x, size):

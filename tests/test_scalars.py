@@ -1,5 +1,6 @@
 """Ordered-arithmetic tests: exact comparisons against independent oracles."""
 
+import itertools
 import math
 import operator
 import random
@@ -283,6 +284,25 @@ class TestNumberFieldSign:
             assert (a * b).coeffs == tuple(rem) + (Q(0),) * (field.degree - len(rem))
 
 
+def _inverse_fields():
+    from weylkit.root_system import build
+
+    return _sign_fields() + (build("I2(48)").field,)
+
+
+def euclid_inverse(x):
+    """The inverse by extended Euclid in Q[z] against the minimal polynomial, for any nonzero x."""
+    from weylkit.scalars import poly_divmod, poly_mul, poly_trim
+
+    r0, r1 = x.field.minpoly, poly_trim(x.coeffs)
+    s0, s1 = (), (Q(1),)
+    while r1:
+        q, r = poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, tuple(a - b for a, b in itertools.zip_longest(s0, poly_mul(q, s1), fillvalue=0))
+    return x.field.elem([c / r0[0] for c in s0])
+
+
 class TestNFElemIntegerPaths:
     """NFElem compares on the integer numerators of two coefficient tuples, and adds
     a rational to its constant coefficient: both agree with the arithmetic of the
@@ -319,6 +339,36 @@ class TestNFElemIntegerPaths:
             assert type(got) is NFElem and got.field is field and got == want
             assert got.coeffs == want.coeffs and all(type(v) is Q for v in got.coeffs)
             assert hash(got) == hash(want)
+
+    @pytest.mark.parametrize("field", _inverse_fields(), ids=lambda f: f.name)
+    @given(q=st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    @settings(max_examples=30, deadline=None)
+    def test_rational_inverses_match_euclid(self, field, q):
+        if q == 0:
+            return  # test_zero_has_no_inverse
+        x = field.elem([q])
+        got, want = x.inverse(), euclid_inverse(x)
+        assert got.field is field and got.coeffs == want.coeffs and all(type(v) is Q for v in got.coeffs)
+        assert hash(got) == hash(want) == hash(1 / q)
+
+    @pytest.mark.parametrize("field", _inverse_fields(), ids=lambda f: f.name)
+    def test_zero_has_no_inverse(self, field):
+        for zero in (field.zero(), field.elem([0]), field.gen() - field.gen()):
+            with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+                zero.inverse()
+
+    @pytest.mark.parametrize("field", _inverse_fields(), ids=lambda f: f.name)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rational_factors_match_the_reduced_product(self, field, data):
+        from weylkit.scalars import poly_divmod, poly_mul
+
+        x = data.draw(_field_elems(field))
+        c = field.elem([data.draw(_small_rationals())])
+        _, rem = poly_divmod(poly_mul(x.coeffs, c.coeffs), field.minpoly)
+        want = tuple(rem) + (Q(0),) * (field.degree - len(rem))
+        for got in (x * c, c * x):
+            assert got.coeffs == want and all(type(v) is Q for v in got.coeffs)
 
     def test_rational_operands_are_not_reduced(self, monkeypatch):
         import weylkit.scalars as scalars

@@ -16,7 +16,8 @@ every alcove wall acts by an integer matrix G M G^-1 (G the Gram matrix).
 ``to_levels`` and ``from_levels`` are the boundary: they turn rational
 vectors into integer level vectors over one common denominator and back, so
 Fractions are built only for what a public function returns.  The dominance
-walk runs on the integer numerators of a rational point in the same way.
+walk and the orbit walk run on the integer numerators of a rational point in
+the same way.
 """
 
 from __future__ import annotations
@@ -92,16 +93,18 @@ class LinearForms:
     """F-rows applied to Lambda-vectors by integer dot products.
 
     This is the fraction-free scheme of exact linear algebra (Bareiss 1968):
-    the rows are stored once as integers over one common denominator E.
-    Applying them to a vector x splits x into rational components -- a
-    Fraction is one; an NFElem of the rows' field gives its coefficients,
-    acted on through the multiplication matrices of the row entries; a
-    LexPair gives hi and lo separately -- clears one common denominator D
-    of those, takes integer dot products and builds each result once as
-    m / (D E), of the same value and type as the per-term sum.  Rows over a
-    number field must have all their entries in that field.  ``abs_sum``
-    takes a difference x - y the same way: x and y are cleared over one D
-    and their integer numerators subtracted.
+    the rows are stored once as integers over one common denominator E, in
+    one flat tuple -- one row per form over the rationals, and one row per
+    (form, coefficient) over a number field.  ``_read`` splits a point into
+    rational components -- a Fraction is one; an NFElem of the rows' field
+    gives its coefficients, acted on through the multiplication matrices of
+    the row entries; a LexPair gives hi and lo -- clears one common
+    denominator D of all of them in one call and takes integer dot
+    products, so each result is built once as m / (D E), of the same value
+    and type as the per-term sum.  Rows over a number field must have all
+    their entries in that field.  ``abs_sum`` takes a difference x - y in
+    the same call, by subtracting the numerators of y from those of x, and
+    decides every absolute value on the integer images.
 
     Any other vector (QuadInt, a foreign field, mixed domains) takes the
     per-term ``scalar_mul`` loop, which defines the result.  ``scale``
@@ -114,7 +117,7 @@ class LinearForms:
         entries = [c for row in self.rows for c in row]
         scaled = [tuple(c * scale for c in row) for row in self.rows] if scale != 1 else self.rows
         self.field = None
-        self._int = None  # rational rows: integer rows; field rows: per row, one per coefficient
+        self._int = None  # the flat integer rows, over self._den
         if all(type(c) in (Fraction, int) for c in entries):
             self._int, self._den = _integer_rows(scaled)
         elif entries and all(type(c) is NFElem for c in entries):
@@ -122,17 +125,13 @@ class LinearForms:
             if all(c.field is field for c in entries):
                 self.field = field
                 self._scaled = scaled
-                flat, self._den = _integer_rows([c.coeffs for row in scaled for c in row])
-                # row i, coefficient r: the r-th coefficients of the row entries
-                n, d = len(scaled[0]), field.degree
-                self._int = tuple(
-                    tuple(tuple(flat[i * n + j][r] for j in range(n)) for r in range(d))
-                    for i in range(len(scaled))
-                )
+                # form i, coefficient r (a rational point): the r-th coefficients of the entries of row i
+                coeffs = [[c.coeffs[r] for c in row] for row in scaled for r in range(field.degree)]
+                self._int, self._den = _integer_rows(coeffs)
 
     @cached_property
     def _field_rows(self):
-        """Rows acting on the flattened coefficients of field points (built on first use)."""
+        """(rows, den) acting on the flattened coefficients of field points, flat as ``_int`` (built on first use)."""
         field, d = self.field, self.field.degree
 
         def columns(c):
@@ -144,72 +143,46 @@ class LinearForms:
             return cols
 
         blocks = [[columns(c) for c in row] for row in self._scaled]
-        flat, den = _integer_rows([[col[r] for block in row for col in block] for row in blocks for r in range(d)])
-        return tuple(flat[i * d : (i + 1) * d] for i in range(len(blocks))), den
+        return _integer_rows([[col[r] for block in row for col in block] for row in blocks for r in range(d)])
 
-    def _images(self, vals, minus=None):
-        """(integer images, den): row i applied to vals - minus is images[i] / den.
+    def _read(self, x, minus=None):
+        """(images, den) for x - minus, or x: per component, the flat rows applied to it over den.
 
-        An image is an int for rational rows and a tuple of coefficients for
-        field rows.  vals and minus (of the same length) are cleared over one
-        denominator and their integer numerators subtracted, so no difference
-        is built.  None when they are not in the rows' domain.
+        The components are the point, or the hi and the lo parts when every
+        coordinate is a lex pair.  Every value of both operands and both
+        parts is cleared in one call, and the numerators of minus are
+        subtracted from those of x, so no difference is built.  None off
+        the kernel.
         """
-        if self._int is None:
-            return None
-        field = self.field
-        both = vals if minus is None else [*vals, *minus]
-        parts = _clear_denominators(both)
-        rows, row_den = self._int, self._den
-        if parts is None and field is not None:
-            flat = self._flat(both)
-            parts = None if flat is None else _clear_denominators(flat)
+        rows = self._int
+        if rows is None or minus is not None and len(minus) != len(x):
+            return None  # the coordinate-wise difference truncates, as zip does
+        vals = x if minus is None else [*x, *minus]
+        lex = bool(vals) and all(type(v) is LexPair for v in vals)
+        if lex:
+            vals = [v.hi for v in vals] + [v.lo for v in vals]
+        parts = _clear_denominators(vals)
+        row_den = self._den
+        if parts is None and self.field is not None:
+            # field points: each coordinate gives its coefficients, a rational fills the first of its slots
+            field, pad, flat = self.field, (0,) * (self.field.degree - 1), []
+            for v in vals:
+                if type(v) is NFElem and v.field is field:
+                    flat += v.coeffs
+                elif type(v) is Fraction or type(v) is int:
+                    flat += (v, *pad)
+                else:
+                    return None
+            parts = _clear_denominators(flat)
             rows, row_den = self._field_rows
         if parts is None:
             return None
         nums, den = parts
+        k = len(nums) >> lex
+        comps = [nums[:k], nums[k:]] if lex else [nums]
         if minus is not None:
-            half = len(nums) // 2
-            nums = list(map(sub, nums[:half], nums[half:]))
-        if field is None:
-            return [sum(map(mul, row, nums)) for row in rows], den * row_den
-        return [tuple(sum(map(mul, r, nums)) for r in block) for block in rows], den * row_den
-
-    def _flat(self, vals):
-        """The coefficients of field points, a rational filling the first of its slots; None off the field."""
-        pad = (0,) * (self.field.degree - 1)
-        flat = []
-        for v in vals:
-            t = type(v)
-            if t is NFElem and v.field is self.field:
-                flat.extend(v.coeffs)
-            elif t is Fraction or t is int:
-                flat.append(v)
-                flat.extend(pad)
-            else:
-                return None
-        return flat
-
-    def _build(self, m, den):
-        if self.field is None:
-            return Fraction(m, den)
-        return NFElem(self.field, tuple(Fraction(c, den) for c in m))
-
-    def _sign(self, m) -> int:
-        if self.field is None:
-            return (m > 0) - (m < 0)
-        return self.field.int_sign(m)
-
-    def _components(self, x, minus=None):
-        """[(images, den)] for x - minus, or for the hi and the lo parts of lex pairs; None off the kernel."""
-        if minus is not None and len(minus) != len(x):
-            return None  # the coordinate-wise difference truncates, as zip does
-        points = (x,) if minus is None else (x, minus)
-        if x and all(type(v) is LexPair for p in points for v in p):
-            parts = [self._images(*([v.hi for v in p] for p in points)), self._images(*([v.lo for v in p] for p in points))]
-        else:
-            parts = [self._images(*points)]
-        return None if None in parts else parts
+            comps = [list(map(sub, c[: k // 2], c[k // 2 :])) for c in comps]
+        return [[sum(map(mul, row, c)) for row in rows] for c in comps], den * row_den
 
     def _per_term(self, x) -> tuple:
         out = []
@@ -223,19 +196,28 @@ class LinearForms:
 
     def apply(self, x) -> tuple:
         """The values row_i . x, one per row."""
-        parts = self._components(x)
+        parts = self._read(x)
         if parts is None:
             return self._per_term(x)
-        values = [[self._build(m, den) for m in images] for images, den in parts]
-        return tuple(map(LexPair, *values)) if len(parts) == 2 else tuple(values[0])
+        images, den = parts
+        field = self.field
+        if field is None:
+            values = [[Fraction(m, den) for m in img] for img in images]
+        else:
+            d = field.degree
+            values = [[Fraction(c, den) for c in img] for img in images]
+            values = [[NFElem(field, tuple(q[i : i + d])) for i in range(0, len(q), d)] for q in values]
+        return tuple(map(LexPair, *values)) if len(values) == 2 else tuple(values[0])
 
     def abs_sum(self, x, minus=None):
         """sum_i |row_i . (x - minus)|, every absolute value decided on the integer images.
 
         Without ``minus`` the sum is taken on x.  A pair off the kernel takes
-        the difference ``x_i - minus_i`` coordinate by coordinate first.
+        the difference ``x_i - minus_i`` coordinate by coordinate first.  A
+        lex pair takes the sign of its first nonzero part, and a field value
+        the sign ``int_sign`` decides on its coefficients.
         """
-        parts = self._components(x, minus)
+        parts = self._read(x, minus)
         if parts is None:
             if minus is not None:
                 return self.abs_sum(tuple(a - b for a, b in zip(x, minus)))
@@ -243,16 +225,21 @@ class LinearForms:
             for v in self._per_term(x):
                 acc = acc + abs(v)
             return acc
-        signs = [self._sign(m) for m in parts[0][0]]
-        if len(parts) == 2:  # a lex pair takes the sign of its first nonzero part
-            signs = [s or self._sign(m) for s, m in zip(signs, parts[1][0])]
-        values = [self._build(self._signed_sum(images, signs), den) for images, den in parts]
-        return LexPair(*values) if len(parts) == 2 else values[0]
-
-    def _signed_sum(self, images, signs):
-        if self.field is None:
-            return sum(map(mul, signs, images))
-        return tuple(sum(map(mul, signs, coeff)) for coeff in zip(*images))
+        images, den = parts
+        field = self.field
+        if field is None and len(images) == 1:
+            return Fraction(sum(map(abs, images[0])), den)
+        if field is None:
+            signs = [(h > 0) - (h < 0) or (l > 0) - (l < 0) for h, l in zip(*images)]
+            return LexPair(*[Fraction(sum(map(mul, signs, img)), den) for img in images])
+        d, int_sign = field.degree, field.int_sign
+        cut = range(0, len(images[0]), d)
+        signs = [int_sign(images[0][i : i + d]) for i in cut]
+        if len(images) == 2:
+            signs = [s or int_sign(images[1][i : i + d]) for s, i in zip(signs, cut)]
+        sums = [[Fraction(sum(map(mul, signs, img[r::d])), den) for r in range(d)] for img in images]
+        values = [NFElem(field, tuple(c)) for c in sums]
+        return LexPair(*values) if len(values) == 2 else values[0]
 
 
 # --------------------------------------------------------------------------
@@ -606,10 +593,23 @@ class RootSystem:
     # -- orbits and dominance ---------------------------------------------
 
     def weyl_orbit(self, x) -> tuple:
-        """The orbit of x lifted into F, sorted, as ``_orbit_walk`` yields it over the simple roots."""
-        x = [scalar_mul(self._f(1), c) for c in x]
-        pairs = self.simple_coroot_forms.apply(x)
-        return tuple(sorted(_orbit_walk(x, pairs, self._simple_system, scalar_mul, self._expected_positives + 1)))
+        """The orbit of x lifted into F, sorted, as ``_orbit_walk`` yields it over the simple roots.
+
+        A rational point of a rational system walks on its integer numerators
+        over one common denominator, as ``dominant_rep`` does: they sort as
+        the Fractions would, and each distinct numerator becomes one Fraction.
+        """
+        bound = self._expected_positives + 1
+        parts = _clear_denominators(x) if self.field is None else None
+        if parts is None:
+            x = [scalar_mul(self._f(1), c) for c in x]
+            pairs = self.simple_coroot_forms.apply(x)
+            return tuple(sorted(_orbit_walk(x, pairs, self._simple_system, scalar_mul, bound)))
+        nums, den = parts
+        pairs = [sum(map(mul, row, nums)) for row in self.integer_cartan]
+        orbit = sorted(_orbit_walk(nums, pairs, self._simple_system, mul, bound))
+        value = {c: Fraction(c, den) for c in set().union(*orbit)}
+        return tuple(tuple(value[c] for c in p) for p in orbit)
 
     def dominant_rep(self, x) -> tuple:
         """(x_plus, word) with s_word[0] ... s_word[-1] . x = x_plus dominant.

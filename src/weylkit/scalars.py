@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor, lcm
-from operator import sub
+from operator import add, mul, sub
 from typing import Optional, Sequence, Tuple, Union
 
 
@@ -189,6 +190,25 @@ def count_real_roots(a: Sequence[Fraction], lo: Fraction, hi: Fraction) -> int:
     return at_lo - at_hi
 
 
+def _clear_denominators(values: Sequence) -> Optional[tuple[list[int], int]]:
+    """(nums, den) with values[k] == nums[k] / den, den their least common denominator.
+
+    None unless every value is an int or a Fraction (bool, float and the
+    other domains included).  The Fraction slots are read directly, as
+    compare does.
+    """
+    dens = []
+    for v in values:
+        t = type(v)
+        if t is Fraction:
+            dens.append(v._denominator)
+        elif t is not int:
+            return None
+    den = lcm(*dens)
+    nums = [v._numerator * (den // v._denominator) if type(v) is Fraction else v * den for v in values]
+    return nums, den
+
+
 # --------------------------------------------------------------------------
 # real number fields
 
@@ -208,7 +228,9 @@ class NumberField:
     Signs are decided by one integer rule: an element with integer
     coefficients a_k lies between the two dot products of a with dyadic
     enclosures L_k / 2^B <= zeta^k <= U_k / 2^B (rounded outward, kept per
-    precision B).  While the two bounds differ in sign, B doubles.
+    precision B).  While the two bounds differ in sign, B doubles.  The
+    first test, at B = 64, reads the enclosures in midpoint-radius form
+    (S. M. Rump, *Fast and parallel interval arithmetic*, BIT 39, 1999).
     """
 
     def __init__(self, name: str, minpoly: Sequence[Union[int, Fraction]], isolator: tuple[Fraction, Fraction]):
@@ -225,6 +247,7 @@ class NumberField:
         if count_real_roots(self.minpoly, lo, hi) != 1:
             raise ValueError("isolator must contain exactly one real root")
         self.isolator = (lo, hi)
+        self._int_minpoly = _clear_denominators(self.minpoly)[0]  # a positive multiple: the same signs
         self._enclosures: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def reduce(self, p: Sequence[Fraction]) -> Poly:
@@ -277,15 +300,28 @@ class NumberField:
                 hi += ak * l
         return lo, hi
 
+    @cached_property
+    def _midpoint_radius(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(L + U, U - L) of the 64-bit enclosures: twice their midpoints, and their widths."""
+        low, high = self.enclosures(64)
+        return tuple(map(add, low, high)), tuple(map(sub, high, low))
+
     def int_sign(self, a: Sequence[int]) -> int:
         """Exact sign of sum_k a_k zeta^k for integers a_k, k < degree.
 
-        A nonzero element does not vanish at zeta (the minimal polynomial is
-        irreducible), so doubling the precision decides it.
+        At B = 64, s = sum a_k (L_k + U_k) and r = sum |a_k| (U_k - L_k) give
+        the bracket as s - r = 2 lo and s + r = 2 hi, so |s| > r is the
+        bracket's decision.  A nonzero element does not vanish at zeta (the
+        minimal polynomial is irreducible), so doubling the precision decides
+        the rest.
         """
+        mid, rad = self._midpoint_radius
+        s, r = sum(map(mul, a, mid)), sum(map(mul, map(abs, a), rad))
+        if abs(s) > r:
+            return 1 if s > 0 else -1
         if not any(a):
             return 0
-        bits = 64
+        bits = 128
         while bits <= 1 << 16:
             lo, hi = self.bracket(a, bits)
             if lo > 0:
@@ -299,13 +335,23 @@ class NumberField:
         """One bisection step; keeps the endpoint signs of the minimal polynomial."""
         lo, hi = iv
         mid = (lo + hi) / 2
-        if poly_eval(self.minpoly, mid) == 0:
+        at_mid = self._minpoly_sign(mid)
+        if at_mid == 0:
             # nudge off the root; the root is irrational for every shipped field
             # but a custom field may hit it
             mid = (lo + mid) / 2
-        if poly_eval(self.minpoly, lo) * poly_eval(self.minpoly, mid) < 0:
+            at_mid = self._minpoly_sign(mid)
+        if self._minpoly_sign(lo) * at_mid < 0:
             return lo, mid
         return mid, hi
+
+    def _minpoly_sign(self, t: Fraction) -> int:
+        """Sign of the minimal polynomial at t = p / q: of sum_k c_k p^k q^(n-k), one integer Horner pass."""
+        p, q = t.numerator, t.denominator
+        acc, qk = 0, 1
+        for c in reversed(self._int_minpoly):
+            acc, qk = acc * p + c * qk, qk * q
+        return (acc > 0) - (acc < 0)
 
     def minpoly_str(self) -> str:
         parts = []
@@ -670,25 +716,6 @@ def compare(x, y) -> int:
     if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
         return (x > y) - (x < y)
     raise ScalarDomainError(f"mixed-domain comparison: {type(x).__name__} vs {type(y).__name__}")
-
-
-def _clear_denominators(values: Sequence) -> Optional[tuple[list[int], int]]:
-    """(nums, den) with values[k] == nums[k] / den, den their least common denominator.
-
-    None unless every value is an int or a Fraction (bool, float and the
-    other domains included).  The Fraction slots are read directly, as
-    compare does.
-    """
-    dens = []
-    for v in values:
-        t = type(v)
-        if t is Fraction:
-            dens.append(v._denominator)
-        elif t is not int:
-            return None
-    den = lcm(*dens)
-    nums = [v._numerator * (den // v._denominator) if type(v) is Fraction else v * den for v in values]
-    return nums, den
 
 
 def scalar_mul(c, x):

@@ -5,6 +5,7 @@ computation of every lazily derived value, and sets a short switch interval so
 that the interpreter switches threads often inside those computations.
 """
 
+import functools
 import importlib
 import json
 import random
@@ -22,7 +23,7 @@ from weylkit import model_space as ms
 from weylkit import path_model as pm
 from weylkit import root_system
 from weylkit.root_system import RootSystem, build, dihedral_cosine_field
-from weylkit.scalars import QuadInt, format_scalar
+from weylkit.scalars import NumberField, QuadInt, format_scalar
 
 THREADS = 8
 LABELS = ("A2", "B2", "G2", "A3", "I2(8)")
@@ -89,10 +90,14 @@ def test_sign_enclosures_filled_by_many_threads(fast_switching):
     # some signs are left open by the 64-bit enclosures, so wider ones are filled
     assert any(lo <= 0 <= hi for lo, hi in (serial.bracket(a, 64) for a in cases))
     assert len(serial._enclosures) > 1
+    # the first test reads the 64-bit enclosures in midpoint-radius form: a
+    # cached_property, built on first use and published by one assignment
+    assert isinstance(vars(NumberField)["_midpoint_radius"], functools.cached_property)
     for _ in range(6):
         field = dihedral_cosine_field(8)  # quartic: 2 cos(pi/8)
-        assert field.degree == 4
+        assert field.degree == 4 and "_midpoint_radius" not in vars(field)
         assert run_threads(lambda k: [field.elem(a).sign() for a in cases]) == [want] * THREADS
+        assert vars(field)["_midpoint_radius"] == serial._midpoint_radius
 
 
 def points(rs, n=4):

@@ -201,7 +201,7 @@ def draw_mixed_point(data, rs):
     return tuple(data.draw(st.sampled_from(pair)) for pair in zip(q, image))
 
 
-DIFFERENCE_LABELS = ("A2", "B2", "G2", "F4", "I2(5)", "I2(8)")
+DIFFERENCE_LABELS = ("A2", "B2", "G2", "F4", "D4", "I2(5)", "I2(8)", "I2(12)")
 
 
 class TestDistanceOnTheDifference:
@@ -232,6 +232,25 @@ class TestDistanceOnTheDifference:
             want = result_or_error(ms.point_sub, y, x)
             assert want == (ScalarDomainError, "lex pair added to non lex pair")
             assert result_or_error(ms.distance, rs, x, y) == want
+
+    @pytest.mark.parametrize("label", DIFFERENCE_LABELS)
+    def test_lex_wall_points_take_the_sign_of_lo(self, label):
+        # hi parts that differ by a fundamental co-weight (or not at all) pair to 0 with each
+        # co-root off that co-weight's simple root, so the lo parts decide the sign there
+        rs = build(label)
+        rng = random.Random(label)
+        decided_by_lo = 0
+        for k in range(24):
+            x = tuple(lex(Q(rng.randint(-4, 4), 2), Q(rng.randint(-6, 6), rng.randint(1, 3))) for _ in range(rs.rank))
+            shift = rs.fundamental_coweights()[k % rs.rank] if k % 3 else rs.zero_point()
+            y = tuple(lex(a.hi + s, Q(rng.randint(-6, 6), rng.randint(1, 3))) for a, s in zip(x, shift))
+            lo_diff = tuple(b.lo - a.lo for a, b in zip(x, y))
+            for alpha in rs.positive_roots:
+                if sign(reference_pairing(rs, shift, alpha)) == 0:
+                    decided_by_lo += sign(reference_pairing(rs, lo_diff, alpha)) < 0
+            assert typed(ms.distance(rs, x, y)) == typed(reference_distance(rs, x, y))
+            assert typed(rs.coroot_forms.abs_sum(ms.point_sub(y, x))) == typed(reference_distance(rs, x, y))
+        assert decided_by_lo > 0
 
     def test_points_of_two_lengths_truncate_as_point_sub(self):
         rs = build("A2")

@@ -382,6 +382,24 @@ class TestWeylOrbit:
             assert len(walk) == len(set(walk)) == len(rs.weyl_orbit(x))
             assert walk[0] == rs.dominant_rep(x)[0] and tuple(x) in walk
 
+    @pytest.mark.parametrize("label", [label for label in _ORBIT_LABELS if not label.startswith("I2")])
+    def test_rational_points_walk_their_numerators(self, label):
+        # the integer walk of a rational point against the walk on Fractions through scalar_mul,
+        # in value and type: co-weights, points off the co-weight lattice, and int coordinates
+        rs = build(label)
+        rng = random.Random(label)
+        points = list(rs.fundamental_coweights())
+        if label == "E6":  # a random point would be regular, with 51,840 orbit points
+            points.append(tuple(Q(k, 2) for k in range(1, 7)))
+        else:
+            points += [tuple(Q(rng.randint(-9, 9), rng.choice((2, 3, 5, 7))) for _ in range(rs.rank)) for _ in range(2)]
+            points.append(tuple(rng.randint(-3, 3) for _ in range(rs.rank)))
+        for x in points:
+            lifted = [scalar_mul(Q(1), c) for c in x]
+            pairs = rs.simple_coroot_forms.apply(lifted)
+            walk = _orbit_walk(lifted, pairs, rs._simple_system, scalar_mul, 1 + len(rs.positive_roots))
+            assert typed(rs.weyl_orbit(x)) == typed(tuple(sorted(walk)))
+
     @pytest.mark.parametrize("label,x,size", [("I2(5)", (1, 0), 10), ("I2(8)", (1, 0), 8), ("I2(8)", (3, 4), 16)])
     def test_dihedral_orbit_sizes(self, label, x, size):
         # a rational point and its field images are one point each: none is listed twice
@@ -435,9 +453,8 @@ def outcome(f, *args):
         return type(exc)
 
 
-# D4 is simply laced like A3, so its root levels are its co-root pairings; it
-# is left out of these drawn tests to keep their cost down
-KERNEL_LABELS = ("A1", "A2", "A3", "B2", "C2", "G2", "F4", "B3", "C3", "I2(5)", "I2(8)")
+# I2(5) is over a quadratic field, I2(8) and I2(12) over two quartic ones
+KERNEL_LABELS = ("A1", "A2", "A3", "B2", "C2", "G2", "F4", "B3", "C3", "D4", "I2(5)", "I2(8)", "I2(12)")
 # q: rationals; lex: lex pairs; image: a translated Weyl image of a rational
 # point (NFElem coordinates in I2(n)); lex-image: a Weyl image of a lex point;
 # quad: Z[sqrt 2] (the per-term fallback); foreign: NFElem of another field

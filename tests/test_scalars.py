@@ -284,6 +284,139 @@ class TestNumberFieldSign:
             assert (a * b).coeffs == tuple(rem) + (Q(0),) * (field.degree - len(rem))
 
 
+def doubling_sign(field, a) -> int:
+    """The sign rule of ``int_sign`` without its midpoint-radius test: brackets from B = 64, doubling B."""
+    if not any(a):
+        return 0
+    bits = 64
+    while True:
+        lo, hi = field.bracket(a, bits)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        bits *= 2
+
+
+def near_cancelling_vectors(field, unit_powers):
+    """Integer coefficients of u^k - m / 2^40, m / 2^40 a close rational to u^k, u = zeta - round(zeta)."""
+    u = field.gen() - round(field.gen().to_float())
+    out = []
+    for k in unit_powers:
+        e = u**k
+        for near in (e - Q(round(e.to_float() * 2**40), 2**40), e):
+            out.append(_integer_coeffs(near))
+    return out
+
+
+class TestMidpointRadiusSign:
+    """int_sign decides at B = 64 by |s| > r on s = a . (L + U), r = |a| . (U - L): the bracket's
+    own decision, so every sign equals the one of the doubling loop alone."""
+
+    @pytest.mark.parametrize("field", _reduction_fields(), ids=lambda f: f.name)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_against_the_doubling_loop(self, field, data):
+        big = st.integers(-(2**201), 2**201)
+        kind = data.draw(st.sampled_from(("small", "big", "shifted", "zero")))
+        if kind == "zero":
+            a = [0] * field.degree
+        elif kind == "small":
+            a = data.draw(st.lists(st.integers(-50, 50), min_size=field.degree, max_size=field.degree))
+        else:  # coefficients around 2^200, or a small vector scaled by it
+            a = data.draw(st.lists(big, min_size=field.degree, max_size=field.degree))
+            if kind == "shifted":
+                a = [c >> 190 << 200 for c in a]
+        assert field.int_sign(a) == doubling_sign(field, a)
+        assert field.int_sign([-c for c in a]) == -doubling_sign(field, a)
+
+    @pytest.mark.parametrize("field", _reduction_fields(), ids=lambda f: f.name)
+    def test_near_cancelling_unit_powers(self, field):
+        cases = near_cancelling_vectors(field, range(1, 60, 4))
+        # some of these are left open at 64 bits, so the doubling loop runs too
+        assert any(lo <= 0 <= hi for lo, hi in (field.bracket(a, 64) for a in cases))
+        for a in cases:
+            want = doubling_sign(field, a)
+            assert field.int_sign(a) == want and want != 0
+            assert field.int_sign([c << 200 for c in a]) == want
+        # the doubling loop starts where the midpoint-radius test stops, at 128 bits
+        assert 128 in field._enclosures and set(field._enclosures) <= {64 << k for k in range(11)}
+
+    def test_zero_and_the_midpoint_radius_form(self):
+        from weylkit.root_system import dihedral_cosine_field
+
+        field = dihedral_cosine_field(12)
+        assert field.int_sign([0, 0, 0, 0]) == 0 and field.int_sign(()) == 0
+        low, high = field.enclosures(64)
+        assert field._midpoint_radius == (
+            tuple(l + u for l, u in zip(low, high)),
+            tuple(u - l for l, u in zip(low, high)),
+        )
+
+
+def bisection_isolator(field, iv):
+    """One bisection step, with the signs of the minimal polynomial taken by Fraction Horner evaluation."""
+    from weylkit.scalars import poly_eval
+
+    lo, hi = iv
+    mid = (lo + hi) / 2
+    if poly_eval(field.minpoly, mid) == 0:
+        mid = (lo + mid) / 2
+    if poly_eval(field.minpoly, lo) * poly_eval(field.minpoly, mid) < 0:
+        return lo, mid
+    return mid, hi
+
+
+def reference_enclosures(field, bits):
+    """(L, U) of the powers of zeta from the Fraction bisection, rounded outward at 2^bits."""
+    lo, hi = field.isolator
+    spread = field.degree * max(abs(lo), abs(hi), Q(1)) ** (field.degree - 1)
+    while (hi - lo) * spread * 2**bits > 1:
+        lo, hi = bisection_isolator(field, (lo, hi))
+    low, high, box = [], [], (Q(1), Q(1))
+    for _ in range(field.degree):
+        low.append(math.floor(box[0] * 2**bits))
+        high.append(math.ceil(box[1] * 2**bits))
+        prods = (box[0] * lo, box[0] * hi, box[1] * lo, box[1] * hi)
+        box = (min(prods), max(prods))
+    return tuple(low), tuple(high)
+
+
+class TestIsolatorOnIntegers:
+    """refine_isolator signs the minimal polynomial by an integer Horner pass: the bisection
+    sequence, and so the enclosures, are those of the Fraction evaluation."""
+
+    FIELDS = ("sqrt2", "sqrt3", "sqrt2+sqrt2", "I2(5)", "I2(8)", "I2(12)", "I2(48)")
+
+    @staticmethod
+    def field(name):
+        """A shipped field, or a fresh field of I2(n) with no enclosure kept yet."""
+        from weylkit.root_system import dihedral_cosine_field
+
+        shipped = {f.name: f for f in (SQRT2_FIELD, SQRT3_FIELD, SQRT_2P2_FIELD)}
+        return shipped[name] if name in shipped else dihedral_cosine_field(int(name[3:-1]))
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_enclosures_match_the_fraction_bisection(self, name):
+        field = self.field(name)
+        for bits in (64, 128, 256):
+            assert field.enclosures(bits) == reference_enclosures(field, bits)
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_each_step_matches(self, name):
+        field = self.field(name)
+        iv = field.isolator
+        for _ in range(150):
+            got = field.refine_isolator(iv)
+            assert got == bisection_isolator(field, iv)
+            iv = got
+
+    def test_a_midpoint_on_a_root_is_nudged(self):
+        # x^2 - 1/4 has its root 1/2 at the first midpoint of (0, 1)
+        field = NumberField("half", [Q(-1, 4), 0, 1], (Q(0), Q(1)))
+        assert field.refine_isolator((Q(0), Q(1))) == bisection_isolator(field, (Q(0), Q(1))) == (Q(1, 4), Q(1))
+
+
 def _inverse_fields():
     from weylkit.root_system import build
 

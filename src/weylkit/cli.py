@@ -90,7 +90,8 @@ def _write_atomic(path: str, data: str):
 
 
 def _emit(args, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # every object emitted is a fresh tree of dicts, lists and strings: no cycle to look for
+    text = json.dumps(obj, sort_keys=True, indent=2, check_circular=False) + "\n"
     if getattr(args, "output", None):
         _write_atomic(args.output, text)
     else:

@@ -183,8 +183,12 @@ def _coset_system(rs: RootSystem, xn, steps) -> tuple:
     kept positive roots.  rows[k] holds the pairing <., beta_k^> of simple
     root beta_k; the system is laid out as ``root_system._reflect`` reads it.
     """
-    positives = [(alpha, tuple(map(int, row))) for alpha, row in zip(rs.integer_positive_roots, rs.coroot_forms.rows)]
-    kept = [(b, r) for b, r in positives if all(sum(map(mul, r, xn)) * a % s == 0 for a, s in zip(b, steps))]
+    kept = []
+    for b, row in zip(rs.integer_positive_roots, rs.coroot_forms.rows):
+        r = tuple(map(int, row))
+        t = sum(map(mul, r, xn))  # <x, alpha^> times den
+        if all(t * a % s == 0 for a, s in zip(b, steps)):
+            kept.append((b, r))
     roots = {b for b, _ in kept}
     simple = [(b, r) for b, r in kept if not any(tuple(map(sub, b, a)) in roots for a in roots)]
     columns = tuple(tuple((j, c) for j, (_, r) in enumerate(simple) if (c := sum(map(mul, r, b)))) for b, _ in simple)

@@ -181,8 +181,8 @@ def _raise(rs: RootSystem, i: int, steps: tuple, den: int) -> Optional[tuple]:
 
     Heights are component i of the partial sums, integers over den.  A step
     split at height fraction a / b is kept as the piece (v, a, b), the vector
-    a / b * v, until the end; one common factor m then makes every piece an
-    integer vector over den * m.
+    a / b * v, until the end; one common factor m, taken as each piece is
+    made, then makes every piece an integer vector over den * m.
     """
     row = rs.integer_cartan[i]  # s_i moves a level vector v by v - v[i] * row
     heights = list(accumulate((v[i] for v in steps), initial=0))
@@ -196,18 +196,23 @@ def _raise(rs: RootSystem, i: int, steps: tuple, den: int) -> Optional[tuple]:
     while heights[s + 1] >= top:
         s += 1
     pieces = []
+    m = 1
     middle = deque((v, 1, 1) for v in steps[s:idx1])
     if heights[s] != top:
         a, b = heights[s] - top, heights[s] - heights[s + 1]
         pieces.append((steps[s], a, b))
+        m = b // gcd(b, a * gcd(*steps[s]))
         middle[0] = (steps[s], b - a, b)
 
     while middle:
         v, p, q = middle.popleft()
+        if q != 1:
+            # s_i is an integer involution, so it keeps gcd(*v): v's factor serves its image
+            m = lcm(m, q // gcd(q, p * gcd(*v)))
         inc = v[i] * p // q
         if inc < 0:
             vi = v[i]
-            pieces.append((tuple(c - vi * r for c, r in zip(v, row)), p, q))
+            pieces.append((tuple([c - vi * r for c, r in zip(v, row)]), p, q))
         elif inc == 0:
             pieces.append((v, p, q))
         else:
@@ -218,20 +223,19 @@ def _raise(rs: RootSystem, i: int, steps: tuple, den: int) -> Optional[tuple]:
                 w, p, q = middle.popleft()
                 winc = w[i] * p // q
                 if acc + winc >= 0:
-                    pieces.append((w, p, q))
                     acc += winc
                 else:
-                    pieces.append((w, p * acc, q * -winc))
+                    # the rest of w goes back to the middle, and its factor is taken when it is popped
                     middle.appendleft((w, p * (-winc - acc), q * -winc))
-                    acc = 0
-    m = 1
-    for v, p, q in pieces:
-        if q != 1:
-            m = lcm(m, q // gcd(q, p * gcd(*v)))
-    out = [v if m == q == 1 else tuple(c * p * m // q for c in v) for v, p, q in pieces]
+                    p, q, acc = p * acc, q * -winc, 0
+                pieces.append((w, p, q))
+                if q != 1:
+                    m = lcm(m, q // gcd(q, p * gcd(*w)))
+    out = [v if m == q == 1 else tuple([c * p * m // q for c in v]) for v, p, q in pieces]
     prefix, suffix = steps[:s], steps[idx1:]
     if m != 1:
-        prefix, suffix = (tuple(tuple(c * m for c in v) for v in part) for part in (prefix, suffix))
+        prefix = tuple([tuple([c * m for c in v]) for v in prefix])
+        suffix = tuple([tuple([c * m for c in v]) for v in suffix])
     return _reduced(_joined(prefix, out, suffix), den * m)
 
 
@@ -477,7 +481,11 @@ def folded_galleries(
     # one and d the regular dominant vector with every level 1: the one thing
     # the walk reads of u.  Crossing wall j moves v by the linear part of that
     # wall's reflection.  The weight of a leaf is M_w applied to the target
-    # reflected in its crossed letters.
+    # reflected in its crossed letters.  A leaf is built as
+    # ``ProjectiveValuation._closed`` builds its valuations: its fields go
+    # into the instance dict in one update, past the frozen dataclass's
+    # ``__init__``, and it compares, hashes and prints as the dataclass does.
+    new, given = object.__new__, minimal.target
     for w, start, m_w in rs.alcove_walk_starts:
         stack = [(0, start, (), ())]
         while stack:
@@ -488,9 +496,9 @@ def folded_galleries(
             if idx == n:
                 z = reflected(crossed)
                 y = tuple([sum(map(mul, row, z)) for row in m_w])
-                yield FoldedGallery(
-                    gallery_type=word, fold_mask=mask, start=w, target=minimal.target, weight=(y, den)
-                )
+                leaf = new(FoldedGallery)
+                vars(leaf).update(gallery_type=word, fold_mask=mask, start=w, target=given, weight=(y, den))
+                yield leaf
                 continue
             j = word[idx]
             beta, _, c = walls[j]

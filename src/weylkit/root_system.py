@@ -361,12 +361,15 @@ def _dominance_walk(cur: list, pairs: list, system, times, bound: int) -> tuple:
 
     Each step reflects in the first simple root with a negative pairing
     (``_reflect``); ``bound`` exceeds the number of positive roots, the
-    length of the longest walk.
+    length of the longest walk.  The pairings are scanned by a plain loop,
+    which costs an integer walk far less than a generator per step.
     """
     word = ()
     for _ in range(bound):
-        k = next((i for i, p in enumerate(pairs) if sign(p) < 0), None)
-        if k is None:
+        for k, p in enumerate(pairs):
+            if sign(p) < 0:
+                break
+        else:
             return word
         _reflect(cur, pairs, k, system, times)
         word = (k, *word)
@@ -394,7 +397,10 @@ def _orbit_walk(point, pairs, system, times, bound: int):
             if sign(pk) > 0:
                 y, q = p[:], pp[:]
                 _reflect(y, q, k, system, times)
-                if all(sign(v) >= 0 for v in q[:k]):
+                for v in q[:k]:
+                    if sign(v) < 0:
+                        break
+                else:
                     stack.append((y, q))
 
 
@@ -795,24 +801,33 @@ class RootSystem:
         matrix of w on level vectors: y -> tuple((row, y) for row in M_w).
         Words and vectors are those of the group's search; each M_w is
         built from its parent's, w = p s_i, as M_w = M_p S_i, which changes
-        only column i of M_p.  Equal rows are stored once.  Built on the
-        first gallery walk, without the group's matrices.
+        only column i of M_p: a row r becomes r with r[i] - (r, c_i) in
+        place i, c_i row i of the Cartan matrix, and stays r itself when
+        (r, c_i) = 0.  The table holds few distinct rows (E6: 72 in 51,840
+        matrices), so each letter keeps the row each row becomes, and a
+        matrix is read from it, one lookup per row; equal rows are stored
+        once.  Built on the first gallery walk, without the group's
+        matrices.
         """
         cartan = self.integer_cartan
         n = self.rank
         ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         rows = {row: row for row in ident}
+        child = [{} for _ in range(n)]  # per letter i: row -> its row in M S_i
         bfs = self._weyl_bfs
         mats = [ident]
         for word, _, parent in bfs[1:]:
             i = word[-1]
-            c = cartan[i]
-            mats.append(
-                tuple(
-                    rows.setdefault(row, row)
-                    for row in (row[:i] + (row[i] - sum(map(mul, row, c)),) + row[i + 1 :] for row in mats[parent])
-                )
-            )
+            become, c = child[i], cartan[i]
+            m = []
+            for row in mats[parent]:
+                r = become.get(row)
+                if r is None:  # a row not yet met under this letter
+                    t = sum(map(mul, row, c))
+                    r = row[:i] + (row[i] - t,) + row[i + 1 :] if t else row
+                    r = become[row] = rows.setdefault(r, r)
+                m.append(r)
+            mats.append(tuple(m))
         return tuple((word, v, m) for (word, v, _), m in zip(bfs, mats))
 
     # -- level coordinates (rational systems) ----------------------------------

@@ -688,16 +688,22 @@ Scalar = Union[Fraction, NFElem, LexPair, QuadInt]
 
 
 def sign(x) -> int:
-    if type(x) is Fraction:
+    t = type(x)
+    if t is Fraction:
         # Fraction keeps its denominator positive; read the numerator slot
         # directly, as compare does
         n = x._numerator
-        return (n > 0) - (n < 0)
-    if isinstance(x, Ordered):
+    elif t is int:
+        # the integer walks (dominance, orbits, the descent) land here
+        n = x
+    elif isinstance(x, Ordered):
         return x.sign()
-    if isinstance(x, (int, Fraction)):
-        return (x > 0) - (x < 0)
-    raise ScalarDomainError(f"no sign for {type(x).__name__}")
+    elif isinstance(x, (int, Fraction)):
+        # a bool, or a subclass of int or Fraction
+        n = x.numerator
+    else:
+        raise ScalarDomainError(f"no sign for {type(x).__name__}")
+    return (n > 0) - (n < 0)
 
 
 def compare(x, y) -> int:
@@ -771,7 +777,9 @@ def format_scalar(x) -> str:
     if isinstance(x, int):
         x = Fraction(x)
     if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        # the slots are read directly, as compare does
+        n, d = x._numerator, x._denominator
+        return str(n) if d == 1 else f"{n}/{d}"
     if isinstance(x, LexPair):
         return f"({format_scalar(x.hi)};{format_scalar(x.lo)})"
     if isinstance(x, QuadInt):

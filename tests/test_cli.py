@@ -322,6 +322,25 @@ class TestVerifyConvexity:
         _, ref = run_json(capsys, "verify-convexity", "--type", label, f"--point={dominant}")
         assert obj["endpoints"] == ref["endpoints"]
 
+    @pytest.mark.parametrize(
+        "change, missing, extra",
+        [
+            (lambda pts: pts[1:], [["-3", "-3"]], []),  # the least point dropped
+            (lambda pts: pts + ((Q(1, 2), Q(9)),), [], [["1/2", "9"]]),  # a point off the hull's denominator
+            (lambda pts: pts[:-1] + ((Q(7, 2), Q(3)),), [["3", "3"]], [["7/2", "3"]]),  # one point moved
+        ],
+    )
+    def test_a_wrong_gallery_oracle_is_named(self, capsys, monkeypatch, change, missing, extra):
+        # a gallery oracle that disagrees with the hull fails the job and names
+        # the points it misses and adds
+        from weylkit import path_model as pm
+
+        real = pm.folded_gallery_endpoints
+        monkeypatch.setattr(pm, "folded_gallery_endpoints", lambda *a, **k: change(real(*a, **k)))
+        code, obj = run_json(capsys, "verify-convexity", "--type", "A2", "--point", "3,3", "--gallery-max-length=12")
+        assert code == 1 and obj["status"] == "fail"
+        assert obj["witnesses"] == [{"check": "gallery vs hull", "missing": missing, "extra": extra}]
+
     def test_origin_passes(self, capsys):
         code, obj = run_json(capsys, "verify-convexity", "--type", "A2", "--point", "0,0")
         assert code == EXIT_OK and obj["status"] == "pass"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import random
 from collections import deque
 from fractions import Fraction as Q
@@ -430,6 +431,88 @@ class TestKernelGrid:
         assert {(g.gallery_type, g.target) for g in got} == {(minimal.gallery_type, minimal.target)}
 
 
+def two_pass_raise(rs, i, steps, den):
+    """``path_model._raise`` as it was when the common factor m was taken in a second loop over the pieces."""
+    row = rs.integer_cartan[i]
+    heights = list(itertools.accumulate((v[i] for v in steps), initial=0))
+    n = min(heights)
+    if n > -den:
+        return None
+    idx1 = heights.index(n)
+    top = n + den
+    s = 0
+    while heights[s + 1] >= top:
+        s += 1
+    pieces = []
+    middle = deque((v, 1, 1) for v in steps[s:idx1])
+    if heights[s] != top:
+        a, b = heights[s] - top, heights[s] - heights[s + 1]
+        pieces.append((steps[s], a, b))
+        middle[0] = (steps[s], b - a, b)
+    while middle:
+        v, p, q = middle.popleft()
+        inc = v[i] * p // q
+        if inc < 0:
+            pieces.append((tuple(c - v[i] * r for c, r in zip(v, row)), p, q))
+        elif inc == 0:
+            pieces.append((v, p, q))
+        else:
+            acc = inc
+            pieces.append((v, p, q))
+            while acc > 0:
+                w, p, q = middle.popleft()
+                winc = w[i] * p // q
+                if acc + winc >= 0:
+                    pieces.append((w, p, q))
+                    acc += winc
+                else:
+                    pieces.append((w, p * acc, q * -winc))
+                    middle.appendleft((w, p * (-winc - acc), q * -winc))
+                    acc = 0
+    m = 1
+    for v, p, q in pieces:
+        if q != 1:
+            m = math.lcm(m, q // math.gcd(q, p * math.gcd(*v)))
+    out = [v if m == q == 1 else tuple(c * p * m // q for c in v) for v, p, q in pieces]
+    prefix = tuple(tuple(c * m for c in v) for v in steps[:s])
+    suffix = tuple(tuple(c * m for c in v) for v in steps[idx1:])
+    return pm._reduced(pm._joined(prefix, out, suffix), den * m)
+
+
+# co-weight coefficients up to these tops, each vertex and its half: the half
+# is no lattice point, so its closure splits steps off the path's denominator
+_SWEEP_TOPS = {"A1": 12, "A2": 4, "B2": 4, "C2": 4, "G2": 3, "A3": 2, "B3": 1, "C3": 1, "D4": 1}
+
+
+class TestClosureSweep:
+    """The closure's states and endpoints against a breadth-first search on the two-pass kernel."""
+
+    @pytest.mark.parametrize("label", list(_SWEEP_TOPS))
+    def test_states_and_endpoints(self, label):
+        rs = build(label)
+        tops = itertools.product(range(_SWEEP_TOPS[label] + 1), repeat=rs.rank)
+        cases = [(coeffs, d) for coeffs in tops if any(coeffs) for d in (1, 2)]
+        splits = 0
+        for coeffs, d in cases:
+            x = tuple(c / d for c in special_vertex(rs, coeffs))
+            path = pm.straight_path_to(rs.longest_element().apply(x))
+            start = pm._levels_of(rs, path)
+            want, queue = {start}, deque([start])
+            while queue:
+                state = queue.popleft()
+                for i in range(rs.rank):
+                    nxt = two_pass_raise(rs, i, *state)
+                    if nxt is not None and nxt not in want:
+                        splits += nxt[1] > state[1]
+                        want.add(nxt)
+                        queue.append(nxt)
+            states, endpoints = pm.positive_fold_closure(rs, path, paths=False)
+            assert states == want, (coeffs, d)
+            assert endpoints == rs.sorted_from_levels((tuple(map(sum, zip(*st))), den) for st, den in want)
+        # rank one has no excursion to split: every other sweep takes the rescaling branch
+        assert splits > 0 or rs.rank == 1
+
+
 def outcome_of_walk(walk, *args):
     """(walks yielded, the cap message or None) of a walk run to its end or to its cap."""
     n = 0
@@ -808,6 +891,47 @@ class TestGalleries:
         # equal rows are one object
         rows = [row for _, _, m in table for row in m]
         assert len({id(row) for row in rows}) == len(set(rows))
+
+    @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3", "D4", "F4", "E6"])
+    def test_start_table_against_whole_matrices(self, label):
+        # each M_p S_i rebuilt row by row, every row interned by value: the table the
+        # per-letter row maps must reproduce entry for entry
+        rs = RootSystem(label)
+        cartan, n = rs.integer_cartan, rs.rank
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        rows = {row: row for row in ident}
+        mats = [ident]
+        for word, _, parent in rs._weyl_bfs[1:]:
+            i, c = word[-1], cartan[word[-1]]
+            mats.append(
+                tuple(
+                    rows.setdefault(r, r)
+                    for r in (row[:i] + (row[i] - sum(a * b for a, b in zip(row, c)),) + row[i + 1 :] for row in mats[parent])
+                )
+            )
+        assert rs.alcove_walk_starts == tuple((w, v, m) for (w, v, _), m in zip(rs._weyl_bfs, mats))
+        got = [row for _, _, m in rs.alcove_walk_starts for row in m]
+        assert len({id(row) for row in got}) == len(set(got)) == len(rows)
+
+    @pytest.mark.parametrize("label,coeffs", [("A2", (1, 1)), ("B2", (0, 2)), ("G2", (1, 0)), ("A3", (1, 0, 1))])
+    def test_leaves_are_frozen_dataclass_galleries(self, label, coeffs):
+        # a leaf is filled past __init__; it must be the dataclass value all the same
+        rs = build(label)
+        minimal = pm.minimal_gallery(rs, special_vertex(rs, coeffs))
+        names = [f.name for f in dataclasses.fields(pm.FoldedGallery)]
+        leaves = list(pm.folded_galleries(rs, minimal))
+        assert leaves
+        for g in leaves:
+            built = pm.FoldedGallery(**{name: getattr(g, name) for name in names})
+            assert g == built and built == g
+            assert hash(g) == hash(built) and repr(g) == repr(built)
+            assert dataclasses.astuple(g) == dataclasses.astuple(built)
+            assert len(g) == len(built) == len(minimal)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                g.weight = built.target
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del g.start
+        assert len(set(leaves)) == len({dataclasses.astuple(g) for g in leaves})
 
     @pytest.mark.parametrize("point", ["lex", "field"])
     @pytest.mark.parametrize(

@@ -120,6 +120,20 @@ class TestSign:
         z = SQRT_2P2_FIELD.gen()
         assert sign(z**4 - 4 * z**2 + 2) == 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.booleans(), st.integers(), st.integers(min_value=2**64), st.integers(max_value=-(2**64))))
+    def test_ints_take_the_generic_rule(self, x):
+        # the int fast path against the rule every int and Fraction obeys; a bool keeps the generic path
+        assert sign(x) == (x > 0) - (x < 0) == sign(Q(x))
+        assert type(sign(x)) is int
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.fractions(), st.integers().map(Q), st.just(Q(0)), st.integers(max_value=-1).map(lambda n: Q(n, 7))))
+    def test_fraction_format_reads_the_public_parts(self, q):
+        n, d = q.numerator, q.denominator
+        assert format_scalar(q) == (str(n) if d == 1 else f"{n}/{d}") == str(q)
+        assert format_scalar(n) == str(n)
+
     def test_quadint_against_high_precision_oracle(self):
         import random
 

@@ -39,6 +39,7 @@ class TreeError(ValueError):
 
 _EVEN_PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # of a base triple
 _PARTNERS = ((2, 3, 0, 1), (0, 1, 3, 2), (0, 3, 2, 1), (0, 2, 1, 3))
+_EXCHANGED, _COMPANION = "exchange of b and d changed a positive value", "companion quadruple is not zero"
 
 
 # --------------------------------------------------------------------------
@@ -88,52 +89,63 @@ class _Layout(NamedTuple):
 
     partners: Tuple[Callable, ...]  # quadruple (a, b, c, d) -> (c, d, a, b), (a, b, d, c), (a, d, c, b), (a, c, b, d)
     slot: Tuple[int, ...]  # quadruple -> 2*orbit + 1 on the half of its PV1 orbit's first quadruple, else 2*orbit
+    heads: Tuple[Callable, ...]  # slot -> its first quadruple (a, b, c, d), and that one's (a, d, c, b), (a, c, b, d)
     where: Dict[tuple, int]  # quadruple (a, b, c, d) of end indices -> its position
-    cocycle: Tuple[Callable, ...]  # (a, b, d, e), (a, r, d, e) and (b, r, d, e) of each check of _cocycle_holds
+    cocycle: Tuple[Tuple[Callable, ...], ...]  # of the blocks d < e, then of their mirrors: (a, b, d, e), (a, r, d, e)
+    # and (b, r, d, e) of each check of _failed_blocks
     medians: Tuple[Callable, ...]  # quadruple (a, b, c, d) -> triples (a, b, d) and (a, b, c)
     wedges: Tuple[Callable, ...]  # triple (a, b, c) -> pairs (a, b), (a, c) and (b, c)
-    blocks: Callable  # the quadruples (a, b, d, e), a != b, of each block (d, e) of _cocycle_failures
+    blocks: Tuple[tuple, ...]  # each block's quadruples (a, b, d, e), a != b, for _cocycle_failures, in block order
     block_triples: Tuple[tuple, ...]  # permutations(range(n - 2), 3), a block's triples of ends by rank
     block_sums: Tuple[Callable, ...]  # block triple (i, j, k) -> block pairs (i, j), (i, k) and (j, k)
 
 
 @functools.cache
 def _layout(n: int) -> _Layout:
-    """The layout of n ends, built on first use: a pure function of n."""
+    """The layout of n ends, built on first use: a pure function of n.
+
+    Block 2k is the k-th pair (d, e) of ``combinations(range(n), 2)`` and
+    block 2k + 1 its mirror (e, d); both have the same other ends, in order.
+    """
     quads, pairs, triples, block, block_triples = (
         list(itertools.permutations(range(m), k)) for m, k in ((n, 4), (n, 2), (n, 3), (n - 2, 2), (n - 2, 3))
     )
     where, tri, pair, blk = ({k: i for i, k in enumerate(keys)} for keys in (quads, triples, pairs, block))
-    slot, orbits = [None] * len(quads), 0
+    slot, heads = [None] * len(quads), []
 
-    def pick(items, index, *order):  # a getter of the position in index of each item's entries, taken in order
-        return _getter(map(index.__getitem__, map(operator.itemgetter(*order), items)))
+    def spots(items, index, *order):  # the position in index of each item's entries, taken in order
+        return list(map(index.__getitem__, map(operator.itemgetter(*order), items)))
 
     for quad, p in where.items():
+        # an orbit's first quadruple (a, b, c, d) has a least and c < d, so (a, b, d, c) heads its minus half
         if slot[p] is None:
+            s, (a, b, c, d) = len(heads), quad
             for half, members in zip((1, 0), _pv1_orbit(quad)):
                 for q in members:
-                    slot[where[q]] = 2 * orbits + half
-            orbits += 1
-    checks, blocks, sides = [], [], ((0, 1), (0, 2), (1, 2))
-    for d, e in pairs:
+                    slot[where[q]] = s + half
+            heads += [where[a, b, d, c], p]
+    lower, upper, blocks, sides = [], [], [], ((0, 1), (0, 2), (1, 2))
+    for d, e in itertools.combinations(range(n), 2):
         rest = [x for x in range(n) if x != d and x != e]
-        blocks += [where[rest[i], rest[j], d, e] for i, j in block]
-        checks += [
-            (where[a, b, d, e], where[a, rest[0], d, e] if a != rest[0] else len(quads), where[b, rest[0], d, e])
-            for a, b in itertools.permutations(rest, 2)
-            if n >= 5 and b != rest[0]
-        ]
+        for f, g, checks in ((d, e, lower), (e, d, upper)):
+            blocks.append([where[rest[i], rest[j], f, g] for i, j in block])
+            checks += [
+                (where[a, b, f, g], where[a, rest[0], f, g] if a != rest[0] else len(quads), where[b, rest[0], f, g])
+                for a, b in itertools.permutations(rest, 2)
+                if n >= 5 and b != rest[0]
+            ]
+    partners = [spots(quads, where, *order) for order in _PARTNERS]
     return _Layout(
-        partners=tuple(pick(quads, where, *order) for order in _PARTNERS),
+        partners=tuple(map(_getter, partners)),
         slot=tuple(slot),
+        heads=(_getter(heads), *(_getter(map(partners[k].__getitem__, heads)) for k in (2, 3))),
         where=where,
-        cocycle=tuple(map(_getter, zip(*checks))),
-        medians=tuple(pick(quads, tri, 0, 1, k) for k in (3, 2)),
-        wedges=tuple(pick(triples, pair, i, j) for i, j in sides),
-        blocks=_getter(blocks),
+        cocycle=tuple(tuple(map(_getter, zip(*checks))) for checks in (lower, upper)),
+        medians=tuple(_getter(spots(quads, tri, 0, 1, k)) for k in (3, 2)),
+        wedges=tuple(_getter(spots(triples, pair, i, j)) for i, j in sides),
+        blocks=tuple(map(tuple, blocks)),
         block_triples=tuple(block_triples),
-        block_sums=tuple(pick(block_triples, blk, i, j) for i, j in sides),
+        block_sums=tuple(_getter(spots(block_triples, blk, i, j)) for i, j in sides),
     )
 
 
@@ -335,45 +347,66 @@ class PVReport:
 def check_pv(pv: ProjectiveValuation) -> PVReport:
     """Verify the three valuation axioms; violations are data.
 
-    PV1 and PV2 are decided against the view's partners, PV3 by :func:`_cocycle_holds`;
-    a failed decision is listed, PV1 and PV2 by a loop over the quadruples, PV3
-    by :func:`_cocycle_failures`.  PV1 is not checked on a table that
-    :func:`valuation_from_lists` or :func:`valuation_from_entries` closed.
+    Each axiom is decided with ``map`` over the layout's getters, and only a
+    decision that fails is listed, in quadruple order and then in 5-tuple order.
+    PV1 is decided first, except on a table that :func:`valuation_from_lists` or
+    :func:`valuation_from_entries` closed.  Where it holds, PV1 maps the
+    exchange and companion partners of every quadruple of a half-orbit onto
+    those of its first quadruple, its head: PV2 is decided on the exchanges of
+    the positive heads (a nonzero companion comes with a changed exchange), and
+    listed at the members of the half-orbits whose head fails.  A table where
+    PV1 fails is listed by a loop over the quadruples.  PV3 is decided by
+    :func:`_failed_blocks`, on the blocks d < e alone where PV1 holds, and
+    listed by :func:`_cocycle_failures` on the blocks that fail.  Values of two
+    groups, or of none, are not decided: the listings raise as the loops over
+    quadruples and 5-tuples do.
     """
     n, (view, cmp, sgn), pv1 = len(pv.ends), _view(pv), not pv._closed_under_pv1
-    partners = [get(view) for get in _layout(n).partners]
-    try:  # values in two groups, or in none, skip the decisions: the listings raise as the loops do
+    lay, out = _layout(n), []
+    try:
         decide = cmp is not compare or len(set(map(zero_like, dict(zip(map(id, view), view)).values()))) < 2
     except ScalarDomainError:
         decide = False
-    pv12 = pv3 = False
-    if decide:
-        swapped, flipped, exchanged, companions = partners
-        positive = _getter(itertools.compress(range(len(view)), map((0).__lt__, map(sgn, view))))
-        pv12 = not (
-            pv1 and (any(map(cmp, view, swapped)) or any(map(cmp, view, map(operator.neg, flipped))))
-            or any(map(cmp, positive(exchanged), positive(view)))
-            or any(map(sgn, positive(companions)))
-        )
-        pv3 = _cocycle_holds(n, view, cmp)
-    out = []
-    for q, v, s, f, x, c in zip(pv.quadruples(), view, *partners) if not pv12 else ():
-        if pv1 and cmp(v, s) != 0:
-            out.append(("PV1", q, "pair swap changed the value"))
-        if pv1 and cmp(v, -f) != 0:
-            out.append(("PV1", q, "flip of the second pair did not negate"))
-        if sgn(v) > 0:
-            if cmp(x, v) != 0:
-                out.append(("PV2", q, "exchange of b and d changed a positive value"))
-            if sgn(c) != 0:
-                out.append(("PV2", q, "companion quadruple is not zero"))
-    if not pv3:
-        out += [("PV3", tuple(pv.ends[i] for i in t), "cocycle sum failed") for t in _cocycle_failures(n, view, cmp)]
+    swapped, flipped = lay.partners[:2]
+    closed = decide and not (
+        pv1 and (any(map(cmp, view, swapped(view))) or any(map(cmp, view, map(operator.neg, flipped(view)))))
+    )
+    if closed:
+        heads, exchanged, companions = lay.heads
+        at = heads(view)
+        positive = list(itertools.compress(range(len(at)), map((0).__lt__, map(sgn, at))))
+        get = _getter(positive)
+        moved = list(map(cmp, get(exchanged(view)), get(at)))
+        # listed at each member of a failed half-orbit, as at its head
+        if any(moved):
+            nonzero = map(sgn, get(companions(view)))
+            failed = {s: (x, c) for s, x, c in zip(positive, moved, nonzero) if x or c}
+            for q, s in itertools.compress(zip(pv.quadruples(), lay.slot), map(failed.__contains__, lay.slot)):
+                x, c = failed[s]
+                if x:
+                    out.append(("PV2", q, _EXCHANGED))
+                if c:
+                    out.append(("PV2", q, _COMPANION))
+    else:
+        partners = [get(view) for get in lay.partners]
+        for q, v, s, f, x, c in zip(pv.quadruples(), view, *partners):
+            if pv1 and cmp(v, s) != 0:
+                out.append(("PV1", q, "pair swap changed the value"))
+            if pv1 and cmp(v, -f) != 0:
+                out.append(("PV1", q, "flip of the second pair did not negate"))
+            if sgn(v) > 0:
+                if cmp(x, v) != 0:
+                    out.append(("PV2", q, _EXCHANGED))
+                if sgn(c) != 0:
+                    out.append(("PV2", q, _COMPANION))
+    blocks = _failed_blocks(n, view, cmp, closed) if decide else range(n * (n - 1))
+    for t in _cocycle_failures(n, view, cmp, blocks) if blocks else ():
+        out.append(("PV3", tuple(pv.ends[i] for i in t), "cocycle sum failed"))
     return PVReport(tuple(out))
 
 
-def _cocycle_holds(n: int, view: list, cmp: Callable) -> bool:
-    """PV3 decided in O(n^4) on the view of n ends and its comparison.
+def _failed_blocks(n: int, view: list, cmp: Callable, closed: bool = False) -> list:
+    """PV3 decided in O(n^4) on the view of n ends and its comparison: the blocks where it fails.
 
     Fix d, e, write g(a, b) = omega(a, b, d, e) on the other ends S, let r
     be the first of S and f(x) = g(x, r), f(r) = 0 (read past the view's
@@ -383,26 +416,37 @@ def _cocycle_holds(n: int, view: list, cmp: Callable) -> bool:
     (a, b, r), or for a = r the sum of those at (r, b, c) and (b, r, c).
     Only the group law is used, so codes and values of one group qualify.
     With fewer than five ends there is no 5-tuple.
+
+    A block is named by its index in the layout's block order (:func:`_layout`).
+    On a table closed under PV1, g at (e, d) is -g at (d, e): its check is the
+    negation of the check at (d, e), so only the blocks d < e are read, and
+    each that fails is given with its mirror.
     """
     if n < 5:
-        return True
-    q, x, y = _layout(n).cocycle
-    view = [*view, view[0] - view[0]]
-    return not any(map(cmp, map(operator.add, q(view), y(view)), x(view)))
+        return []
+    lay, view, size = _layout(n), [*view, view[0] - view[0]], (n - 3) ** 2
+    halves = [
+        list(map(any, zip(*[map(cmp, map(operator.add, q(view), y(view)), x(view))] * size)))
+        for q, x, y in (lay.cocycle[:1] if closed else lay.cocycle)
+    ]
+    lower, upper = halves * 2 if closed else halves
+    return list(itertools.compress(itertools.count(), itertools.chain.from_iterable(zip(lower, upper))))
 
 
-def _cocycle_failures(n: int, view: list, cmp: Callable) -> list:
-    """The 5-tuples of end indices where PV3 fails, in ``permutations(range(n), 5)`` order.
+def _cocycle_failures(n: int, view: list, cmp: Callable, blocks) -> list:
+    """The 5-tuples of end indices where PV3 fails in the given blocks, in ``permutations(range(n), 5)`` order.
 
     Each block (d, e), the values at (a, b, d, e), sums all its triples
     (a, b, c) at once.  Where two groups meet, the error of the first 5-tuple
     that raises is raised, as the loop over the 5-tuples raises it.
     """
-    lay, size = _layout(n), (n - 2) * (n - 3)
+    lay, pairs = _layout(n), list(itertools.combinations(range(n), 2))
     ij, ik, jk = lay.block_sums
-    blocks, out, raised = lay.blocks(view), [], []
-    for k, (d, e) in enumerate(itertools.permutations(range(n), 2)):
-        block, rest, sums = blocks[k * size : (k + 1) * size], [x for x in range(n) if x != d and x != e], []
+    out, raised = [], []
+    for k in blocks:
+        d, e = pairs[k >> 1][:: -1 if k & 1 else 1]
+        block = list(map(view.__getitem__, lay.blocks[k]))
+        rest, sums = [x for x in range(n) if x != d and x != e], []
         try:
             sums.extend(map(cmp, map(operator.add, ij(block), jk(block)), ik(block)))
         except TypeError as exc:

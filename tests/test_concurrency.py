@@ -255,6 +255,21 @@ def test_one_layout_built_by_many_threads(n, fast_switching):
         assert run_threads(lambda k: job(pvs)) == [want] * THREADS
 
 
+@pytest.mark.parametrize("n", [5, 8])
+def test_one_rejected_valuation_checked_while_its_layout_is_built(n, fast_switching):
+    # threads that share one valuation read from entries, with one orbit moved, and all
+    # build its n's layout at once get the serial report: the half-orbit heads, the
+    # blocks d < e and the listing of the failed blocks all come from that layout
+    pv = lt.tree_generator(n + 20, n, ("Z", "Z2lex")[n % 2])[1]
+    table = bumped_orbit(pv.table, sorted(pv.table)[len(pv.table) // 4])
+    want = lt.check_pv(lt.valuation_from_entries(pv.ends, table))
+    assert not want.ok
+    for _ in range(3):
+        shared = lt.valuation_from_entries(pv.ends, table)
+        lt._layout.cache_clear()
+        assert run_threads(lambda k: lt.check_pv(shared)) == [want] * THREADS
+
+
 def test_build_hands_every_thread_one_system(fast_switching):
     # two I2(n) systems of one label have two fields, whose elements do not mix
     root_system._CACHE.pop("I2(7)", None)

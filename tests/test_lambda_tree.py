@@ -585,7 +585,7 @@ class TestEncodedAgainstValues:
         pv = _table_for(*case, kind)
         view, cmp, _ = lt._view(pv)
         pv3 = any(axiom == "PV3" for axiom, _, _ in reference_check_pv(pv).violations)
-        assert lt._cocycle_holds(len(pv.ends), view, cmp) is not pv3
+        assert bool(lt._failed_blocks(len(pv.ends), view, cmp)) is pv3
 
     @pytest.mark.parametrize("other", [QuadInt(0, 0, 2), lex(0, 0)], ids=["quadint", "lex"])
     def test_mixed_domains_raise_as_the_loops(self, other):
@@ -657,7 +657,7 @@ class TestEncodedAgainstValues:
         assert _outcome(lt.check_pv, pv) == _outcome(reference_check_pv, pv)
         view, cmp, _ = lt._view(pv)
         pv3 = any(axiom == "PV3" for axiom, _, _ in reference_check_pv(pv).violations)
-        assert lt._cocycle_holds(n_ends, view, cmp) is not pv3
+        assert bool(lt._failed_blocks(n_ends, view, cmp)) is pv3
         valid = _z_sqrt2(lt.tree_generator(seed, n_ends, lam)[1])
         datum = lt.build_datum(valid, random.Random(seed).sample(valid.ends, 3))
         for other in (pv, valid):  # read against another valuation's datum, and its own
@@ -730,15 +730,232 @@ class TestWorkCounts:
         assert listed == [] and len(kappas) == 8 * 7 * 6
 
 
+DOMAINS = ("Z", "Q", "Z2lex", "sqrt2")
+
+
+def _domain_table(seed, n_ends, domain):
+    """(ends, table) of a valid table: Z and Z2lex from tree_generator, Q as a Z table
+    through x -> x/3, Z[sqrt 2] as a Z table through _z_sqrt2 (the view of the values)."""
+    _, pv = lt.tree_generator(seed, n_ends, "Z2lex" if domain == "Z2lex" else "Z")
+    if domain == "Q":
+        return pv.ends, _map_values(pv.table, lambda w: w / 3)
+    if domain == "sqrt2":
+        return pv.ends, dict(_z_sqrt2(pv).table)
+    return pv.ends, dict(pv.table)
+
+
+def _counted_reads(monkeypatch):
+    """{getter name: the length of each read}, filled by every getter of the layouts
+    that the checks ask for from now on."""
+    reads, layout = {}, lt._layout
+
+    def counted(name, get):
+        def read(items):
+            got = get(items)
+            reads.setdefault(name, []).append(len(got))
+            return got
+
+        return read
+
+    def named(prefix, getters):
+        return tuple(counted(f"{prefix}{i}", get) for i, get in enumerate(getters))
+
+    def counted_layout(n):
+        lay = layout(n)
+        return lay._replace(
+            partners=named("partners", lay.partners),
+            heads=named("heads", lay.heads),
+            cocycle=tuple(named(f"cocycle{h}.", half) for h, half in enumerate(lay.cocycle)),
+            block_sums=named("block_sums", lay.block_sums),
+        )
+
+    monkeypatch.setattr(lt, "_layout", counted_layout)
+    return reads
+
+
+class TestHalfOrbits:
+    """A table closed under PV1 is decided on one quadruple per PV1 half-orbit and on
+    the blocks d < e, and listed only where a decision failed: its report, or what it
+    raised, is the loops' over every quadruple and 5-tuple."""
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    @pytest.mark.parametrize("kind", ["valid", "orbit", "two-orbits", "entry"])
+    @given(seed=st.integers(0, 2**31), n_ends=st.integers(5, 9))
+    @example(seed=3, n_ends=5)
+    @settings(max_examples=3, deadline=None)
+    def test_check_pv_against_the_loops(self, domain, kind, seed, n_ends):
+        ends, table = _domain_table(seed, n_ends, domain)
+        rng = random.Random(seed)
+        if kind == "entry":  # one bare entry moved and read as given: PV1 fails there
+            quad = rng.choice(sorted(table))
+            table[quad] = _plus_one(table[quad])
+            pv = lt.ProjectiveValuation(ends, table)
+        else:  # whole orbits moved, as the benchmark's rejected tables are, and closed on reading
+            for _ in range(("valid", "orbit", "two-orbits").index(kind)):
+                table = bumped_orbit(table, rng.choice(sorted(table)))
+            pv = lt.valuation_from_entries(ends, table)
+            assert pv._closed_under_pv1 and (pv.codes is None) is (domain == "sqrt2")
+        report = lt.check_pv(pv)
+        assert report == reference_check_pv(pv)
+        if kind != "two-orbits":  # two moves may cancel
+            assert report.ok is (kind == "valid")
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_pv1_breaks_one_half_of_a_check(self, domain):
+        # tables read as given where PV1 fails only in the pair swap, or only in the
+        # flip, and PV2 holds: each half of the PV1 decision must find its failure
+        ends, table = _domain_table(5, 6, domain)
+        up = next(q for q in sorted(table) if sign(table[q]) > 0)
+        down = next(q for q in sorted(table) if sign(table[q]) < 0)
+        (a, b, c, d), v = up, _plus_one(table[up])
+        # (a, b, c, d) and its exchange moved, each with its flip: every flip negates, and
+        # both keep their PV2 partners; their swaps keep the old value
+        swap_only = {**table, up: v, (a, d, c, b): v, (a, b, d, c): -v, (a, d, b, c): -v}
+        (a, b, c, d), w = down, -_plus_one(-table[down])
+        flip_only = {**table, down: w, (c, d, a, b): w}  # a negative value and its swap moved down
+        for moved, text in (
+            (swap_only, "pair swap changed the value"),
+            (flip_only, "flip of the second pair did not negate"),
+        ):
+            pv = lt.ProjectiveValuation(ends, moved)
+            report = lt.check_pv(pv)
+            assert report == reference_check_pv(pv)
+            assert {t for axiom, _, t in report.violations if axiom != "PV3"} == {text}
+
+    def test_a_positive_orbit_moved_breaks_only_exchanges(self):
+        # on a closed table, a positive orbit moved up fails PV2 at its exchanges and
+        # at no companion: the exchange decision alone must find it
+        ends, table = _domain_table(6, 7, "Z")
+        quad = next(q for q in sorted(table) if sign(table[q]) > 0)
+        pv = lt.valuation_from_entries(ends, bumped_orbit(table, quad))
+        report = lt.check_pv(pv)
+        assert report == reference_check_pv(pv)
+        assert {t for axiom, _, t in report.violations if axiom == "PV2"} == {lt._EXCHANGED}
+
+    def test_a_table_of_two_zeros_is_listed_by_the_loops(self):
+        # Z[sqrt 2] values with one zero orbit of plain ints have two zeros, so nothing
+        # is decided; ints add to and compare with Z[sqrt 2], so the loops list every
+        # violation of an orbit moved up, and nothing raises
+        ends, table = _domain_table(2, 6, "sqrt2")
+        _set_orbit(table, next(q for q in sorted(table) if sign(table[q]) == 0), 0)
+        moved = bumped_orbit(table, next(q for q in sorted(table) if sign(table[q]) > 0))
+        for read in (lt.ProjectiveValuation, lt.valuation_from_entries):
+            for given in (table, moved):
+                pv = read(ends, given)
+                report = lt.check_pv(pv)
+                assert report == reference_check_pv(pv)
+            assert "PV2" in {axiom for axiom, _, _ in report.violations}
+
+    def test_a_nonzero_companion_comes_with_a_changed_exchange(self):
+        # where PV1 holds on four ends, the PV2 decision's companion term never fails
+        # alone: every sign and tie pattern of the values of the three orbits is tried
+        quads = list(itertools.permutations("abcd", 4))
+        heads = [q for q in quads if q == min(itertools.chain(*lt._pv1_orbit(q)))]
+        for values in itertools.product(range(-3, 4), repeat=3):
+            table = {}
+            for quad, v in zip(heads, values):
+                _set_orbit(table, quad, Q(v))
+            positive = [(a, b, c, d) for a, b, c, d in quads if table[a, b, c, d] > 0]
+            companion = any(table[a, c, b, d] != 0 for a, b, c, d in positive)
+            exchange = any(table[a, d, c, b] != table[a, b, c, d] for a, b, c, d in positive)
+            assert exchange or not companion, values
+
+    def test_values_without_a_zero_raise_as_the_loops(self):
+        # one positive orbit of floats: no zero, so nothing is decided, and the loop
+        # meets a float first as the exchange of a positive Fraction, not in a swap
+        _, pv = lt.tree_generator(0, 6, "Z")
+        table = dict(pv.table)
+        _set_orbit(table, ("a", "c", "d", "b"), float(table["a", "c", "d", "b"]))
+        pv = lt.ProjectiveValuation(pv.ends, table)
+        got = _outcome(lt.check_pv, pv)
+        assert got == _outcome(reference_check_pv, pv) == ("ScalarDomainError", "mixed-domain comparison: float vs Fraction")
+
+    def test_two_foreign_orbits_raise_as_the_loops(self):
+        # zero orbits of two other domains: the 5-tuples of several blocks raise, with
+        # different errors, and the first 5-tuple's error is raised
+        messages = set()
+        for seed in range(10):
+            ends, table = _domain_table(seed, 6 + seed % 3, "Z")
+            zeros = sorted(q for q, w in table.items() if sign(w) == 0)
+            rng = random.Random(seed)
+            for other in (QuadInt(0, 0, 2), lex(0, 0)):
+                _set_orbit(table, rng.choice(zeros), other)
+            for pv in (lt.ProjectiveValuation(ends, table), lt.valuation_from_entries(ends, table)):
+                got = _outcome(lt.check_pv, pv)
+                assert got == _outcome(reference_check_pv, pv)
+                messages.add(got[1])
+        assert len(messages) > 1
+
+    @pytest.mark.parametrize("n_ends", [5, 6, 8, 9])
+    def test_one_orbit_lists_four_blocks(self, n_ends, monkeypatch):
+        # one orbit moved breaks PV3 in the blocks {c, d} and {a, b} of its quadruple
+        # (a, b, c, d), each in both orders: the listing scans those 4 of n(n - 1)
+        ends, table = _domain_table(n_ends, n_ends, ("Z", "Z2lex")[n_ends % 2])
+        quad = sorted(table)[len(table) // 3]
+        pv = lt.valuation_from_entries(ends, bumped_orbit(table, quad))
+        reads = _counted_reads(monkeypatch)
+        report = lt.check_pv(pv)
+        assert report == reference_check_pv(pv) and not report.ok
+        assert len(reads["block_sums0"]) == 4
+        assert {q[3:] for axiom, q, _ in report.violations if axiom == "PV3"} == {
+            (quad[2], quad[3]), (quad[3], quad[2]), (quad[0], quad[1]), (quad[1], quad[0])
+        }
+
+    @pytest.mark.parametrize("n_ends", [5, 7, 8])
+    def test_closed_tables_read_each_class_once(self, n_ends, monkeypatch):
+        # PV2 reads one head per half-orbit, n(n-1)(n-2)(n-3)/4 of them, with its exchange,
+        # and no companion or quadruple partner; PV3 reads the n(n-1)/2 blocks d < e,
+        # (n-3)^2 checks each
+        ends, table = _domain_table(n_ends, n_ends, "Z")
+        pv = lt.valuation_from_entries(ends, table)
+        reads, quadruples = _counted_reads(monkeypatch), lt.ProjectiveValuation.quadruples
+        listed = []  # no decision fails, so no loop over the quadruples lists them
+        monkeypatch.setattr(lt.ProjectiveValuation, "quadruples", lambda pv: listed.append(pv) or quadruples(pv))
+        assert lt.check_pv(pv).ok
+        heads = n_ends * (n_ends - 1) * (n_ends - 2) * (n_ends - 3) // 4
+        assert [reads.pop(f"heads{i}") for i in range(2)] == [[heads]] * 2
+        checks = n_ends * (n_ends - 1) // 2 * (n_ends - 3) ** 2
+        assert reads == {f"cocycle0.{i}": [checks] for i in range(3)}
+        # a table read as given has PV1 decided on every quadruple, and is then read as a closed one
+        reads.clear()
+        given = lt.ProjectiveValuation(ends, table)
+        assert given.codes is not None  # the view is read from the table before the check
+        listed.clear()
+        assert lt.check_pv(given).ok
+        quads = n_ends * (n_ends - 1) * (n_ends - 2) * (n_ends - 3)
+        assert [reads.pop(f"partners{i}") for i in range(2)] == [[quads]] * 2
+        assert [reads.pop(f"heads{i}") for i in range(2)] == [[heads]] * 2
+        assert reads == {f"cocycle0.{i}": [checks] for i in range(3)} and listed == []
+
+    def test_a_table_where_pv1_fails_is_listed_by_the_loops(self, monkeypatch):
+        # PV1 fails at one bare entry: the loop reads every quadruple's partners, and PV3
+        # reads both block halves
+        ends, table = _domain_table(7, 7, "Z")
+        quad = sorted(table)[len(table) // 2]
+        pv = lt.ProjectiveValuation(ends, {**table, quad: table[quad] + 1})
+        reads = _counted_reads(monkeypatch)
+        report = lt.check_pv(pv)
+        assert report == reference_check_pv(pv) and "PV1" in {axiom for axiom, _, _ in report.violations}
+        quads, checks = 7 * 6 * 5 * 4, 7 * 6 // 2 * 4**2
+        # the pair swap fails the PV1 decision, so the flips are read by the listing alone
+        assert [reads[f"partners{i}"] for i in range(4)] == [[quads] * 2] + [[quads]] * 3
+        assert [reads[f"cocycle{h}.0"] for h in range(2)] == [[checks]] * 2
+        assert "heads0" not in reads
+
+
 # --------------------------------------------------------------------------
 # the codes a valuation and its datum carry against codes computed on first use
+
+
+def _plus_one(v):
+    """v moved up by one: a lex pair in its second entry."""
+    return LexPair(v.hi, v.lo + 1) if isinstance(v, LexPair) else v + 1
 
 
 def bumped_orbit(table, quad):
     """The table with quad's symmetry orbit moved up by one, as the benchmark's rejected jobs are."""
     table = dict(table)
-    v = table[quad]
-    _set_orbit(table, quad, LexPair(v.hi, v.lo + 1) if isinstance(v, LexPair) else v + 1)
+    _set_orbit(table, quad, _plus_one(table[quad]))
     return table
 
 

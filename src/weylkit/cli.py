@@ -332,6 +332,8 @@ def cmd_sr_check(args) -> int:
 
     from . import twisted_algebra as tw
 
+    if args.samples < 0:
+        raise ValueError(f"--samples must be an integer >= 0, got {args.samples}")
     rng = random.Random(args.seed)
     p = 2 if args.case in ("B", "F") else 3
     report = Report()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple, Union
 
 from .scalars import INF, Infinity, NFElem, QuadInt, SQRT_2P2_FIELD, compare, sqrt2_in_quartic
-from .scalars import _read_radical, _write_radical
+from .scalars import _quad_sign, _read_radical, _write_radical
 
 
 class TwistedAlgebraError(ValueError):
@@ -49,25 +49,37 @@ class LaurentElement:
 
     def __add__(self, other: "LaurentElement") -> "LaurentElement":
         self._check(other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = (acc.get(e, 0) + c) % self.p
-        return _laurent_from_dict(self.p, acc)
+        return LaurentElement(self.p, _merge(self.terms, other.terms, 1, self.p))
 
     def __neg__(self) -> "LaurentElement":
-        return _laurent_from_dict(self.p, {e: (-c) % self.p for e, c in self.terms})
+        p = self.p
+        if p == 2:  # -c = c in F_2
+            return self
+        return LaurentElement(p, tuple([(e, p - c) for e, c in self.terms]))
 
     def __sub__(self, other: "LaurentElement") -> "LaurentElement":
-        return self + (-other)
+        self._check(other)
+        return LaurentElement(self.p, _merge(self.terms, other.terms, -1, self.p))
 
     def __mul__(self, other: "LaurentElement") -> "LaurentElement":
         self._check(other)
-        acc: Dict[QuadInt, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                acc[e] = (acc.get(e, 0) + c1 * c2) % self.p
-        return _laurent_from_dict(self.p, acc)
+        p, xs, ys = self.p, self.terms, other.terms
+        if len(ys) == 1:
+            xs, ys = ys, xs
+        if len(xs) == 1:
+            # a monomial factor shifts every exponent by one amount: the order holds
+            (e, c), = xs
+            a, b = e.a, e.b
+            return LaurentElement(p, tuple([(QuadInt(a + f.a, b + f.b, p), c * d % p) for f, d in ys]))
+        acc: Dict[Tuple[int, int], int] = {}
+        for e, c in xs:
+            a, b = e.a, e.b
+            for f, d in ys:
+                key = (a + f.a, b + f.b)
+                acc[key] = acc.get(key, 0) + c * d
+        terms = [(QuadInt(a, b, p), c % p) for (a, b), c in acc.items() if c % p]
+        terms.sort(key=_exponent)
+        return LaurentElement(p, tuple(terms))
 
     def __pow__(self, n: int) -> "LaurentElement":
         if n < 0:
@@ -82,8 +94,13 @@ class LaurentElement:
         return out
 
     def theta(self) -> "LaurentElement":
-        """The Tits endomorphism: exponents times sqrt p, identity on coefficients."""
-        return _laurent_from_dict(self.p, {e.times_sqrt_p(): c for e, c in self.terms})
+        """The Tits endomorphism: exponents times sqrt p, identity on coefficients.
+
+        Multiplying by sqrt p > 0 keeps the exponents' order, so the terms map in place."""
+        # tuple() of a list, here and in negation and the monomial product: tuple() of a
+        # generator over-allocates and then shrinks each result, and over a benchmark run
+        # that left the heap ~1 MB larger at its peak
+        return LaurentElement(self.p, tuple([(e.times_sqrt_p(), c) for e, c in self.terms]))
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -105,9 +122,39 @@ class LaurentElement:
         return format_laurent(self)
 
 
+def _exponent(term):
+    return term[0]
+
+
 def _laurent_from_dict(p: int, d: Dict[QuadInt, int]) -> LaurentElement:
-    items = tuple(sorted(((e, c % p) for e, c in d.items() if c % p), key=lambda t: t[0]))
+    """The canonical element of a dict of exponents: terms increasing, coefficients in 1..p-1."""
+    items = tuple(sorted(((e, c % p) for e, c in d.items() if c % p), key=_exponent))
     return LaurentElement(p, items)
+
+
+def _merge(xs: tuple, ys: tuple, sign: int, p: int) -> tuple:
+    """The canonical terms of xs + sign*ys, for canonical xs and ys: one pass over both."""
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        e, c = xs[i]
+        f, d = ys[j]
+        s = _quad_sign(e.a - f.a, e.b - f.b, p)
+        if s < 0:
+            out.append(xs[i])
+            i += 1
+        elif s > 0:
+            out.append((f, sign * d % p))
+            j += 1
+        else:
+            c = (c + sign * d) % p
+            if c:
+                out.append((e, c))
+            i += 1
+            j += 1
+    out += xs[i:]
+    out += ys[j:] if sign == 1 else [(f, -d % p) for f, d in ys[j:]]
+    return tuple(out)
 
 
 def laurent(p: int, d: Dict[QuadInt, int]) -> LaurentElement:

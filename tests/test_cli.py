@@ -844,6 +844,23 @@ class TestSr:
         assert obj["samples"] == 120
         assert obj["failures"] == []
 
+    @pytest.mark.parametrize("samples", ["-5", "-1"])
+    def test_check_refuses_negative_samples(self, capsys, samples):
+        assert main(["sr", "check", "--case", "B", "--samples", samples]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"weylkit: --samples must be an integer >= 0, got {samples}\n")
+
+    def test_check_with_zero_samples(self, capsys, monkeypatch):
+        # no identity sample is drawn; the threshold subgroup still gets its floor of 10
+        from weylkit import twisted_algebra as tw
+
+        seen = []
+        check_v1 = tw.check_V1
+        monkeypatch.setattr(tw, "check_V1", lambda *a, **kw: seen.append(kw["samples"]) or check_v1(*a, **kw))
+        code, obj = run_json(capsys, "sr", "check", "--case", "B", "--samples", "0")
+        assert code == EXIT_OK and seen == [10]
+        assert obj["status"] == "pass" and obj["samples"] == 0 and obj["failures"] == []
+        assert obj["counts"] == {"closed_form_mismatches": 0, "samples": 0}
+
     def test_determinism(self, capsys):
         args = ("sr", "check", "--case", "G", "--samples", "60", "--seed", "1")
         _, first = run_cli(capsys, *args)

@@ -58,6 +58,101 @@ def laurents(p):
     )
 
 
+def _reference(p, pairs):
+    """The canonical terms of a sum of (exponent, coefficient) pairs: a dict mod p, then sorted."""
+    acc = {}
+    for e, c in pairs:
+        acc[e] = (acc.get(e, 0) + c) % p
+    return tuple(sorted(((e, c) for e, c in acc.items() if c), key=lambda t: t[0]))
+
+
+def _ref_mul(p, xs, ys):
+    return _reference(p, [(e + f, c * d) for e, c in xs for f, d in ys])
+
+
+def _assert_canonical(x):
+    for (e, _), (f, _) in zip(x.terms, x.terms[1:]):
+        assert compare(e, f) < 0
+    assert all(1 <= c <= x.p - 1 for _, c in x.terms)
+
+
+@st.composite
+def laurent_pairs(draw, p):
+    """Two elements; in some pairs y repeats exponents of x so that x + y or x - y cancels them mod p."""
+    x, y = draw(laurents(p)), draw(laurents(p))
+    shared = draw(st.sampled_from(("none", "negated", "same", "monomial")))
+    if shared == "negated":  # x + y loses the shared terms, and its lowest ones first
+        y = laurent(p, {**dict(y.terms), **{e: p - c for e, c in x.terms}})
+    elif shared == "same":  # x - y loses them
+        y = laurent(p, {**dict(y.terms), **dict(x.terms)})
+    elif shared == "monomial":
+        y = laurent(p, dict(y.terms[:1]))
+    return x, y
+
+
+class TestCanonicalOrder:
+    """Every operation against a reference built by dict accumulation mod p and a sort."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_operations_match_the_reference(self, p, data):
+        x, y = data.draw(laurent_pairs(p))
+        n = data.draw(st.integers(0, 4))
+        power = [(QuadInt(0, 0, p), 1)]
+        for _ in range(n):
+            power = _ref_mul(p, power, x.terms)
+        want = {
+            "x + y": (x + y, _reference(p, x.terms + y.terms)),
+            "x - y": (x - y, _reference(p, x.terms + tuple((e, -c) for e, c in y.terms))),
+            "-x": (-x, _reference(p, [(e, -c) for e, c in x.terms])),
+            "theta x": (theta(x), _reference(p, [(e.times_sqrt_p(), c) for e, c in x.terms])),
+            "x * y": (x * y, _ref_mul(p, x.terms, y.terms)),
+            "y * x": (y * x, _ref_mul(p, y.terms, x.terms)),
+            "x ** n": (x**n, _reference(p, power)),
+        }
+        for name, (got, terms) in want.items():
+            _assert_canonical(got)
+            assert got.terms == terms, name
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("e, f", [((0, 0), (1, 0)), ((1, -1), (0, 1)), ((-2, 1), (-3, 2)), ((2, 0), (0, 1))])
+    def test_cancelling_terms(self, p, e, f):
+        xe, xf = QuadInt(*e, p), QuadInt(*f, p)
+        # (x^e + x^f)(x^e + (p-1)x^f): the cross terms x^(e+f) cancel mod p
+        prod = laurent(p, {xe: 1, xf: 1}) * laurent(p, {xe: 1, xf: p - 1})
+        assert prod.terms == _reference(p, [(xe + xe, 1), (xf + xf, p - 1)])
+        _assert_canonical(prod)
+        # x^e + (p-1)x^e is zero, whichever of the two is the lower term
+        assert (monomial(p, *e) + monomial(p, *e, coeff=p - 1)).is_zero()
+        low, high = sorted([xe, xf])
+        lone = laurent(p, {low: 1, high: 1}) + laurent(p, {low: p - 1})
+        assert lone.terms == ((high, 1),)
+        assert (laurent(p, {low: 1, high: 1}) - laurent(p, {high: 1})).terms == ((low, 1),)
+
+    def test_only_a_product_of_two_longer_elements_sorts(self, monkeypatch):
+        from weylkit import twisted_algebra as tw
+
+        p = 3
+        m, x, y = monomial(p, 1, -1, 2), parse_laurent("x^{1r}+2x^{-1}", p), parse_laurent("x^1+x^{-1r}+1", p)
+        want = parse_laurent("2x^{-1-1r}+2x^{-1}+x^{1r}+x^{1+1r}", p)
+        keys = []
+        exponent = tw._exponent
+        monkeypatch.setattr(tw, "_exponent", lambda term: keys.append(term) or exponent(term))
+        for got in (m * x, x * m, m * y, y * m, m * m, x + y, x - y, -x, theta(y)):
+            _assert_canonical(got)
+        assert keys == []  # a monomial factor on either side shifts the exponents in order
+        assert x * y == want  # six pairs; the two at x^0 (coefficients 2 and 1) cancel mod 3
+        assert len(keys) == 4  # one sort key per surviving term
+
+    def test_zero_and_unit_factors(self):
+        for p in (2, 3):
+            x = parse_laurent("x^{1r}+2x^{-1}" if p == 3 else "x^{1r}+x^{-1}", p)
+            assert (x * laurent_zero(p)).is_zero() and (laurent_zero(p) * x).is_zero()
+            assert x * laurent_one(p) == x == laurent_one(p) * x
+            assert (x - x).is_zero() and x + laurent_zero(p) == x == laurent_zero(p) + x
+
+
 class TestTheta:
     def test_fixes_one(self):
         for p in (2, 3):

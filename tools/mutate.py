@@ -38,8 +38,10 @@ import time
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT_FACTOR = 5
 LT_TESTS = "tests/test_lambda_tree.py"
+TW_TESTS = "tests/test_twisted_algebra.py"
 
-# name -> (module under src/, functions, pytest arguments, {known survivor: why it is equivalent})
+# name -> (module under src/, functions (a method as ``Class.name``), pytest arguments,
+#          {known survivor: why it is equivalent})
 KERNELS = {
     "cocycle": (
         "weylkit/lambda_tree.py",
@@ -58,6 +60,30 @@ KERNELS = {
         ["check_pv"],
         [LT_TESTS, "-k", "check_pv or WorkCounts or Carried or HalfOrbits or TestProjectiveValuation"],
         {},
+    ),
+    "laurent": (
+        "weylkit/twisted_algebra.py",
+        ["_merge", "LaurentElement.__add__", "LaurentElement.__neg__", "LaurentElement.__sub__",
+         "LaurentElement.__mul__", "LaurentElement.theta"],
+        [TW_TESTS, "-k", "CanonicalOrder or TestTheta or TestNorms"],
+        {},
+    ),
+    "quad_sign": (
+        "weylkit/scalars.py",
+        ["_quad_sign"],
+        ["tests/test_scalars.py", "-k", "QuadInt or quadint or TestSign or TestCompare"],
+        {
+            "LtE->Lt at 14 in `if a <= 0 and b <= 0:`":
+                "b == 0 here means a < 0, and the mixed branch then answers -1 (a*a < 0 fails)",
+            "0->1 at 8 in `if a <= 0 and b <= 0:`":
+                "a == 1 here means b < 0, and 1 + b sqrt p < 0 since sqrt p > 1: -1 either way",
+            "Gt->GtE at 3 in `if a > 0:  # b < 0`":
+                "a == 0 never reaches the mixed branch: the branch above returns for it",
+            "Gt->GtE at 12 in `return 1 if a * a > p * b * b else -1`":
+                "a*a == p*b*b has no solution with b != 0, as sqrt p is irrational",
+            "Lt->LtE at 12 in `return 1 if a * a < p * b * b else -1  # a < 0, b > 0`":
+                "a*a == p*b*b has no solution with b != 0, as sqrt p is irrational",
+        },
     ),
 }
 
@@ -117,7 +143,11 @@ def mutants(source: str, functions: list) -> list:
     for line in lines:
         starts.append(starts[-1] + len(line.encode()))
     data = source.encode()
-    found = {f.name: f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    found = {}
+    for node in tree.body:
+        methods = node.body if isinstance(node, ast.ClassDef) else [node]
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        found.update((prefix + f.name, f) for f in methods if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))
     missing = [f for f in functions if f not in found]
     if missing:
         raise SystemExit(f"mutate: no function {missing[0]!r} in the module")

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Tuple, Union
 
-from .scalars import INF, Infinity, NFElem, QuadInt, SQRT_2P2_FIELD, compare, sqrt2_in_quartic
+from .scalars import INF, Infinity, NFElem, QuadInt, ScalarDomainError, SQRT_2P2_FIELD, compare, sqrt2_in_quartic
 from .scalars import _quad_sign, _read_radical, _write_radical
 
 
@@ -53,8 +53,6 @@ class LaurentElement:
 
     def __neg__(self) -> "LaurentElement":
         p = self.p
-        if p == 2:  # -c = c in F_2
-            return self
         return LaurentElement(p, tuple([(e, p - c) for e, c in self.terms]))
 
     def __sub__(self, other: "LaurentElement") -> "LaurentElement":
@@ -127,7 +125,13 @@ def _exponent(term):
 
 
 def _laurent_from_dict(p: int, d: Dict[QuadInt, int]) -> LaurentElement:
-    """The canonical element of a dict of exponents: terms increasing, coefficients in 1..p-1."""
+    """The canonical element of a dict of exponents: terms increasing, coefficients in 1..p-1.
+
+    Every element enters through here, so the exponents' ring is checked once: the
+    arithmetic reads their (a, b) parts over p without asking again."""
+    for e in d:
+        if not isinstance(e, QuadInt) or e.p != p:
+            raise ScalarDomainError(f"exponent {e!r} does not lie in Z[sqrt {p}]")
     items = tuple(sorted(((e, c % p) for e, c in d.items() if c % p), key=_exponent))
     return LaurentElement(p, items)
 

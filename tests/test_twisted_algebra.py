@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylkit.scalars import INF, Infinity, QuadInt, compare
+from weylkit.scalars import INF, Infinity, QuadInt, ScalarDomainError, compare
 from weylkit.twisted_algebra import (
     GroupKElem,
     GroupTElem,
@@ -151,6 +151,15 @@ class TestCanonicalOrder:
             assert (x * laurent_zero(p)).is_zero() and (laurent_zero(p) * x).is_zero()
             assert x * laurent_one(p) == x == laurent_one(p) * x
             assert (x - x).is_zero() and x + laurent_zero(p) == x == laurent_zero(p) + x
+
+    def test_exponents_over_another_ring_are_refused(self):
+        # the arithmetic reads exponents as (a, b) over the element's p, so they are checked on entry
+        with pytest.raises(ScalarDomainError, match="sqrt 3"):
+            laurent(3, {QuadInt(1, 0, 2): 1})
+        with pytest.raises(ScalarDomainError, match="sqrt 2"):
+            laurent(2, {QuadInt(0, 0, 2): 1, QuadInt(1, 1, 3): 1})
+        with pytest.raises(ScalarDomainError):
+            laurent(2, {1: 1})
 
 
 class TestTheta:

@@ -352,10 +352,11 @@ def cmd_sr_check(args) -> int:
         th = g.s.theta()
         if not g.s.is_zero() and tw.compare(th.nu(), g.s.nu().times_sqrt_p()) != 0:
             report.fail({"identity": "theta invariance", "element": repr(g.s)})
-    v1 = tw.check_V1(args.case, QuadInt(0, 0, p), samples=max(10, args.samples // 10), seed=args.seed)
+    threshold_samples = max(10, args.samples // 10)
+    v1 = tw.check_V1(args.case, QuadInt(0, 0, p), samples=threshold_samples, seed=args.seed)
     if not v1.ok:
         report.fail({"identity": "threshold subgroup", "detail": repr(v1.failures[0])})
-    report.counts = {"samples": args.samples, "closed_form_mismatches": mism}
+    report.counts = {"samples": args.samples, "threshold_samples": threshold_samples, "closed_form_mismatches": mism}
     report.timings["total_s"] = round(time.perf_counter() - t0, 6)
     obj = report.to_json(include_timings=args.timings)
     obj["identity"] = "closed-form minimum, theta invariance, threshold subgroup"

@@ -38,7 +38,6 @@ class TreeError(ValueError):
 
 
 _EVEN_PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))  # of a base triple
-_PARTNERS = ((2, 3, 0, 1), (0, 1, 3, 2), (0, 3, 2, 1), (0, 2, 1, 3))
 _EXCHANGED, _COMPANION = "exchange of b and d changed a positive value", "companion quadruple is not zero"
 
 
@@ -87,12 +86,10 @@ def _getter(positions) -> Callable:
 class _Layout(NamedTuple):
     """Positions for n ends, and getters of them; quadruples, pairs, triples in permutations(range(n), k) order."""
 
-    partners: Tuple[Callable, ...]  # quadruple (a, b, c, d) -> (c, d, a, b), (a, b, d, c), (a, d, c, b), (a, c, b, d)
     slot: Tuple[int, ...]  # quadruple -> 2*orbit + 1 on the half of its PV1 orbit's first quadruple, else 2*orbit
     heads: Tuple[Callable, ...]  # slot -> its first quadruple (a, b, c, d), and that one's (a, d, c, b), (a, c, b, d)
     where: Dict[tuple, int]  # quadruple (a, b, c, d) of end indices -> its position
-    cocycle: Tuple[Tuple[Callable, ...], ...]  # of the blocks d < e, then of their mirrors: (a, b, d, e), (a, r, d, e)
-    # and (b, r, d, e) of each check of _failed_blocks
+    cocycle: Tuple[Callable, ...]  # (a, b, d, e), (a, r, d, e), (b, r, d, e) of each check of _failed_blocks, d < e
     medians: Tuple[Callable, ...]  # quadruple (a, b, c, d) -> triples (a, b, d) and (a, b, c)
     wedges: Tuple[Callable, ...]  # triple (a, b, c) -> pairs (a, b), (a, c) and (b, c)
     blocks: Tuple[tuple, ...]  # each block's quadruples (a, b, d, e), a != b, for _cocycle_failures, in block order
@@ -123,24 +120,21 @@ def _layout(n: int) -> _Layout:
             for half, members in zip((1, 0), _pv1_orbit(quad)):
                 for q in members:
                     slot[where[q]] = s + half
-            heads += [where[a, b, d, c], p]
-    lower, upper, blocks, sides = [], [], [], ((0, 1), (0, 2), (1, 2))
+            heads += [(a, b, d, c), quad]
+    checks, blocks, sides = [], [], ((0, 1), (0, 2), (1, 2))
     for d, e in itertools.combinations(range(n), 2):
         rest = [x for x in range(n) if x != d and x != e]
-        for f, g, checks in ((d, e, lower), (e, d, upper)):
-            blocks.append([where[rest[i], rest[j], f, g] for i, j in block])
-            checks += [
-                (where[a, b, f, g], where[a, rest[0], f, g] if a != rest[0] else len(quads), where[b, rest[0], f, g])
-                for a, b in itertools.permutations(rest, 2)
-                if n >= 5 and b != rest[0]
-            ]
-    partners = [spots(quads, where, *order) for order in _PARTNERS]
+        blocks += [[where[rest[i], rest[j], f, g] for i, j in block] for f, g in ((d, e), (e, d))]
+        checks += [
+            (where[a, b, d, e], where[a, rest[0], d, e] if a != rest[0] else len(quads), where[b, rest[0], d, e])
+            for a, b in itertools.permutations(rest, 2)
+            if n >= 5 and b != rest[0]
+        ]
     return _Layout(
-        partners=tuple(map(_getter, partners)),
         slot=tuple(slot),
-        heads=(_getter(heads), *(_getter(map(partners[k].__getitem__, heads)) for k in (2, 3))),
+        heads=tuple(_getter(spots(heads, where, *order)) for order in ((0, 1, 2, 3), (0, 3, 2, 1), (0, 2, 1, 3))),
         where=where,
-        cocycle=tuple(tuple(map(_getter, zip(*checks))) for checks in (lower, upper)),
+        cocycle=tuple(map(_getter, zip(*checks))),
         medians=tuple(_getter(spots(quads, tri, 0, 1, k)) for k in (3, 2)),
         wedges=tuple(_getter(spots(triples, pair, i, j)) for i, j in sides),
         blocks=tuple(map(tuple, blocks)),
@@ -350,16 +344,17 @@ def check_pv(pv: ProjectiveValuation) -> PVReport:
     Each axiom is decided with ``map`` over the layout's getters, and only a
     decision that fails is listed, in quadruple order and then in 5-tuple order.
     PV1 is decided first, except on a table that :func:`valuation_from_lists` or
-    :func:`valuation_from_entries` closed.  Where it holds, PV1 maps the
-    exchange and companion partners of every quadruple of a half-orbit onto
-    those of its first quadruple, its head: PV2 is decided on the exchanges of
-    the positive heads (a nonzero companion comes with a changed exchange), and
-    listed at the members of the half-orbits whose head fails.  A table where
-    PV1 fails is listed by a loop over the quadruples.  PV3 is decided by
-    :func:`_failed_blocks`, on the blocks d < e alone where PV1 holds, and
-    listed by :func:`_cocycle_failures` on the blocks that fail.  Values of two
-    groups, or of none, are not decided: the listings raise as the loops over
-    quadruples and 5-tuples do.
+    :func:`valuation_from_entries` closed: it holds exactly when every quadruple
+    equals the first quadruple of its PV1 half-orbit, its head, and every minus
+    head is the negated plus head.  Where it holds, PV1 maps the exchange and
+    companion partners of every quadruple of a half-orbit onto those of its
+    head: PV2 is decided on the exchanges of the positive heads (a nonzero
+    companion comes with a changed exchange), and listed at the members of the
+    half-orbits whose head fails; PV3 is decided by :func:`_failed_blocks` and
+    listed by :func:`_cocycle_failures` on the blocks that fail.  A table where
+    PV1 fails is listed by a loop over the quadruples and PV3 on every block.
+    Values of two groups, or of none, are not decided: the listings raise as
+    the loops over quadruples and 5-tuples do.
     """
     n, (view, cmp, sgn), pv1 = len(pv.ends), _view(pv), not pv._closed_under_pv1
     lay, out = _layout(n), []
@@ -367,13 +362,12 @@ def check_pv(pv: ProjectiveValuation) -> PVReport:
         decide = cmp is not compare or len(set(map(zero_like, dict(zip(map(id, view), view)).values()))) < 2
     except ScalarDomainError:
         decide = False
-    swapped, flipped = lay.partners[:2]
+    heads, exchanged, companions = lay.heads
+    at = heads(view)
     closed = decide and not (
-        pv1 and (any(map(cmp, view, swapped(view))) or any(map(cmp, view, map(operator.neg, flipped(view)))))
+        pv1 and (any(map(cmp, view, _getter(lay.slot)(at))) or any(map(cmp, at[::2], map(operator.neg, at[1::2]))))
     )
     if closed:
-        heads, exchanged, companions = lay.heads
-        at = heads(view)
         positive = list(itertools.compress(range(len(at)), map((0).__lt__, map(sgn, at))))
         get = _getter(positive)
         moved = list(map(cmp, get(exchanged(view)), get(at)))
@@ -388,25 +382,25 @@ def check_pv(pv: ProjectiveValuation) -> PVReport:
                 if c:
                     out.append(("PV2", q, _COMPANION))
     else:
-        partners = [get(view) for get in lay.partners]
-        for q, v, s, f, x, c in zip(pv.quadruples(), view, *partners):
-            if pv1 and cmp(v, s) != 0:
+        where = lay.where
+        for (a, b, c, d), q, v in zip(itertools.permutations(range(n), 4), pv.quadruples(), view):
+            if pv1 and cmp(v, view[where[c, d, a, b]]) != 0:
                 out.append(("PV1", q, "pair swap changed the value"))
-            if pv1 and cmp(v, -f) != 0:
+            if pv1 and cmp(v, -view[where[a, b, d, c]]) != 0:
                 out.append(("PV1", q, "flip of the second pair did not negate"))
             if sgn(v) > 0:
-                if cmp(x, v) != 0:
+                if cmp(view[where[a, d, c, b]], v) != 0:
                     out.append(("PV2", q, _EXCHANGED))
-                if sgn(c) != 0:
+                if sgn(view[where[a, c, b, d]]) != 0:
                     out.append(("PV2", q, _COMPANION))
-    blocks = _failed_blocks(n, view, cmp, closed) if decide else range(n * (n - 1))
+    blocks = _failed_blocks(n, view, cmp) if closed else range(n * (n - 1))
     for t in _cocycle_failures(n, view, cmp, blocks) if blocks else ():
         out.append(("PV3", tuple(pv.ends[i] for i in t), "cocycle sum failed"))
     return PVReport(tuple(out))
 
 
-def _failed_blocks(n: int, view: list, cmp: Callable, closed: bool = False) -> list:
-    """PV3 decided in O(n^4) on the view of n ends and its comparison: the blocks where it fails.
+def _failed_blocks(n: int, view: list, cmp: Callable) -> list:
+    """PV3 decided in O(n^4) on the view of n ends where PV1 holds, and its comparison: the blocks where it fails.
 
     Fix d, e, write g(a, b) = omega(a, b, d, e) on the other ends S, let r
     be the first of S and f(x) = g(x, r), f(r) = 0 (read past the view's
@@ -418,19 +412,15 @@ def _failed_blocks(n: int, view: list, cmp: Callable, closed: bool = False) -> l
     With fewer than five ends there is no 5-tuple.
 
     A block is named by its index in the layout's block order (:func:`_layout`).
-    On a table closed under PV1, g at (e, d) is -g at (d, e): its check is the
-    negation of the check at (d, e), so only the blocks d < e are read, and
-    each that fails is given with its mirror.
+    Under PV1, g at (e, d) is -g at (d, e): its check is the negation of the
+    check at (d, e), so only the blocks d < e are read, and each that fails is
+    given with its mirror.
     """
     if n < 5:
         return []
-    lay, view, size = _layout(n), [*view, view[0] - view[0]], (n - 3) ** 2
-    halves = [
-        list(map(any, zip(*[map(cmp, map(operator.add, q(view), y(view)), x(view))] * size)))
-        for q, x, y in (lay.cocycle[:1] if closed else lay.cocycle)
-    ]
-    lower, upper = halves * 2 if closed else halves
-    return list(itertools.compress(itertools.count(), itertools.chain.from_iterable(zip(lower, upper))))
+    (q, x, y), view, size = _layout(n).cocycle, [*view, view[0] - view[0]], (n - 3) ** 2
+    failed = map(any, zip(*[map(cmp, map(operator.add, q(view), y(view)), x(view))] * size))
+    return [k for lower in itertools.compress(itertools.count(0, 2), failed) for k in (lower, lower + 1)]
 
 
 def _cocycle_failures(n: int, view: list, cmp: Callable, blocks) -> list:

@@ -859,7 +859,7 @@ class TestSr:
         code, obj = run_json(capsys, "sr", "check", "--case", "B", "--samples", "0")
         assert code == EXIT_OK and seen == [10]
         assert obj["status"] == "pass" and obj["samples"] == 0 and obj["failures"] == []
-        assert obj["counts"] == {"closed_form_mismatches": 0, "samples": 0}
+        assert obj["counts"] == {"closed_form_mismatches": 0, "samples": 0, "threshold_samples": 10}
 
     def test_determinism(self, capsys):
         args = ("sr", "check", "--case", "G", "--samples", "60", "--seed", "1")

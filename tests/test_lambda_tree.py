@@ -562,6 +562,14 @@ def _z_sqrt2(pv):
     return lt.ProjectiveValuation(pv.ends, {q: QuadInt(int(v * den), int(v * den), 2) for q, v in pv.table.items()})
 
 
+def _pv1_closed(pv):
+    """pv where PV1 holds on it, else the valuation closed from one entry per orbit of its
+    table: _failed_blocks decides PV3 only where PV1 holds."""
+    if any(axiom == "PV1" for axiom, _, _ in reference_check_pv(pv).violations):
+        return lt.valuation_from_entries(pv.ends, _orbit_entries(pv.table))
+    return pv
+
+
 class TestEncodedAgainstValues:
     """check_pv, roundtrip_check, the read of entries and datum_axiom_violations give the
     reports of the loops on values, on tables and datums the encoding covers and on
@@ -582,7 +590,7 @@ class TestEncodedAgainstValues:
     @example(case=SMALL[1])
     @settings(max_examples=4, deadline=None)
     def test_cocycle_decision(self, kind, case):
-        pv = _table_for(*case, kind)
+        pv = _pv1_closed(_table_for(*case, kind))
         view, cmp, _ = lt._view(pv)
         pv3 = any(axiom == "PV3" for axiom, _, _ in reference_check_pv(pv).violations)
         assert bool(lt._failed_blocks(len(pv.ends), view, cmp)) is pv3
@@ -655,8 +663,9 @@ class TestEncodedAgainstValues:
         pv = _z_sqrt2(_table_for(*case, kind))
         assert pv.codes is None
         assert _outcome(lt.check_pv, pv) == _outcome(reference_check_pv, pv)
-        view, cmp, _ = lt._view(pv)
-        pv3 = any(axiom == "PV3" for axiom, _, _ in reference_check_pv(pv).violations)
+        closed = _pv1_closed(pv)
+        view, cmp, _ = lt._view(closed)
+        pv3 = any(axiom == "PV3" for axiom, _, _ in reference_check_pv(closed).violations)
         assert bool(lt._failed_blocks(n_ends, view, cmp)) is pv3
         valid = _z_sqrt2(lt.tree_generator(seed, n_ends, lam)[1])
         datum = lt.build_datum(valid, random.Random(seed).sample(valid.ends, 3))
@@ -763,9 +772,8 @@ def _counted_reads(monkeypatch):
     def counted_layout(n):
         lay = layout(n)
         return lay._replace(
-            partners=named("partners", lay.partners),
             heads=named("heads", lay.heads),
-            cocycle=tuple(named(f"cocycle{h}.", half) for h, half in enumerate(lay.cocycle)),
+            cocycle=named("cocycle", lay.cocycle),
             block_sums=named("block_sums", lay.block_sums),
         )
 
@@ -915,32 +923,41 @@ class TestHalfOrbits:
         heads = n_ends * (n_ends - 1) * (n_ends - 2) * (n_ends - 3) // 4
         assert [reads.pop(f"heads{i}") for i in range(2)] == [[heads]] * 2
         checks = n_ends * (n_ends - 1) // 2 * (n_ends - 3) ** 2
-        assert reads == {f"cocycle0.{i}": [checks] for i in range(3)}
-        # a table read as given has PV1 decided on every quadruple, and is then read as a closed one
+        assert reads == {f"cocycle{i}": [checks] for i in range(3)}
+        # a table read as given has PV1 decided against the heads it then reads as a closed one's:
+        # the same reads, and still no listing
         reads.clear()
         given = lt.ProjectiveValuation(ends, table)
         assert given.codes is not None  # the view is read from the table before the check
         listed.clear()
         assert lt.check_pv(given).ok
-        quads = n_ends * (n_ends - 1) * (n_ends - 2) * (n_ends - 3)
-        assert [reads.pop(f"partners{i}") for i in range(2)] == [[quads]] * 2
         assert [reads.pop(f"heads{i}") for i in range(2)] == [[heads]] * 2
-        assert reads == {f"cocycle0.{i}": [checks] for i in range(3)} and listed == []
+        assert reads == {f"cocycle{i}": [checks] for i in range(3)} and listed == []
 
     def test_a_table_where_pv1_fails_is_listed_by_the_loops(self, monkeypatch):
-        # PV1 fails at one bare entry: the loop reads every quadruple's partners, and PV3
-        # reads both block halves
+        # PV1 fails at one bare entry: its decision reads the heads once, the loop reads
+        # every quadruple's partners, and PV3 is listed on all n(n - 1) blocks, undecided
         ends, table = _domain_table(7, 7, "Z")
         quad = sorted(table)[len(table) // 2]
         pv = lt.ProjectiveValuation(ends, {**table, quad: table[quad] + 1})
         reads = _counted_reads(monkeypatch)
         report = lt.check_pv(pv)
         assert report == reference_check_pv(pv) and "PV1" in {axiom for axiom, _, _ in report.violations}
-        quads, checks = 7 * 6 * 5 * 4, 7 * 6 // 2 * 4**2
-        # the pair swap fails the PV1 decision, so the flips are read by the listing alone
-        assert [reads[f"partners{i}"] for i in range(4)] == [[quads] * 2] + [[quads]] * 3
-        assert [reads[f"cocycle{h}.0"] for h in range(2)] == [[checks]] * 2
-        assert "heads0" not in reads
+        assert reads.pop("heads0") == [7 * 6 * 5 * 4 // 4]
+        assert len(reads.pop("block_sums0")) == 7 * 6
+        assert set(reads) == {"block_sums1", "block_sums2"}  # no exchange or companion head, no cocycle decision
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_an_orbit_whose_minus_half_is_not_negated_fails_pv1(self, domain):
+        # a table read as given whose every half-orbit is constant, yet one orbit's minus
+        # half is its plus half, not its negation: only the heads' relation can find it
+        ends, table = _domain_table(5, 6, domain)
+        quad = next(q for q in sorted(table) if sign(table[q]) != 0)
+        table.update(dict.fromkeys(itertools.chain(*lt._pv1_orbit(quad)), table[quad]))
+        pv = lt.ProjectiveValuation(ends, table)
+        report = lt.check_pv(pv)
+        assert report == reference_check_pv(pv)
+        assert {t for axiom, _, t in report.violations if axiom == "PV1"} == {"flip of the second pair did not negate"}
 
 
 # --------------------------------------------------------------------------

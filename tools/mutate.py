@@ -18,6 +18,10 @@ runs in a copy of this checkout's ``src/`` and ``tests/`` (never in the checkout
 * survived: the tests pass;
 * timeout: the tests run longer than ``TIMEOUT_FACTOR`` times the unmutated run, plus 10 s.
 
+The unmutated run comes first, alone.  The mutants then run in as many
+workers as the process may use CPUs, each worker in its own copy, and their
+results are printed in source order.
+
 Only the standard library is used (``ast``, ``subprocess``); pytest must be
 importable.  A kernel's known survivors are listed in the table with the reason
 each is equivalent; ``--check`` fails on any other survivor and on a timeout.
@@ -28,7 +32,9 @@ from __future__ import annotations
 import argparse
 import ast
 import collections
+import concurrent.futures
 import os
+import queue
 import shutil
 import subprocess
 import sys
@@ -189,24 +195,37 @@ def _run(copy: str, args: list, timeout: float) -> str:
 
 def run_kernel(name: str) -> dict:
     module, functions, args, _ = KERNELS[name]
-    with tempfile.TemporaryDirectory(prefix="weylkit-mutate-") as copy:
-        for part in ("src", "tests"):
-            shutil.copytree(os.path.join(REPO, part), os.path.join(copy, part),
-                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))  # fmt: skip
-        path = os.path.join(copy, "src", module)
-        with open(path, encoding="utf-8") as fh:
+    workers = len(os.sched_getaffinity(0))
+    with tempfile.TemporaryDirectory(prefix="weylkit-mutate-") as root:
+        copies = queue.SimpleQueue()  # the copies no worker is using
+        for i in range(workers):
+            copy = os.path.join(root, str(i))
+            for part in ("src", "tests"):
+                shutil.copytree(os.path.join(REPO, part), os.path.join(copy, part),
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))  # fmt: skip
+            copies.put(copy)
+        with open(os.path.join(REPO, "src", module), encoding="utf-8") as fh:
             source = fh.read()
         start = time.perf_counter()
-        if _run(copy, args, timeout=3600) != "survived":
+        if _run(os.path.join(root, "0"), args, timeout=3600) != "survived":
             raise SystemExit(f"mutate: the tests of {name} fail on the unmutated code")
         limit = TIMEOUT_FACTOR * (time.perf_counter() - start) + 10
+
+        def run(text: str) -> str:
+            copy = copies.get()
+            try:
+                with open(os.path.join(copy, "src", module), "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                return _run(copy, args, limit)
+            finally:
+                copies.put(copy)
+
         tally = {"killed": [], "survived": [], "timeout": []}
-        for line, mutant, text in mutants(source, functions):
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            result = _run(copy, args, limit)
-            tally[result].append(mutant)
-            print(f"{name}: L{line} {mutant}: {result}", flush=True)
+        found = mutants(source, functions)
+        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+            for (line, mutant, _), result in zip(found, pool.map(run, [text for _, _, text in found])):
+                tally[result].append(mutant)
+                print(f"{name}: L{line} {mutant}: {result}", flush=True)
     return tally
 
 
